@@ -21,8 +21,9 @@ ORACLE_POOL_SIZE = 256
 
 ENV = {"reward_mode": "global", "tpc_reference": "signal"}
 
-# AgentHyperparams(**TUNED_DQL_HYPERPARAMS[30]) at this commit, spelled out
-# so the benchmark keeps measuring the same learner if the table changes.
+# The values of crpower.agent.TUNED_DQL_HYPERPARAMS[30] when the benchmark
+# was written, spelled out so it keeps measuring the same learner if the
+# table changes.
 TUNED_DQL_30 = {"alpha0": 0.05, "zeta": 5.0, "rho": 0.10, "lam": 0.25, "c": 50}
 
 PAPER_PHASE_LENGTH = 6250
