@@ -9,7 +9,12 @@ outputs are checked (checks.py), and the last line of standard output is
 one JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
 With ``--trace 0`` the metrics are the end-to-end metrics of
-BENCHMARK.json. With ``--trace 1`` the first half of the time runs under
+BENCHMARK.json. Their timings are medians scaled to a fixed host speed:
+on a shared host the speed of the whole machine drifts up to twofold
+within minutes, so a fixed reference is timed between operations and
+each median is divided by the reference's own median (see
+pace_reference). The raw wall times, their quartiles and tail are
+printed beside. With ``--trace 1`` the first half of the time runs under
 the span tracer (tracing.py) and the same calls are then replayed
 untraced; the metrics are the per-layer metrics, including the tracing
 overhead. ``--tiny`` shrinks every workload for the benchmark's own tests.
@@ -36,6 +41,8 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 import checks
 import tracing
 import workloads
@@ -44,8 +51,11 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 WORK_DIR = ROOT / ".crbench_work"                  # scratch space, removed at exit
-SETUP_REPEATS = 8
+SETUP_REPEATS = 16
 CHILD_TIMEOUT_S = 120
+REF_SHARE = 0.05         # share of the timed time given to the reference
+REF_KERNEL_S = 0.005     # reference kernel time that scaled timings assume
+REF_PROBE_S = 0.1        # reference probe time that scaled timings assume
 
 # Repeated in fresh interpreters to time set-up: start-up, imports, config
 # and AMC table load, everything a user pays before the first timed call.
@@ -56,6 +66,10 @@ import crpower, crpower.cli, workloads
 config = crpower.ExperimentConfig.from_dict(workloads.config_doc({name!r}, {tiny!r}))
 config.amc_table()
 """
+# The reference for operations that are whole interpreter runs: start-up
+# and imports load the host differently from in-process work, and the
+# reference kernel follows them less closely. It runs no crpower code.
+REF_PROBE = "import numpy"
 
 
 @dataclass
@@ -64,7 +78,10 @@ class Segment:
 
     call_s: list = field(default_factory=list)     # wall time per call
     op_s: list = field(default_factory=list)       # latency per good operation
+    search_s: list = field(default_factory=list)   # exhaustive_search alone
     good: list = field(default_factory=list)       # good operations per call
+    ref_s: list = field(default_factory=list)      # reference times
+    process_ops: bool = False                      # operations are child processes
     attempted: int = 0
     failed: int = 0
     problems: list = field(default_factory=list)
@@ -74,6 +91,7 @@ class Segment:
     diverged: int = 0
     artifact_files: int = 0
     artifact_bytes: int = 0
+    child_rss_mb: float = 0.0                      # largest simulate run process tree
 
     @property
     def calls(self) -> int:
@@ -103,39 +121,106 @@ def import_crpower():
     return crpower
 
 
-def run_child(cmd: list[str]) -> tuple[subprocess.CompletedProcess, float]:
-    """Run a child process to completion; return it and its wall time.
+@dataclass
+class Child:
+    returncode: int
+    stdout: str
+    stderr: str
+    wall_s: float
+    peak_rss_mb: float       # the child and the children it waited for
 
-    A timer kills a child that outlives CHILD_TIMEOUT_S. Waiting with a
-    timeout instead would poll in steps of up to 50 ms and blur the
-    timings by as much.
+
+def run_child(cmd: list[str]) -> Child:
+    """Run a child process to completion.
+
+    os.wait4 reaps it, so its peak RSS covers its own process tree and no
+    other child of the benchmark. A timer kills a child that outlives
+    CHILD_TIMEOUT_S; waiting with a timeout instead would poll in steps of
+    up to 50 ms and blur the timings by as much.
     """
-    start = time.perf_counter()
-    with subprocess.Popen(cmd, cwd=ROOT, env=child_env(), stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True) as proc:
+    with tempfile.TemporaryFile(dir=WORK_DIR) as out, \
+            tempfile.TemporaryFile(dir=WORK_DIR) as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=ROOT, env=child_env(), stdout=out, stderr=err)
         watchdog = threading.Timer(CHILD_TIMEOUT_S, proc.kill)
         watchdog.start()
         try:
-            stdout, stderr = proc.communicate()
+            _, status, usage = os.wait4(proc.pid, 0)
         finally:
             watchdog.cancel()
-    elapsed = time.perf_counter() - start
-    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr), elapsed
+        elapsed = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return Child(proc.returncode, out.read().decode(errors="replace"),
+                     err.read().decode(errors="replace"), elapsed,
+                     usage.ru_maxrss / 1024.0)
 
 
-def measure_setup(name: str, tiny: bool, repeats: int) -> list[float]:
+_REF_MATRIX = np.linspace(0.0, 1.0, 196).reshape(14, 14)
+
+
+def time_reference_kernel() -> float:
+    """Wall time of one pass of a fixed kernel that shares no code with crpower.
+
+    It does the kind of work crpower's hot paths do: Python loops around
+    dict lookups and small numpy arrays.
+    """
+    start = time.perf_counter()
+    counts = {}
+    for i in range(25000):
+        counts[i % 997] = counts.get(i % 997, 0) + i
+    total = 0.0
+    for _ in range(400):
+        total += float((_REF_MATRIX * 1.5 + _REF_MATRIX).sum())
+    return time.perf_counter() - start
+
+
+def time_reference_probe() -> float:
+    child = run_child([sys.executable, "-c", REF_PROBE])
+    if child.returncode != 0:
+        sys.exit(f"crbench: reference probe failed: {child.stderr.strip()[-500:]}")
+    return child.wall_s
+
+
+def pace_reference(ref_s: list, timed_s: float, process: bool) -> None:
+    """After a timed stretch, time the reference at least once and until it
+    has had REF_SHARE of the time timed so far.
+
+    The reference is the probe when the timed operations are child
+    processes, else the kernel. Either slows with the host: over one run,
+    the ratio of an operation's median time to its reference's median
+    time drifts less than either does.
+    """
+    timer = time_reference_probe if process else time_reference_kernel
+    ref_s.append(timer())
+    while sum(ref_s) < REF_SHARE * timed_s:
+        ref_s.append(timer())
+
+
+def at_reference_speed(samples: list[float], ref_s: list[float], process: bool) -> float:
+    """The samples' median, scaled to a host on which the reference's median
+    takes REF_PROBE_S (process) or REF_KERNEL_S."""
+    nominal_s = REF_PROBE_S if process else REF_KERNEL_S
+    return statistics.median(samples) * nominal_s / statistics.median(ref_s)
+
+
+def measure_setup(name: str, tiny: bool, repeats: int, times: list, ref_s: list):
+    """Append the wall times of `repeats` set-up probes to `times`, pacing
+    the reference probe into `ref_s` between them."""
     code = SETUP_PROBE.format(src=str(SRC), bench=str(BENCH_DIR), name=name,
                               tiny=tiny)
-    times = []
     for _ in range(repeats):
-        proc, elapsed = run_child([sys.executable, "-c", code])
-        if proc.returncode != 0:
-            sys.exit(f"crbench: set-up probe failed: {proc.stderr.strip()[-500:]}")
-        times.append(elapsed)
-    return times
+        child = run_child([sys.executable, "-c", code])
+        if child.returncode != 0:
+            sys.exit(f"crbench: set-up probe failed: {child.stderr.strip()[-500:]}")
+        times.append(child.wall_s)
+        pace_reference(ref_s, sum(times), process=True)
 
 
 def _more(seg: Segment, start: float, seconds: float | None, calls: int | None):
+    if seg.calls:
+        pace_reference(seg.ref_s, seg.wall_s, seg.process_ops)
     if calls is not None:
         return seg.calls < calls
     return time.perf_counter() - start < seconds
@@ -196,7 +281,9 @@ def run_oracle(name, seed, tiny, seconds=None, calls=None) -> Segment:
         t2 = time.perf_counter()
         problems = checks.check_oracle(index, result, fixture)
         seg.call_s.append(t2 - t0)
-        seg.op_s.append(t2 - t1)
+        if not problems:
+            seg.op_s.append(t2 - t0)
+            seg.search_s.append(t2 - t1)
         seg.good.append(0 if problems else 1)
         seg.attempted += 1
         seg.failed += 1 if problems else 0
@@ -217,7 +304,7 @@ def run_cli(name, seed, tiny, seconds=None, calls=None, trace_dir=None) -> Segme
         launcher = [sys.executable, "-m", "crpower.cli"]
     else:
         launcher = [sys.executable, str(BENCH_DIR / "tracing.py"), str(trace_dir)]
-    seg = Segment()
+    seg = Segment(process_ops=True)
     start = time.perf_counter()
     while _more(seg, start, seconds, calls):
         out = work / f"out{seg.calls}"
@@ -225,14 +312,15 @@ def run_cli(name, seed, tiny, seconds=None, calls=None, trace_dir=None) -> Segme
                           "--seed", str(workloads.call_seed(seed, seg.calls)),
                           "--out", str(out),
                           "--workers", str(workloads.CLI_WORKERS)]
-        proc, elapsed = run_child(cmd)
-        if proc.returncode != 0:
-            problems = [f"simulate run exited {proc.returncode}: "
-                        f"{proc.stderr.strip()[-300:]}"]
+        child = run_child(cmd)
+        seg.child_rss_mb = max(seg.child_rss_mb, child.peak_rss_mb)
+        if child.returncode != 0:
+            problems = [f"simulate run exited {child.returncode}: "
+                        f"{child.stderr.strip()[-300:]}"]
         else:
             problems = checks.check_cli_artifacts(
                 out, config.n_runs, hp.n_phases, config.env.n_cr, config.tau)
-            if "% optimal" not in proc.stdout:
+            if "% optimal" not in child.stdout:
                 problems.append("simulate run printed no aggregate line")
         if not problems:
             report = json.loads((out / "report.json").read_text())
@@ -243,8 +331,9 @@ def run_cli(name, seed, tiny, seconds=None, calls=None, trace_dir=None) -> Segme
             seg.good_steps += config.n_runs * hp.n_phases * hp.phase_length
         shutil.rmtree(out, ignore_errors=True)
         seg.runs += config.n_runs
-        seg.call_s.append(elapsed)
-        seg.op_s.append(elapsed)
+        seg.call_s.append(child.wall_s)
+        if not problems:
+            seg.op_s.append(child.wall_s)
         seg.good.append(0 if problems else 1)
         seg.attempted += 1
         seg.failed += 1 if problems else 0
@@ -284,9 +373,11 @@ def tail(values) -> tuple[float, float] | None:
     return 100.0 * (k + 1) / len(values), values[k]
 
 
-def peak_rss_mb(name: str) -> float:
-    who = resource.RUSAGE_CHILDREN if name == "cli-artifacts" else resource.RUSAGE_SELF
-    return resource.getrusage(who).ru_maxrss / 1024.0
+def peak_rss_mb(seg: Segment) -> float:
+    """The simulate run process tree on cli-artifacts, else this process."""
+    if seg.child_rss_mb:
+        return seg.child_rss_mb
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def outcome_percent(seg: Segment, outcome: str) -> float:
@@ -296,18 +387,25 @@ def outcome_percent(seg: Segment, outcome: str) -> float:
     return 100.0 * hits / runs if runs else 0.0
 
 
-def end_to_end(name: str, seg: Segment, setup: list[float]) -> dict:
-    """Metric -> (value, unit, samples behind it or None)."""
+def end_to_end(seg: Segment, setup: list[float], setup_ref_s: list[float]) -> dict:
+    """Metric -> (value, unit, raw samples behind it or None)."""
     if not seg.op_s:
         sys.exit("crbench: no operation finished without error; nothing to time")
-    rates = [g / s for g, s in zip(seg.good, seg.call_s)]
     op_ms = [s * 1e3 for s in seg.op_s]
     return {
-        "setup_s": (statistics.median(setup), "s", setup),
-        "ops_per_s": (sum(seg.good) / seg.wall_s, "1/s", rates),
-        "op_ms_p50": (statistics.median(op_ms), "ms", op_ms),
-        "peak_rss_mb": (peak_rss_mb(name), "MB", None),
+        "setup_s": (at_reference_speed(setup, setup_ref_s, process=True), "s", setup),
+        "op_ms_norm": (at_reference_speed(op_ms, seg.ref_s, seg.process_ops), "ms", op_ms),
+        "peak_rss_mb": (peak_rss_mb(seg), "MB", None),
     }
+
+
+def spread_text(samples, unit: str) -> str:
+    """Median, quartiles and tail of a run's raw samples."""
+    q1, med, q3 = quartiles(samples)
+    t = tail(samples)
+    tail_text = f", p{t[0]:.1f} {t[1]:.6g}" if t else ""
+    return (f"(raw {unit}: median {med:.6g}, q1 {q1:.6g}, q3 {q3:.6g}{tail_text}, "
+            f"n={len(samples)})")
 
 
 def workload_lines(name: str, seg: Segment) -> list[str]:
@@ -315,14 +413,14 @@ def workload_lines(name: str, seg: Segment) -> list[str]:
     lines = []
     wall = seg.wall_s
     if name == "oracle-n3":
-        op_ms = [s * 1e3 for s in seg.op_s]
-        lines.append(f"oracle_ms_p50 {statistics.median(op_ms):.3f} ms "
-                     f"(n={len(op_ms)})")
-        t = tail(op_ms)
+        search_ms = [s * 1e3 for s in seg.search_s]
+        lines.append(f"oracle_ms_p50 {statistics.median(search_ms):.3f} ms "
+                     f"(n={len(search_ms)})")
+        t = tail(search_ms)
         lines.append("oracle_ms_tail " + (f"{t[1]:.3f} ms (p{t[0]:.1f} of "
-                                          f"n={len(op_ms)})" if t else
-                                          f"n/a (n={len(op_ms)} < 11)"))
-        lines.append(f"scenarios_per_s {seg.calls / wall:.4f} 1/s")
+                                          f"n={len(search_ms)})" if t else
+                                          f"n/a (n={len(search_ms)} < 11)"))
+        lines.append(f"scenarios_per_s {sum(seg.good) / wall:.4f} 1/s")
     else:
         lines.append(f"steps_per_s {seg.good_steps / wall:.1f} 1/s "
                      "(steps of runs without error / wall)")
@@ -407,7 +505,10 @@ def per_layer(traced: Segment, untraced: Segment, trace: dict) -> dict:
         "harness.pct_optimal": outcome_percent(traced, "optimal"),
         "harness.pct_near_optimal": outcome_percent(traced, "near_optimal"),
         "harness.error_rate": traced.failed / traced.attempted,
-        "trace.overhead": traced.wall_s / untraced.wall_s - 1.0,
+        "trace.overhead": (
+            at_reference_speed([traced.wall_s], traced.ref_s, traced.process_ops)
+            / at_reference_speed([untraced.wall_s], untraced.ref_s,
+                                 untraced.process_ops) - 1.0),
         "trace.absent": len(trace["absent"]),
     }
     return values
@@ -429,22 +530,28 @@ def parse_args(argv):
 def timed_run(args, spec) -> tuple[dict, list[Segment]]:
     """End-to-end metrics of an untraced run, printed with their spread."""
     # Half the set-up probes run before the workload and half after it, so
-    # their median spans the run's own stretch of machine load. The first
-    # probe only fills __pycache__ and is not counted.
-    measure_setup(args.workload, args.tiny, 1)
-    setup = measure_setup(args.workload, args.tiny, SETUP_REPEATS // 2)
+    # they span the run's own stretch of machine load. The first probe only
+    # fills __pycache__ and is not counted.
+    setup, setup_ref_s = [], []
+    measure_setup(args.workload, args.tiny, 1, [], [])
+    measure_setup(args.workload, args.tiny, SETUP_REPEATS // 2, setup, setup_ref_s)
     seg = run_segment(args.workload, args.seed, args.tiny, seconds=args.seconds)
-    setup += measure_setup(args.workload, args.tiny, SETUP_REPEATS - len(setup))
-    values = end_to_end(args.workload, seg, setup)
+    measure_setup(args.workload, args.tiny, SETUP_REPEATS - len(setup), setup,
+                  setup_ref_s)
+    values = end_to_end(seg, setup, setup_ref_s)
     metrics = {}
     for m in spec["end_to_end"]:
         value, unit, samples = values[m["name"]]
         metrics[m["name"]] = {"value": value, "unit": unit}
-        spread = ""
-        if samples:
-            q1, med, q3 = quartiles(samples)
-            spread = f"  (median {med:.6g}, q1 {q1:.6g}, q3 {q3:.6g}, n={len(samples)})"
+        spread = "  " + spread_text(samples, unit) if samples else ""
         print(f"  {m['name']:14s} {value:.6g} {unit}{spread}")
+    for what, ref_s, process in (("set-up probes", setup_ref_s, True),
+                                 ("operations", seg.ref_s, seg.process_ops)):
+        med = statistics.median(ref_s)
+        nominal_s = REF_PROBE_S if process else REF_KERNEL_S
+        print(f"  reference {'probe' if process else 'kernel'} between {what}: "
+              f"median {med * 1e3:.3f} ms of n={len(ref_s)} "
+              f"(host at {nominal_s / med:.3f} x reference speed)")
     for line in workload_lines(args.workload, seg):
         print("  " + line)
     return metrics, [seg]

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import checks
+import spread
 import tracing
 import workloads
 from crpower.cli import main as simulate
@@ -137,10 +138,24 @@ def test_tracer_reports_absent_names_and_restores(monkeypatch):
 
 def test_spec_describes_every_declared_metric():
     spec = json.loads((BENCH_DIR / "spec.json").read_text())
-    for key in ("end_to_end", "per_layer"):
-        assert [(m["name"], m["unit"], m["better"]) for m in spec[key]] == [
-            (m["name"], m["unit"], m["better"]) for m in SPEC[key]]
+    declared = {m["name"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
+    assert set(spec["metrics"]) == declared
     assert set(spec["workloads"]) == {w["name"] for w in SPEC["workloads"]}
     assert isinstance(spec["held_out_seed"], int)
     mapped = {n for group in spec["mapping"] for n in group["per_layer"]}
     assert mapped == {m["name"] for m in SPEC["per_layer"]}
+
+
+def test_spread_judges_pairs_against_the_parent():
+    def side(values):
+        return spread.summarize([{"metrics": {"t": {"value": v}}} for v in values], "t")
+
+    parent = side([100, 101, 102, 103, 104, 100, 101, 102, 103, 104])
+    faster = side([80, 81, 82, 83, 84, 80, 81, 82, 83, 84])
+    slower = side([130, 131, 132, 133, 134, 130, 131, 132, 133, 134])
+    assert spread.judge(faster, parent, "lower", 0.25) == "better"
+    assert spread.judge(slower, parent, "lower", 0.25) == "worse"
+    assert spread.judge(parent, parent, "lower", 0.25) == "within bound"
+    assert spread.judge(faster, parent, "higher", 0.1) == "worse"
+    wide = side([60, 140, 70, 130, 80, 120, 90, 110, 100, 100])
+    assert spread.judge(parent, wide, "lower", 0.25) == "unresolved"
