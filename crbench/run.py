@@ -21,7 +21,12 @@ overhead. ``--tiny`` shrinks every workload for the benchmark's own tests.
 
 An operation is a learning run (table-sweep, dql-sweep), a scenario
 (oracle-n3) or a ``simulate run`` invocation (cli-artifacts). It fails
-when the program reports an error for it or its output fails a check.
+when the program reports an error for it or its output fails a check,
+with one exception: a DQL run that the harness reports as diverged (its
+error is a FloatingPointError) is the learner's known outcome, not a
+fault of the run. It counts as attempted and not failed, adds wall time
+but no steps or latency sample, and shows in ``error_rate`` and
+``qfunc.diverged`` instead, so that a stability fix moves those.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ class Segment:
     reports: list = field(default_factory=list)    # harness outcome counts
     runs: int = 0                                  # learning runs attempted
     good_steps: int = 0
-    diverged: int = 0
+    diverged: int = 0                              # learning runs that diverged
     artifact_files: int = 0
     artifact_bytes: int = 0
     child_rss_mb: float = 0.0                      # largest simulate run process tree
@@ -243,24 +248,32 @@ def run_sweep(name, seed, tiny, seconds=None, calls=None) -> Segment:
         rows = [m for point in report.metrics for m in point]
         problems = checks.check_aggregate(report)
         good = []
+        diverged_before = seg.diverged
         for m in rows:
             row_problems = checks.check_run_metrics(m, config.env.n_cr, n_actions,
                                                     config.tau)
             problems += row_problems
-            if m.outcome != "error" and not row_problems:
+            if row_problems:
+                continue
+            if m.outcome != "error":
                 good.append(m)
+            elif diverged(m):
+                seg.diverged += 1
         seg.call_s.append(elapsed)
         seg.op_s += [m.wall_ms / 1e3 for m in good]
         seg.good.append(len(good))
         seg.attempted += len(rows)
         seg.runs += len(rows)
-        seg.failed += len(rows) - len(good)
+        seg.failed += len(rows) - len(good) - (seg.diverged - diverged_before)
         seg.problems += problems
         seg.reports += [point["outcomes"] for point in report.aggregate()]
         seg.good_steps += len(good) * hp.n_phases * hp.phase_length
-        seg.diverged += sum(1 for m in rows
-                            if m.error and "FloatingPointError" in m.error)
     return seg
+
+
+def diverged(m) -> bool:
+    """Did the harness report this run as a learner divergence?"""
+    return m.outcome == "error" and "FloatingPointError" in (m.error or "")
 
 
 def run_oracle(name, seed, tiny, seconds=None, calls=None) -> Segment:
@@ -387,6 +400,11 @@ def outcome_percent(seg: Segment, outcome: str) -> float:
     return 100.0 * hits / runs if runs else 0.0
 
 
+def error_rate(seg: Segment) -> float:
+    """Share of the operations that diverged or failed."""
+    return (seg.diverged + seg.failed) / seg.attempted
+
+
 def end_to_end(seg: Segment, setup: list[float], setup_ref_s: list[float]) -> dict:
     """Metric -> (value, unit, raw samples behind it or None)."""
     if not seg.op_s:
@@ -430,8 +448,8 @@ def workload_lines(name: str, seg: Segment) -> list[str]:
     if name == "cli-artifacts":
         cli_s = seg.op_s
         lines.append(f"cli_s {statistics.median(cli_s):.4f} s (median of n={len(cli_s)})")
-    lines.append(f"error_rate {seg.failed / seg.attempted:.4f} "
-                 f"({seg.failed} of {seg.attempted} operations)")
+    lines.append(f"error_rate {error_rate(seg):.4f} ({seg.diverged} diverged "
+                 f"and {seg.failed} failed of {seg.attempted} operations)")
     return lines
 
 
@@ -504,7 +522,7 @@ def per_layer(traced: Segment, untraced: Segment, trace: dict) -> dict:
         "oracle.tied": counts.get("oracle.tied", 0),
         "harness.pct_optimal": outcome_percent(traced, "optimal"),
         "harness.pct_near_optimal": outcome_percent(traced, "near_optimal"),
-        "harness.error_rate": traced.failed / traced.attempted,
+        "harness.error_rate": error_rate(traced),
         "trace.overhead": (
             at_reference_speed([traced.wall_s], traced.ref_s, traced.process_ops)
             / at_reference_speed([untraced.wall_s], untraced.ref_s,

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import checks
+import run
 import spread
 import tracing
 import workloads
@@ -42,7 +43,7 @@ def test_every_metric_is_emitted(workload, trace):
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True
     assert result["attempted"] >= 1
-    assert result["failed"] == 0 or workload == "dql-sweep"   # DQL may diverge
+    assert result["failed"] == 0
     declared = SPEC["per_layer"] if trace else SPEC["end_to_end"]
     assert {m["name"]: m["unit"] for m in declared} == {
         name: metric["unit"] for name, metric in result["metrics"].items()}
@@ -79,6 +80,15 @@ def test_run_checks_pass_on_real_results_and_flag_corruption():
         assert checks.check_run_metrics(bad, 2, n_actions, 0.01), bad
     report.metrics[0].reverse()
     assert checks.check_aggregate(report)
+
+
+def test_only_a_floating_point_error_counts_as_divergence():
+    m = tiny_report().metrics[0][0]
+    error = dict(outcome="error", reward=float("nan"), joint_policy=(),
+                 best_joint_action=(), best_reward=float("nan"))
+    assert not run.diverged(m)
+    assert run.diverged(replace(m, error="FloatingPointError('overflow')", **error))
+    assert not run.diverged(replace(m, error="ValueError('bad config')", **error))
 
 
 def test_oracle_check_flags_corrupted_fixture():
