@@ -16,15 +16,17 @@ from .agent import (
     run_learning,
     run_with_restarts,
 )
-from .channel import ChannelGains, PowerVector, path_gain, pn_sinr, sn_sinr
+from .channel import ChannelGains, PowerVector, all_sinrs, path_gain
 from .environment import (
     ActionSpace,
     EnvConfig,
     EnvironmentView,
+    Outcomes,
     Scenario,
     build_scenario,
     measure_phase_change_probability,
     observe,
+    outcome_tensor,
     pn_power_control,
     reward,
 )

@@ -10,8 +10,9 @@ probability, or draws a fresh one uniformly from the candidate set. The
 learning rate is divided by a constant once per phase.
 
 All agents in a run are stepped in fixed index order against a single
-shared observation per step, so the only coupling between them is the
-wireless environment itself.
+shared outcome per step, looked up by flat joint index in the scenario's
+outcome tensor, so the only coupling between them is the wireless
+environment itself.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import ObservationCache, Scenario, reward
+from .environment import Scenario
 from .qfunc import (
     N_STATES,
-    MlpParams,
     QTable,
     TargetArray,
     Transition,
@@ -84,7 +84,7 @@ class AgentHyperparams:
 
 
 # Hyper-parameter choices that gave the best percent-optimal at each phase
-# budget for the network learner, and the matching table-learner settings.
+# budget for the network learner.
 TUNED_DQL_HYPERPARAMS = {
     30: dict(alpha0=0.050, zeta=5.0, rho=0.10, lam=0.25, c=50),
     40: dict(alpha0=0.030, zeta=5.0, rho=0.20, lam=0.25, c=50),
@@ -92,7 +92,6 @@ TUNED_DQL_HYPERPARAMS = {
     75: dict(alpha0=0.015, zeta=2.0, rho=0.05, lam=0.25, c=50),
     100: dict(alpha0=0.050, zeta=5.0, rho=0.10, lam=0.25, c=50),
 }
-TUNED_TABLE_HYPERPARAMS = dict(alpha0=0.2, zeta=3.0, rho=0.2, lam=0.25)
 
 
 def choose_action(state: int, policy: np.ndarray, rho: float,
@@ -306,7 +305,7 @@ class TableAgent(_AgentBase):
 
     def __init__(self, hp, n_actions, rng, record_updates=False):
         super().__init__(hp, n_actions, rng, record_updates)
-        self.table = QTable.zeros(n_actions, learning_rate=hp.alpha0)
+        self.table = QTable.zeros(n_actions)
 
     def q_values(self) -> np.ndarray:
         return self.table.values
@@ -326,23 +325,30 @@ def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
 
 
 def run_exploration_phase(agents, scenario: Scenario, rngs,
-                          cache: ObservationCache | None = None,
                           step_hook=None, keep_q: bool = True) -> list[PhaseRecord]:
-    """One phase for all agents: frozen policies, one joint observation
-    per step, policy updates at the boundary.
+    """One phase for all agents: frozen policies, one joint action per
+    step, policy updates at the boundary.
+
+    Each step's states and rewards are the row of the scenario's outcome
+    tensor at the joint action's flat index; step_hook, if given, is
+    called with the joint action and that index.
     """
-    cache = cache if cache is not None else ObservationCache(scenario)
-    mode = scenario.config.reward_mode
+    outcomes = scenario.outcomes
+    states = outcomes.states.tolist()
+    rewards = outcomes.rewards(scenario.config.reward_mode).tolist()
+    n_actions = len(scenario.actions)
     length = agents[0].hp.phase_length
     joint = [0] * len(agents)
-    for t in range(length):
+    for _ in range(length):
+        k = 0
         for i, ag in enumerate(agents):
-            joint[i] = ag.act(rngs[i])
-        view = cache(joint)
+            joint[i] = a = ag.act(rngs[i])
+            k = k * n_actions + a
+        step_states, step_rewards = states[k], rewards[k]
         for i, ag in enumerate(agents):
-            ag.step(joint[i], int(view.states[i]), reward(view, i, mode))
+            ag.step(joint[i], step_states[i], step_rewards[i])
         if step_hook is not None:
-            step_hook(tuple(joint), view)
+            step_hook(tuple(joint), k)
     return [ag.update_policy(rngs[i], keep_q=keep_q) for i, ag in enumerate(agents)]
 
 
@@ -366,10 +372,10 @@ def _spawn_rngs(seed_seq: np.random.SeedSequence, n: int):
     return [np.random.default_rng(s) for s in seed_seq.spawn(n)]
 
 
-def _sense_initial_state(agents, cache: ObservationCache):
-    view = cache([0] * len(agents))
-    for i, ag in enumerate(agents):
-        ag.state = int(view.states[i])
+def _sense_initial_state(agents, scenario: Scenario):
+    """Every agent starts in its state under the all-off joint action (flat index 0)."""
+    for ag, state in zip(agents, scenario.outcomes.states[0].tolist()):
+        ag.state = state
 
 
 def run_learning(scenario: Scenario,
@@ -385,10 +391,9 @@ def run_learning(scenario: Scenario,
     rngs = _spawn_rngs(seed_seq, scenario.n_cr)
     agents = make_agents(learner, hp, scenario.n_cr, len(scenario.actions),
                          rngs, record_updates)
-    cache = ObservationCache(scenario)
-    _sense_initial_state(agents, cache)
+    _sense_initial_state(agents, scenario)
     records = [
-        run_exploration_phase(agents, scenario, rngs, cache,
+        run_exploration_phase(agents, scenario, rngs,
                               step_hook=step_hook, keep_q=keep_q)
         for _ in range(n_phases)
     ]
@@ -414,15 +419,14 @@ def run_with_restarts(scenario: Scenario,
     if hp.n_phases < probe_phases:
         raise ValueError("probe phases exceed the configured phase count")
     rngs = _spawn_rngs(seed_seq, scenario.n_cr)
-    cache = ObservationCache(scenario)
 
     probes = []
     probe_rewards = []
     for _ in range(n_restarts):
         agents = make_agents(learner, hp, scenario.n_cr, len(scenario.actions),
                              rngs, record_updates)
-        _sense_initial_state(agents, cache)
-        records = [run_exploration_phase(agents, scenario, rngs, cache)
+        _sense_initial_state(agents, scenario)
+        records = [run_exploration_phase(agents, scenario, rngs)
                    for _ in range(probe_phases)]
         final_reward = float(np.mean([r.mean_reward for r in records[-1]]))
         probes.append((copy.deepcopy(agents), records))
@@ -431,7 +435,7 @@ def run_with_restarts(scenario: Scenario,
     best = int(np.argmax(probe_rewards))
     agents, records = probes[best]
     for _ in range(hp.n_phases - probe_phases):
-        records.append(run_exploration_phase(agents, scenario, rngs, cache,
+        records.append(run_exploration_phase(agents, scenario, rngs,
                                              keep_q=keep_q))
     return RunTrace(agents=agents, phase_records=records,
                     restart_rewards=probe_rewards)

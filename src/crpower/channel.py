@@ -2,8 +2,9 @@
 
 Gains follow a log-distance loss model with fixed penetration loss and
 lognormal shadowing; every internal power is linear mW and conversions to
-dB happen only at the boundaries. SINR helpers are pure functions so the
-exhaustive-search oracle can reuse them unchanged.
+dB happen only at the boundaries. The loss model and the SINRs are
+vectorised, so one call covers a whole gain matrix or every joint action
+of a scenario at once.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ __all__ = [
     "PowerVector",
     "path_gain",
     "build_gains",
-    "pn_sinr",
-    "sn_sinr",
+    "all_sinrs",
+    "received_power_mw",
     "dbm_to_mw",
     "mw_to_dbm",
 ]
@@ -45,18 +46,20 @@ def mw_to_dbm(mw):
     return 10.0 * np.log10(np.asarray(mw, dtype=float))
 
 
-def path_gain(distance_m: float, shadowing_db: float = 0.0) -> float:
-    """Linear power gain of one link.
+def path_gain(distance_m, shadowing_db=0.0):
+    """Linear power gain of links at the given distances, elementwise.
 
     loss_dB = 128.1 + 37.6*log10(d_km) + 10 + S, with the distance clamped
     to 1 m below that.
     """
-    if not (np.isfinite(distance_m) and np.isfinite(shadowing_db)):
+    d = np.asarray(distance_m, dtype=float)
+    shadowing_db = np.asarray(shadowing_db, dtype=float)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(shadowing_db))):
         raise ValueError("distance and shadowing must be finite")
-    d_km = max(float(distance_m), 1.0) / 1000.0
+    d_km = np.maximum(d, 1.0) / 1000.0
     loss_db = (PATHLOSS_OFFSET_DB + PATHLOSS_SLOPE_DB * np.log10(d_km)
                + PENETRATION_LOSS_DB + shadowing_db)
-    return float(10.0 ** (-loss_db / 10.0))
+    return 10.0 ** (-loss_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,7 @@ def build_gains(placement: NodePlacement, rng: np.random.Generator,
 
     def gains(tx, rx):
         d = pairwise_wrap_distances(tx, rx, spec)
-        d_km = np.maximum(d, 1.0) / 1000.0
-        loss = (PATHLOSS_OFFSET_DB + PATHLOSS_SLOPE_DB * np.log10(d_km)
-                + PENETRATION_LOSS_DB + _shadowing(rng, d.shape))
-        return np.minimum(10.0 ** (-loss / 10.0), 1.0)
+        return np.minimum(path_gain(d, _shadowing(rng, d.shape)), 1.0)
 
     return ChannelGains(
         g_pp=gains(ap, pn_rx),
@@ -172,42 +172,40 @@ def build_gains(placement: NodePlacement, rng: np.random.Generator,
     )
 
 
-def pn_sinr(link: int, gains: ChannelGains, powers: PowerVector) -> float:
-    """SINR of one primary link: own AP over other APs + all CRs + noise."""
-    pn_mw = powers.pn_powers_mw
-    cr_mw = np.asarray(powers.cr_powers_mw, dtype=float)
-    if pn_mw.shape[0] != gains.n_pn or cr_mw.shape[0] != gains.n_cr:
-        raise ValueError("power vector does not match gain matrices")
-    signal = gains.g_pp[link, link] * pn_mw[link]
-    cross = float(gains.g_pp[:, link] @ pn_mw) - signal
-    sn_interf = float(gains.g_ps[:, link] @ cr_mw)
-    return signal / (cross + sn_interf + gains.noise_power_mw)
+def received_power_mw(tx_mw, g: np.ndarray) -> np.ndarray:
+    """Total power each receiver gets from a set of transmitters, tx_mw @ g.
 
-
-def sn_sinr(link: int, gains: ChannelGains, powers: PowerVector) -> float:
-    """SINR of one secondary link: own CR over other CRs + all APs + noise."""
-    pn_mw = powers.pn_powers_mw
-    cr_mw = np.asarray(powers.cr_powers_mw, dtype=float)
-    if pn_mw.shape[0] != gains.n_pn or cr_mw.shape[0] != gains.n_cr:
-        raise ValueError("power vector does not match gain matrices")
-    signal = gains.g_ss[link, link] * cr_mw[link]
-    cross = float(gains.g_ss[:, link] @ cr_mw) - signal
-    pn_interf = float(gains.g_sp[:, link] @ pn_mw)
-    return signal / (cross + pn_interf + gains.noise_power_mw)
+    tx_mw is (N,) or (K, N) for the N rows of g. The sum runs transmitter
+    by transmitter, so every row of a (K, N) block comes out bit for bit
+    as it would alone, which a BLAS matmul does not promise.
+    """
+    per_tx = np.moveaxis(np.asarray(tx_mw, dtype=float), -1, 0)
+    # accumulate as (receivers, K): long inner loops instead of short rows
+    total = np.multiply.outer(g[0], per_tx[0])
+    for j in range(1, g.shape[0]):
+        total += np.multiply.outer(g[j], per_tx[j])
+    return total.T
 
 
 def all_sinrs(gains: ChannelGains, powers: PowerVector) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (pn_sinrs, sn_sinrs) for one power assignment."""
+    """Vectorized (pn_sinrs, sn_sinrs) of one or many CR power assignments.
+
+    cr_powers_mw may be (N,) or (K, N); the SINRs then come back as (M,),
+    (N,) or (K, M), (K, N). Each link's SINR is its own received power
+    over every other transmitter's received power plus noise.
+    """
     pn_mw = powers.pn_powers_mw
     cr_mw = np.asarray(powers.cr_powers_mw, dtype=float)
+    if pn_mw.shape[0] != gains.n_pn or cr_mw.shape[-1] != gains.n_cr:
+        raise ValueError("power vector does not match gain matrices")
 
     pn_signal = np.diag(gains.g_pp) * pn_mw
     pn_total = gains.g_pp.T @ pn_mw
-    sn_at_pn = gains.g_ps.T @ cr_mw
+    sn_at_pn = received_power_mw(cr_mw, gains.g_ps)
     pn = pn_signal / (pn_total - pn_signal + sn_at_pn + gains.noise_power_mw)
 
     sn_signal = np.diag(gains.g_ss) * cr_mw
-    sn_total = gains.g_ss.T @ cr_mw
+    sn_total = received_power_mw(cr_mw, gains.g_ss)
     pn_at_sn = gains.g_sp.T @ pn_mw
     sn = sn_signal / (sn_total - sn_signal + pn_at_sn + gains.noise_power_mw)
     return pn, sn

@@ -13,8 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .harness import (
     ExperimentConfig,
     emit_qvalue_traces,
@@ -96,11 +94,13 @@ def cmd_run(args) -> int:
         trace_dir = out / "traces"
         oracle_dir.mkdir(exist_ok=True)
         trace_dir.mkdir(exist_ok=True)
-        for point in range(len(config.agent)):
-            for run in range(config.n_runs):
-                _, scenario, oracle, trace = execute_run(
-                    config, point, run, keep_trace=True)
-                stem = f"point{point}_run{run:04d}"
+        for point, rows in enumerate(report.metrics):
+            for m in rows:
+                if m.outcome == "error":    # already recorded in summary.csv
+                    continue
+                _, _, oracle, trace = execute_run(
+                    config, point, m.run, keep_trace=True)
+                stem = f"point{point}_run{m.run:04d}"
                 (oracle_dir / f"{stem}.json").write_text(oracle.to_json())
                 (trace_dir / f"{stem}.jsonl").write_text(phase_trace_jsonl(trace))
 

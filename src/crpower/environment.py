@@ -5,18 +5,29 @@ powers). Each cognitive radio monitors the primary link it hears loudest
 and is in state S0 while the relative throughput change it inflicts there
 stays within the configured limit. Rewards are 10^throughput in S0 and
 zero in S1, either per link or summed over links (global mode).
+
+The joint action space is small (|A|^N), so a scenario evaluates all of it
+at once into one outcome tensor; the oracle, the learning loop and the
+phase-change probe all read from that tensor by flat joint index.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import channel
-from .channel import ChannelGains, PowerVector, all_sinrs, dbm_to_mw, mw_to_dbm
+from .channel import (
+    ChannelGains,
+    PowerVector,
+    all_sinrs,
+    dbm_to_mw,
+    mw_to_dbm,
+    received_power_mw,
+)
 from .link_adaptation import AmcTable, relative_throughput_change, throughput
 from .topology import ConfigurationError, GridSpec, NodePlacement, sample_placement
 
@@ -24,9 +35,11 @@ __all__ = [
     "ActionSpace",
     "EnvConfig",
     "EnvironmentView",
+    "Outcomes",
     "Scenario",
     "build_scenario",
     "pn_power_control",
+    "outcome_tensor",
     "observe",
     "reward",
     "measure_phase_change_probability",
@@ -36,6 +49,10 @@ STATE_S0 = 0
 STATE_S1 = 1
 
 DEFAULT_PN_TARGET_SINR_DB = 10.0
+
+# Largest outcome tensor outcome_tensor() builds, in bytes of its peak
+# working set; the joint action space grows as |A|^N.
+OUTCOME_MEMORY_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -126,16 +143,51 @@ class Scenario:
         received = self.gains.g_sp * dbm_to_mw(self.pn_powers_dbm)[:, None]
         return np.argmax(received, axis=0)
 
+    @cached_property
+    def outcomes(self) -> "Outcomes":
+        """The outcome tensor, built on first use and then shared by the
+        oracle, the learners and the phase-change probe."""
+        return outcome_tensor(self)
+
     def to_json(self) -> str:
         return json.dumps({
             "placement": json.loads(self.placement.to_json()),
             "gains": json.loads(self.gains.to_json()),
             "pn_powers_dbm": np.asarray(self.pn_powers_dbm).tolist(),
             "action_powers_dbm": list(self.actions.powers_dbm),
+            "amc": {
+                "snr_thresholds_db": self.amc.snr_thresholds_db.tolist(),
+                "spectral_efficiencies": self.amc.spectral_efficiencies.tolist(),
+                "bandwidth_hz": self.amc.bandwidth_hz,
+                "snr_gap": self.amc.snr_gap,
+                "xi": self.amc.xi,
+            },
             "epsilon": self.config.epsilon,
             "reward_mode": self.config.reward_mode,
+            "n_cr": self.config.n_cr,
+            "tpc_reference": self.config.tpc_reference,
             "pn_power_converged": self.pn_power_converged,
         }, indent=2)
+
+    @staticmethod
+    def from_json(text: str) -> "Scenario":
+        doc = json.loads(text)
+        amc = doc["amc"]
+        return Scenario(
+            placement=NodePlacement.from_json(json.dumps(doc["placement"])),
+            gains=ChannelGains.from_json(json.dumps(doc["gains"])),
+            pn_powers_dbm=np.asarray(doc["pn_powers_dbm"], dtype=float),
+            actions=ActionSpace(tuple(doc["action_powers_dbm"])),
+            amc=AmcTable(np.asarray(amc["snr_thresholds_db"], dtype=float),
+                         np.asarray(amc["spectral_efficiencies"], dtype=float),
+                         bandwidth_hz=amc["bandwidth_hz"],
+                         snr_gap=amc["snr_gap"], xi=amc["xi"]),
+            config=EnvConfig(epsilon=doc["epsilon"],
+                             reward_mode=doc["reward_mode"],
+                             n_cr=doc["n_cr"],
+                             tpc_reference=doc["tpc_reference"]),
+            pn_power_converged=doc["pn_power_converged"],
+        )
 
 
 @dataclass(frozen=True)
@@ -203,8 +255,110 @@ def build_scenario(grid: GridSpec,
                    pn_power_converged=converged)
 
 
-def observe(scenario: Scenario, joint_action) -> EnvironmentView:
-    """Evaluate one joint action; pure in (scenario, joint_action)."""
+@dataclass(frozen=True)
+class Outcomes:
+    """A block of joint actions of one scenario, evaluated at once.
+
+    Row k of every array belongs to joint_actions[k]. In the full tensor
+    of outcome_tensor() the rows are all |A|^N joint actions in
+    lexicographic order, so row k is the joint action with flat index k.
+    """
+
+    joint_actions: np.ndarray        # (K, N) action indices
+    states: np.ndarray               # (K, N) STATE_S0 or STATE_S1
+    tpc_magnitudes: np.ndarray       # (K, N) |T%| at each CR's monitored link
+    sn_throughputs_mbps: np.ndarray  # (K, N)
+    sn_sinrs: np.ndarray             # (K, N)
+    pn_sinrs: np.ndarray             # (K, M)
+    local_rewards: np.ndarray        # (K, N) reward of each agent, local mode
+    global_rewards: np.ndarray       # (K, N) reward of each agent, global mode
+
+    def rewards(self, mode: str) -> np.ndarray:
+        """(K, N) per-agent rewards in the given reward mode."""
+        if mode == "local":
+            return self.local_rewards
+        if mode == "global":
+            return self.global_rewards
+        raise ValueError(f"unknown reward mode {mode!r}")
+
+
+def _pow10(x: np.ndarray) -> np.ndarray:
+    """10**x elementwise with the scalar pow, taken once per distinct value.
+
+    numpy's vectorised pow can differ from the scalar one in the last bit;
+    rewards are defined by the scalar pow. Throughputs take a few AMC
+    levels only, so there are few distinct exponents.
+    """
+    values, inverse = np.unique(x, return_inverse=True)
+    powers = np.array([10.0 ** v for v in values])
+    return powers[inverse.ravel()].reshape(np.shape(x))
+
+
+def _rewards(states: np.ndarray, tputs: np.ndarray):
+    """Per-agent (local, global) rewards of each row of states/throughputs.
+
+    Zero whenever the agent's own state is S1; otherwise 10^T with T its
+    own throughput (local) or the sum over all SN links (global), in Mbps.
+    """
+    s0 = states == STATE_S0
+    local = np.where(s0, _pow10(tputs), 0.0)
+    global_ = np.where(s0, _pow10(tputs.sum(axis=-1))[..., None], 0.0)
+    return local, global_
+
+
+def _evaluate(scenario: Scenario, joint_actions) -> Outcomes:
+    """Evaluate a (K, N) block of joint actions; pure in its arguments."""
+    joint = np.asarray(joint_actions, dtype=np.intp)
+    gains = scenario.gains
+    cr_mw = scenario.actions.powers_mw(range(len(scenario.actions)))[joint]
+    powers = PowerVector(scenario.pn_powers_dbm, cr_mw)
+    pn, sn = all_sinrs(gains, powers)
+
+    monitored = scenario.monitored_links()
+    # total SN interference arriving at each CR's monitored PN receiver
+    interference_mw = received_power_mw(cr_mw, gains.g_ps[:, monitored])
+    if scenario.config.tpc_reference == "signal":
+        reference_mw = np.diag(gains.g_pp) * powers.pn_powers_mw
+    else:
+        reference_mw = np.full(gains.n_pn, gains.noise_power_mw)
+    with np.errstate(divide="ignore"):      # no interference: -inf dB, T% = 0
+        i_db = 10.0 * np.log10(interference_mw / reference_mw[monitored])
+    tpc = np.abs(relative_throughput_change(i_db, scenario.amc))
+    states = np.where(tpc <= scenario.config.epsilon, STATE_S0, STATE_S1)
+    tputs = throughput(sn, scenario.amc)
+    local, global_ = _rewards(states, tputs)
+    return Outcomes(
+        joint_actions=joint,
+        states=states,
+        tpc_magnitudes=tpc,
+        sn_throughputs_mbps=tputs,
+        sn_sinrs=sn,
+        pn_sinrs=pn,
+        local_rewards=local,
+        global_rewards=global_,
+    )
+
+
+def outcome_tensor(scenario: Scenario) -> Outcomes:
+    """Every joint action of the scenario, in lexicographic order.
+
+    Raises ConfigurationError when the tensor would exceed
+    OUTCOME_MEMORY_BUDGET.
+    """
+    n_actions, n = len(scenario.actions), scenario.n_cr
+    rows = n_actions ** n
+    # peak working set: about six float64 values per row and column of
+    # the (K, N) and (K, M) arrays (5.4 measured at N=4, M=7)
+    peak_bytes = rows * (n + scenario.n_pn) * 8 * 6
+    if peak_bytes > OUTCOME_MEMORY_BUDGET:
+        raise ConfigurationError(
+            f"{rows} joint actions need about {peak_bytes} bytes, over the "
+            f"outcome tensor budget of {OUTCOME_MEMORY_BUDGET} bytes")
+    grid = np.indices((n_actions,) * n).reshape(n, rows).T
+    return _evaluate(scenario, grid)
+
+
+def _check_joint_action(scenario: Scenario, joint_action):
     n = scenario.n_cr
     if len(joint_action) != n:
         raise ValueError(f"expected {n} actions, got {len(joint_action)}")
@@ -212,71 +366,31 @@ def observe(scenario: Scenario, joint_action) -> EnvironmentView:
         if not 0 <= a < len(scenario.actions):
             raise ValueError(f"action index {a} outside the action space")
 
-    gains = scenario.gains
-    cr_mw = scenario.actions.powers_mw(joint_action)
-    powers = PowerVector(scenario.pn_powers_dbm, cr_mw)
-    pn, sn = all_sinrs(gains, powers)
 
-    monitored = scenario.monitored_links()
-    # total SN interference arriving at each monitored link's receiver
-    interference_mw = gains.g_ps.T @ cr_mw
-
-    if scenario.config.tpc_reference == "signal":
-        pn_mw = powers.pn_powers_mw
-        reference_mw = np.diag(gains.g_pp) * pn_mw
-    else:
-        reference_mw = np.full(gains.n_pn, gains.noise_power_mw)
-
-    eps = scenario.config.epsilon
-    tpc = np.zeros(n)
-    for i in range(n):
-        interf = interference_mw[monitored[i]]
-        if interf > 0.0:
-            i_db = 10.0 * np.log10(interf / reference_mw[monitored[i]])
-            tpc[i] = abs(relative_throughput_change(i_db, scenario.amc))
-    states = np.where(tpc <= eps, STATE_S0, STATE_S1)
-    tputs = np.array([throughput(s, scenario.amc) for s in sn])
-
+def observe(scenario: Scenario, joint_action) -> EnvironmentView:
+    """Evaluate one joint action: one row of the outcome tensor's computation."""
+    _check_joint_action(scenario, joint_action)
+    out = _evaluate(scenario, [joint_action])
+    tpc = out.tpc_magnitudes[0]
     return EnvironmentView(
-        states=states,
-        monitored_links=monitored,
+        states=out.states[0],
+        monitored_links=scenario.monitored_links(),
         tpc_magnitudes=tpc,
-        margins=eps - tpc,
-        sn_throughputs_mbps=tputs,
-        sn_sinrs=sn,
-        pn_sinrs=pn,
+        margins=scenario.config.epsilon - tpc,
+        sn_throughputs_mbps=out.sn_throughputs_mbps[0],
+        sn_sinrs=out.sn_sinrs[0],
+        pn_sinrs=out.pn_sinrs[0],
     )
 
 
 def reward(view: EnvironmentView, agent: int, mode: str = "local") -> float:
-    """Reward of one agent under a computed view.
-
-    Zero whenever the agent's own state is S1; otherwise 10^T with T its
-    own throughput (local) or the sum over all SN links (global), in Mbps.
-    """
-    if view.states[agent] == STATE_S1:
-        return 0.0
+    """Reward of one agent under a computed view (see _rewards)."""
+    local, global_ = _rewards(view.states, view.sn_throughputs_mbps)
     if mode == "local":
-        return float(10.0 ** view.sn_throughputs_mbps[agent])
+        return float(local[agent])
     if mode == "global":
-        return float(10.0 ** np.sum(view.sn_throughputs_mbps))
+        return float(global_[agent])
     raise ValueError(f"unknown reward mode {mode!r}")
-
-
-class ObservationCache:
-    """Memoized observe(); the joint action space is small and observe is pure."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self._views: dict[tuple, EnvironmentView] = {}
-
-    def __call__(self, joint_action) -> EnvironmentView:
-        key = tuple(int(a) for a in joint_action)
-        view = self._views.get(key)
-        if view is None:
-            view = observe(self.scenario, key)
-            self._views[key] = view
-        return view
 
 
 @dataclass(frozen=True)
@@ -313,28 +427,27 @@ def measure_phase_change_probability(scenario: Scenario,
     action. Returns the observed S1 fraction and the reward samples.
     """
     policy = [int(a) for a in policy]
-    base = observe(scenario, policy)
-    if np.any(base.states != STATE_S0):
-        raise ValueError("policy must keep every agent in S0 absent experimentation")
-
+    _check_joint_action(scenario, policy)
     n = scenario.n_cr
     n_actions = len(scenario.actions)
-    cache = ObservationCache(scenario)
-    mode = scenario.config.reward_mode
+    outcomes = scenario.outcomes
+    policy_index = int(np.ravel_multi_index(policy, (n_actions,) * n))
+    if np.any(outcomes.states[policy_index] != STATE_S0):
+        raise ValueError("policy must keep every agent in S0 absent experimentation")
 
+    states = outcomes.states[:, reference].tolist()
+    ref_rewards = outcomes.rewards(scenario.config.reward_mode)[:, reference].tolist()
     flips = 0
     rewards = np.empty(steps)
-    joint = list(policy)
     for t in range(steps):
+        k = 0
         for j in range(n):
-            if j == reference:
-                joint[j] = policy[j]
-            elif rng.uniform() < rho:
-                joint[j] = int(rng.integers(n_actions))
+            if j != reference and rng.uniform() < rho:
+                a = int(rng.integers(n_actions))
             else:
-                joint[j] = policy[j]
-        view = cache(joint)
-        if view.states[reference] == STATE_S1:
+                a = policy[j]
+            k = k * n_actions + a
+        if states[k] == STATE_S1:
             flips += 1
-        rewards[t] = reward(view, reference, mode)
+        rewards[t] = ref_rewards[k]
     return PhaseChangeProbe(p_hat=flips / steps, rewards=rewards, steps=steps)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +26,7 @@ from .environment import (
     measure_phase_change_probability,
 )
 from .link_adaptation import AmcTable
-from .oracle import OracleResult, exhaustive_search, score_policy
+from .oracle import exhaustive_search, score_policy
 from .topology import ConfigurationError, GridSpec
 
 __all__ = [
@@ -206,7 +205,6 @@ class ExperimentReport:
 
     config: ExperimentConfig
     metrics: list[list[RunMetrics]]       # [point][run]
-    wall_ms: dict = field(default_factory=dict)
 
     def aggregate(self) -> list[dict]:
         points = []
@@ -340,26 +338,3 @@ def phase_trace_jsonl(trace: RunTrace) -> str:
             doc.update(rec.to_jsonable())
             lines.append(json.dumps(doc))
     return "\n".join(lines) + "\n"
-
-
-def step_trace_hook(fh, scenario: Scenario, mode: str | None = None):
-    """Step hook writing one JSON line per environment step.
-
-    Records the step index, joint action, per-agent states, rewards and
-    |T%| values; pass the result to the run functions' step_hook argument.
-    """
-    from .environment import reward as reward_fn
-
-    mode = mode or scenario.config.reward_mode
-    counter = itertools.count()
-
-    def hook(joint, view):
-        fh.write(json.dumps({
-            "step": next(counter),
-            "joint_action": list(joint),
-            "states": view.states.tolist(),
-            "rewards": [reward_fn(view, i, mode) for i in range(len(joint))],
-            "tpc": view.tpc_magnitudes.tolist(),
-        }) + "\n")
-
-    return hook

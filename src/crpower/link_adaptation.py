@@ -13,7 +13,7 @@ background noise power.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -79,31 +79,32 @@ class AmcTable:
             return AmcTable.from_csv(path, **kwargs)
 
 
-def throughput(sinr: float, table: AmcTable) -> float:
-    """Throughput in Mbps of the best AMC mode the SINR supports.
+def throughput(sinr, table: AmcTable):
+    """Throughput in Mbps of the best AMC mode each SINR supports.
 
     Zero below the lowest threshold; the table is evaluated on the SINR in
-    dB, so sinr must be a nonnegative linear ratio.
+    dB, so sinr must be a nonnegative linear ratio. Elementwise over
+    arrays; a scalar gives a scalar.
     """
-    if sinr < 0:
+    sinr = np.asarray(sinr, dtype=float)
+    if np.any(sinr < 0):
         raise ValueError("SINR must be a nonnegative linear ratio")
-    if sinr == 0.0:
-        return 0.0
-    sinr_db = 10.0 * np.log10(sinr)
-    idx = int(np.searchsorted(table.snr_thresholds_db, sinr_db, side="right")) - 1
-    if idx < 0:
-        return 0.0
-    return float(table.spectral_efficiencies[idx]) * table.bandwidth_hz / 1e6
+    with np.errstate(divide="ignore"):
+        sinr_db = 10.0 * np.log10(sinr)          # -inf for a silent link
+    # mode index + 1; 0 means below the lowest threshold, i.e. no mode
+    mode = np.searchsorted(table.snr_thresholds_db, sinr_db, side="right")
+    efficiency = np.concatenate(([0.0], table.spectral_efficiencies))[mode]
+    return efficiency * table.bandwidth_hz / 1e6
 
 
-def relative_throughput_change(interference_over_noise_db: float,
-                               table: AmcTable) -> float:
+def relative_throughput_change(interference_over_noise_db, table: AmcTable):
     """Fractional primary throughput change caused by secondary interference.
 
     Always <= 0; -inf interference (no secondary transmission) gives 0.
+    Elementwise over arrays; a scalar gives a scalar.
     """
-    ratio = 10.0 ** (np.float64(interference_over_noise_db) / 10.0)
-    return float(-np.log2(1.0 + table.snr_gap * ratio) / table.xi)
+    ratio = 10.0 ** (np.asarray(interference_over_noise_db, dtype=float) / 10.0)
+    return -np.log2(1.0 + table.snr_gap * ratio) / table.xi
 
 
 def shannon_reference_table(snr_gap: float = 1.0,

@@ -1,26 +1,23 @@
 """Ground truth by brute force.
 
 The joint action space is small (|A|^N), so the best joint assignment is
-found by evaluating every combination with the same pure observe/reward
-functions the environment uses. The search keeps the full value table and
-the set of joint actions within a small relative gap of the best, which
+an argmax over the scenario's outcome tensor, which holds the same
+rewards the learners see. The search keeps the full value table and the
+set of joint actions within a small relative gap of the best, which
 captures the nearly-tied swapped-action optima that occur at low SINR.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import STATE_S0, Scenario, observe
-from .topology import ConfigurationError
+from .environment import STATE_S0, Scenario
 
 __all__ = ["OracleResult", "exhaustive_search", "score_policy"]
 
-ENUMERATION_GUARD = 10 ** 7
 NEAR_OPTIMAL_GAP = 0.01
 
 
@@ -55,55 +52,33 @@ class OracleResult:
         }, indent=2)
 
 
-def joint_reward(scenario: Scenario, joint_action, mode: str) -> float:
-    """Scalar objective of one joint action.
-
-    The environment counts as S0 only when every agent's monitored link is
-    within the limit; otherwise the value is 0. In that S0 case the global
-    mode scores 10^(sum of throughputs) and the local mode the sum of the
-    individual 10^throughput terms.
-    """
-    view = observe(scenario, joint_action)
-    if np.any(view.states != STATE_S0):
-        return 0.0
-    if mode == "global":
-        return float(10.0 ** np.sum(view.sn_throughputs_mbps))
-    if mode == "local":
-        return float(np.sum(10.0 ** view.sn_throughputs_mbps))
-    raise ValueError(f"unknown reward mode {mode!r}")
-
-
 def exhaustive_search(scenario: Scenario,
                       reward_mode: str | None = None,
                       tau: float = NEAR_OPTIMAL_GAP) -> OracleResult:
-    """Evaluate every joint action; ties go to the lowest joint index."""
-    mode = reward_mode or scenario.config.reward_mode
-    n_actions = len(scenario.actions)
-    n = scenario.n_cr
-    total = n_actions ** n
-    if total > ENUMERATION_GUARD:
-        raise ConfigurationError(
-            f"{total} joint actions exceed the enumeration guard "
-            f"({ENUMERATION_GUARD})")
+    """Score every joint action; ties go to the lowest joint index.
 
-    table = np.empty(total)
-    for idx, joint in enumerate(itertools.product(range(n_actions), repeat=n)):
-        table[idx] = joint_reward(scenario, joint, mode)
+    A joint action scores 0 unless every agent is in S0. Otherwise the
+    global mode scores 10^(sum of throughputs) and the local mode the sum
+    of the individual 10^throughput terms.
+    """
+    mode = reward_mode or scenario.config.reward_mode
+    outcomes = scenario.outcomes
+    rewards = outcomes.rewards(mode)
+    # with every agent in S0 the global reward is the same for all agents
+    score = rewards[:, 0] if mode == "global" else rewards.sum(axis=1)
+    table = np.where(np.all(outcomes.states == STATE_S0, axis=1), score, 0.0)
 
     best_idx = int(np.argmax(table))      # first max = lowest joint index
     best = float(table[best_idx])
-    near = tuple(
-        tuple(int(a) for a in np.unravel_index(i, (n_actions,) * n))
-        for i in np.flatnonzero(table >= best * (1.0 - tau))
-    )
-    best_joint = tuple(int(a) for a in np.unravel_index(best_idx, (n_actions,) * n))
+    near = np.flatnonzero(table >= best * (1.0 - tau))
     return OracleResult(
-        best_joint_action=best_joint,
+        best_joint_action=tuple(outcomes.joint_actions[best_idx].tolist()),
         best_reward=best,
         reward_table=table,
-        near_optimal=near,
+        near_optimal=tuple(tuple(ja) for ja in
+                           outcomes.joint_actions[near].tolist()),
         tau=tau,
-        n_actions=n_actions,
+        n_actions=len(scenario.actions),
     )
 
 

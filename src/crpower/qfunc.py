@@ -12,7 +12,7 @@ batches are consumed in arrival order and discarded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,10 +51,9 @@ class Transition:
 
 @dataclass(frozen=True)
 class QTable:
-    """2 x n_actions array of action values plus its step size."""
+    """2 x n_actions array of action values."""
 
     values: np.ndarray
-    learning_rate: float = 0.5
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -65,8 +64,8 @@ class QTable:
         object.__setattr__(self, "values", v)
 
     @staticmethod
-    def zeros(n_actions: int, learning_rate: float = 0.5) -> "QTable":
-        return QTable(np.zeros((N_STATES, n_actions)), learning_rate)
+    def zeros(n_actions: int) -> "QTable":
+        return QTable(np.zeros((N_STATES, n_actions)))
 
 
 def table_update(q: QTable, t: Transition, alpha: float, gamma: float) -> QTable:
@@ -202,12 +201,11 @@ def refresh_target(target: TargetArray, params: MlpParams,
     """Copy the live Q-values into the target array.
 
     When the caller supplies its update counter the refresh schedule is
-    enforced: off-schedule refreshes are a contract violation.
+    enforced: an off-schedule refresh raises ValueError.
     """
-    if step is not None:
-        assert step % target.refresh_period == 0, (
-            f"target refresh at update {step} is off the "
-            f"every-{target.refresh_period} schedule")
+    if step is not None and step % target.refresh_period != 0:
+        raise ValueError(f"target refresh at update {step} is off the "
+                         f"every-{target.refresh_period} schedule")
     return replace(target, values=q_matrix(params))
 
 

@@ -17,7 +17,7 @@ from crpower.agent import (
     run_learning,
     run_with_restarts,
 )
-from crpower.environment import EnvConfig, ObservationCache
+from crpower.environment import EnvConfig
 
 
 def small_hp(**over):
@@ -160,8 +160,9 @@ def test_stationary_rewards_when_nobody_experiments(two_cr_scenario):
     agents[1].policy = np.array([0, 0])     # silent
     seen = []
     run_exploration_phase(agents, two_cr_scenario, rngs,
-                          step_hook=lambda joint, view: seen.append(joint))
-    assert all(j == (12, 0) for j in seen)
+                          step_hook=lambda joint, k: seen.append((joint, k)))
+    # the hook also gets the joint action's flat index: 12 * 14 + 0
+    assert all(s == ((12, 0), 168) for s in seen)
     assert agents[0].phase_step_count == 0          # reset at boundary
     rec = agents[0].last_record
     assert rec.mean_reward > 0.0
@@ -174,7 +175,7 @@ def test_policy_frozen_within_phase(two_cr_scenario):
     snapshots = []
     run_exploration_phase(
         agents, two_cr_scenario, rngs,
-        step_hook=lambda joint, view: snapshots.append(
+        step_hook=lambda joint, k: snapshots.append(
             tuple(tuple(ag.policy) for ag in agents)))
     assert len(set(snapshots)) == 1
 

@@ -10,8 +10,6 @@ from crpower.channel import (
     dbm_to_mw,
     mw_to_dbm,
     path_gain,
-    pn_sinr,
-    sn_sinr,
 )
 from crpower.topology import GridSpec, sample_placement
 
@@ -24,18 +22,25 @@ def test_path_gain_hand_value():
 
 
 def test_path_gain_log_linearity():
-    # +10 dB shadowing scales the gain by exactly 0.1
-    for d in (50.0, 200.0, 555.0):
-        assert path_gain(d, 10.0) == pytest.approx(0.1 * path_gain(d, 0.0),
-                                                   rel=1e-12)
+    # +10 dB shadowing scales the gain by exactly 0.1, elementwise
+    d = np.array([50.0, 200.0, 555.0])
+    np.testing.assert_allclose(path_gain(d, 10.0), 0.1 * path_gain(d, 0.0),
+                               rtol=1e-12)
+    shadow = np.array([0.0, 10.0, -3.0])
+    for di, si, g in zip(d, shadow, path_gain(d, shadow)):
+        assert g == pytest.approx(path_gain(di, si), rel=1e-15)
 
 
 def test_path_gain_distance_clamp_and_errors():
     assert path_gain(0.5) == path_gain(1.0)
+    np.testing.assert_array_equal(path_gain(np.array([0.0, 0.5, 1.0])),
+                                  path_gain(1.0))
     with pytest.raises(ValueError):
         path_gain(float("nan"))
     with pytest.raises(ValueError):
         path_gain(100.0, float("inf"))
+    with pytest.raises(ValueError):
+        path_gain(np.array([100.0, np.nan]))
 
 
 def test_shadowing_statistics():
@@ -45,8 +50,7 @@ def test_shadowing_statistics():
     samples = []
     for _ in range(300):
         gains = build_gains(placement, rng)
-        base = np.array([[path_gain(d) for d in row] for row in
-                         _distances(placement)])
+        base = path_gain(_distances(placement))
         shadow_db = 10.0 * np.log10(base / gains.g_pp)
         samples.append(shadow_db.ravel())
     samples = np.concatenate(samples)
@@ -82,8 +86,8 @@ def test_pn_sinr_hand_value():
     g = 1e-10  # 0 dBm transmit * 1e-10 = -100 dBm received
     gains = _single_link_gains(g)
     powers = PowerVector(np.array([0.0]), np.array([0.0]))
-    gamma = pn_sinr(0, gains, powers)
-    assert gamma == pytest.approx(1e3, rel=1e-9)
+    pn, _ = all_sinrs(gains, powers)
+    assert pn[0] == pytest.approx(1e3, rel=1e-9)
 
 
 def test_pn_sinr_unity_when_signal_equals_interference_plus_noise():
@@ -96,7 +100,7 @@ def test_pn_sinr_unity_when_signal_equals_interference_plus_noise():
     )
     # signal = 1e-10 mW; CR interference 0.999e-10 + noise 1e-13 = 1e-10
     powers = PowerVector(np.array([0.0]), np.array([0.999]))
-    assert pn_sinr(0, gains, powers) == pytest.approx(1.0, rel=1e-12)
+    assert all_sinrs(gains, powers)[0][0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cr_transmission_strictly_decreases_pn_sinr():
@@ -104,11 +108,10 @@ def test_cr_transmission_strictly_decreases_pn_sinr():
     placement = sample_placement(GridSpec(), 2, rng)
     gains = build_gains(placement, rng)
     pn_dbm = np.full(gains.n_pn, 30.0)
-    base = [pn_sinr(i, gains, PowerVector(pn_dbm, np.zeros(2)))
-            for i in range(gains.n_pn)]
-    with_cr = [pn_sinr(i, gains, PowerVector(pn_dbm, np.array([1.0, 0.0])))
-               for i in range(gains.n_pn)]
-    assert all(w < b for w, b in zip(with_cr, base))
+    base, _ = all_sinrs(gains, PowerVector(pn_dbm, np.zeros(2)))
+    with_cr, _ = all_sinrs(gains, PowerVector(pn_dbm, np.array([1.0, 0.0])))
+    assert base.shape == with_cr.shape == (gains.n_pn,)
+    assert np.all(with_cr < base)
 
 
 def test_sn_sinr_zero_when_off_and_degenerate_case():
@@ -116,11 +119,11 @@ def test_sn_sinr_zero_when_off_and_degenerate_case():
     gains = ChannelGains(gains.g_pp, gains.g_ps, np.array([[1e-9]]),
                          gains.g_sp, gains.noise_power_mw)
     off = PowerVector(np.array([-20.0]), np.array([0.0]))
-    assert sn_sinr(0, gains, off) == 0.0
+    assert all_sinrs(gains, off)[1][0] == 0.0
     # lone CR, negligible PN interference: gamma = G*P/noise
     on = PowerVector(np.array([-20.0]), np.array([1.0]))
     expected = 1e-9 * 1.0 / (1e-30 * dbm_to_mw(-20.0) + 1e-13)
-    assert sn_sinr(0, gains, on) == pytest.approx(expected, rel=1e-9)
+    assert all_sinrs(gains, on)[1][0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_symmetric_cr_links_have_identical_sinr():
@@ -132,8 +135,8 @@ def test_symmetric_cr_links_have_identical_sinr():
         g_sp=np.array([[pn_leak, pn_leak]]),
     )
     powers = PowerVector(np.array([10.0]), np.array([0.5, 0.5]))
-    assert sn_sinr(0, gains, powers) == pytest.approx(
-        sn_sinr(1, gains, powers), rel=1e-12)
+    _, sn = all_sinrs(gains, powers)
+    assert sn[0] == pytest.approx(sn[1], rel=1e-12)
 
 
 def test_sinr_monotonicity_in_powers():
@@ -141,24 +144,54 @@ def test_sinr_monotonicity_in_powers():
     placement = sample_placement(GridSpec(), 2, rng)
     gains = build_gains(placement, rng)
     pn_dbm = np.full(gains.n_pn, 20.0)
-    low = sn_sinr(0, gains, PowerVector(pn_dbm, np.array([0.1, 0.2])))
-    high = sn_sinr(0, gains, PowerVector(pn_dbm, np.array([0.2, 0.2])))
-    more_interf = sn_sinr(0, gains, PowerVector(pn_dbm, np.array([0.1, 0.4])))
+    # one batched call: rows are (base, more own power, more interference)
+    cr_mw = np.array([[0.1, 0.2], [0.2, 0.2], [0.1, 0.4]])
+    _, sn = all_sinrs(gains, PowerVector(pn_dbm, cr_mw))
+    low, high, more_interf = sn[:, 0]
     assert high > low
     assert more_interf < low
+
+
+def _scalar_sinrs(gains, powers):
+    """Reference: each link's SINR from scalar sums over transmitters."""
+    pn_mw = dbm_to_mw(powers.pn_powers_dbm)
+    cr_mw = np.asarray(powers.cr_powers_mw, dtype=float)
+    pn, sn = [], []
+    for k in range(gains.n_pn):
+        other = sum(gains.g_pp[m, k] * pn_mw[m]
+                    for m in range(gains.n_pn) if m != k)
+        sn_interf = sum(gains.g_ps[j, k] * cr_mw[j] for j in range(gains.n_cr))
+        pn.append(gains.g_pp[k, k] * pn_mw[k]
+                  / (other + sn_interf + gains.noise_power_mw))
+    for i in range(gains.n_cr):
+        other = sum(gains.g_ss[j, i] * cr_mw[j]
+                    for j in range(gains.n_cr) if j != i)
+        pn_interf = sum(gains.g_sp[m, i] * pn_mw[m] for m in range(gains.n_pn))
+        sn.append(gains.g_ss[i, i] * cr_mw[i]
+                  / (other + pn_interf + gains.noise_power_mw))
+    return np.array(pn), np.array(sn)
 
 
 def test_all_sinrs_matches_scalar_ops():
     rng = np.random.default_rng(21)
     placement = sample_placement(GridSpec(), 2, rng)
     gains = build_gains(placement, rng)
-    powers = PowerVector(rng.uniform(-20, 40, gains.n_pn),
-                         np.array([0.0, 3.0]))
+    pn_dbm = rng.uniform(-20, 40, gains.n_pn)
+    powers = PowerVector(pn_dbm, np.array([0.0, 3.0]))
     pn, sn = all_sinrs(gains, powers)
-    for i in range(gains.n_pn):
-        assert pn[i] == pytest.approx(pn_sinr(i, gains, powers), rel=1e-12)
-    for i in range(gains.n_cr):
-        assert sn[i] == pytest.approx(sn_sinr(i, gains, powers), rel=1e-12)
+    ref_pn, ref_sn = _scalar_sinrs(gains, powers)
+    np.testing.assert_allclose(pn, ref_pn, rtol=1e-12)
+    np.testing.assert_allclose(sn, ref_sn, rtol=1e-12)
+    # a (K, N) block of CR powers gives one row per assignment
+    block = np.array([[0.0, 3.0], [1.0, 0.0], [0.5, 2.0]])
+    pn_k, sn_k = all_sinrs(gains, PowerVector(pn_dbm, block))
+    assert pn_k.shape == (3, gains.n_pn) and sn_k.shape == (3, 2)
+    for row, p, s in zip(block, pn_k, sn_k):
+        ref_pn, ref_sn = _scalar_sinrs(gains, PowerVector(pn_dbm, row))
+        np.testing.assert_allclose(p, ref_pn, rtol=1e-12)
+        np.testing.assert_allclose(s, ref_sn, rtol=1e-12)
+    with pytest.raises(ValueError):
+        all_sinrs(gains, PowerVector(pn_dbm, np.zeros(3)))
 
 
 def test_gain_validation():

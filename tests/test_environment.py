@@ -7,16 +7,18 @@ from crpower.environment import (
     ActionSpace,
     EnvConfig,
     EnvironmentView,
-    ObservationCache,
     STATE_S0,
     STATE_S1,
+    Scenario,
     build_scenario,
     measure_phase_change_probability,
     observe,
+    outcome_tensor,
     pn_power_control,
     reward,
 )
 from crpower.link_adaptation import AmcTable
+from crpower.oracle import exhaustive_search
 from crpower.topology import ConfigurationError, GridSpec
 
 
@@ -155,8 +157,8 @@ def test_pn_power_control_single_link_hits_target():
     powers, converged = pn_power_control(sc, target_sinr_db=15.0)
     assert converged
     assert powers.pn_powers_dbm[0] == pytest.approx(-15.0, abs=0.1)
-    from crpower.channel import pn_sinr
-    gamma_db = 10 * np.log10(pn_sinr(0, sc.gains, powers))
+    from crpower.channel import all_sinrs
+    gamma_db = 10 * np.log10(all_sinrs(sc.gains, powers)[0][0])
     assert gamma_db == pytest.approx(15.0, abs=0.1)
 
 
@@ -177,14 +179,55 @@ def test_pn_power_control_seven_links_bounded():
     assert isinstance(converged, bool)
 
 
-def test_observation_cache_matches_observe():
+def test_outcome_tensor_matches_observe():
     rng = np.random.default_rng(8)
+    for mode in ("local", "global"):
+        for reference in ("noise", "signal"):
+            sc = build_scenario(GridSpec(), EnvConfig(reward_mode=mode,
+                                                      tpc_reference=reference),
+                                AmcTable.default(), rng)
+            out = sc.outcomes
+            assert out is sc.outcomes                  # built once per scenario
+            assert out.states.shape == (196, 2)
+            for k in range(196):
+                joint = (k // 14, k % 14)              # lexicographic order
+                assert tuple(out.joint_actions[k]) == joint
+                view = observe(sc, joint)
+                np.testing.assert_array_equal(out.states[k], view.states)
+                np.testing.assert_array_equal(out.sn_throughputs_mbps[k],
+                                              view.sn_throughputs_mbps)
+                np.testing.assert_array_equal(out.tpc_magnitudes[k],
+                                              view.tpc_magnitudes)
+                for i in range(2):
+                    for m in ("local", "global"):
+                        assert out.rewards(m)[k, i] == reward(view, i, m)
+    with pytest.raises(ValueError):
+        out.rewards("other")
+
+
+def test_rewards_use_scalar_pow():
+    # the learners' rewards are 10.0 ** np.float64 exactly, not the
+    # vectorised pow, which may differ in the last bit
+    rng = np.random.default_rng(10)
+    sc = build_scenario(GridSpec(), EnvConfig(tpc_reference="signal"),
+                        AmcTable.default(), rng)
+    out = sc.outcomes
+    for k in range(0, 196, 5):
+        tputs = out.sn_throughputs_mbps[k]
+        for i in range(2):
+            s0 = out.states[k, i] == STATE_S0
+            assert out.local_rewards[k, i] == (10.0 ** tputs[i] if s0 else 0.0)
+            assert out.global_rewards[k, i] == (10.0 ** np.sum(tputs)
+                                                if s0 else 0.0)
+
+
+def test_outcome_tensor_memory_budget(monkeypatch):
+    from crpower import environment
+    rng = np.random.default_rng(12)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
-    cache = ObservationCache(sc)
-    direct = observe(sc, (3, 9))
-    cached = cache((3, 9))
-    assert cached is cache([3, 9])           # memoized
-    np.testing.assert_array_equal(direct.states, cached.states)
+    monkeypatch.setattr(environment, "OUTCOME_MEMORY_BUDGET", 1000)
+    with pytest.raises(ConfigurationError):
+        outcome_tensor(sc)
 
 
 def test_phase_change_probe_rho_zero(bernoulli_probe_scenario):
@@ -235,3 +278,28 @@ def test_scenario_json_contains_gains_and_powers():
     assert len(doc["action_powers_dbm"]) == 13
     assert doc["epsilon"] == 0.05
     assert np.asarray(doc["gains"]["g_pp"]).shape == (7, 7)
+
+
+def test_scenario_json_roundtrip():
+    rng = np.random.default_rng(11)
+    for n_cr, reference in ((2, "signal"), (3, "noise")):
+        sc = build_scenario(GridSpec(),
+                            EnvConfig(n_cr=n_cr, reward_mode="global",
+                                      tpc_reference=reference),
+                            AmcTable.default(xi=3.0, snr_gap=1.5), rng)
+        back = Scenario.from_json(sc.to_json())
+        assert back.config == sc.config
+        assert back.actions == sc.actions
+        assert back.pn_power_converged == sc.pn_power_converged
+        np.testing.assert_array_equal(back.amc.spectral_efficiencies,
+                                      sc.amc.spectral_efficiencies)
+        assert (back.amc.xi, back.amc.snr_gap) == (3.0, 1.5)
+        for name in ("joint_actions", "states", "tpc_magnitudes",
+                     "sn_throughputs_mbps", "sn_sinrs", "pn_sinrs",
+                     "local_rewards", "global_rewards"):
+            np.testing.assert_array_equal(getattr(back.outcomes, name),
+                                          getattr(sc.outcomes, name))
+        a, b = exhaustive_search(sc), exhaustive_search(back)
+        assert a.best_joint_action == b.best_joint_action
+        assert a.near_optimal == b.near_optimal
+        np.testing.assert_array_equal(a.reward_table, b.reward_table)

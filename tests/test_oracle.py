@@ -5,14 +5,15 @@ import pytest
 
 from conftest import TINY, make_scenario
 
-from crpower.environment import ActionSpace, EnvConfig, build_scenario
-from crpower.link_adaptation import AmcTable
-from crpower.oracle import (
-    OracleResult,
-    exhaustive_search,
-    joint_reward,
-    score_policy,
+from crpower.environment import (
+    STATE_S0,
+    ActionSpace,
+    EnvConfig,
+    build_scenario,
+    observe,
 )
+from crpower.link_adaptation import AmcTable
+from crpower.oracle import exhaustive_search, score_policy
 from crpower.topology import ConfigurationError, GridSpec
 
 
@@ -88,24 +89,42 @@ def test_196_evaluations_for_default_space():
         res.best_reward
 
 
+def reference_objective(scenario, joint_action, mode):
+    """Scalar objective of one joint action, from one observe() row."""
+    view = observe(scenario, joint_action)
+    if np.any(view.states != STATE_S0):
+        return 0.0
+    if mode == "global":
+        return float(10.0 ** np.sum(view.sn_throughputs_mbps))
+    return float(np.sum(10.0 ** view.sn_throughputs_mbps))
+
+
 def test_agreement_with_reversed_enumeration():
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        sc = build_scenario(GridSpec(), EnvConfig(reward_mode="global"),
+    for trial in range(24):
+        mode = ("global", "local")[trial % 2]
+        reference = ("noise", "signal", "signal")[trial % 3]
+        sc = build_scenario(GridSpec(), EnvConfig(reward_mode=mode,
+                                                  tpc_reference=reference),
                             AmcTable.default(), rng)
-        res = exhaustive_search(sc, "global")
+        res = exhaustive_search(sc, mode)
         # independent enumeration with reversed loop nesting
-        best_val, best_ja = -1.0, None
+        best_val, best_ja, values = -1.0, None, {}
         n = len(sc.actions)
         for a1 in range(n):
             for a0 in range(n):
-                val = joint_reward(sc, (a0, a1), "global")
+                val = values[(a0, a1)] = reference_objective(sc, (a0, a1), mode)
                 better = val > best_val
                 tie_lower = (val == best_val and (a0, a1) < best_ja)
                 if better or tie_lower:
                     best_val, best_ja = val, (a0, a1)
         assert res.best_joint_action == best_ja
-        assert res.best_reward == pytest.approx(best_val, rel=1e-12)
+        assert res.best_reward == pytest.approx(best_val, rel=4e-15)
+        near = tuple(sorted(ja for ja, v in values.items()
+                            if v >= best_val * (1.0 - res.tau)))
+        assert res.near_optimal == near
+        for ja, v in values.items():
+            assert res.reward_of(ja) == pytest.approx(v, rel=4e-15)
 
 
 def test_oracle_upper_bounds_every_policy():
@@ -163,7 +182,7 @@ def test_enumeration_guard():
         config=EnvConfig(n_cr=7, reward_mode="global"),
     )
     with pytest.raises(ConfigurationError):
-        exhaustive_search(sc)     # 14^7 > 10^7
+        exhaustive_search(sc)     # 14^7 joint actions: over the memory budget
 
 
 def test_oracle_json_roundtrip_fields():

@@ -297,11 +297,11 @@ def test_target_frozen_between_refreshes():
     assert not np.allclose(q_matrix(params), snapshot)
 
 
-def test_refresh_schedule_assertion():
+def test_refresh_off_schedule_raises():
     params = init_mlp(np.random.default_rng(4))
     target = TargetArray.from_params(params, refresh_period=30)
     refresh_target(target, params, step=60)     # on schedule
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="off the every-30 schedule"):
         refresh_target(target, params, step=31)
 
 
