@@ -140,23 +140,20 @@ class PhaseRecord:
     delta: float
     mean_reward: float
     changed: bool
-    q_values: np.ndarray | None = None          # (n_states, n_actions)
-    candidates: tuple[tuple[int, ...], ...] | None = None
+    q_values: np.ndarray                        # (n_states, n_actions)
+    candidates: tuple[tuple[int, ...], ...]
 
     def to_jsonable(self) -> dict:
-        doc = {
+        return {
             "phase": self.phase,
             "policy_before": list(self.policy_before),
             "policy_after": list(self.policy_after),
             "delta": self.delta,
             "mean_reward": self.mean_reward,
             "changed": self.changed,
+            "q_values": self.q_values.tolist(),
+            "candidates": [list(c) for c in self.candidates],
         }
-        if self.q_values is not None:
-            doc["q_values"] = self.q_values.tolist()
-        if self.candidates is not None:
-            doc["candidates"] = [list(c) for c in self.candidates]
-        return doc
 
 
 @dataclass
@@ -233,7 +230,7 @@ class _AgentBase:
                 step=self.step_count + 1, action=action,
                 q_s0=q[0].copy(), delta=delta))
 
-    def update_policy(self, rng: np.random.Generator, keep_q: bool = True) -> PhaseRecord:
+    def update_policy(self, rng: np.random.Generator) -> PhaseRecord:
         """Best reply with inertia at a phase boundary."""
         q = self.q_values()
         if self.windows.filled == 0:
@@ -258,8 +255,8 @@ class _AgentBase:
             mean_reward=(self.phase_reward_sum / self.phase_step_count
                          if self.phase_step_count else 0.0),
             changed=after != before,
-            q_values=q.copy() if keep_q else None,
-            candidates=candidates if keep_q else None,
+            q_values=q.copy(),
+            candidates=candidates,
         )
         self.last_record = record
         self.phase += 1
@@ -325,7 +322,7 @@ def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
 
 
 def run_exploration_phase(agents, scenario: Scenario, rngs,
-                          step_hook=None, keep_q: bool = True) -> list[PhaseRecord]:
+                          step_hook=None) -> list[PhaseRecord]:
     """One phase for all agents: frozen policies, one joint action per
     step, policy updates at the boundary.
 
@@ -349,7 +346,7 @@ def run_exploration_phase(agents, scenario: Scenario, rngs,
             ag.step(joint[i], step_states[i], step_rewards[i])
         if step_hook is not None:
             step_hook(tuple(joint), k)
-    return [ag.update_policy(rngs[i], keep_q=keep_q) for i, ag in enumerate(agents)]
+    return [ag.update_policy(rngs[i]) for i, ag in enumerate(agents)]
 
 
 @dataclass
@@ -362,10 +359,6 @@ class RunTrace:
 
     def joint_policy(self, state: int = 0) -> tuple[int, ...]:
         return tuple(int(ag.policy[state]) for ag in self.agents)
-
-    def policy_changes(self, agent: int, state: int = 0) -> list[bool]:
-        return [recs[agent].policy_after[state] != recs[agent].policy_before[state]
-                for recs in self.phase_records]
 
 
 def _spawn_rngs(seed_seq: np.random.SeedSequence, n: int):
@@ -384,7 +377,6 @@ def run_learning(scenario: Scenario,
                  learner: str = "dql",
                  n_phases: int | None = None,
                  record_updates: bool = False,
-                 keep_q: bool = True,
                  step_hook=None) -> RunTrace:
     """Train all agents on one scenario for the configured phase count."""
     n_phases = hp.n_phases if n_phases is None else n_phases
@@ -393,8 +385,7 @@ def run_learning(scenario: Scenario,
                          rngs, record_updates)
     _sense_initial_state(agents, scenario)
     records = [
-        run_exploration_phase(agents, scenario, rngs,
-                              step_hook=step_hook, keep_q=keep_q)
+        run_exploration_phase(agents, scenario, rngs, step_hook=step_hook)
         for _ in range(n_phases)
     ]
     return RunTrace(agents=agents, phase_records=records)
@@ -406,8 +397,7 @@ def run_with_restarts(scenario: Scenario,
                       learner: str = "dql",
                       n_restarts: int = 4,
                       probe_phases: int = 10,
-                      record_updates: bool = False,
-                      keep_q: bool = True) -> RunTrace:
+                      record_updates: bool = False) -> RunTrace:
     """Multi-start add-on: several short probes, continue from the best.
 
     Each probe trains fresh randomly initialized agents for a few phases;
@@ -435,7 +425,6 @@ def run_with_restarts(scenario: Scenario,
     best = int(np.argmax(probe_rewards))
     agents, records = probes[best]
     for _ in range(hp.n_phases - probe_phases):
-        records.append(run_exploration_phase(agents, scenario, rngs,
-                                             keep_q=keep_q))
+        records.append(run_exploration_phase(agents, scenario, rngs))
     return RunTrace(agents=agents, phase_records=records,
                     restart_rewards=probe_rewards)

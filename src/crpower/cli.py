@@ -16,7 +16,7 @@ from pathlib import Path
 from .harness import (
     ExperimentConfig,
     emit_qvalue_traces,
-    execute_run,
+    learn_for_run,
     p_vs_rho_csv,
     phase_trace_jsonl,
     run_experiment,
@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--runs", type=int, default=None, help="n_runs override")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--no-artifacts", action="store_true",
-                     help="skip per-run oracle/trace files")
+                     help="skip the per-run oracle/trace files, which the "
+                          "job that ran each run writes")
 
     oracle = sub.add_parser("oracle", help="scenario + exhaustive search only")
     _add_common(oracle)
@@ -85,24 +86,10 @@ def _outdir(config: ExperimentConfig) -> Path:
 def cmd_run(args) -> int:
     config = load_config(args)
     out = _outdir(config)
-    report = run_experiment(config, workers=args.workers)
+    report = run_experiment(config, args.workers,
+                            artifact_dir=None if args.no_artifacts else out)
     (out / "summary.csv").write_text(report.summary_csv())
     (out / "report.json").write_text(report.report_json())
-
-    if not args.no_artifacts:
-        oracle_dir = out / "oracle"
-        trace_dir = out / "traces"
-        oracle_dir.mkdir(exist_ok=True)
-        trace_dir.mkdir(exist_ok=True)
-        for point, rows in enumerate(report.metrics):
-            for m in rows:
-                if m.outcome == "error":    # already recorded in summary.csv
-                    continue
-                _, _, oracle, trace = execute_run(
-                    config, point, m.run, keep_trace=True)
-                stem = f"point{point}_run{m.run:04d}"
-                (oracle_dir / f"{stem}.json").write_text(oracle.to_json())
-                (trace_dir / f"{stem}.jsonl").write_text(phase_trace_jsonl(trace))
 
     for point in report.aggregate():
         print(f"phases={point['phases']}: "
@@ -147,21 +134,8 @@ def cmd_p_vs_rho(args) -> int:
 def cmd_traces(args) -> int:
     config = load_config(args)
     out = _outdir(config)
-    point = 0
-    hp = config.agent[point]
-    from .agent import run_learning, run_with_restarts
-    from .harness import child_seed
-
-    scenario = scenario_for_run(config, point, args.run)
-    seq = child_seed(config.master_seed, point, args.run).spawn(2)[1]
-    if config.restarts:
-        trace = run_with_restarts(scenario, hp, seq, config.learner,
-                                  n_restarts=config.n_restarts,
-                                  probe_phases=config.probe_phases,
-                                  record_updates=True)
-    else:
-        trace = run_learning(scenario, hp, seq, config.learner,
-                             record_updates=True)
+    scenario = scenario_for_run(config, 0, args.run)
+    trace = learn_for_run(config, 0, args.run, scenario, record_updates=True)
     (out / f"phases_run{args.run:04d}.jsonl").write_text(phase_trace_jsonl(trace))
     for i, agent in enumerate(trace.agents):
         csv_text = emit_qvalue_traces(agent.update_records,

@@ -4,7 +4,9 @@ Every run is a pure function of (config, phase-budget index, run index):
 the child seed is derived from the master seed and the indices, the run
 samples its own scenario, computes its own oracle, trains, and is scored
 against that oracle. Runs therefore execute in any order or in parallel
-and still aggregate to byte-identical outputs.
+and still aggregate to byte-identical outputs. Each run executes once:
+when the sweep is given an artifact directory, the job that ran a run
+also writes that run's oracle and phase-trace files.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -124,7 +128,6 @@ class RunMetrics:
     best_joint_action: tuple[int, ...]
     best_reward: float
     wall_ms: float
-    restart_rewards: tuple[float, ...] = ()
     error: str | None = None
 
 
@@ -140,52 +143,65 @@ def scenario_for_run(config: ExperimentConfig, point: int, run: int) -> Scenario
                           pn_target_sinr_db=config.pn_target_sinr_db)
 
 
-def execute_run(config: ExperimentConfig, point: int, run: int,
-                keep_trace: bool = False):
-    """One complete run: scenario, oracle, training, scoring."""
-    start = time.perf_counter()
+def learn_for_run(config: ExperimentConfig, point: int, run: int,
+                  scenario: Scenario, record_updates: bool = False) -> RunTrace:
+    """Train the run's agents on its scenario, with restarts if configured."""
     hp = config.agent[point]
-    seq = child_seed(config.master_seed, point, run)
-    _, train_seq = seq.spawn(2)
+    train_seq = child_seed(config.master_seed, point, run).spawn(2)[1]
+    if config.restarts:
+        return run_with_restarts(scenario, hp, train_seq, config.learner,
+                                 n_restarts=config.n_restarts,
+                                 probe_phases=config.probe_phases,
+                                 record_updates=record_updates)
+    return run_learning(scenario, hp, train_seq, config.learner,
+                        record_updates=record_updates)
 
+
+def execute_run(config: ExperimentConfig, point: int, run: int):
+    """One complete run: scenario, oracle, training, scoring.
+
+    Returns the run's metrics, its oracle result and its training trace.
+    """
+    start = time.perf_counter()
     scenario = scenario_for_run(config, point, run)
     oracle = exhaustive_search(scenario, config.env.reward_mode, tau=config.tau)
-    if config.restarts:
-        trace = run_with_restarts(scenario, hp, train_seq, config.learner,
-                                  n_restarts=config.n_restarts,
-                                  probe_phases=config.probe_phases,
-                                  keep_q=keep_trace)
-    else:
-        trace = run_learning(scenario, hp, train_seq, config.learner,
-                             keep_q=keep_trace)
+    trace = learn_for_run(config, point, run, scenario)
 
     joint = trace.joint_policy()
     metrics = RunMetrics(
         run=run,
-        phases=hp.n_phases,
+        phases=config.agent[point].n_phases,
         outcome=score_policy(joint, oracle),
         reward=oracle.reward_of(joint),
         joint_policy=joint,
         best_joint_action=oracle.best_joint_action,
         best_reward=oracle.best_reward,
         wall_ms=(time.perf_counter() - start) * 1e3,
-        restart_rewards=tuple(trace.restart_rewards),
     )
-    if keep_trace:
-        return metrics, scenario, oracle, trace
-    return metrics
+    return metrics, oracle, trace
 
 
 def _run_job(args) -> RunMetrics:
-    config, point, run = args
+    """Execute one run; write its artifact files if a directory is given.
+
+    A run that raises is recorded as an "error" row and gets no files. A
+    failing file write is not a run outcome and propagates.
+    """
+    config, point, run, artifact_dir = args
     try:
-        return execute_run(config, point, run)
+        metrics, oracle, trace = execute_run(config, point, run)
     except Exception as exc:  # record the failure, keep sweeping
         hp = config.agent[point]
         return RunMetrics(run=run, phases=hp.n_phases, outcome="error",
                           reward=float("nan"), joint_policy=(),
                           best_joint_action=(), best_reward=float("nan"),
                           wall_ms=float("nan"), error=repr(exc))
+    if artifact_dir is not None:
+        stem = f"point{point}_run{run:04d}"
+        (artifact_dir / "oracle" / f"{stem}.json").write_text(oracle.to_json())
+        (artifact_dir / "traces" / f"{stem}.jsonl").write_text(
+            phase_trace_jsonl(trace))
+    return metrics
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96):
@@ -195,7 +211,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96):
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -249,14 +265,19 @@ class ExperimentReport:
         return json.dumps(doc, indent=2)
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, workers: int = 1,
+                   artifact_dir: Path | None = None) -> ExperimentReport:
     """Run every (phase budget, run index) job and aggregate.
 
     Jobs are independent; with workers > 1 they execute on a process pool
     and are re-sorted by index, so the report does not depend on the
-    schedule.
+    schedule. Given ``artifact_dir``, each job writes its run's
+    ``oracle/point{p}_run{r:04d}.json`` and ``traces/point{p}_run{r:04d}.jsonl``.
     """
-    jobs = [(config, point, run)
+    if artifact_dir is not None:
+        for sub in ("oracle", "traces"):
+            (artifact_dir / sub).mkdir(parents=True, exist_ok=True)
+    jobs = [(config, point, run, artifact_dir)
             for point in range(len(config.agent))
             for run in range(config.n_runs)]
     if workers > 1:
@@ -266,7 +287,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         results = [_run_job(job) for job in jobs]
 
     metrics: list[list[RunMetrics]] = [[] for _ in config.agent]
-    for (cfg, point, run), m in zip(jobs, results):
+    for (_, point, _, _), m in zip(jobs, results):
         metrics[point].append(m)
     for rows in metrics:
         rows.sort(key=lambda m: m.run)

@@ -25,36 +25,58 @@ def simulate(config_path, out, *extra):
                      *extra])
 
 
-def test_outputs_do_not_depend_on_worker_count(config_path, tmp_path):
-    one, two = tmp_path / "w1", tmp_path / "w2"
-    assert simulate(config_path, one, "--workers", "1") == 0
-    assert simulate(config_path, two, "--workers", "2") == 0
-    assert (one / "summary.csv").read_bytes() == (two / "summary.csv").read_bytes()
+RESTARTS = dict(CONFIG, restarts=True, n_restarts=2, probe_phases=1)
 
-    reports = [json.loads((d / "report.json").read_text()) for d in (one, two)]
-    for report in reports:
-        assert len(report["wall_ms"]["0"]) == CONFIG["n_runs"]
-        del report["wall_ms"]
-    assert reports[0] == reports[1]
 
-    for sub in ("oracle", "traces"):
-        files = sorted(p.name for p in (one / sub).iterdir())
-        assert len(files) == CONFIG["n_runs"]
-        for name in files:
-            assert (one / sub / name).read_bytes() == (two / sub / name).read_bytes()
+def test_outputs_do_not_depend_on_worker_count(tmp_path):
+    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS)):
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(doc))
+        one, two = tmp_path / name / "w1", tmp_path / name / "w2"
+        assert simulate(config_path, one, "--workers", "1") == 0
+        assert simulate(config_path, two, "--workers", "2") == 0
+        assert (one / "summary.csv").read_bytes() == (two / "summary.csv").read_bytes()
+
+        reports = [json.loads((d / "report.json").read_text()) for d in (one, two)]
+        for report in reports:
+            assert len(report["wall_ms"]["0"]) == CONFIG["n_runs"]
+            del report["wall_ms"]
+        assert reports[0] == reports[1]
+
+        for sub in ("oracle", "traces"):
+            files = sorted(p.name for p in (one / sub).iterdir())
+            assert len(files) == CONFIG["n_runs"]
+            for file in files:
+                assert (one / sub / file).read_bytes() == (two / sub / file).read_bytes()
+
+
+def test_each_run_executes_once(config_path, tmp_path, monkeypatch):
+    real = harness.execute_run
+    calls = []
+
+    def counting(config, point, run, **kwargs):
+        calls.append((point, run))
+        return real(config, point, run, **kwargs)
+
+    # Patch every module holding the function, so that a call through an
+    # imported name is counted too.
+    for module in (harness, cli):
+        if vars(module).get("execute_run") is real:
+            monkeypatch.setattr(module, "execute_run", counting)
+    assert simulate(config_path, tmp_path / "out", "--workers", "1") == 0
+    assert sorted(calls) == [(0, run) for run in range(CONFIG["n_runs"])]
 
 
 def test_errored_run_is_recorded_and_gets_no_artifacts(config_path, tmp_path,
                                                        monkeypatch, capsys):
     real = harness.execute_run
 
-    def failing(config, point, run, keep_trace=False):
+    def failing(config, point, run):
         if run == 1:
             raise FloatingPointError("training has diverged")
-        return real(config, point, run, keep_trace=keep_trace)
+        return real(config, point, run)
 
     monkeypatch.setattr(harness, "execute_run", failing)
-    monkeypatch.setattr(cli, "execute_run", failing)
     out = tmp_path / "out"
     assert simulate(config_path, out, "--workers", "1") == 0
 
@@ -74,3 +96,32 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert simulate(bad, tmp_path / "out") == 2
     assert "unknown learner" in capsys.readouterr().err
     assert simulate(tmp_path / "missing.json", tmp_path / "out") == 2
+
+
+def test_traces_match_the_run_trace(tmp_path):
+    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS)):
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(doc))
+        run_out, traces_out = tmp_path / name / "run", tmp_path / name / "traces"
+        assert simulate(config_path, run_out) == 0
+        assert cli.main(["traces", "--config", str(config_path),
+                         "--out", str(traces_out), "--run", "0"]) == 0
+        assert ((traces_out / "phases_run0000.jsonl").read_bytes()
+                == (run_out / "traces" / "point0_run0000.jsonl").read_bytes())
+        for agent in range(CONFIG["env"]["n_cr"]):
+            rows = (traces_out / f"qvalues_run0000_agent{agent}.csv").read_text()
+            assert rows.startswith("step,action,q_0,")
+
+
+def test_confidence_bounds_are_plain_floats(config_path, tmp_path):
+    assert all(type(b) is float for b in harness.wilson_interval(3, 10))
+
+    out = tmp_path / "out"
+    assert cli.main(["p-vs-rho", "--config", str(config_path), "--out", str(out),
+                     "--rhos", "0.1,0.4", "--steps", "500"]) == 0
+    header, *rows = (out / "p_vs_rho.csv").read_text().splitlines()
+    assert header == "rho,p_hat,ci_lo,ci_hi,steps"
+    assert len(rows) == 2
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
