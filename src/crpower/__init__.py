@@ -35,9 +35,7 @@ from .link_adaptation import AmcTable, relative_throughput_change, throughput
 from .oracle import OracleResult, exhaustive_search, score_policy
 from .qfunc import (
     MlpParams,
-    QTable,
     TargetArray,
-    Transition,
     forward,
     refresh_target,
     table_update,

@@ -13,12 +13,19 @@ All agents in a run are stepped in fixed index order against a single
 shared outcome per step, looked up by flat joint index in the scenario's
 outcome tensor, so the only coupling between them is the wireless
 environment itself.
+
+One step works on plain Python scalars: each agent reads its frozen
+policy as a list and draws with ``rng.random()`` (the same double, at the
+same stream position, as ``rng.uniform()``). The table learner updates
+its two lists of floats in place; the network learner appends the step
+to four mini-batch columns and trains once per full mini-batch.
 """
 
 from __future__ import annotations
 
 import copy
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +33,7 @@ import numpy as np
 from .environment import Scenario
 from .qfunc import (
     N_STATES,
-    QTable,
     TargetArray,
-    Transition,
     init_mlp,
     q_matrix,
     refresh_target,
@@ -94,40 +99,54 @@ TUNED_DQL_HYPERPARAMS = {
 }
 
 
-def choose_action(state: int, policy: np.ndarray, rho: float,
+def choose_action(state: int, policy: Sequence[int], rho: float,
                   rng: np.random.Generator, n_actions: int) -> int:
     """Policy action with probability 1-rho, else uniform over all actions.
 
-    The policy action therefore has total probability 1 - rho + rho/|A|.
+    policy holds one action per state. The policy action therefore has
+    total probability 1 - rho + rho/|A|.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if rng.uniform() < 1.0 - rho:
+    if rng.random() < 1.0 - rho:
         return int(policy[state])
     return int(rng.integers(n_actions))
 
 
 class QValueWindows:
-    """Rolling per-(state, action) record of recent Q-value evaluations."""
+    """Rolling per-(state, action) record of recent Q-value evaluations.
+
+    push keeps a copy of each state's row and defers the conversion into
+    the numpy ring to the next snapshots call, so a push costs two list
+    copies; only the latest snapshot per ring slot is ever converted.
+    """
 
     def __init__(self, n_actions: int, window: int):
         self._buf = np.zeros((window, N_STATES, n_actions))
+        self._window = window
+        self._pending: dict[int, list] = {}     # ring slot -> unsynced rows
         self._count = 0
 
-    def push(self, q: np.ndarray):
-        self._buf[self._count % self._buf.shape[0]] = q
+    def push(self, q):
+        self._pending[self._count % self._window] = [list(row) for row in q]
         self._count += 1
 
     @property
     def filled(self) -> int:
-        return min(self._count, self._buf.shape[0])
+        return min(self._count, self._window)
+
+    def snapshots(self) -> np.ndarray:
+        """The filled ring slots, (filled, n_states, n_actions), in slot order."""
+        for slot, q in self._pending.items():
+            self._buf[slot] = q
+        self._pending.clear()
+        return self._buf[:self.filled]
 
     def largest_std(self) -> float:
         """Max over (state, action) of the std over the window, 0 if empty."""
-        k = self.filled
-        if k == 0:
+        if self.filled == 0:
             return 0.0
-        return float(self._buf[:k].std(axis=0).max())
+        return float(self.snapshots().std(axis=0).max())
 
 
 @dataclass
@@ -192,7 +211,6 @@ class _AgentBase:
     def __init__(self, hp: AgentHyperparams, n_actions: int,
                  rng: np.random.Generator, record_updates: bool = False):
         self.hp = hp
-        self.n_actions = n_actions
         self.policy = rng.integers(n_actions, size=N_STATES)
         self.state = 0
         self.alpha = hp.alpha0
@@ -205,18 +223,14 @@ class _AgentBase:
         self.update_records: list[UpdateRecord] | None = (
             [] if record_updates else None)
 
-    def act(self, rng: np.random.Generator) -> int:
-        return choose_action(self.state, self.policy, self.hp.rho, rng,
-                             self.n_actions)
-
     def q_values(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _learn(self, t: Transition):
+    def _learn(self, action: int, next_state: int, r: float):
         raise NotImplementedError
 
     def step(self, action: int, next_state: int, r: float):
-        self._learn(Transition(self.state, next_state, action, r))
+        self._learn(action, next_state, r)
         self.state = next_state
         self.step_count += 1
         self.phase_reward_sum += r
@@ -242,7 +256,7 @@ class _AgentBase:
         candidates = candidate_sets(q, delta)
 
         before = tuple(int(a) for a in self.policy)
-        if rng.uniform() >= self.hp.lam:
+        if rng.random() >= self.hp.lam:
             self.policy = np.array(
                 [cands[rng.integers(len(cands))] for cands in candidates])
         after = tuple(int(a) for a in self.policy)
@@ -275,42 +289,48 @@ class DqlAgent(_AgentBase):
         self.params = init_mlp(rng, (N_STATES, 8, 18, n_actions),
                                cap=hp.activation_cap)
         self.target = TargetArray.from_params(self.params, hp.c)
-        self.buffer: list[Transition] = []
+        # pending mini-batch columns: states, next states, actions, rewards
+        self.batch: tuple[list, list, list, list] = ([], [], [], [])
         self.updates = 0
         self.last_loss = 0.0
 
     def q_values(self) -> np.ndarray:
         return q_matrix(self.params)
 
-    def _learn(self, t: Transition):
-        self.buffer.append(t)
-        if len(self.buffer) < self.hp.minibatch:
+    def _learn(self, action: int, next_state: int, r: float):
+        states, next_states, actions, rewards = self.batch
+        states.append(self.state)
+        next_states.append(next_state)
+        actions.append(action)
+        rewards.append(r)
+        if len(rewards) < self.hp.minibatch:
             return
         self.params, self.last_loss = train_minibatch(
-            self.params, self.buffer, self.target, self.alpha, self.hp.gamma)
+            self.params, *self.batch, self.target, self.alpha, self.hp.gamma)
         self.updates += 1
         if self.updates % self.hp.c == 0:
             self.target = refresh_target(self.target, self.params,
                                          step=self.updates)
         self.windows.push(q_matrix(self.params))
-        self._record_update(t.action)
-        self.buffer.clear()
+        self._record_update(action)
+        self.batch = ([], [], [], [])
 
 
 class TableAgent(_AgentBase):
-    """Table-backed learner: one temporal-difference update per step."""
+    """Table-backed learner: one in-place temporal-difference update per step."""
 
     def __init__(self, hp, n_actions, rng, record_updates=False):
         super().__init__(hp, n_actions, rng, record_updates)
-        self.table = QTable.zeros(n_actions)
+        self.table = [[0.0] * n_actions for _ in range(N_STATES)]
 
     def q_values(self) -> np.ndarray:
-        return self.table.values
+        return np.array(self.table)
 
-    def _learn(self, t: Transition):
-        self.table = table_update(self.table, t, self.alpha, self.hp.gamma)
-        self.windows.push(self.table.values)
-        self._record_update(t.action)
+    def _learn(self, action: int, next_state: int, r: float):
+        table_update(self.table, self.state, next_state, action, r,
+                     self.alpha, self.hp.gamma)
+        self.windows.push(self.table)
+        self._record_update(action)
 
 
 def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
@@ -335,11 +355,13 @@ def run_exploration_phase(agents, scenario: Scenario, rngs,
     rewards = outcomes.rewards(scenario.config.reward_mode).tolist()
     n_actions = len(scenario.actions)
     length = agents[0].hp.phase_length
+    policies = [ag.policy.tolist() for ag in agents]
     joint = [0] * len(agents)
     for _ in range(length):
         k = 0
         for i, ag in enumerate(agents):
-            joint[i] = a = ag.act(rngs[i])
+            joint[i] = a = choose_action(ag.state, policies[i], ag.hp.rho,
+                                         rngs[i], n_actions)
             k = k * n_actions + a
         step_states, step_rewards = states[k], rewards[k]
         for i, ag in enumerate(agents):

@@ -92,12 +92,14 @@ def cmd_run(args) -> int:
     (out / "report.json").write_text(report.report_json())
 
     for point in report.aggregate():
+        errors = point["outcomes"]["error"]
         print(f"phases={point['phases']}: "
               f"{point['percent_optimal']:.1f}% optimal "
               f"(CI95 {point['ci95_percent_optimal'][0]:.1f}"
               f"-{point['ci95_percent_optimal'][1]:.1f}), "
               f"{point['percent_near_optimal']:.1f}% near-optimal "
-              f"over {point['runs']} runs")
+              f"over {point['runs']} runs"
+              + (f", {errors} errored" if errors else ""))
     print(f"wrote {out / 'summary.csv'}")
     return 0
 

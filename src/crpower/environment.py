@@ -72,7 +72,9 @@ class ActionSpace:
     def default() -> "ActionSpace":
         """Off plus 13 levels from -10 to 20 dBm in 2.5 dBm steps (14 total)."""
         space = ActionSpace(tuple(np.arange(-10.0, 20.0 + 1e-9, 2.5)))
-        assert len(space) == 14
+        if len(space) != 14:
+            raise ConfigurationError(
+                f"default action space has {len(space)} actions, expected 14")
         return space
 
     def __len__(self) -> int:
@@ -442,7 +444,7 @@ def measure_phase_change_probability(scenario: Scenario,
     for t in range(steps):
         k = 0
         for j in range(n):
-            if j != reference and rng.uniform() < rho:
+            if j != reference and rng.random() < rho:
                 a = int(rng.integers(n_actions))
             else:
                 a = policy[j]

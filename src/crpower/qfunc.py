@@ -1,27 +1,29 @@
 """Interchangeable Q-value backends.
 
 Two estimators share the 2-state x n-action interface: a lookup table
-updated by the standard temporal-difference rule, and a small
+updated in place by the standard temporal-difference rule, and a small
 fully-connected network trained by plain gradient descent on the squared
-Bellman error against a frozen target array. The target array replaces a
-second network: it is a plain matrix of Q-values refreshed from the live
-parameters every ``c`` updates. There is deliberately no replay memory;
-batches are consumed in arrival order and discarded.
+Bellman error against a frozen target array. The table is two lists of
+plain floats, so one update costs a few scalar operations. The target
+array replaces a second network: it is a plain matrix of Q-values
+refreshed from the live parameters every ``c`` updates. There is
+deliberately no replay memory; a mini-batch arrives as four columns
+(states, next states, actions, rewards) in arrival order and is
+discarded after its one gradient step.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "N_STATES",
-    "QTable",
     "MlpParams",
     "TargetArray",
-    "Transition",
     "table_update",
     "init_mlp",
     "forward",
@@ -35,51 +37,26 @@ DEFAULT_LAYER_SIZES = (N_STATES, 8, 18, 14)
 DEFAULT_ACTIVATION_CAP = 20.0
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One observed step: state and action taken, resulting state, reward."""
-
-    state: int
-    next_state: int
-    action: int
-    reward: float
-
-    def __post_init__(self):
-        if self.reward < 0.0:
-            raise ValueError("rewards are nonnegative by construction")
-
-
-@dataclass(frozen=True)
-class QTable:
-    """2 x n_actions array of action values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != N_STATES:
-            raise ValueError(f"expected ({N_STATES}, n_actions) array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("table entries must be finite")
-        object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def zeros(n_actions: int) -> "QTable":
-        return QTable(np.zeros((N_STATES, n_actions)))
-
-
-def table_update(q: QTable, t: Transition, alpha: float, gamma: float) -> QTable:
-    """One temporal-difference update; every other entry is untouched.
+def table_update(q: list[list[float]], state: int, next_state: int,
+                 action: int, reward: float, alpha: float, gamma: float):
+    """One temporal-difference update of q[state][action], in place.
 
     Q(s,a) <- Q(s,a) + alpha * [r + gamma * max_a' Q(s',a') - Q(s,a)]
+
+    q holds one list of floats per state; every other entry is untouched.
+    Raises ValueError on rates out of range, a negative reward or a
+    non-finite result, leaving q unchanged.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError("alpha in [0,1] and gamma in (0,1] required")
-    values = q.values.copy()
-    best_next = values[t.next_state].max()
-    td = t.reward + gamma * best_next - values[t.state, t.action]
-    values[t.state, t.action] += alpha * td
-    return replace(q, values=values)
+    if reward < 0.0:
+        raise ValueError("rewards are nonnegative by construction")
+    row = q[state]
+    value = row[action] + alpha * (reward + gamma * max(q[next_state])
+                                   - row[action])
+    if not math.isfinite(value):
+        raise ValueError("table entries must be finite")
+    row[action] = value
 
 
 @dataclass(frozen=True)
@@ -210,32 +187,37 @@ def refresh_target(target: TargetArray, params: MlpParams,
 
 
 def train_minibatch(params: MlpParams,
-                    batch: list[Transition],
+                    states, next_states, actions, rewards,
                     target: TargetArray,
                     alpha: float,
                     gamma: float) -> tuple[MlpParams, float]:
     """One gradient-descent step on the mean squared Bellman error.
 
-    Per sample the target is r + gamma * max_a target[s', a]; the loss is
-    the batch mean of 0.5 * (target - Q(s, a))^2. Returns the updated
-    parameters and that loss. Deterministic in its inputs.
+    The mini-batch is four equal-length columns: states, next states,
+    actions and rewards. Per sample the target is
+    r + gamma * max_a target[s', a]; the loss is the batch mean of
+    0.5 * (target - Q(s, a))^2. Returns the updated parameters and that
+    loss. Deterministic in its inputs.
     """
-    if not batch:
+    states = np.asarray(states, dtype=int)
+    next_states = np.asarray(next_states, dtype=int)
+    actions = np.asarray(actions, dtype=int)
+    rewards = np.asarray(rewards, dtype=float)
+    b = len(states)
+    if b == 0:
         raise ValueError("empty mini-batch")
+    if not len(next_states) == len(actions) == len(rewards) == b:
+        raise ValueError("mini-batch columns differ in length")
+    if not (np.isfinite(rewards).all() and (rewards >= 0.0).all()):
+        raise ValueError("rewards must be finite and nonnegative")
     if alpha <= 0:
         raise ValueError("learning rate must be positive")
-
-    states = np.array([t.state for t in batch])
-    actions = np.array([t.action for t in batch])
-    rewards = np.array([t.reward for t in batch])
-    next_states = np.array([t.next_state for t in batch])
 
     x = _one_hot(states)
     y = rewards + gamma * target.max_next(next_states)
 
     pre, post = _forward_full(params, x)
     out = post[-1]
-    b = len(batch)
     err = out[np.arange(b), actions] - y
     loss = float(0.5 * np.mean(err ** 2))
 

@@ -8,8 +8,10 @@ from conftest import TINY, make_scenario
 from crpower.agent import (
     AgentHyperparams,
     DqlAgent,
+    PhaseRecord,
     TableAgent,
     TUNED_DQL_HYPERPARAMS,
+    UpdateRecord,
     candidate_sets,
     choose_action,
     make_agents,
@@ -18,6 +20,8 @@ from crpower.agent import (
     run_with_restarts,
 )
 from crpower.environment import EnvConfig
+from crpower.harness import ExperimentConfig, scenario_for_run
+from crpower.qfunc import TargetArray, init_mlp, q_matrix, train_minibatch
 
 
 def small_hp(**over):
@@ -144,11 +148,11 @@ def test_table_one_update_per_step(two_cr_scenario):
     hp = small_hp(phase_length=120)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(1).spawn(2)]
     agents = make_agents("table", hp, 2, 14, rngs)
-    before = [ag.table.values.copy() for ag in agents]
+    before = [ag.q_values() for ag in agents]
     run_exploration_phase(agents, two_cr_scenario, rngs)
     assert all(ag.step_count == 120 for ag in agents)
     assert all(ag.windows.filled == 50 for ag in agents)   # window saturated
-    assert any(not np.array_equal(b, ag.table.values)
+    assert any(not np.array_equal(b, ag.q_values())
                for b, ag in zip(before, agents))
 
 
@@ -250,8 +254,8 @@ def test_single_restart_equals_plain_run(two_cr_scenario):
     b = [tuple(rec.policy_after for rec in recs)
          for recs in restarted.phase_records]
     assert a == b
-    np.testing.assert_array_equal(plain.agents[0].table.values,
-                                  restarted.agents[0].table.values)
+    np.testing.assert_array_equal(plain.agents[0].q_values(),
+                                  restarted.agents[0].q_values())
 
 
 def test_restart_overhead_and_selection(two_cr_scenario):
@@ -280,3 +284,170 @@ def test_make_agents_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_agents("sarsa", small_hp(), 2, 14,
                     [np.random.default_rng(0)] * 2)
+
+
+# ------------------------------------------------------------ reference loop
+
+class _RefAgent:
+    """One agent of the reference loop. Only the network maths (init_mlp,
+    q_matrix, train_minibatch) and the record types come from the library."""
+
+    def __init__(self, learner, hp, n_actions, rng):
+        self.learner, self.hp = learner, hp
+        self.policy = [int(a) for a in rng.integers(n_actions, size=2)]
+        self.state = 0
+        self.alpha = hp.alpha0
+        self.phase = self.steps = 0
+        self.reward_sum, self.reward_count = 0.0, 0
+        self.ring = np.zeros((hp.std_window, 2, n_actions))
+        self.pushes = 0
+        self.update_records = []
+        if learner == "dql":
+            self.params = init_mlp(rng, (2, 8, 18, n_actions),
+                                   cap=hp.activation_cap)
+            self.target = TargetArray(q_matrix(self.params), hp.c)
+            self.columns = ([], [], [], [])
+            self.updates = 0
+        else:
+            self.table = [[0.0] * n_actions for _ in range(2)]
+
+    def q(self):
+        if self.learner == "dql":
+            return q_matrix(self.params)
+        return np.array(self.table)
+
+    def largest_std(self):
+        filled = min(self.pushes, self.hp.std_window)
+        return float(self.ring[:filled].std(axis=0).max()) if filled else 0.0
+
+    def push_and_record(self, action):
+        self.ring[self.pushes % self.hp.std_window] = self.q()
+        self.pushes += 1
+        self.update_records.append(UpdateRecord(
+            step=self.steps + 1, action=action, q_s0=self.q()[0].copy(),
+            delta=self.hp.tolerance_multiplier * self.largest_std()))
+
+    def learn(self, action, next_state, r):
+        hp, s = self.hp, self.state
+        if self.learner == "table":
+            q = self.table[s][action]
+            best_next = max(self.table[next_state])
+            self.table[s][action] = q + self.alpha * (r + hp.gamma * best_next - q)
+            self.push_and_record(action)
+        else:
+            for column, value in zip(self.columns, (s, next_state, action, r)):
+                column.append(value)
+            if len(self.columns[0]) == hp.minibatch:
+                self.params, _ = train_minibatch(
+                    self.params, *(np.array(c) for c in self.columns),
+                    self.target, self.alpha, hp.gamma)
+                self.updates += 1
+                if self.updates % hp.c == 0:
+                    self.target = TargetArray(q_matrix(self.params), hp.c)
+                self.push_and_record(action)
+                self.columns = ([], [], [], [])
+        self.state = next_state
+        self.steps += 1
+        self.reward_sum += r
+        self.reward_count += 1
+
+    def boundary(self, rng):
+        q = self.q()
+        delta = self.hp.tolerance_multiplier * self.largest_std()
+        cands = tuple(tuple(int(a) for a in np.flatnonzero(q[s] >= q[s].max() - delta))
+                      for s in range(2))
+        before = tuple(self.policy)
+        if rng.uniform() >= self.hp.lam:
+            self.policy = [c[int(rng.integers(len(c)))] for c in cands]
+        record = PhaseRecord(
+            phase=self.phase, policy_before=before,
+            policy_after=tuple(self.policy), delta=delta,
+            mean_reward=self.reward_sum / self.reward_count,
+            changed=tuple(self.policy) != before, q_values=q.copy(),
+            candidates=cands)
+        self.phase += 1
+        self.alpha /= self.hp.zeta
+        self.reward_sum, self.reward_count = 0.0, 0
+        return record
+
+
+def reference_run(scenario, hp, seed_seq, learner, n_restarts=None,
+                  probe_phases=None):
+    """run_learning / run_with_restarts restated from the published rules."""
+    n, n_actions = scenario.n_cr, len(scenario.actions)
+    states = scenario.outcomes.states
+    rewards = scenario.outcomes.rewards(scenario.config.reward_mode)
+    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(n)]
+
+    def fresh_agents():
+        agents = [_RefAgent(learner, hp, n_actions, rngs[i]) for i in range(n)]
+        for i, ag in enumerate(agents):
+            ag.state = int(states[0, i])
+        return agents
+
+    def phase(agents):
+        for _ in range(hp.phase_length):
+            joint = []
+            for ag, rng in zip(agents, rngs):
+                if rng.uniform() < 1.0 - hp.rho:
+                    joint.append(ag.policy[ag.state])
+                else:
+                    joint.append(int(rng.integers(n_actions)))
+            k = int(np.ravel_multi_index(joint, (n_actions,) * n))
+            for i, ag in enumerate(agents):
+                ag.learn(joint[i], int(states[k, i]), float(rewards[k, i]))
+        return [ag.boundary(rng) for ag, rng in zip(agents, rngs)]
+
+    if n_restarts is None:
+        agents = fresh_agents()
+        return agents, [phase(agents) for _ in range(hp.n_phases)]
+    probes = []
+    for _ in range(n_restarts):
+        agents = fresh_agents()
+        records = [phase(agents) for _ in range(probe_phases)]
+        probes.append((agents, records,
+                       float(np.mean([r.mean_reward for r in records[-1]]))))
+    agents, records, _ = max(probes, key=lambda p: p[2])
+    records += [phase(agents) for _ in range(hp.n_phases - probe_phases)]
+    return agents, records
+
+
+@pytest.mark.parametrize("learner", ["table", "dql"])
+@pytest.mark.parametrize("restarts", [False, True])
+def test_library_matches_reference_loop(learner, restarts):
+    config = ExperimentConfig(
+        env=EnvConfig(n_cr=2, reward_mode="global", tpc_reference="signal"))
+    scenario = scenario_for_run(config, 0, 3)
+    hp = small_hp(phase_length=100, n_phases=3, c=2, std_window=30)
+    kwargs = dict(n_restarts=3, probe_phases=2) if restarts else {}
+    seed = np.random.SeedSequence(12)
+    if restarts:
+        trace = run_with_restarts(scenario, hp, seed, learner,
+                                  record_updates=True, **kwargs)
+    else:
+        trace = run_learning(scenario, hp, seed, learner, record_updates=True)
+    ref_agents, ref_records = reference_run(
+        scenario, hp, np.random.SeedSequence(12), learner, **kwargs)
+
+    assert len(trace.phase_records) == len(ref_records) == hp.n_phases
+    for recs, ref_recs in zip(trace.phase_records, ref_records):
+        for rec, ref in zip(recs, ref_recs):
+            assert rec.to_jsonable() == ref.to_jsonable()
+    assert any(rec.changed for recs in ref_records for rec in recs)
+    for ag, ref in zip(trace.agents, ref_agents):
+        np.testing.assert_array_equal(ag.q_values(), ref.q())
+        if learner == "table":
+            assert ag.table == ref.table
+        else:
+            for w, w_ref in zip(ag.params.weights + ag.params.biases,
+                                ref.params.weights + ref.params.biases):
+                np.testing.assert_array_equal(w, w_ref)
+            np.testing.assert_array_equal(ag.target.values, ref.target.values)
+        filled = min(ref.pushes, hp.std_window)
+        assert ag.windows.filled == filled
+        np.testing.assert_array_equal(ag.windows.snapshots(), ref.ring[:filled])
+        assert len(ag.update_records) == len(ref.update_records) > 0
+        for rec, ref_rec in zip(ag.update_records, ref.update_records):
+            assert (rec.step, rec.action, rec.delta) == (
+                ref_rec.step, ref_rec.action, ref_rec.delta)
+            np.testing.assert_array_equal(rec.q_s0, ref_rec.q_s0)

@@ -87,7 +87,9 @@ def test_errored_run_is_recorded_and_gets_no_artifacts(config_path, tmp_path,
     for run in (0, 2):
         assert (out / "oracle" / f"point0_run{run:04d}.json").exists()
         assert (out / "traces" / f"point0_run{run:04d}.jsonl").exists()
-    assert "% optimal" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "% optimal" in out_text
+    assert "over 3 runs, 1 errored" in out_text
 
 
 def test_bad_input_exits_2(tmp_path, capsys):

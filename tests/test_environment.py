@@ -32,6 +32,14 @@ def test_action_space_default():
     assert space.power_mw(13) == pytest.approx(100.0)
 
 
+def test_action_space_default_pins_14_actions(monkeypatch):
+    # the count is a contract that raises, not an assert that -O strips
+    arange = np.arange
+    monkeypatch.setattr(np, "arange", lambda *a, **k: arange(*a, **k)[:-1])
+    with pytest.raises(ConfigurationError, match="13 actions, expected 14"):
+        ActionSpace.default()
+
+
 def test_action_space_rejects_unordered_levels():
     with pytest.raises(ConfigurationError):
         ActionSpace((0.0, -5.0))

@@ -3,9 +3,7 @@ import pytest
 
 from crpower.qfunc import (
     MlpParams,
-    QTable,
     TargetArray,
-    Transition,
     forward,
     init_mlp,
     q_matrix,
@@ -22,64 +20,76 @@ def scalar_td_update(q_entry, best_next, r, alpha, gamma):
     return q_entry + alpha * (r + gamma * best_next - q_entry)
 
 
+def zeros_table(n_actions=14):
+    return [[0.0] * n_actions for _ in range(2)]
+
+
 def test_table_update_hand_value():
-    q = QTable.zeros(14)
-    t = Transition(state=0, next_state=0, action=3, reward=1.0)
-    q2 = table_update(q, t, alpha=0.5, gamma=0.9)
-    assert q2.values[0, 3] == 0.5
-    assert np.count_nonzero(q2.values) == 1
-    assert np.all(q.values == 0.0)       # input untouched
+    q = zeros_table()
+    rows = q[:]
+    table_update(q, state=0, next_state=0, action=3, reward=1.0,
+                 alpha=0.5, gamma=0.9)
+    assert q[0][3] == 0.5
+    assert np.count_nonzero(q) == 1
+    # updated in place: same table and row objects, no copy made
+    assert q[0] is rows[0] and q[1] is rows[1]
 
 
 def test_table_update_zero_alpha_is_identity():
     rng = np.random.default_rng(0)
-    q = QTable(rng.normal(size=(2, 14)))
-    t = Transition(1, 0, 5, 2.0)
-    q2 = table_update(q, t, alpha=0.0, gamma=0.9)
-    np.testing.assert_array_equal(q2.values, q.values)
+    values = rng.normal(size=(2, 14))
+    q = values.tolist()
+    table_update(q, 1, 0, 5, 2.0, alpha=0.0, gamma=0.9)
+    np.testing.assert_array_equal(q, values)
 
 
 def test_table_update_bellman_fixed_point():
     rng = np.random.default_rng(1)
     values = rng.uniform(0, 5, size=(2, 14))
     gamma = 0.9
-    t = Transition(0, 1, 2, 0.0)
     r = values[0, 2] - gamma * values[1].max()
-    q = QTable(values)
-    q2 = table_update(q, Transition(0, 1, 2, max(r, 0.0)), alpha=0.7,
-                      gamma=gamma)
+    q = values.tolist()
+    table_update(q, 0, 1, 2, max(r, 0.0), alpha=0.7, gamma=gamma)
     if r >= 0:
-        assert q2.values[0, 2] == pytest.approx(values[0, 2], rel=1e-12)
+        assert q[0][2] == pytest.approx(values[0, 2], rel=1e-12)
 
 
 def test_table_update_against_scalar_oracle():
     rng = np.random.default_rng(99)
-    q = QTable(rng.uniform(0, 10, size=(2, 14)))
+    q = rng.uniform(0, 10, size=(2, 14)).tolist()
     for _ in range(10_000):
-        t = Transition(int(rng.integers(2)), int(rng.integers(2)),
-                       int(rng.integers(14)), float(rng.uniform(0, 12)))
+        s, ns, a = int(rng.integers(2)), int(rng.integers(2)), int(rng.integers(14))
+        reward = float(rng.uniform(0, 12))
         alpha = float(rng.uniform(0.01, 1.0))
         gamma = float(rng.uniform(0.1, 1.0))
-        expected = scalar_td_update(q.values[t.state, t.action],
-                                    max(q.values[t.next_state]),
-                                    t.reward, alpha, gamma)
-        q = table_update(q, t, alpha, gamma)
-        assert abs(q.values[t.state, t.action] - expected) <= 1e-12 * max(
-            1.0, abs(expected))
+        expected = scalar_td_update(q[s][a], max(q[ns]), reward, alpha, gamma)
+        table_update(q, s, ns, a, reward, alpha, gamma)
+        assert abs(q[s][a] - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_table_update_validates_rates():
-    q = QTable.zeros(14)
-    t = Transition(0, 0, 0, 0.0)
+    q = zeros_table()
     with pytest.raises(ValueError):
-        table_update(q, t, alpha=1.5, gamma=0.9)
+        table_update(q, 0, 0, 0, 0.0, alpha=1.5, gamma=0.9)
     with pytest.raises(ValueError):
-        table_update(q, t, alpha=0.5, gamma=0.0)
+        table_update(q, 0, 0, 0, 0.0, alpha=0.5, gamma=0.0)
+    # a non-finite result is rejected and leaves the table unchanged
+    with pytest.raises(ValueError, match="finite"):
+        table_update(q, 0, 0, 0, float("inf"), alpha=0.5, gamma=0.9)
+    assert q == zeros_table()
 
 
 def test_transition_rejects_negative_reward():
+    q = zeros_table()
     with pytest.raises(ValueError):
-        Transition(0, 0, 0, -1.0)
+        table_update(q, 0, 0, 0, -1.0, alpha=0.5, gamma=0.9)
+    assert q == zeros_table()
+    params = init_mlp(np.random.default_rng(0))
+    target = TargetArray.from_params(params, 50)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            train_minibatch(params, [0, 1], [0, 0], [0, 3], [1.0, bad],
+                            target, 0.1, 0.9)
 
 
 # ---------------------------------------------------------------- forward
@@ -143,30 +153,29 @@ def test_forward_golden_values():
 
 def _loss_only(params, batch, target, gamma):
     """Loss evaluated without touching the training code path."""
-    states = np.array([t.state for t in batch])
-    actions = np.array([t.action for t in batch])
-    rewards = np.array([t.reward for t in batch])
-    nxt = np.array([t.next_state for t in batch])
+    states, nxt, actions, rewards = batch
     y = rewards + gamma * target.values[nxt].max(axis=1)
     x = np.eye(2)[states]
     h = x
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w + b
         h = z if k == len(params.weights) - 1 else np.clip(z, 0.0, params.cap)
-    pred = h[np.arange(len(batch)), actions]
+    pred = h[np.arange(len(states)), actions]
     return float(0.5 * np.mean((y - pred) ** 2))
 
 
 def _random_batch(rng, n=25, reward_scale=12.0):
-    return [Transition(int(rng.integers(2)), int(rng.integers(2)),
-                       int(rng.integers(14)), float(rng.uniform(0, reward_scale)))
-            for _ in range(n)]
+    """Columns (states, next states, actions, rewards), drawn sample by
+    sample in that order."""
+    rows = [(int(rng.integers(2)), int(rng.integers(2)), int(rng.integers(14)),
+             float(rng.uniform(0, reward_scale))) for _ in range(n)]
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 def _max_fd_relative_error(params, batch, target, gamma, h=1e-5):
     """Central finite differences against the gradient recovered from one
     unit-step update; checks every weight and bias."""
-    new_params, _ = train_minibatch(params, batch, target, alpha=1.0,
+    new_params, _ = train_minibatch(params, *batch, target, alpha=1.0,
                                     gamma=gamma)
     worst = 0.0
     for li in range(len(params.weights)):
@@ -211,12 +220,13 @@ def test_zero_gradient_at_optimum():
     gamma = 0.9
     target = TargetArray(np.zeros((2, 14)), 50)
     # rewards chosen so each sample's target equals the current prediction
-    batch = []
+    rows = []
     for _ in range(25):
         s, ns, a = int(rng.integers(2)), int(rng.integers(2)), int(rng.integers(14))
         r = q[s, a] - gamma * target.values[ns].max()
-        batch.append(Transition(s, ns, a, max(r, 0.0)))
-    new_params, loss = train_minibatch(params, batch, target, 0.1, gamma)
+        rows.append((s, ns, a, max(r, 0.0)))
+    batch = [np.array(column) for column in zip(*rows)]
+    new_params, loss = train_minibatch(params, *batch, target, 0.1, gamma)
     assert loss == pytest.approx(0.0, abs=1e-20)
     for a, b in zip(new_params.weights, params.weights):
         np.testing.assert_array_equal(a, b)
@@ -226,10 +236,10 @@ def test_training_drives_prediction_to_target():
     rng = np.random.default_rng(31)
     params = init_mlp(rng)
     target = TargetArray(np.zeros((2, 14)), 50)
-    t = Transition(0, 1, 4, 3.0)
+    batch = ([0] * 25, [1] * 25, [4] * 25, [3.0] * 25)
     losses = []
     for _ in range(300):
-        params, loss = train_minibatch(params, [t] * 25, target, 0.05, 0.9)
+        params, loss = train_minibatch(params, *batch, target, 0.05, 0.9)
         losses.append(loss)
     assert forward(params, [1.0, 0.0])[4] == pytest.approx(3.0, abs=1e-3)
     burn = losses[5:]
@@ -240,10 +250,13 @@ def test_train_minibatch_rejects_bad_args():
     params = init_mlp(np.random.default_rng(0))
     target = TargetArray.from_params(params, 50)
     with pytest.raises(ValueError):
-        train_minibatch(params, [], target, 0.1, 0.9)
+        train_minibatch(params, [], [], [], [], target, 0.1, 0.9)
     with pytest.raises(ValueError):
-        train_minibatch(params, _random_batch(np.random.default_rng(1)),
+        train_minibatch(params, *_random_batch(np.random.default_rng(1)),
                         target, 0.0, 0.9)
+    with pytest.raises(ValueError, match="differ in length"):
+        train_minibatch(params, [0, 1], [0, 1], [2], [1.0, 1.0],
+                        target, 0.1, 0.9)
 
 
 def test_divergence_raises_numeric_error():
@@ -254,7 +267,7 @@ def test_divergence_raises_numeric_error():
     with pytest.raises(FloatingPointError):
         with np.errstate(all="ignore"):
             for _ in range(2000):
-                params, _ = train_minibatch(params, batch, target, 5.0, 0.9)
+                params, _ = train_minibatch(params, *batch, target, 5.0, 0.9)
 
 
 def test_no_replay_memory_in_training_path():
@@ -266,9 +279,9 @@ def test_no_replay_memory_in_training_path():
     target = TargetArray.from_params(params, 50)
     batch1 = _random_batch(rng)
     batch2 = _random_batch(rng)
-    out_a = train_minibatch(params, batch2, target, 0.01, 0.9)
-    train_minibatch(params, batch1, target, 0.01, 0.9)   # interleaved call
-    out_b = train_minibatch(params, batch2, target, 0.01, 0.9)
+    out_a = train_minibatch(params, *batch2, target, 0.01, 0.9)
+    train_minibatch(params, *batch1, target, 0.01, 0.9)   # interleaved call
+    out_b = train_minibatch(params, *batch2, target, 0.01, 0.9)
     assert out_a[1] == out_b[1]
     for a, b in zip(out_a[0].weights, out_b[0].weights):
         np.testing.assert_array_equal(a, b)
@@ -292,7 +305,7 @@ def test_target_frozen_between_refreshes():
     snapshot = target.values.copy()
     batch = _random_batch(rng)
     for _ in range(10):
-        params, _ = train_minibatch(params, batch, target, 0.001, 0.9)
+        params, _ = train_minibatch(params, *batch, target, 0.001, 0.9)
     np.testing.assert_array_equal(target.values, snapshot)
     assert not np.allclose(q_matrix(params), snapshot)
 
@@ -316,7 +329,7 @@ def test_refresh_count_over_updates():
     seen = 0
     batch = _random_batch(rng, reward_scale=2.0)
     for step in range(1, 251):
-        params, _ = train_minibatch(params, batch, target, 1e-4, 0.9)
+        params, _ = train_minibatch(params, *batch, target, 1e-4, 0.9)
         if step % c == 0:
             target = refresh_target(target, params, step=step)
             seen += 1
