@@ -18,7 +18,11 @@ One step works on plain Python scalars: each agent reads its frozen
 policy as a list and draws with ``rng.random()`` (the same double, at the
 same stream position, as ``rng.uniform()``). The table learner updates
 its two lists of floats in place; the network learner appends the step
-to four mini-batch columns and trains once per full mini-batch.
+to four mini-batch columns and trains once per full mini-batch. Each
+trained parameter set caches its read-only Q matrix, so the one forward
+pass after an update serves the window push, the update record, the
+phase-boundary policy update, the target refresh and the next training
+step.
 """
 
 from __future__ import annotations
@@ -116,19 +120,20 @@ def choose_action(state: int, policy: Sequence[int], rho: float,
 class QValueWindows:
     """Rolling per-(state, action) record of recent Q-value evaluations.
 
-    push keeps a copy of each state's row and defers the conversion into
-    the numpy ring to the next snapshots call, so a push costs two list
-    copies; only the latest snapshot per ring slot is ever converted.
+    push keeps the rows it is given, which the caller must not change
+    afterwards, and defers their conversion into the numpy ring to the
+    next snapshots call; only the latest snapshot per ring slot is ever
+    converted.
     """
 
     def __init__(self, n_actions: int, window: int):
         self._buf = np.zeros((window, N_STATES, n_actions))
         self._window = window
-        self._pending: dict[int, list] = {}     # ring slot -> unsynced rows
+        self._pending: dict[int, list | np.ndarray] = {}  # slot -> unsynced rows
         self._count = 0
 
     def push(self, q):
-        self._pending[self._count % self._window] = [list(row) for row in q]
+        self._pending[self._count % self._window] = q
         self._count += 1
 
     @property
@@ -329,7 +334,7 @@ class TableAgent(_AgentBase):
     def _learn(self, action: int, next_state: int, r: float):
         table_update(self.table, self.state, next_state, action, r,
                      self.alpha, self.hp.gamma)
-        self.windows.push(self.table)
+        self.windows.push([row[:] for row in self.table])
         self._record_update(action)
 
 

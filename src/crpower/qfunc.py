@@ -10,13 +10,37 @@ refreshed from the live parameters every ``c`` updates. There is
 deliberately no replay memory; a mini-batch arrives as four columns
 (states, next states, actions, rewards) in arrival order and is
 discarded after its one gradient step.
+
+The network's weights and biases live in one flat float64 vector, layer
+by layer (weights, then biases); ``MlpParams.weights`` and ``biases`` are
+reshaped views of it. The network only ever sees the two one-hot states,
+so each parameter set runs its forward pass once, on ``eye(2)``, and
+caches the activations and saturated-ReLU masks of both states
+read-only. ``q_matrix`` is a lookup in that cache, and
+``train_minibatch`` gathers its batch rows from it instead of running the
+forward pass on the batch. The backward matmuls still run over all batch
+rows, the gradient fills one flat buffer, and the update is one
+subtraction and one finiteness check on the flat vector.
+
+Training is bit-identical to running the forward pass over the batch's
+one-hot rows, as the per-sample formulation does: each such row equals
+the matching row of ``eye(2)``, and the matrix products compute every
+output row from its own input row alone, in the same order for a 2-row
+as for a 25-row input. That last property belongs to the BLAS build and
+the layer shapes. It holds on OpenBLAS 0.3.31 (AVX-512 kernels) for the
+learner's (2, 8, 18, 14) network and batches of 2 to 200 rows, and
+tests/test_qfunc.py pins it. On that build it fails for a 2- or 3-wide
+output layer. It also fails for a 1-row input, which numpy multiplies as a
+matrix-vector product: ``forward`` on one state may differ from
+``q_matrix`` in the last bit, and so may a 1-row mini-batch from a
+per-sample pass. Every configured mini-batch has 25 rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +59,10 @@ __all__ = [
 N_STATES = 2
 DEFAULT_LAYER_SIZES = (N_STATES, 8, 18, 14)
 DEFAULT_ACTIVATION_CAP = 20.0
+
+# One-hot encodings of the states, row s for state s.
+_STATES_ONE_HOT = np.eye(N_STATES)
+_STATES_ONE_HOT.flags.writeable = False
 
 
 def table_update(q: list[list[float]], state: int, next_state: int,
@@ -59,34 +87,78 @@ def table_update(q: list[list[float]], state: int, next_state: int,
     row[action] = value
 
 
+def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):
+    """(weights, biases) of the flat layout, as views of ``flat``."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        stop = start + fan_in * fan_out
+        weights.append(flat[start:stop].reshape(fan_in, fan_out))
+        biases.append(flat[stop:stop + fan_out])
+        start = stop + fan_out
+    return tuple(weights), tuple(biases)
+
+
 @dataclass(frozen=True)
 class MlpParams:
     """Weights of the feed-forward approximator.
 
     Hidden layers use a saturated ReLU clamped to [0, cap]; the output
-    layer is linear. weights[k] has shape (fan_in, fan_out).
+    layer is linear. weights[k] has shape (fan_in, fan_out). The
+    constructor validates its arrays and copies them into ``flat``;
+    weights and biases are then views of it. The two-state forward pass
+    is computed on first use and cached, so a parameter set must not be
+    modified after that; training returns a new one.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     cap: float = DEFAULT_ACTIVATION_CAP
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    layer_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _two_state: tuple | None = field(init=False, default=None, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
-        for w, b in zip(self.weights, self.biases):
+        if len(self.weights) != len(self.biases):
+            raise ValueError("one bias vector per weight matrix required")
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("parameters must be finite")
             if w.shape[1] != b.shape[0]:
                 raise ValueError("bias length must match layer width")
+            if k and w.shape[0] != self.weights[k - 1].shape[1]:
+                raise ValueError("layer fan-in must match the previous width")
         if self.cap <= 0:
             raise ValueError("activation cap must be positive")
+        sizes = (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+        flat = np.concatenate([np.ravel(a) for layer in zip(self.weights, self.biases)
+                               for a in layer], dtype=float)
+        _bind(self, flat, sizes, self.cap)
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+    def __reduce__(self):
+        return _params_from_flat, (self.flat, self.layer_sizes, self.cap)
 
     @property
     def n_actions(self) -> int:
         return self.weights[-1].shape[1]
+
+    def _two_state_pass(self):
+        """Cached forward pass on eye(2): (activations, masks), read-only.
+
+        activations[k] is the input to layer k for states 0 and 1 (so
+        activations[0] is eye(2) and activations[-1] the Q matrix);
+        masks[k] is 1.0 where hidden layer k's pre-activation lies inside
+        (0, cap), else 0.0.
+        """
+        if self._two_state is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                pre, post = _forward_full(self, _STATES_ONE_HOT)
+                masks = [((z > 0.0) & (z < self.cap)).astype(float)
+                         for z in pre[:-1]]
+            for a in post[1:] + masks:
+                a.flags.writeable = False
+            object.__setattr__(self, "_two_state", (tuple(post), tuple(masks)))
+        return self._two_state
 
     def to_json(self) -> str:
         return json.dumps({
@@ -108,6 +180,22 @@ class MlpParams:
         return MlpParams(weights, biases, cap=float(doc["cap"]))
 
 
+def _bind(params: MlpParams, flat: np.ndarray, layer_sizes, cap: float):
+    weights, biases = _layer_views(flat, layer_sizes)
+    for name, value in (("weights", weights), ("biases", biases), ("cap", cap),
+                        ("flat", flat), ("layer_sizes", tuple(layer_sizes)),
+                        ("_two_state", None)):
+        object.__setattr__(params, name, value)
+
+
+def _params_from_flat(flat: np.ndarray, layer_sizes, cap: float) -> MlpParams:
+    """A parameter set over ``flat`` without the constructor's checks; the
+    caller guarantees a finite vector of the layout's length."""
+    params = object.__new__(MlpParams)
+    _bind(params, flat, layer_sizes, cap)
+    return params
+
+
 def init_mlp(rng: np.random.Generator,
              layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES,
              cap: float = DEFAULT_ACTIVATION_CAP) -> MlpParams:
@@ -117,10 +205,6 @@ def init_mlp(rng: np.random.Generator,
         weights.append(rng.uniform(0.0, 1.0, size=(fan_in, fan_out)))
         biases.append(rng.uniform(0.0, 1.0, size=fan_out))
     return MlpParams(tuple(weights), tuple(biases), cap=cap)
-
-
-def _one_hot(states) -> np.ndarray:
-    return np.eye(N_STATES)[np.asarray(states, dtype=int)]
 
 
 def _forward_full(params: MlpParams, x: np.ndarray):
@@ -146,27 +230,31 @@ def forward(params: MlpParams, state_onehot) -> np.ndarray:
 
 
 def q_matrix(params: MlpParams) -> np.ndarray:
-    """(n_states, n_actions) matrix of current Q estimates."""
-    _, post = _forward_full(params, np.eye(N_STATES))
-    return post[-1]
+    """(n_states, n_actions) matrix of current Q estimates, read-only."""
+    return params._two_state_pass()[0][-1]
 
 
 @dataclass(frozen=True)
 class TargetArray:
     """Frozen Q-values used to form training targets.
 
-    Only refreshed on multiples of the refresh period, never trained.
+    Only refreshed on multiples of the refresh period, never trained;
+    values is not modified after construction, which caches its per-state
+    maximum.
     """
 
     values: np.ndarray
     refresh_period: int = 50
+    _best: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.refresh_period < 1:
             raise ValueError("refresh period must be >= 1")
+        object.__setattr__(self, "_best", np.max(self.values, axis=1))
 
     def max_next(self, next_states) -> np.ndarray:
-        return self.values[np.asarray(next_states, dtype=int)].max(axis=1)
+        """max over actions of the target values of each next state."""
+        return self._best.take(np.asarray(next_states, dtype=int))
 
     @staticmethod
     def from_params(params: MlpParams, refresh_period: int) -> "TargetArray":
@@ -197,7 +285,9 @@ def train_minibatch(params: MlpParams,
     actions and rewards. Per sample the target is
     r + gamma * max_a target[s', a]; the loss is the batch mean of
     0.5 * (target - Q(s, a))^2. Returns the updated parameters and that
-    loss. Deterministic in its inputs.
+    loss. Deterministic in its inputs. Raises FloatingPointError when the
+    gradient or the updated parameters are not finite: training has
+    diverged.
     """
     states = np.asarray(states, dtype=int)
     next_states = np.asarray(next_states, dtype=int)
@@ -213,36 +303,33 @@ def train_minibatch(params: MlpParams,
     if alpha <= 0:
         raise ValueError("learning rate must be positive")
 
-    x = _one_hot(states)
-    y = rewards + gamma * target.max_next(next_states)
+    activations, masks = params._two_state_pass()
+    rows = np.arange(b)
+    grad = np.empty_like(params.flat)
+    grad_w, grad_b = _layer_views(grad, params.layer_sizes)
+    # diverging runs overflow here; the finiteness check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = rewards + gamma * target.max_next(next_states)
+        err = activations[-1][states, actions] - y
+        loss = float(0.5 * (np.add.reduce(err ** 2) / b))   # np.mean, inlined
 
-    pre, post = _forward_full(params, x)
-    out = post[-1]
-    err = out[np.arange(b), actions] - y
-    loss = float(0.5 * np.mean(err ** 2))
+        delta = np.zeros((b, params.n_actions))
+        delta[rows, actions] = err / b
+        for k in range(len(params.weights) - 1, -1, -1):
+            np.matmul(activations[k].take(states, axis=0).T, delta,
+                      out=grad_w[k])
+            np.add.reduce(delta, axis=0, out=grad_b[k])
+            if k > 0:
+                delta = delta @ params.weights[k].T
+                # saturated ReLU: zero subgradient outside (0, cap)
+                delta = delta * masks[k - 1].take(states, axis=0)
+        flat = params.flat - alpha * grad
 
-    d_out = np.zeros_like(out)
-    d_out[np.arange(b), actions] = err / b
-
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.biases)
-    delta = d_out
-    for k in range(len(params.weights) - 1, -1, -1):
-        grad_w[k] = post[k].T @ delta
-        grad_b[k] = delta.sum(axis=0)
-        if k > 0:
-            delta = delta @ params.weights[k].T
-            # saturated ReLU: zero subgradient outside (0, cap)
-            z = pre[k - 1]
-            delta = delta * ((z > 0.0) & (z < params.cap))
-
-    new_w, new_b = [], []
-    for w, bb, gw, gb in zip(params.weights, params.biases, grad_w, grad_b):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise FloatingPointError(
-                f"non-finite gradient (loss={loss!r}, "
-                f"max|err|={np.max(np.abs(err))!r}); "
-                "training has diverged")
-        new_w.append(w - alpha * gw)
-        new_b.append(bb - alpha * gb)
-    return replace(params, weights=tuple(new_w), biases=tuple(new_b)), loss
+    if not np.isfinite(flat).all():
+        what = ("gradient" if not np.isfinite(grad).all()
+                else "parameter update")
+        raise FloatingPointError(
+            f"non-finite {what} (loss={loss!r}, "
+            f"max|err|={np.max(np.abs(err))!r}); "
+            "training has diverged")
+    return _params_from_flat(flat, params.layer_sizes, params.cap), loss

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crpower
 from crpower import cli, harness
+from crpower.agent import TUNED_DQL_HYPERPARAMS
 
 CONFIG = {
     "learner": "table",
@@ -127,3 +133,32 @@ def test_confidence_bounds_are_plain_floats(config_path, tmp_path):
     for row in rows:
         for cell in row.split(","):
             float(cell)
+
+
+# Run 1 of this sweep diverges (FloatingPointError in train_minibatch).
+DIVERGING_DQL = {
+    "learner": "dql",
+    "n_runs": 2,
+    "master_seed": 3,
+    "env": {"n_cr": 2, "reward_mode": "global", "tpc_reference": "signal"},
+    "agent": dict(TUNED_DQL_HYPERPARAMS[30], phase_length=1250, n_phases=2),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_diverged_run_prints_no_numpy_warnings(tmp_path, workers):
+    """simulate run, in a fresh interpreter with the default warning
+    filters, records the diverged run and writes no RuntimeWarning."""
+    config_path = tmp_path / "dql.json"
+    config_path.write_text(json.dumps(DIVERGING_DQL))
+    src = str(Path(crpower.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crpower.cli", "run", "--config", str(config_path),
+         "--out", str(tmp_path / "out"), "--workers", workers],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "over 2 runs, 1 errored" in proc.stdout
+    assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[2].startswith("1,error,")
+    assert "RuntimeWarning" not in proc.stderr

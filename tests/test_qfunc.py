@@ -1,6 +1,11 @@
+import copy
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 
+from crpower.environment import ActionSpace
 from crpower.qfunc import (
     MlpParams,
     TargetArray,
@@ -149,6 +154,60 @@ def test_forward_golden_values():
     np.testing.assert_allclose(q[0], expected_s0, rtol=1e-12)
 
 
+def _reference_forward(params, x):
+    """Forward pass over the rows of x, keeping pre-activations."""
+    pre, post = [], [x]
+    h = x
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = z if k == len(params.weights) - 1 else np.clip(z, 0.0, params.cap)
+        post.append(h)
+    return pre, post
+
+
+@pytest.mark.parametrize("weight_scale", [1.0, 8.0])
+def test_q_matrix_is_the_cached_two_state_pass(weight_scale):
+    params = init_mlp(np.random.default_rng(21))
+    params = MlpParams(tuple(weight_scale * w for w in params.weights),
+                       params.biases, cap=params.cap)
+    _, post = _reference_forward(params, np.eye(2))
+    q = q_matrix(params)
+    assert np.array_equal(q, post[-1])
+    assert q_matrix(params) is q
+    with pytest.raises(ValueError):
+        q[0, 0] = 1.0
+
+
+def test_params_are_views_of_one_flat_vector():
+    params = init_mlp(np.random.default_rng(22))
+    sizes = params.layer_sizes
+    assert params.flat.shape == (sum(a * b + b for a, b in zip(sizes, sizes[1:])),)
+    for w, b in zip(params.weights, params.biases):
+        assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+    for clone in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        np.testing.assert_array_equal(clone.flat, params.flat)
+        assert not np.shares_memory(clone.flat, params.flat)
+        for w, b in zip(clone.weights, clone.biases):
+            assert np.shares_memory(w, clone.flat) and np.shares_memory(b, clone.flat)
+        np.testing.assert_array_equal(q_matrix(clone), q_matrix(params))
+
+
+def test_params_constructor_validates():
+    params = init_mlp(np.random.default_rng(23))
+    weights, biases = list(params.weights), list(params.biases)
+    bad = weights[1].copy()
+    bad[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        MlpParams(tuple(weights[:1] + [bad] + weights[2:]), params.biases)
+    with pytest.raises(ValueError, match="bias length"):
+        MlpParams(params.weights, tuple(biases[:1] + [biases[1][:-1]] + biases[2:]))
+    with pytest.raises(ValueError, match="fan-in"):
+        MlpParams((weights[0], weights[2]), (biases[0], biases[2]))
+    with pytest.raises(ValueError, match="cap"):
+        MlpParams(params.weights, params.biases, cap=0.0)
+
+
 # ---------------------------------------------------------------- training
 
 def _loss_only(params, batch, target, gamma):
@@ -268,6 +327,92 @@ def test_divergence_raises_numeric_error():
         with np.errstate(all="ignore"):
             for _ in range(2000):
                 params, _ = train_minibatch(params, *batch, target, 5.0, 0.9)
+
+
+def test_divergence_prints_no_numpy_warnings():
+    rng = np.random.default_rng(13)
+    params = init_mlp(rng)
+    target = TargetArray(np.zeros((2, 14)), 50)
+    batch = _random_batch(rng, reward_scale=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite gradient \(loss=.*training has diverged$"):
+            for _ in range(2000):
+                params, _ = train_minibatch(params, *batch, target, 5.0, 0.9)
+
+
+def test_overflowing_update_raises_numeric_error():
+    """A finite gradient whose update overflows is a divergence too."""
+    params = init_mlp(np.random.default_rng(0))
+    target = TargetArray.from_params(params, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite parameter update"):
+            train_minibatch(params, [0, 1], [1, 0], [3, 7], [1.0, 2.0],
+                            target, 1e308, 0.9)
+
+
+def _reference_step(params, states, next_states, actions, rewards, target,
+                    alpha, gamma):
+    """train_minibatch restated per sample: the batch's one-hot rows through
+    the batched forward pass, the same backward pass, a per-layer update."""
+    b = len(states)
+    rows = np.arange(b)
+    pre, post = _reference_forward(params, np.eye(2)[states])
+    y = rewards + gamma * target.values[next_states].max(axis=1)
+    err = post[-1][rows, actions] - y
+    loss = float(0.5 * np.mean(err ** 2))
+    delta = np.zeros_like(post[-1])
+    delta[rows, actions] = err / b
+    n_layers = len(params.weights)
+    weights, biases = [None] * n_layers, [None] * n_layers
+    for k in range(n_layers - 1, -1, -1):
+        weights[k] = params.weights[k] - alpha * (post[k].T @ delta)
+        biases[k] = params.biases[k] - alpha * delta.sum(axis=0)
+        if k > 0:
+            delta = delta @ params.weights[k].T
+            z = pre[k - 1]
+            delta = delta * ((z > 0.0) & (z < params.cap))
+    return weights, biases, loss
+
+
+def test_train_minibatch_matches_per_sample_reference():
+    """Bit for bit, on the learner's network (one output per action of the
+    default 14-action space, whatever the number of radios), over batches
+    of 25 and of random sizes from 2 to 64 rows. Zero-mean weights, scaled
+    up on every other trial, put hidden units below 0, inside (0, cap) and
+    above cap, differently for the two states."""
+    rng = np.random.default_rng(2205)
+    n_actions = len(ActionSpace.default())
+    sizes = (2, 8, 18, n_actions)
+    unit_regions = set()
+    for trial in range(200):
+        scale = 8.0 if trial % 2 else 1.0
+        params = MlpParams(
+            tuple(scale * rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:])),
+            tuple(rng.normal(size=b) for b in sizes[1:]))
+        pre, _ = _reference_forward(params, np.eye(2))
+        for z in pre[:-1]:
+            unit_regions.update(np.sign(z - params.cap).ravel() + np.sign(z).ravel())
+            unit_regions.add(bool(np.any((z[0] > 0) != (z[1] > 0))))
+        target = TargetArray(rng.uniform(0, 5, size=(2, n_actions)), 50)
+        b = 25 if trial % 4 < 2 else int(rng.integers(2, 65))
+        batch = (rng.integers(2, size=b), rng.integers(2, size=b),
+                 rng.integers(n_actions, size=b), rng.uniform(0, 12, size=b))
+        alpha = float(rng.choice([1e-4, 0.05, 1.0]))
+        new_params, loss = train_minibatch(params, *batch, target, alpha, 0.9)
+        weights, biases, ref_loss = _reference_step(params, *batch, target,
+                                                    alpha, 0.9)
+        assert loss == ref_loss
+        for got, want in zip(new_params.weights + new_params.biases,
+                             tuple(weights) + tuple(biases)):
+            assert np.array_equal(got, want)
+        _, post = _reference_forward(new_params, np.eye(2))
+        assert np.array_equal(q_matrix(new_params), post[-1])
+    # units below 0 (-2), inside (0, cap) (0) and above cap (2) all occurred,
+    # and some unit was active for one state only (True)
+    assert {-2.0, 0.0, 2.0, True} <= unit_regions
 
 
 def test_no_replay_memory_in_training_path():
