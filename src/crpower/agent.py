@@ -9,18 +9,25 @@ among the Q-value traces) and either keeps its policy, with the inertia
 probability, or draws a fresh one uniformly from the candidate set. The
 learning rate is divided by a constant once per phase.
 
-All agents in a run are stepped in fixed index order against a single
-shared outcome per step, looked up by flat joint index in the scenario's
-outcome tensor, so the only coupling between them is the wireless
-environment itself.
+All agents in a run share a single outcome per step, looked up by flat
+joint index in the scenario's outcome tensor, so the only coupling
+between them is the wireless environment itself.
 
-One step works on plain Python scalars: each agent reads its frozen
-policy as a list and draws with ``rng.random()`` (the same double, at the
-same stream position, as ``rng.uniform()``). The table learner updates
-its two lists of floats in place; the network learner appends the step
-to four mini-batch columns and trains once per full mini-batch. Each
-trained parameter set caches its read-only Q matrix, so the one forward
-pass after an update serves the window push, the update record, the
+A phase runs in three stages. Because the policies are frozen for the
+whole phase and an agent's random draws never depend on its Q-values,
+each agent first takes the phase's exploration draws in one block from
+its own generator (``phase_draws``, which reproduces the draws of one
+``choose_action`` call per step bit for bit). The phase's joint
+trajectory is then walked once through the outcome tensor, which gives
+every agent four columns: states, next states, actions and rewards.
+Finally each agent learns from its columns. The table learner runs one
+in-place temporal-difference pass over them and keeps Q snapshots only
+for the updates whose window slots survive the phase; the network
+learner trains on consecutive mini-batch slices of them, carrying a
+partial mini-batch into the next phase. Updates interleave across agents
+in step order, as stepping the agents together would. Each trained
+parameter set caches its read-only Q matrix, so the one forward pass
+after an update serves the window push, the update record, the
 phase-boundary policy update, the target refresh and the next training
 step.
 """
@@ -28,6 +35,9 @@ step.
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -51,6 +61,7 @@ __all__ = [
     "TableAgent",
     "choose_action",
     "make_agents",
+    "phase_draws",
     "run_exploration_phase",
     "run_learning",
     "run_with_restarts",
@@ -108,13 +119,127 @@ def choose_action(state: int, policy: Sequence[int], rho: float,
     """Policy action with probability 1-rho, else uniform over all actions.
 
     policy holds one action per state. The policy action therefore has
-    total probability 1 - rho + rho/|A|.
+    total probability 1 - rho + rho/|A|. This is the one-step reference
+    for phase_draws, which takes a whole phase of these draws at once.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     if rng.random() < 1.0 - rho:
         return int(policy[state])
     return int(rng.integers(n_actions))
+
+
+_WORD_MASK = 0xFFFFFFFF
+
+
+class _BlockExhausted(Exception):
+    """The block of raw outputs ran out before the phase's draws did."""
+
+
+def _bounded_word_draw(next_word, n_actions: int) -> int:
+    """numpy's bounded integer draw in [0, n_actions) from 32-bit words.
+
+    Lemire's multiply-shift method with numpy's rejection rule: a word
+    whose low product half falls below (2^32 - n) mod n is rejected and
+    the next word is taken. next_word() returns the next 32-bit word.
+    """
+    m = next_word() * n_actions
+    if m & _WORD_MASK < n_actions:
+        threshold = (_WORD_MASK + 1 - n_actions) % n_actions
+        while m & _WORD_MASK < threshold:
+            m = next_word() * n_actions
+    return m >> 32
+
+
+def _draws_from_block(raws: np.ndarray, length: int, rho: float,
+                      n_actions: int, buffer: tuple[int, int]):
+    """The draws of ``length`` choose_action calls from a block of PCG64 raw
+    outputs. buffer is the generator's (has_uint32, uinteger) pair.
+
+    Returns (draws, raw outputs consumed, buffer after). Raises
+    _BlockExhausted when the block is too short.
+    """
+    draws = np.full(length, -1, dtype=np.int64)
+    # a step's uniform is (raw >> 11) * 2**-53; the step explores unless it
+    # lies below 1 - rho
+    explores = np.flatnonzero(
+        (raws >> 11) * 2.0 ** -53 >= 1.0 - rho).tolist()
+    n_raw = len(raws)
+    pos = step = 0          # next raw output to read; steps drawn so far
+    has_word, word = buffer
+
+    def next_word():
+        # PCG64 serves the low half of a raw output and buffers the high
+        # half; taking the buffered word leaves its value in place
+        nonlocal pos, has_word, word
+        if has_word:
+            has_word = 0
+            return word
+        if pos == n_raw:
+            raise _BlockExhausted
+        raw = int(raws[pos])
+        pos += 1
+        has_word, word = 1, raw >> 32
+        return raw & _WORD_MASK
+
+    for j in explores:
+        if j < pos:
+            continue        # read as 32-bit words, not as a uniform
+        at = step + j - pos
+        if at >= length:
+            break
+        pos = j + 1
+        # integers(1) draws nothing
+        draws[at] = _bounded_word_draw(next_word, n_actions) if n_actions > 1 else 0
+        step = at + 1
+    consumed = pos + length - step
+    if consumed > n_raw:
+        raise _BlockExhausted
+    return draws, consumed, (has_word, word)
+
+
+def phase_draws(rng: np.random.Generator, length: int, rho: float,
+                n_actions: int) -> np.ndarray:
+    """The exploration draws of ``length`` choose_action calls, in one block.
+
+    Returns one entry per step: the action drawn uniformly where the step
+    explores, -1 where it follows the policy. The draws, and the state
+    the generator is left in, are bit for bit those of the scalar calls:
+    the block reads PCG64 raw outputs, turns each into the uniform
+    ``rng.random()`` would give, and feeds exploring steps numpy's
+    bounded draw from 32-bit words, which PCG64 serves as the low, then
+    the high half of a raw output (``has_uint32``/``uinteger`` buffer
+    the high half between calls). Raises TypeError for another bit
+    generator.
+    """
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    if not 1 <= n_actions <= _WORD_MASK:
+        raise ValueError("n_actions must lie in [1, 2**32 - 1]")
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError("block draws reproduce the PCG64 stream only, got "
+                        f"{type(bitgen).__name__}")
+    saved = bitgen.state
+    buffer = (saved["has_uint32"], saved["uinteger"])
+    # one uniform per step plus a word per exploring step, two words to a
+    # raw output; a block found too short (many explorations, or rejected
+    # words) is drawn again at twice the size
+    n_raw = length + int(rho * length) + 1
+    while True:
+        try:
+            draws, consumed, buffer = _draws_from_block(
+                bitgen.random_raw(n_raw), length, rho, n_actions, buffer)
+            break
+        except _BlockExhausted:
+            bitgen.state = saved
+            n_raw *= 2
+    bitgen.state = saved
+    bitgen.advance(consumed)    # clears the 32-bit buffer
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = buffer
+    bitgen.state = state
+    return draws
 
 
 class QValueWindows:
@@ -135,6 +260,12 @@ class QValueWindows:
     def push(self, q):
         self._pending[self._count % self._window] = q
         self._count += 1
+
+    def skip(self, n: int):
+        """Count n pushes without storing them. At least ``window`` pushes
+        must follow before the next snapshots call, so that none of the
+        skipped slots is read."""
+        self._count += n
 
     @property
     def filled(self) -> int:
@@ -231,23 +362,30 @@ class _AgentBase:
     def q_values(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _learn(self, action: int, next_state: int, r: float):
+    def learn(self, states, next_states, actions, rewards):
+        """Learn from one phase's columns, one entry per step.
+
+        A generator that yields after each update, so that
+        run_exploration_phase can interleave the agents' updates in step
+        order.
+        """
         raise NotImplementedError
 
-    def step(self, action: int, next_state: int, r: float):
-        self._learn(action, next_state, r)
-        self.state = next_state
-        self.step_count += 1
-        self.phase_reward_sum += r
-        self.phase_step_count += 1
+    def _end_columns(self, next_states: list, rewards: list):
+        """Move the state, step counts and reward total past a phase."""
+        self.state = next_states[-1]
+        self.step_count += len(rewards)
+        self.phase_step_count += len(rewards)
+        # left to right, as one addition per step; sum() compensates
+        # float sums from Python 3.12 on
+        self.phase_reward_sum = functools.reduce(operator.add, rewards,
+                                                 self.phase_reward_sum)
 
-    def _record_update(self, action: int):
+    def _record_update(self, step: int, action: int, q):
         if self.update_records is not None:
-            q = self.q_values()
             delta = self.hp.tolerance_multiplier * self.windows.largest_std()
             self.update_records.append(UpdateRecord(
-                step=self.step_count + 1, action=action,
-                q_s0=q[0].copy(), delta=delta))
+                step=step, action=action, q_s0=np.array(q[0]), delta=delta))
 
     def update_policy(self, rng: np.random.Generator) -> PhaseRecord:
         """Best reply with inertia at a phase boundary."""
@@ -294,31 +432,38 @@ class DqlAgent(_AgentBase):
         self.params = init_mlp(rng, (N_STATES, 8, 18, n_actions),
                                cap=hp.activation_cap)
         self.target = TargetArray.from_params(self.params, hp.c)
-        # pending mini-batch columns: states, next states, actions, rewards
-        self.batch: tuple[list, list, list, list] = ([], [], [], [])
+        # partial mini-batch carried to the next phase: states, next states,
+        # actions, rewards
+        self.batch: tuple[np.ndarray, ...] = (
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64), np.empty(0))
         self.updates = 0
         self.last_loss = 0.0
 
     def q_values(self) -> np.ndarray:
         return q_matrix(self.params)
 
-    def _learn(self, action: int, next_state: int, r: float):
-        states, next_states, actions, rewards = self.batch
-        states.append(self.state)
-        next_states.append(next_state)
-        actions.append(action)
-        rewards.append(r)
-        if len(rewards) < self.hp.minibatch:
-            return
-        self.params, self.last_loss = train_minibatch(
-            self.params, *self.batch, self.target, self.alpha, self.hp.gamma)
-        self.updates += 1
-        if self.updates % self.hp.c == 0:
-            self.target = refresh_target(self.target, self.params,
-                                         step=self.updates)
-        self.windows.push(q_matrix(self.params))
-        self._record_update(action)
-        self.batch = ([], [], [], [])
+    def learn(self, states, next_states, actions, rewards):
+        columns = [np.concatenate(pair) for pair in zip(
+            self.batch, (states, next_states, actions, rewards))]
+        size = self.hp.minibatch
+        # the step number of a column entry: the carried entries come first
+        first_step = self.step_count + 1 - len(self.batch[0])
+        n_full = len(columns[0]) // size
+        for end in range(size, n_full * size + 1, size):
+            self.params, self.last_loss = train_minibatch(
+                self.params, *(c[end - size:end] for c in columns),
+                self.target, self.alpha, self.hp.gamma)
+            self.updates += 1
+            if self.updates % self.hp.c == 0:
+                self.target = refresh_target(self.target, self.params,
+                                             step=self.updates)
+            q = q_matrix(self.params)
+            self.windows.push(q)
+            self._record_update(first_step + end - 1, int(columns[2][end - 1]), q)
+            yield
+        self.batch = tuple(c[n_full * size:].copy() for c in columns)
+        self._end_columns(next_states.tolist(), rewards.tolist())
 
 
 class TableAgent(_AgentBase):
@@ -331,11 +476,30 @@ class TableAgent(_AgentBase):
     def q_values(self) -> np.ndarray:
         return np.array(self.table)
 
-    def _learn(self, action: int, next_state: int, r: float):
-        table_update(self.table, self.state, next_state, action, r,
-                     self.alpha, self.hp.gamma)
-        self.windows.push([row[:] for row in self.table])
-        self._record_update(action)
+    def learn(self, states, next_states, actions, rewards):
+        states, next_states, actions, rewards = (
+            c.tolist() for c in (states, next_states, actions, rewards))
+        overwritten = table_update(self.table, states, next_states, actions,
+                                   rewards, self.alpha, self.hp.gamma)
+        n = len(rewards)
+        # Only the last std_window snapshots can still be in the window
+        # ring at the phase boundary; the others are counted, not built,
+        # unless every update is recorded.
+        kept = n if self.update_records is not None else min(n, self.hp.std_window)
+        # the table after each kept update, rebuilt newest first by undoing
+        # the later updates
+        snapshots = [[row[:] for row in self.table]]
+        for t in range(n - 1, n - kept, -1):
+            table = snapshots[-1][:]
+            row = table[states[t]] = table[states[t]][:]
+            row[actions[t]] = overwritten[t]
+            snapshots.append(table)
+        self.windows.skip(n - kept)
+        for t, table in zip(range(n - kept, n), reversed(snapshots)):
+            self.windows.push(table)
+            self._record_update(self.step_count + t + 1, actions[t], table)
+        self._end_columns(next_states, rewards)
+        yield
 
 
 def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
@@ -346,6 +510,42 @@ def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
     return [cls(hp, n_actions, rngs[i], record_updates) for i in range(n_agents)]
 
 
+def _walk_phase(agents, draws, states: np.ndarray, rewards: np.ndarray,
+                n_actions: int):
+    """The phase's joint trajectory under the frozen policies.
+
+    draws[i] is agent i's phase_draws result. Returns the flat joint index
+    of every step and, per agent, its four columns: states, next states,
+    actions and rewards. The walk follows the joint state (agent i's state
+    in bit n-1-i): for each step and each joint state, the joint action
+    and the next joint state are found at once, which leaves one lookup
+    per step in order.
+    """
+    n, length = len(agents), len(draws[0])
+    shifts = np.arange(n - 1, -1, -1)
+    bits = (np.arange(2 ** n)[:, None] >> shifts) & 1          # (2^n, n)
+    # actions[i][t, s]: agent i's action at step t when in state s
+    actions = [np.where(d[:, None] >= 0, d[:, None], ag.policy[None, :])
+               for d, ag in zip(draws, agents)]
+    joint_index = np.zeros((length, 2 ** n), dtype=np.int64)
+    for i, act in enumerate(actions):
+        joint_index = joint_index * n_actions + act[:, bits[:, i]]
+    next_joint = (states << shifts).sum(axis=1)[joint_index]
+    joint = sum(ag.state << int(shift) for ag, shift in zip(agents, shifts))
+    path = []
+    for row in next_joint.tolist():
+        path.append(joint)
+        joint = row[joint]
+    path = np.array(path)
+    steps = np.arange(length)
+    k = joint_index[steps, path]
+    columns = []
+    for i, act in enumerate(actions):
+        own = (path >> shifts[i]) & 1
+        columns.append((own, states[k, i], act[steps, own], rewards[k, i]))
+    return k, columns
+
+
 def run_exploration_phase(agents, scenario: Scenario, rngs,
                           step_hook=None) -> list[PhaseRecord]:
     """One phase for all agents: frozen policies, one joint action per
@@ -353,26 +553,26 @@ def run_exploration_phase(agents, scenario: Scenario, rngs,
 
     Each step's states and rewards are the row of the scenario's outcome
     tensor at the joint action's flat index; step_hook, if given, is
-    called with the joint action and that index.
+    called with each step's joint action and that index, in step order,
+    before the agents learn from the phase.
     """
     outcomes = scenario.outcomes
-    states = outcomes.states.tolist()
-    rewards = outcomes.rewards(scenario.config.reward_mode).tolist()
     n_actions = len(scenario.actions)
-    length = agents[0].hp.phase_length
-    policies = [ag.policy.tolist() for ag in agents]
-    joint = [0] * len(agents)
-    for _ in range(length):
-        k = 0
-        for i, ag in enumerate(agents):
-            joint[i] = a = choose_action(ag.state, policies[i], ag.hp.rho,
-                                         rngs[i], n_actions)
-            k = k * n_actions + a
-        step_states, step_rewards = states[k], rewards[k]
-        for i, ag in enumerate(agents):
-            ag.step(joint[i], step_states[i], step_rewards[i])
-        if step_hook is not None:
-            step_hook(tuple(joint), k)
+    draws = [phase_draws(rngs[i], ag.hp.phase_length, ag.hp.rho, n_actions)
+             for i, ag in enumerate(agents)]
+    joint_index, columns = _walk_phase(
+        agents, draws, outcomes.states,
+        outcomes.rewards(scenario.config.reward_mode), n_actions)
+    if step_hook is not None:
+        joints = zip(*(c[2].tolist() for c in columns))
+        for joint, k in zip(joints, joint_index.tolist()):
+            step_hook(joint, k)
+    # The agents' learn generators advance in turn, so network updates run
+    # in step order across agents, as stepping the agents together would,
+    # and a diverging run raises from the same agent and step. A table
+    # agent takes its whole phase in one update.
+    for _ in itertools.zip_longest(*(ag.learn(*c) for ag, c in zip(agents, columns))):
+        pass
     return [ag.update_policy(rngs[i]) for i, ag in enumerate(agents)]
 
 
@@ -435,6 +635,8 @@ def run_with_restarts(scenario: Scenario,
     """
     if hp.n_phases < probe_phases:
         raise ValueError("probe phases exceed the configured phase count")
+    if min(n_restarts, probe_phases) < 1:
+        raise ValueError("restarts need at least one probe of one phase")
     rngs = _spawn_rngs(seed_seq, scenario.n_cr)
 
     probes = []

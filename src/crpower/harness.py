@@ -74,6 +74,13 @@ class ExperimentConfig:
             object.__setattr__(self, "agent", (self.agent,))
         else:
             object.__setattr__(self, "agent", tuple(self.agent))
+        if self.restarts:
+            if self.n_restarts < 1:
+                raise ConfigurationError("n_restarts must be >= 1")
+            if self.probe_phases < 1:
+                raise ConfigurationError("probe_phases must be >= 1")
+            if any(self.probe_phases > hp.n_phases for hp in self.agent):
+                raise ConfigurationError("probe_phases exceeds a point's n_phases")
 
     def amc_table(self) -> AmcTable:
         kwargs = dict(xi=self.amc_xi, snr_gap=self.amc_snr_gap,

@@ -6,6 +6,7 @@ import pytest
 from conftest import TINY, make_scenario
 
 from crpower.agent import (
+    _bounded_word_draw,
     AgentHyperparams,
     DqlAgent,
     PhaseRecord,
@@ -15,12 +16,18 @@ from crpower.agent import (
     candidate_sets,
     choose_action,
     make_agents,
+    phase_draws,
     run_exploration_phase,
     run_learning,
     run_with_restarts,
 )
 from crpower.environment import EnvConfig
-from crpower.harness import ExperimentConfig, scenario_for_run
+from crpower.harness import (
+    ExperimentConfig,
+    child_seed,
+    learn_for_run,
+    scenario_for_run,
+)
 from crpower.qfunc import TargetArray, init_mlp, q_matrix, train_minibatch
 
 
@@ -80,6 +87,80 @@ def test_choose_action_policy_probability():
 def test_choose_action_validates_rho():
     with pytest.raises(ValueError):
         choose_action(0, np.array([0, 0]), 1.5, np.random.default_rng(0), 14)
+
+
+# ------------------------------------------------------------ block draws
+
+def _with_buffered_word(seed, word):
+    """A generator whose 32-bit buffer holds word (None: empty buffer)."""
+    rng = np.random.default_rng(seed)
+    if word is not None:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, word
+        rng.bit_generator.state = state
+    return rng
+
+
+def _scalar_draws(rng, length, rho, n_actions):
+    """choose_action once per step; a policy action outside the action
+    range marks the steps that follow the policy, as -1."""
+    policy = [n_actions, n_actions]
+    return [a if a < n_actions else -1
+            for a in (choose_action(0, policy, rho, rng, n_actions)
+                      for _ in range(length))]
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.95])
+def test_phase_draws_match_scalar_choose_action(rho):
+    buffers_out = set()
+    # at rho 0.1 over 7 steps, seeds 98, 250 and 346 need more raw outputs
+    # than the first block holds
+    for seed in [*range(30), 98, 250, 346]:
+        for length, n_actions in ((1, 14), (7, 14), (300, 14), (40, 1), (60, 3)):
+            # odd seeds start with a 32-bit word in the buffer
+            word = seed * 2654435761 % 2 ** 32 if seed % 2 else None
+            block = _with_buffered_word([seed, length], word)
+            scalar = _with_buffered_word([seed, length], word)
+            draws = phase_draws(block, length, rho, n_actions)
+            assert draws.dtype == np.int64
+            assert draws.tolist() == _scalar_draws(scalar, length, rho, n_actions)
+            assert block.bit_generator.state == scalar.bit_generator.state
+            buffers_out.add(block.bit_generator.state["has_uint32"])
+    assert buffers_out == {0, 1}
+
+
+def test_phase_draws_validates():
+    with pytest.raises(ValueError):
+        phase_draws(np.random.default_rng(0), 10, 1.5, 14)
+    with pytest.raises(TypeError):
+        phase_draws(np.random.Generator(np.random.MT19937(0)), 10, 0.1, 14)
+
+
+def test_bounded_word_draw_rejection_branch():
+    # at 14 actions numpy rejects the 4 words w with (14 w mod 2^32) < 4
+    inverse7 = pow(7, -1, 2 ** 31)
+    rejected = [0, 2 ** 31, inverse7, inverse7 + 2 ** 31]
+    assert all(w * 14 % 2 ** 32 < (2 ** 32 - 14) % 14 == 4 for w in rejected)
+    # low product halves 4 (checked against the threshold), 14 and 2**32 - 14
+    accepted = [2 * inverse7 % 2 ** 31, 1, 2 ** 32 - 1]
+    for seed, word in enumerate(rejected + accepted):
+        numpy_draw = _with_buffered_word(seed, word).integers(14)
+        raw = int(np.random.default_rng(seed).bit_generator.random_raw(1)[0])
+        words = iter([word, raw & 0xFFFFFFFF, raw >> 32])
+        assert _bounded_word_draw(words.__next__, 14) == numpy_draw
+        # the next word was read exactly when the first was rejected
+        assert (next(words) == raw >> 32) == (word in rejected)
+
+    # the block draw takes the same branch from a buffered word
+    explored = 0
+    for seed in range(20):
+        block = _with_buffered_word(seed, rejected[seed % 4])
+        scalar = _with_buffered_word(seed, rejected[seed % 4])
+        draws = phase_draws(block, 5, 0.95, 14)
+        assert draws.tolist() == _scalar_draws(scalar, 5, 0.95, 14)
+        assert block.bit_generator.state == scalar.bit_generator.state
+        explored += draws[0] >= 0
+    assert explored > 10
 
 
 # ------------------------------------------------------------ candidates
@@ -278,6 +359,11 @@ def test_restart_rejects_short_runs(two_cr_scenario):
     with pytest.raises(ValueError):
         run_with_restarts(two_cr_scenario, hp, np.random.SeedSequence(11),
                           "table", n_restarts=2, probe_phases=10)
+    for n_restarts, probe_phases in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            run_with_restarts(two_cr_scenario, hp, np.random.SeedSequence(11),
+                              "table", n_restarts=n_restarts,
+                              probe_phases=probe_phases)
 
 
 def test_make_agents_rejects_unknown_kind():
@@ -412,20 +498,61 @@ def reference_run(scenario, hp, seed_seq, learner, n_restarts=None,
     return agents, records
 
 
-@pytest.mark.parametrize("learner", ["table", "dql"])
-@pytest.mark.parametrize("restarts", [False, True])
-def test_library_matches_reference_loop(learner, restarts):
+# case -> (small_hp overrides, record_updates): every update recorded; the
+# table's fast window path; a phase that is no multiple of the mini-batch,
+# so a partial batch carries over and the DQL window ring spans phases
+REFERENCE_CASES = {
+    "recorded": (dict(phase_length=100), True),
+    "unrecorded": (dict(phase_length=100), False),
+    "carried": (dict(phase_length=110, minibatch=25), False),
+}
+
+
+@pytest.mark.parametrize("learner, restarts, case", [
+    *(pytest.param(learner, restarts, case, id="-".join(
+        [str(restarts), learner] + ([case] if case != "recorded" else [])))
+      for case in REFERENCE_CASES for restarts in (False, True)
+      for learner in ("table", "dql")),
+    pytest.param("dql", False, "diverging", id="False-dql-diverging"),
+])
+def test_library_matches_reference_loop(learner, restarts, case):
+    if case == "diverging":
+        # With the tuned 30-phase settings, run 1 of master seed 3 diverges
+        # at N=2 (tests/test_cli.py DIVERGING_DQL); in run 3 of master seed
+        # 2 at N=3 two agents diverge at the same update, so the error
+        # also depends on the order in which the agents learn.
+        for n_cr, master_seed, run in ((2, 3, 1), (3, 2, 3)):
+            config = ExperimentConfig(
+                env=EnvConfig(n_cr=n_cr, reward_mode="global",
+                              tpc_reference="signal"),
+                agent=AgentHyperparams(phase_length=1250, n_phases=2,
+                                       **TUNED_DQL_HYPERPARAMS[30]),
+                learner="dql", master_seed=master_seed)
+            scenario = scenario_for_run(config, 0, run)
+            with pytest.raises(FloatingPointError) as library:
+                learn_for_run(config, 0, run, scenario)
+            # the reference's per-update std of the exploding Q-values
+            # overflows before its training step raises
+            with pytest.raises(FloatingPointError) as reference, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                reference_run(scenario, config.agent[0],
+                              child_seed(master_seed, 0, run).spawn(2)[1], "dql")
+            assert str(library.value) == str(reference.value)
+        return
+
     config = ExperimentConfig(
         env=EnvConfig(n_cr=2, reward_mode="global", tpc_reference="signal"))
     scenario = scenario_for_run(config, 0, 3)
-    hp = small_hp(phase_length=100, n_phases=3, c=2, std_window=30)
+    overrides, record_updates = REFERENCE_CASES[case]
+    hp = small_hp(n_phases=3, c=2, std_window=30, **overrides)
     kwargs = dict(n_restarts=3, probe_phases=2) if restarts else {}
     seed = np.random.SeedSequence(12)
     if restarts:
         trace = run_with_restarts(scenario, hp, seed, learner,
-                                  record_updates=True, **kwargs)
+                                  record_updates=record_updates, **kwargs)
     else:
-        trace = run_learning(scenario, hp, seed, learner, record_updates=True)
+        trace = run_learning(scenario, hp, seed, learner,
+                             record_updates=record_updates)
     ref_agents, ref_records = reference_run(
         scenario, hp, np.random.SeedSequence(12), learner, **kwargs)
 
@@ -446,6 +573,9 @@ def test_library_matches_reference_loop(learner, restarts):
         filled = min(ref.pushes, hp.std_window)
         assert ag.windows.filled == filled
         np.testing.assert_array_equal(ag.windows.snapshots(), ref.ring[:filled])
+        if not record_updates:
+            assert ag.update_records is None
+            continue
         assert len(ag.update_records) == len(ref.update_records) > 0
         for rec, ref_rec in zip(ag.update_records, ref.update_records):
             assert (rec.step, rec.action, rec.delta) == (

@@ -104,6 +104,12 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert simulate(bad, tmp_path / "out") == 2
     assert "unknown learner" in capsys.readouterr().err
     assert simulate(tmp_path / "missing.json", tmp_path / "out") == 2
+    for restarts, message in ((dict(n_restarts=0), "n_restarts"),
+                              (dict(probe_phases=0), "probe_phases"),
+                              (dict(probe_phases=3), "exceeds")):
+        bad.write_text(json.dumps(dict(RESTARTS, **restarts)))
+        assert simulate(bad, tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
 
 
 def test_traces_match_the_run_trace(tmp_path):

@@ -32,10 +32,11 @@ def zeros_table(n_actions=14):
 def test_table_update_hand_value():
     q = zeros_table()
     rows = q[:]
-    table_update(q, state=0, next_state=0, action=3, reward=1.0,
-                 alpha=0.5, gamma=0.9)
+    overwritten = table_update(q, states=[0], next_states=[0], actions=[3],
+                               rewards=[1.0], alpha=0.5, gamma=0.9)
     assert q[0][3] == 0.5
     assert np.count_nonzero(q) == 1
+    assert overwritten == [0.0]
     # updated in place: same table and row objects, no copy made
     assert q[0] is rows[0] and q[1] is rows[1]
 
@@ -44,7 +45,7 @@ def test_table_update_zero_alpha_is_identity():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(2, 14))
     q = values.tolist()
-    table_update(q, 1, 0, 5, 2.0, alpha=0.0, gamma=0.9)
+    table_update(q, [1, 0], [0, 1], [5, 2], [2.0, 3.0], alpha=0.0, gamma=0.9)
     np.testing.assert_array_equal(q, values)
 
 
@@ -54,7 +55,7 @@ def test_table_update_bellman_fixed_point():
     gamma = 0.9
     r = values[0, 2] - gamma * values[1].max()
     q = values.tolist()
-    table_update(q, 0, 1, 2, max(r, 0.0), alpha=0.7, gamma=gamma)
+    table_update(q, [0], [1], [2], [max(r, 0.0)], alpha=0.7, gamma=gamma)
     if r >= 0:
         assert q[0][2] == pytest.approx(values[0, 2], rel=1e-12)
 
@@ -68,26 +69,47 @@ def test_table_update_against_scalar_oracle():
         alpha = float(rng.uniform(0.01, 1.0))
         gamma = float(rng.uniform(0.1, 1.0))
         expected = scalar_td_update(q[s][a], max(q[ns]), reward, alpha, gamma)
-        table_update(q, s, ns, a, reward, alpha, gamma)
+        table_update(q, [s], [ns], [a], [reward], alpha, gamma)
         assert abs(q[s][a] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    # one call over a column applies the same updates in order, and returns
+    # each overwritten value
+    columns = ([int(v) for v in rng.integers(2, size=500)],
+               [int(v) for v in rng.integers(2, size=500)],
+               [int(v) for v in rng.integers(14, size=500)],
+               rng.uniform(0, 12, size=500).tolist())
+    expected, old = [row[:] for row in q], []
+    for s, ns, a, reward in zip(*columns):
+        old.append(expected[s][a])
+        expected[s][a] = scalar_td_update(expected[s][a], max(expected[ns]),
+                                          reward, 0.3, 0.9)
+    assert table_update(q, *columns, 0.3, 0.9) == old
+    assert q == expected
 
 
 def test_table_update_validates_rates():
     q = zeros_table()
     with pytest.raises(ValueError):
-        table_update(q, 0, 0, 0, 0.0, alpha=1.5, gamma=0.9)
+        table_update(q, [0], [0], [0], [0.0], alpha=1.5, gamma=0.9)
     with pytest.raises(ValueError):
-        table_update(q, 0, 0, 0, 0.0, alpha=0.5, gamma=0.0)
+        table_update(q, [0], [0], [0], [0.0], alpha=0.5, gamma=0.0)
+    with pytest.raises(ValueError, match="length"):
+        table_update(q, [0, 1], [0], [0, 1], [0.0, 1.0], alpha=0.5, gamma=0.9)
     # a non-finite result is rejected and leaves the table unchanged
     with pytest.raises(ValueError, match="finite"):
-        table_update(q, 0, 0, 0, float("inf"), alpha=0.5, gamma=0.9)
+        table_update(q, [0], [0], [0], [float("inf")], alpha=0.5, gamma=0.9)
     assert q == zeros_table()
+    # later in a column: the failing update writes nothing, earlier ones stay
+    with pytest.raises(ValueError, match="finite"):
+        table_update(q, [1, 0], [1, 0], [4, 0], [2.0, float("nan")],
+                     alpha=0.5, gamma=0.9)
+    assert q[1][4] == 1.0 and q[0][0] == 0.0
 
 
 def test_transition_rejects_negative_reward():
     q = zeros_table()
     with pytest.raises(ValueError):
-        table_update(q, 0, 0, 0, -1.0, alpha=0.5, gamma=0.9)
+        table_update(q, [0], [0], [0], [-1.0], alpha=0.5, gamma=0.9)
     assert q == zeros_table()
     params = init_mlp(np.random.default_rng(0))
     target = TargetArray.from_params(params, 50)
