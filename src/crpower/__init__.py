@@ -20,15 +20,12 @@ from .channel import ChannelGains, PowerVector, all_sinrs, path_gain
 from .environment import (
     ActionSpace,
     EnvConfig,
-    EnvironmentView,
     Outcomes,
     Scenario,
     build_scenario,
     measure_phase_change_probability,
-    observe,
     outcome_tensor,
     pn_power_control,
-    reward,
 )
 from .harness import ExperimentConfig, RunMetrics, run_experiment, sweep_p_vs_rho
 from .link_adaptation import AmcTable, relative_throughput_change, throughput
@@ -36,7 +33,6 @@ from .oracle import OracleResult, exhaustive_search, score_policy
 from .qfunc import (
     MlpParams,
     TargetArray,
-    forward,
     refresh_target,
     table_update,
     train_minibatch,

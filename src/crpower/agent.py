@@ -15,9 +15,10 @@ between them is the wireless environment itself.
 
 A phase runs in three stages. Because the policies are frozen for the
 whole phase and an agent's random draws never depend on its Q-values,
-each agent first takes the phase's exploration draws in one block from
-its own generator (``phase_draws``, which reproduces the draws of one
-``choose_action`` call per step bit for bit). The phase's joint
+each agent first takes the phase's exploration draws from its own
+generator (``phase_draws``): each step explores with probability rho,
+independently of the other steps and agents, and an exploring step
+takes an action uniformly from the whole action space. The phase's joint
 trajectory is then walked once through the outcome tensor, which gives
 every agent four columns: states, next states, actions and rewards.
 Finally each agent learns from its columns. The table learner runs one
@@ -37,9 +38,9 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 import operator
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,6 @@ __all__ = [
     "AgentHyperparams",
     "DqlAgent",
     "TableAgent",
-    "choose_action",
     "make_agents",
     "phase_draws",
     "run_exploration_phase",
@@ -114,131 +114,23 @@ TUNED_DQL_HYPERPARAMS = {
 }
 
 
-def choose_action(state: int, policy: Sequence[int], rho: float,
-                  rng: np.random.Generator, n_actions: int) -> int:
-    """Policy action with probability 1-rho, else uniform over all actions.
-
-    policy holds one action per state. The policy action therefore has
-    total probability 1 - rho + rho/|A|. This is the one-step reference
-    for phase_draws, which takes a whole phase of these draws at once.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    if rng.random() < 1.0 - rho:
-        return int(policy[state])
-    return int(rng.integers(n_actions))
-
-
-_WORD_MASK = 0xFFFFFFFF
-
-
-class _BlockExhausted(Exception):
-    """The block of raw outputs ran out before the phase's draws did."""
-
-
-def _bounded_word_draw(next_word, n_actions: int) -> int:
-    """numpy's bounded integer draw in [0, n_actions) from 32-bit words.
-
-    Lemire's multiply-shift method with numpy's rejection rule: a word
-    whose low product half falls below (2^32 - n) mod n is rejected and
-    the next word is taken. next_word() returns the next 32-bit word.
-    """
-    m = next_word() * n_actions
-    if m & _WORD_MASK < n_actions:
-        threshold = (_WORD_MASK + 1 - n_actions) % n_actions
-        while m & _WORD_MASK < threshold:
-            m = next_word() * n_actions
-    return m >> 32
-
-
-def _draws_from_block(raws: np.ndarray, length: int, rho: float,
-                      n_actions: int, buffer: tuple[int, int]):
-    """The draws of ``length`` choose_action calls from a block of PCG64 raw
-    outputs. buffer is the generator's (has_uint32, uinteger) pair.
-
-    Returns (draws, raw outputs consumed, buffer after). Raises
-    _BlockExhausted when the block is too short.
-    """
-    draws = np.full(length, -1, dtype=np.int64)
-    # a step's uniform is (raw >> 11) * 2**-53; the step explores unless it
-    # lies below 1 - rho
-    explores = np.flatnonzero(
-        (raws >> 11) * 2.0 ** -53 >= 1.0 - rho).tolist()
-    n_raw = len(raws)
-    pos = step = 0          # next raw output to read; steps drawn so far
-    has_word, word = buffer
-
-    def next_word():
-        # PCG64 serves the low half of a raw output and buffers the high
-        # half; taking the buffered word leaves its value in place
-        nonlocal pos, has_word, word
-        if has_word:
-            has_word = 0
-            return word
-        if pos == n_raw:
-            raise _BlockExhausted
-        raw = int(raws[pos])
-        pos += 1
-        has_word, word = 1, raw >> 32
-        return raw & _WORD_MASK
-
-    for j in explores:
-        if j < pos:
-            continue        # read as 32-bit words, not as a uniform
-        at = step + j - pos
-        if at >= length:
-            break
-        pos = j + 1
-        # integers(1) draws nothing
-        draws[at] = _bounded_word_draw(next_word, n_actions) if n_actions > 1 else 0
-        step = at + 1
-    consumed = pos + length - step
-    if consumed > n_raw:
-        raise _BlockExhausted
-    return draws, consumed, (has_word, word)
-
-
 def phase_draws(rng: np.random.Generator, length: int, rho: float,
                 n_actions: int) -> np.ndarray:
-    """The exploration draws of ``length`` choose_action calls, in one block.
+    """The exploration draws of one agent for a phase of ``length`` steps.
 
-    Returns one entry per step: the action drawn uniformly where the step
-    explores, -1 where it follows the policy. The draws, and the state
-    the generator is left in, are bit for bit those of the scalar calls:
-    the block reads PCG64 raw outputs, turns each into the uniform
-    ``rng.random()`` would give, and feeds exploring steps numpy's
-    bounded draw from 32-bit words, which PCG64 serves as the low, then
-    the high half of a raw output (``has_uint32``/``uinteger`` buffer
-    the high half between calls). Raises TypeError for another bit
-    generator.
+    Returns one entry per step: an action drawn uniformly from
+    [0, n_actions) where the step explores, -1 where it follows the
+    policy. A step explores when its uniform draw lies at or above
+    1 - rho, so the policy action has total probability 1 - rho + rho/|A|.
+    The draws come from ``rng`` in two blocks: one ``rng.random`` uniform
+    per step, then one ``rng.integers`` action per exploring step, in step
+    order.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if not 1 <= n_actions <= _WORD_MASK:
-        raise ValueError("n_actions must lie in [1, 2**32 - 1]")
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise TypeError("block draws reproduce the PCG64 stream only, got "
-                        f"{type(bitgen).__name__}")
-    saved = bitgen.state
-    buffer = (saved["has_uint32"], saved["uinteger"])
-    # one uniform per step plus a word per exploring step, two words to a
-    # raw output; a block found too short (many explorations, or rejected
-    # words) is drawn again at twice the size
-    n_raw = length + int(rho * length) + 1
-    while True:
-        try:
-            draws, consumed, buffer = _draws_from_block(
-                bitgen.random_raw(n_raw), length, rho, n_actions, buffer)
-            break
-        except _BlockExhausted:
-            bitgen.state = saved
-            n_raw *= 2
-    bitgen.state = saved
-    bitgen.advance(consumed)    # clears the 32-bit buffer
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = buffer
-    bitgen.state = state
+    explores = rng.random(length) >= 1.0 - rho
+    draws = np.full(length, -1, dtype=np.int64)
+    draws[explores] = rng.integers(n_actions, size=int(explores.sum()))
     return draws
 
 
@@ -279,10 +171,15 @@ class QValueWindows:
         return self._buf[:self.filled]
 
     def largest_std(self) -> float:
-        """Max over (state, action) of the std over the window, 0 if empty."""
+        """Max over (state, action) of the std over the window, 0 if empty.
+
+        Exploding Q-values overflow the std to inf (or nan) without a
+        warning; update_policy reports that as a divergence.
+        """
         if self.filled == 0:
             return 0.0
-        return float(self.snapshots().std(axis=0).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.snapshots().std(axis=0).max())
 
 
 @dataclass
@@ -388,14 +285,23 @@ class _AgentBase:
                 step=step, action=action, q_s0=np.array(q[0]), delta=delta))
 
     def update_policy(self, rng: np.random.Generator) -> PhaseRecord:
-        """Best reply with inertia at a phase boundary."""
+        """Best reply with inertia at a phase boundary.
+
+        Raises FloatingPointError when the Q-value spread over the window
+        is not finite: training has diverged.
+        """
         q = self.q_values()
         if self.windows.filled == 0:
             warnings.warn("no Q evaluations recorded this phase; tolerance "
                           "falls back to 0", stacklevel=2)
             delta = 0.0
         else:
-            delta = self.hp.tolerance_multiplier * self.windows.largest_std()
+            spread = self.windows.largest_std()
+            if not math.isfinite(spread):
+                raise FloatingPointError(
+                    f"non-finite Q-value spread ({spread!r}) at the end of "
+                    f"phase {self.phase}; training has diverged")
+            delta = self.hp.tolerance_multiplier * spread
         candidates = candidate_sets(q, delta)
 
         before = tuple(int(a) for a in self.policy)

@@ -34,14 +34,11 @@ from .topology import ConfigurationError, GridSpec, NodePlacement, sample_placem
 __all__ = [
     "ActionSpace",
     "EnvConfig",
-    "EnvironmentView",
     "Outcomes",
     "Scenario",
     "build_scenario",
     "pn_power_control",
     "outcome_tensor",
-    "observe",
-    "reward",
     "measure_phase_change_probability",
 ]
 
@@ -190,19 +187,6 @@ class Scenario:
                              tpc_reference=doc["tpc_reference"]),
             pn_power_converged=doc["pn_power_converged"],
         )
-
-
-@dataclass(frozen=True)
-class EnvironmentView:
-    """Everything one joint action reveals to the agents."""
-
-    states: np.ndarray            # per CR: STATE_S0 or STATE_S1
-    monitored_links: np.ndarray   # per CR: index of the assessed PN link
-    tpc_magnitudes: np.ndarray    # per CR: |T%| at the monitored link
-    margins: np.ndarray           # per CR: epsilon - |T%| (>= 0 iff S0)
-    sn_throughputs_mbps: np.ndarray
-    sn_sinrs: np.ndarray
-    pn_sinrs: np.ndarray
 
 
 def pn_power_control(scenario: Scenario,
@@ -367,32 +351,6 @@ def _check_joint_action(scenario: Scenario, joint_action):
     for a in joint_action:
         if not 0 <= a < len(scenario.actions):
             raise ValueError(f"action index {a} outside the action space")
-
-
-def observe(scenario: Scenario, joint_action) -> EnvironmentView:
-    """Evaluate one joint action: one row of the outcome tensor's computation."""
-    _check_joint_action(scenario, joint_action)
-    out = _evaluate(scenario, [joint_action])
-    tpc = out.tpc_magnitudes[0]
-    return EnvironmentView(
-        states=out.states[0],
-        monitored_links=scenario.monitored_links(),
-        tpc_magnitudes=tpc,
-        margins=scenario.config.epsilon - tpc,
-        sn_throughputs_mbps=out.sn_throughputs_mbps[0],
-        sn_sinrs=out.sn_sinrs[0],
-        pn_sinrs=out.pn_sinrs[0],
-    )
-
-
-def reward(view: EnvironmentView, agent: int, mode: str = "local") -> float:
-    """Reward of one agent under a computed view (see _rewards)."""
-    local, global_ = _rewards(view.states, view.sn_throughputs_mbps)
-    if mode == "local":
-        return float(local[agent])
-    if mode == "global":
-        return float(global_[agent])
-    raise ValueError(f"unknown reward mode {mode!r}")
 
 
 @dataclass(frozen=True)

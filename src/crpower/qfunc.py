@@ -32,9 +32,8 @@ the layer shapes. It holds on OpenBLAS 0.3.31 (AVX-512 kernels) for the
 learner's (2, 8, 18, 14) network and batches of 2 to 200 rows, and
 tests/test_qfunc.py pins it. On that build it fails for a 2- or 3-wide
 output layer. It also fails for a 1-row input, which numpy multiplies as a
-matrix-vector product: ``forward`` on one state may differ from
-``q_matrix`` in the last bit, and so may a 1-row mini-batch from a
-per-sample pass. Every configured mini-batch has 25 rows.
+matrix-vector product, so a 1-row mini-batch may differ from a per-sample
+pass in the last bit. Every configured mini-batch has 25 rows.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "TargetArray",
     "table_update",
     "init_mlp",
-    "forward",
     "q_matrix",
     "train_minibatch",
     "refresh_target",
@@ -232,15 +230,6 @@ def _forward_full(params: MlpParams, x: np.ndarray):
         h = z if k == n_layers - 1 else np.clip(z, 0.0, params.cap)
         post.append(h)
     return pre, post
-
-
-def forward(params: MlpParams, state_onehot) -> np.ndarray:
-    """Q-values for one one-hot encoded state."""
-    x = np.asarray(state_onehot, dtype=float)
-    if x.shape != (N_STATES,):
-        raise ValueError(f"expected a one-hot vector of length {N_STATES}")
-    _, post = _forward_full(params, x[None, :])
-    return post[-1][0]
 
 
 def q_matrix(params: MlpParams) -> np.ndarray:

@@ -32,10 +32,12 @@ def simulate(config_path, out, *extra):
 
 
 RESTARTS = dict(CONFIG, restarts=True, n_restarts=2, probe_phases=1)
+DQL = dict(CONFIG, learner="dql",
+           agent=dict(TUNED_DQL_HYPERPARAMS[30], phase_length=50, n_phases=2))
 
 
 def test_outputs_do_not_depend_on_worker_count(tmp_path):
-    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS)):
+    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS), ("dql", DQL)):
         config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(doc))
         one, two = tmp_path / name / "w1", tmp_path / name / "w2"
@@ -141,7 +143,7 @@ def test_confidence_bounds_are_plain_floats(config_path, tmp_path):
             float(cell)
 
 
-# Run 1 of this sweep diverges (FloatingPointError in train_minibatch).
+# Run 0 of this sweep diverges (FloatingPointError in train_minibatch).
 DIVERGING_DQL = {
     "learner": "dql",
     "n_runs": 2,
@@ -166,5 +168,5 @@ def test_diverged_run_prints_no_numpy_warnings(tmp_path, workers):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "over 2 runs, 1 errored" in proc.stdout
-    assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[2].startswith("1,error,")
+    assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].startswith("0,error,")
     assert "RuntimeWarning" not in proc.stderr

@@ -6,16 +6,15 @@ from conftest import TINY, make_scenario
 from crpower.environment import (
     ActionSpace,
     EnvConfig,
-    EnvironmentView,
     STATE_S0,
     STATE_S1,
     Scenario,
+    _evaluate,
+    _rewards,
     build_scenario,
     measure_phase_change_probability,
-    observe,
     outcome_tensor,
     pn_power_control,
-    reward,
 )
 from crpower.link_adaptation import AmcTable
 from crpower.oracle import exhaustive_search
@@ -57,100 +56,87 @@ def test_env_config_validation():
 def test_all_off_gives_s0_everywhere():
     rng = np.random.default_rng(2)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
-    view = observe(sc, (0, 0))
-    assert np.all(view.states == STATE_S0)
-    assert np.all(view.tpc_magnitudes == 0.0)
-    assert np.all(view.margins == sc.config.epsilon)
+    out = sc.outcomes                       # flat index 0 is all-off
+    assert np.all(out.states[0] == STATE_S0)
+    assert np.all(out.tpc_magnitudes[0] == 0.0)
+    assert np.all(sc.config.epsilon - out.tpc_magnitudes[0] == sc.config.epsilon)
 
 
 def test_power_sweep_nondecreasing_tpc():
     rng = np.random.default_rng(3)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
-    tpc = [observe(sc, (a, 0)).tpc_magnitudes[0] for a in range(14)]
+    tpc = sc.outcomes.tpc_magnitudes[::14, 0].tolist()   # joint actions (a, 0)
     assert all(b >= a for a, b in zip(tpc, tpc[1:]))
     assert tpc[0] == 0.0
 
 
 def test_handbuilt_crossing(one_ap_one_cr):
     sc = one_ap_one_cr
-    at_17_5 = observe(sc, (12,))
-    assert at_17_5.states[0] == STATE_S0
-    assert at_17_5.tpc_magnitudes[0] == pytest.approx(0.047153, abs=1e-5)
-    at_20 = observe(sc, (13,))
-    assert at_20.states[0] == STATE_S1
-    assert at_20.tpc_magnitudes[0] == pytest.approx(0.08, abs=1e-12)
-    assert at_20.margins[0] == pytest.approx(-0.03, abs=1e-12)
+    out = sc.outcomes
+    assert out.states[12, 0] == STATE_S0
+    assert out.tpc_magnitudes[12, 0] == pytest.approx(0.047153, abs=1e-5)
+    assert out.states[13, 0] == STATE_S1
+    assert out.tpc_magnitudes[13, 0] == pytest.approx(0.08, abs=1e-12)
+    margin = sc.config.epsilon - out.tpc_magnitudes[13, 0]
+    assert margin == pytest.approx(-0.03, abs=1e-12)
 
 
 def test_state_label_matches_margin_sign():
     rng = np.random.default_rng(4)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
+    out = sc.outcomes
     for a0 in range(0, 14, 3):
         for a1 in range(0, 14, 3):
-            view = observe(sc, (a0, a1))
+            k = a0 * 14 + a1
             for i in range(2):
-                s0 = view.tpc_magnitudes[i] <= sc.config.epsilon
-                assert (view.states[i] == STATE_S0) == s0
-                assert (view.margins[i] >= 0.0) == s0
+                s0 = out.tpc_magnitudes[k, i] <= sc.config.epsilon
+                assert (out.states[k, i] == STATE_S0) == s0
+                assert (sc.config.epsilon - out.tpc_magnitudes[k, i] >= 0.0) == s0
 
 
-def test_observe_is_pure():
+def test_row_evaluation_is_pure():
     rng = np.random.default_rng(5)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
-    a = observe(sc, (5, 7))
-    b = observe(sc, (5, 7))
+    a = _evaluate(sc, [(5, 7)])
+    b = _evaluate(sc, [(5, 7)])
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.sn_throughputs_mbps, b.sn_throughputs_mbps)
     np.testing.assert_array_equal(a.pn_sinrs, b.pn_sinrs)
 
 
-def test_observe_rejects_bad_actions():
+def test_phase_change_probe_rejects_bad_actions():
     rng = np.random.default_rng(6)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
     with pytest.raises(ValueError):
-        observe(sc, (0,))
+        measure_phase_change_probability(sc, (0,), 0.1, 10, rng)
     with pytest.raises(ValueError):
-        observe(sc, (14, 0))
+        measure_phase_change_probability(sc, (14, 0), 0.1, 10, rng)
 
 
-def test_reward_zero_iff_s1():
-    view = EnvironmentView(
-        states=np.array([STATE_S0, STATE_S1]),
-        monitored_links=np.array([0, 0]),
-        tpc_magnitudes=np.array([0.01, 0.2]),
-        margins=np.array([0.04, -0.15]),
-        sn_throughputs_mbps=np.array([1.0, 0.5]),
-        sn_sinrs=np.array([100.0, 10.0]),
-        pn_sinrs=np.array([1000.0]),
-    )
-    assert reward(view, 1, "local") == 0.0
-    assert reward(view, 1, "global") == 0.0
-    assert reward(view, 0, "local") == pytest.approx(10.0)
+def test_reward_zero_iff_s1(one_ap_one_cr):
+    # the rewards of one row: agent 0 in S0, agent 1 in S1
+    local, global_ = _rewards(np.array([STATE_S0, STATE_S1]),
+                              np.array([1.0, 0.5]))
+    assert local[1] == 0.0
+    assert global_[1] == 0.0
+    assert local[0] == pytest.approx(10.0)
     # global: 10^(1.0 + 0.5)
-    assert reward(view, 0, "global") == pytest.approx(31.6227766, rel=1e-8)
+    assert global_[0] == pytest.approx(31.6227766, rel=1e-8)
     with pytest.raises(ValueError):
-        reward(view, 0, "other")
+        one_ap_one_cr.outcomes.rewards("other")
 
 
-def test_reward_one_when_own_link_off():
-    view = EnvironmentView(
-        states=np.array([STATE_S0]),
-        monitored_links=np.array([0]),
-        tpc_magnitudes=np.array([0.0]),
-        margins=np.array([0.05]),
-        sn_throughputs_mbps=np.array([0.0]),
-        sn_sinrs=np.array([0.0]),
-        pn_sinrs=np.array([1.0]),
-    )
-    assert reward(view, 0, "local") == 1.0
+def test_reward_one_when_own_link_off(one_ap_one_cr):
+    out = one_ap_one_cr.outcomes
+    assert out.sn_throughputs_mbps[0, 0] == 0.0
+    assert out.local_rewards[0, 0] == 1.0
 
 
 def test_local_reward_shape_in_own_action(one_ap_one_cr):
     """Nondecreasing up to the first S1-causing action, then zero."""
-    sc = one_ap_one_cr
-    rewards = [reward(observe(sc, (a,)), 0, "local") for a in range(14)]
-    first_s1 = next(a for a in range(14)
-                    if observe(sc, (a,)).states[0] == STATE_S1)
+    out = one_ap_one_cr.outcomes
+    rewards = out.rewards("local")[:, 0].tolist()
+    first_s1 = next(a for a in range(14) if out.states[a, 0] == STATE_S1)
     ramp = rewards[1:first_s1]
     assert all(b >= a for a, b in zip(ramp, ramp[1:]))
     assert all(r == 0.0 for r in rewards[first_s1:])
@@ -187,7 +173,7 @@ def test_pn_power_control_seven_links_bounded():
     assert isinstance(converged, bool)
 
 
-def test_outcome_tensor_matches_observe():
+def test_outcome_tensor_matches_row_evaluation():
     rng = np.random.default_rng(8)
     for mode in ("local", "global"):
         for reference in ("noise", "signal"):
@@ -200,15 +186,15 @@ def test_outcome_tensor_matches_observe():
             for k in range(196):
                 joint = (k // 14, k % 14)              # lexicographic order
                 assert tuple(out.joint_actions[k]) == joint
-                view = observe(sc, joint)
-                np.testing.assert_array_equal(out.states[k], view.states)
+                row = _evaluate(sc, [joint])
+                np.testing.assert_array_equal(out.states[k], row.states[0])
                 np.testing.assert_array_equal(out.sn_throughputs_mbps[k],
-                                              view.sn_throughputs_mbps)
+                                              row.sn_throughputs_mbps[0])
                 np.testing.assert_array_equal(out.tpc_magnitudes[k],
-                                              view.tpc_magnitudes)
+                                              row.tpc_magnitudes[0])
                 for i in range(2):
                     for m in ("local", "global"):
-                        assert out.rewards(m)[k, i] == reward(view, i, m)
+                        assert out.rewards(m)[k, i] == row.rewards(m)[0, i]
     with pytest.raises(ValueError):
         out.rewards("other")
 

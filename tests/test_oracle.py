@@ -9,8 +9,8 @@ from crpower.environment import (
     STATE_S0,
     ActionSpace,
     EnvConfig,
+    _evaluate,
     build_scenario,
-    observe,
 )
 from crpower.link_adaptation import AmcTable
 from crpower.oracle import exhaustive_search, score_policy
@@ -90,13 +90,13 @@ def test_196_evaluations_for_default_space():
 
 
 def reference_objective(scenario, joint_action, mode):
-    """Scalar objective of one joint action, from one observe() row."""
-    view = observe(scenario, joint_action)
-    if np.any(view.states != STATE_S0):
+    """Scalar objective of one joint action, from a one-row evaluation."""
+    row = _evaluate(scenario, [joint_action])
+    if np.any(row.states[0] != STATE_S0):
         return 0.0
     if mode == "global":
-        return float(10.0 ** np.sum(view.sn_throughputs_mbps))
-    return float(np.sum(10.0 ** view.sn_throughputs_mbps))
+        return float(10.0 ** np.sum(row.sn_throughputs_mbps[0]))
+    return float(np.sum(10.0 ** row.sn_throughputs_mbps[0]))
 
 
 def test_agreement_with_reversed_enumeration():

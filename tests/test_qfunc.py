@@ -9,7 +9,6 @@ from crpower.environment import ActionSpace
 from crpower.qfunc import (
     MlpParams,
     TargetArray,
-    forward,
     init_mlp,
     q_matrix,
     refresh_target,
@@ -126,7 +125,7 @@ def test_forward_zero_params_zero_output():
     weights = tuple(np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:]))
     biases = tuple(np.zeros(b) for b in sizes[1:])
     params = MlpParams(weights, biases)
-    np.testing.assert_array_equal(forward(params, [1.0, 0.0]), np.zeros(14))
+    np.testing.assert_array_equal(q_matrix(params)[0], np.zeros(14))
 
 
 def test_forward_output_layer_linearity():
@@ -136,14 +135,8 @@ def test_forward_output_layer_linearity():
     scaled = MlpParams(params.weights[:-1] + (k * params.weights[-1],),
                        params.biases[:-1] + (k * params.biases[-1],),
                        cap=params.cap)
-    np.testing.assert_allclose(forward(scaled, [0.0, 1.0]),
-                               k * forward(params, [0.0, 1.0]), rtol=1e-12)
-
-
-def test_forward_validates_input():
-    params = init_mlp(np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        forward(params, [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(q_matrix(scaled)[1],
+                               k * q_matrix(params)[1], rtol=1e-12)
 
 
 def test_init_mlp_uniform_unit_interval():
@@ -322,7 +315,7 @@ def test_training_drives_prediction_to_target():
     for _ in range(300):
         params, loss = train_minibatch(params, *batch, target, 0.05, 0.9)
         losses.append(loss)
-    assert forward(params, [1.0, 0.0])[4] == pytest.approx(3.0, abs=1e-3)
+    assert q_matrix(params)[0, 4] == pytest.approx(3.0, abs=1e-3)
     burn = losses[5:]
     assert all(b <= a + 1e-12 for a, b in zip(burn, burn[1:]))
 
