@@ -14,7 +14,6 @@ from .agent import (
     DqlAgent,
     TableAgent,
     run_learning,
-    run_with_restarts,
 )
 from .channel import ChannelGains, PowerVector, all_sinrs, path_gain
 from .environment import (

@@ -21,27 +21,28 @@ independently of the other steps and agents, and an exploring step
 takes an action uniformly from the whole action space. The phase's joint
 trajectory is then walked once through the outcome tensor, which gives
 every agent four columns: states, next states, actions and rewards.
-Finally each agent learns from its columns. The table learner runs one
-in-place temporal-difference pass over them and keeps Q snapshots only
-for the updates whose window slots survive the phase; the network
-learner trains on consecutive mini-batch slices of them, carrying a
-partial mini-batch into the next phase. Updates interleave across agents
-in step order, as stepping the agents together would. Each trained
-parameter set caches its read-only Q matrix, so the one forward pass
-after an update serves the window push, the update record, the
-phase-boundary policy update, the target refresh and the next training
-step.
+Finally each agent learns from its columns, one agent after another in
+index order: an agent's learning depends on its own columns alone, so
+the order changes nothing but which error a diverging phase raises. When
+several agents diverge in one phase, the lowest-index one's error is
+raised. The table learner applies the updates whose snapshots cannot
+reach the phase boundary's window ring in one in-place
+temporal-difference pass and the last ``std_window`` one at a time,
+pushing a snapshot after each; the network learner trains on
+consecutive mini-batch slices of its columns, carrying a partial
+mini-batch into the next phase. Each trained parameter set caches its
+read-only Q matrix, so the one forward pass after an update serves the
+window push, the update record, the phase-boundary policy update, the
+target refresh and the next training step.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
-import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +65,6 @@ __all__ = [
     "phase_draws",
     "run_exploration_phase",
     "run_learning",
-    "run_with_restarts",
     "RunTrace",
 ]
 
@@ -135,22 +135,15 @@ def phase_draws(rng: np.random.Generator, length: int, rho: float,
 
 
 class QValueWindows:
-    """Rolling per-(state, action) record of recent Q-value evaluations.
-
-    push keeps the rows it is given, which the caller must not change
-    afterwards, and defers their conversion into the numpy ring to the
-    next snapshots call; only the latest snapshot per ring slot is ever
-    converted.
-    """
+    """Rolling per-(state, action) record of recent Q-value evaluations."""
 
     def __init__(self, n_actions: int, window: int):
         self._buf = np.zeros((window, N_STATES, n_actions))
         self._window = window
-        self._pending: dict[int, list | np.ndarray] = {}  # slot -> unsynced rows
         self._count = 0
 
     def push(self, q):
-        self._pending[self._count % self._window] = q
+        self._buf[self._count % self._window] = q
         self._count += 1
 
     def skip(self, n: int):
@@ -165,9 +158,6 @@ class QValueWindows:
 
     def snapshots(self) -> np.ndarray:
         """The filled ring slots, (filled, n_states, n_actions), in slot order."""
-        for slot, q in self._pending.items():
-            self._buf[slot] = q
-        self._pending.clear()
         return self._buf[:self.filled]
 
     def largest_std(self) -> float:
@@ -260,12 +250,7 @@ class _AgentBase:
         raise NotImplementedError
 
     def learn(self, states, next_states, actions, rewards):
-        """Learn from one phase's columns, one entry per step.
-
-        A generator that yields after each update, so that
-        run_exploration_phase can interleave the agents' updates in step
-        order.
-        """
+        """Learn from one phase's columns, one entry per step."""
         raise NotImplementedError
 
     def _end_columns(self, next_states: list, rewards: list):
@@ -344,7 +329,6 @@ class DqlAgent(_AgentBase):
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64), np.empty(0))
         self.updates = 0
-        self.last_loss = 0.0
 
     def q_values(self) -> np.ndarray:
         return q_matrix(self.params)
@@ -357,7 +341,7 @@ class DqlAgent(_AgentBase):
         first_step = self.step_count + 1 - len(self.batch[0])
         n_full = len(columns[0]) // size
         for end in range(size, n_full * size + 1, size):
-            self.params, self.last_loss = train_minibatch(
+            self.params, _ = train_minibatch(
                 self.params, *(c[end - size:end] for c in columns),
                 self.target, self.alpha, self.hp.gamma)
             self.updates += 1
@@ -367,7 +351,6 @@ class DqlAgent(_AgentBase):
             q = q_matrix(self.params)
             self.windows.push(q)
             self._record_update(first_step + end - 1, int(columns[2][end - 1]), q)
-            yield
         self.batch = tuple(c[n_full * size:].copy() for c in columns)
         self._end_columns(next_states.tolist(), rewards.tolist())
 
@@ -383,29 +366,21 @@ class TableAgent(_AgentBase):
         return np.array(self.table)
 
     def learn(self, states, next_states, actions, rewards):
-        states, next_states, actions, rewards = (
-            c.tolist() for c in (states, next_states, actions, rewards))
-        overwritten = table_update(self.table, states, next_states, actions,
-                                   rewards, self.alpha, self.hp.gamma)
+        columns = [c.tolist() for c in (states, next_states, actions, rewards)]
         n = len(rewards)
         # Only the last std_window snapshots can still be in the window
-        # ring at the phase boundary; the others are counted, not built,
-        # unless every update is recorded.
-        kept = n if self.update_records is not None else min(n, self.hp.std_window)
-        # the table after each kept update, rebuilt newest first by undoing
-        # the later updates
-        snapshots = [[row[:] for row in self.table]]
-        for t in range(n - 1, n - kept, -1):
-            table = snapshots[-1][:]
-            row = table[states[t]] = table[states[t]][:]
-            row[actions[t]] = overwritten[t]
-            snapshots.append(table)
-        self.windows.skip(n - kept)
-        for t, table in zip(range(n - kept, n), reversed(snapshots)):
-            self.windows.push(table)
-            self._record_update(self.step_count + t + 1, actions[t], table)
-        self._end_columns(next_states, rewards)
-        yield
+        # ring at the phase boundary; the earlier updates are applied in one
+        # pass and counted, not pushed, unless every update is recorded.
+        bulk = max(n - self.hp.std_window, 0) if self.update_records is None else 0
+        table_update(self.table, *(c[:bulk] for c in columns),
+                     self.alpha, self.hp.gamma)
+        self.windows.skip(bulk)
+        for t in range(bulk, n):
+            table_update(self.table, *(c[t:t + 1] for c in columns),
+                         self.alpha, self.hp.gamma)
+            self.windows.push(self.table)
+            self._record_update(self.step_count + t + 1, columns[2][t], self.table)
+        self._end_columns(columns[1], columns[3])
 
 
 def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
@@ -420,12 +395,11 @@ def _walk_phase(agents, draws, states: np.ndarray, rewards: np.ndarray,
                 n_actions: int):
     """The phase's joint trajectory under the frozen policies.
 
-    draws[i] is agent i's phase_draws result. Returns the flat joint index
-    of every step and, per agent, its four columns: states, next states,
-    actions and rewards. The walk follows the joint state (agent i's state
-    in bit n-1-i): for each step and each joint state, the joint action
-    and the next joint state are found at once, which leaves one lookup
-    per step in order.
+    draws[i] is agent i's phase_draws result. Returns, per agent, its four
+    columns: states, next states, actions and rewards. The walk follows
+    the joint state (agent i's state in bit n-1-i): for each step and each
+    joint state, the joint action and the next joint state are found at
+    once, which leaves one lookup per step in order.
     """
     n, length = len(agents), len(draws[0])
     shifts = np.arange(n - 1, -1, -1)
@@ -449,36 +423,24 @@ def _walk_phase(agents, draws, states: np.ndarray, rewards: np.ndarray,
     for i, act in enumerate(actions):
         own = (path >> shifts[i]) & 1
         columns.append((own, states[k, i], act[steps, own], rewards[k, i]))
-    return k, columns
+    return columns
 
 
-def run_exploration_phase(agents, scenario: Scenario, rngs,
-                          step_hook=None) -> list[PhaseRecord]:
+def run_exploration_phase(agents, scenario: Scenario, rngs) -> list[PhaseRecord]:
     """One phase for all agents: frozen policies, one joint action per
     step, policy updates at the boundary.
 
     Each step's states and rewards are the row of the scenario's outcome
-    tensor at the joint action's flat index; step_hook, if given, is
-    called with each step's joint action and that index, in step order,
-    before the agents learn from the phase.
+    tensor at the joint action's flat index.
     """
     outcomes = scenario.outcomes
     n_actions = len(scenario.actions)
     draws = [phase_draws(rngs[i], ag.hp.phase_length, ag.hp.rho, n_actions)
              for i, ag in enumerate(agents)]
-    joint_index, columns = _walk_phase(
-        agents, draws, outcomes.states,
-        outcomes.rewards(scenario.config.reward_mode), n_actions)
-    if step_hook is not None:
-        joints = zip(*(c[2].tolist() for c in columns))
-        for joint, k in zip(joints, joint_index.tolist()):
-            step_hook(joint, k)
-    # The agents' learn generators advance in turn, so network updates run
-    # in step order across agents, as stepping the agents together would,
-    # and a diverging run raises from the same agent and step. A table
-    # agent takes its whole phase in one update.
-    for _ in itertools.zip_longest(*(ag.learn(*c) for ag, c in zip(agents, columns))):
-        pass
+    columns = _walk_phase(agents, draws, outcomes.states,
+                          outcomes.rewards(scenario.config.reward_mode), n_actions)
+    for ag, c in zip(agents, columns):
+        ag.learn(*c)
     return [ag.update_policy(rngs[i]) for i, ag in enumerate(agents)]
 
 
@@ -488,7 +450,7 @@ class RunTrace:
 
     agents: list
     phase_records: list[list[PhaseRecord]]   # [phase][agent]
-    restart_rewards: list[float] = field(default_factory=list)
+    restart_rewards: list[float]             # each probe's final-phase mean reward
 
     def joint_policy(self, state: int = 0) -> tuple[int, ...]:
         return tuple(int(ag.policy[state]) for ag in self.agents)
@@ -508,57 +470,35 @@ def run_learning(scenario: Scenario,
                  hp: AgentHyperparams,
                  seed_seq: np.random.SeedSequence,
                  learner: str = "dql",
-                 n_phases: int | None = None,
-                 record_updates: bool = False,
-                 step_hook=None) -> RunTrace:
-    """Train all agents on one scenario for the configured phase count."""
-    n_phases = hp.n_phases if n_phases is None else n_phases
-    rngs = _spawn_rngs(seed_seq, scenario.n_cr)
-    agents = make_agents(learner, hp, scenario.n_cr, len(scenario.actions),
-                         rngs, record_updates)
-    _sense_initial_state(agents, scenario)
-    records = [
-        run_exploration_phase(agents, scenario, rngs, step_hook=step_hook)
-        for _ in range(n_phases)
-    ]
-    return RunTrace(agents=agents, phase_records=records)
+                 n_restarts: int = 1,
+                 probe_phases: int | None = None,
+                 record_updates: bool = False) -> RunTrace:
+    """Train all agents on one scenario for the configured phase count.
 
-
-def run_with_restarts(scenario: Scenario,
-                      hp: AgentHyperparams,
-                      seed_seq: np.random.SeedSequence,
-                      learner: str = "dql",
-                      n_restarts: int = 4,
-                      probe_phases: int = 10,
-                      record_updates: bool = False) -> RunTrace:
-    """Multi-start add-on: several short probes, continue from the best.
-
-    Each probe trains fresh randomly initialized agents for a few phases;
+    Multi-start: each of n_restarts probes trains fresh randomly
+    initialized agents for probe_phases phases (all of them by default);
     the probe with the largest mean reward over its final phase is resumed
-    for the remaining phases. With a single restart this reduces exactly
-    to a plain run. Only the extra probes add learning steps, so the
-    overhead is (n_restarts - 1) * probe_phases phases.
+    for the remaining phases. A single restart is a plain run. Only the
+    extra probes add learning steps, so the overhead is
+    (n_restarts - 1) * probe_phases phases.
     """
+    probe_phases = hp.n_phases if probe_phases is None else probe_phases
     if hp.n_phases < probe_phases:
         raise ValueError("probe phases exceed the configured phase count")
     if min(n_restarts, probe_phases) < 1:
         raise ValueError("restarts need at least one probe of one phase")
     rngs = _spawn_rngs(seed_seq, scenario.n_cr)
-
     probes = []
-    probe_rewards = []
     for _ in range(n_restarts):
         agents = make_agents(learner, hp, scenario.n_cr, len(scenario.actions),
                              rngs, record_updates)
         _sense_initial_state(agents, scenario)
         records = [run_exploration_phase(agents, scenario, rngs)
                    for _ in range(probe_phases)]
-        final_reward = float(np.mean([r.mean_reward for r in records[-1]]))
-        probes.append((copy.deepcopy(agents), records))
-        probe_rewards.append(final_reward)
-
-    best = int(np.argmax(probe_rewards))
-    agents, records = probes[best]
+        probes.append((agents, records))
+    probe_rewards = [float(np.mean([r.mean_reward for r in records[-1]]))
+                     for _, records in probes]
+    agents, records = probes[int(np.argmax(probe_rewards))]
     for _ in range(hp.n_phases - probe_phases):
         records.append(run_exploration_phase(agents, scenario, rngs))
     return RunTrace(agents=agents, phase_records=records,

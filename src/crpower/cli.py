@@ -160,8 +160,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (ConfigurationError, FileNotFoundError, FloatingPointError,
+            json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

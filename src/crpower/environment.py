@@ -385,7 +385,12 @@ def measure_phase_change_probability(scenario: Scenario,
     action with probability 1-rho and otherwise draw uniformly from the
     whole action space; the reference agent always plays its policy
     action. Returns the observed S1 fraction and the reward samples.
+    Raises ValueError unless rho lies in [0, 1] and steps >= 1.
     """
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    if steps < 1:
+        raise ValueError("the probe needs at least one step")
     policy = [int(a) for a in policy]
     _check_joint_action(scenario, policy)
     n = scenario.n_cr

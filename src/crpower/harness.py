@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import AgentHyperparams, RunTrace, run_learning, run_with_restarts
+from .agent import AgentHyperparams, RunTrace, run_learning
 from .environment import (
     EnvConfig,
     Scenario,
@@ -155,13 +155,10 @@ def learn_for_run(config: ExperimentConfig, point: int, run: int,
     """Train the run's agents on its scenario, with restarts if configured."""
     hp = config.agent[point]
     train_seq = child_seed(config.master_seed, point, run).spawn(2)[1]
-    if config.restarts:
-        return run_with_restarts(scenario, hp, train_seq, config.learner,
-                                 n_restarts=config.n_restarts,
-                                 probe_phases=config.probe_phases,
-                                 record_updates=record_updates)
+    restarts = (dict(n_restarts=config.n_restarts,
+                     probe_phases=config.probe_phases) if config.restarts else {})
     return run_learning(scenario, hp, train_seq, config.learner,
-                        record_updates=record_updates)
+                        record_updates=record_updates, **restarts)
 
 
 def execute_run(config: ExperimentConfig, point: int, run: int):

@@ -5,12 +5,12 @@ updated in place by the standard temporal-difference rule, and a small
 fully-connected network trained by plain gradient descent on the squared
 Bellman error against a frozen target array. Both learn from the same
 four columns (states, next states, actions, rewards) in arrival order:
-the table takes a whole phase of them in one call, one in-place update
-per entry on two lists of plain floats, and returns the values it
-overwrote; the network takes one mini-batch of them per gradient step
-and discards it afterwards. There is deliberately no replay memory. The
-target array replaces a second network: it is a plain matrix of
-Q-values refreshed from the live parameters every ``c`` updates.
+the table takes any run of them in one call, one in-place update per
+entry on two lists of plain floats; the network takes one mini-batch of
+them per gradient step and discards it afterwards. There is deliberately
+no replay memory. The target array replaces a second network: it is a
+plain matrix of Q-values refreshed from the live parameters every ``c``
+updates.
 
 The network's weights and biases live in one flat float64 vector, layer
 by layer (weights, then biases); ``MlpParams.weights`` and ``biases`` are
@@ -65,7 +65,7 @@ _STATES_ONE_HOT.flags.writeable = False
 
 
 def table_update(q: list[list[float]], states, next_states, actions, rewards,
-                 alpha: float, gamma: float) -> list[float]:
+                 alpha: float, gamma: float) -> None:
     """Temporal-difference updates of q, in place, one per column entry.
 
     Q(s,a) <- Q(s,a) + alpha * [r + gamma * max_a' Q(s',a') - Q(s,a)]
@@ -73,18 +73,15 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
     The updates are four equal-length columns, applied in order: states,
     next states, actions and rewards, as train_minibatch takes them. q
     holds one list of floats per state; only the updated entries change.
-    Returns the value each update overwrote, so that a caller can rebuild
-    q as it stood after any update. Raises ValueError on rates out of
-    range or columns of unequal length, leaving q unchanged, and on a
-    negative reward or a non-finite result, leaving that update's entry
-    unwritten.
+    Raises ValueError on rates out of range or columns of unequal length,
+    leaving q unchanged, and on a negative reward or a non-finite result,
+    leaving that update's entry unwritten.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError("alpha in [0,1] and gamma in (0,1] required")
     if not len(states) == len(next_states) == len(actions) == len(rewards):
         raise ValueError("update columns differ in length")
-    overwritten = []
-    keep, isfinite = overwritten.append, math.isfinite
+    isfinite = math.isfinite
     for state, next_state, action, reward in zip(states, next_states, actions,
                                                  rewards):
         if reward < 0.0:
@@ -95,8 +92,6 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
         if not isfinite(value):
             raise ValueError("table entries must be finite")
         row[action] = value
-        keep(old)
-    return overwritten
 
 
 def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):

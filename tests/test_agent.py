@@ -17,7 +17,6 @@ from crpower.agent import (
     phase_draws,
     run_exploration_phase,
     run_learning,
-    run_with_restarts,
 )
 from crpower.environment import EnvConfig
 from crpower.harness import (
@@ -188,51 +187,39 @@ def test_table_one_update_per_step(two_cr_scenario):
 def test_stationary_rewards_when_nobody_experiments(two_cr_scenario):
     hp = small_hp(rho=0.0, phase_length=60, minibatch=25)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(2).spawn(2)]
-    agents = make_agents("table", hp, 2, 14, rngs)
+    agents = make_agents("table", hp, 2, 14, rngs, record_updates=True)
     agents[0].policy = np.array([12, 12])   # within limit alone
     agents[1].policy = np.array([0, 0])     # silent
-    seen = []
-    run_exploration_phase(agents, two_cr_scenario, rngs,
-                          step_hook=lambda joint, k: seen.append((joint, k)))
-    # the hook also gets the joint action's flat index: 12 * 14 + 0
-    assert all(s == ((12, 0), 168) for s in seen)
+    run_exploration_phase(agents, two_cr_scenario, rngs)
+    assert [rec.action for rec in agents[0].update_records] == [12] * 60
+    assert [rec.action for rec in agents[1].update_records] == [0] * 60
     assert agents[0].phase_step_count == 0          # reset at boundary
+    # every step is the joint action (12, 0), flat index 12 * 14 + 0
+    rewards = two_cr_scenario.outcomes.rewards(two_cr_scenario.config.reward_mode)
     rec = agents[0].last_record
+    assert rec.mean_reward == pytest.approx(rewards[168, 0])
     assert rec.mean_reward > 0.0
-
-
-def test_policy_frozen_within_phase(two_cr_scenario):
-    hp = small_hp(phase_length=200)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(2)]
-    agents = make_agents("table", hp, 2, 14, rngs)
-    snapshots = []
-    run_exploration_phase(
-        agents, two_cr_scenario, rngs,
-        step_hook=lambda joint, k: snapshots.append(
-            tuple(tuple(ag.policy) for ag in agents)))
-    assert len(set(snapshots)) == 1
 
 
 def test_alpha_decays_once_per_phase(two_cr_scenario):
     hp = small_hp(alpha0=0.05, zeta=5.0, n_phases=3, phase_length=50,
                   minibatch=25)
     trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(4),
-                         "table", n_phases=3)
+                         "table")
     # after k completed phases alpha = alpha0 / zeta^k
     assert trace.agents[0].alpha == pytest.approx(0.05 / 5.0 ** 3)
 
 
 def test_fixed_alpha_mode(two_cr_scenario):
-    hp = small_hp(alpha0=0.01, fixed_alpha=True, phase_length=50)
-    trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(5),
-                         "dql", n_phases=3)
+    hp = small_hp(alpha0=0.01, fixed_alpha=True, phase_length=50, n_phases=3)
+    trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(5), "dql")
     assert trace.agents[0].alpha == 0.01
 
 
 def test_lambda_one_policy_never_changes(two_cr_scenario):
     hp = small_hp(lam=1.0, phase_length=100, n_phases=5)
     trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(6),
-                         "table", n_phases=5)
+                         "table")
     for recs in trace.phase_records:
         for rec in recs:
             assert not rec.changed
@@ -269,16 +256,16 @@ def test_full_determinism(two_cr_scenario):
     runs = []
     for _ in range(2):
         trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(42),
-                             "dql", n_phases=6)
+                             "dql")
         runs.append([tuple(rec.policy_after for rec in recs)
                      for recs in trace.phase_records])
     assert runs[0] == runs[1]
 
 
 def test_update_records_schema(two_cr_scenario):
-    hp = small_hp(phase_length=100, minibatch=25)
+    hp = small_hp(phase_length=100, minibatch=25, n_phases=2)
     trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(8),
-                         "dql", n_phases=2, record_updates=True)
+                         "dql", record_updates=True)
     recs = trace.agents[0].update_records
     assert len(recs) == 8                       # 100/25 updates x 2 phases
     for rec in recs:
@@ -292,8 +279,8 @@ def test_update_records_schema(two_cr_scenario):
 def test_single_restart_equals_plain_run(two_cr_scenario):
     hp = small_hp(phase_length=75, n_phases=12)
     plain = run_learning(two_cr_scenario, hp, np.random.SeedSequence(9), "table")
-    restarted = run_with_restarts(two_cr_scenario, hp, np.random.SeedSequence(9),
-                                  "table", n_restarts=1, probe_phases=10)
+    restarted = run_learning(two_cr_scenario, hp, np.random.SeedSequence(9),
+                             "table", n_restarts=1, probe_phases=10)
     assert plain.joint_policy() == restarted.joint_policy()
     a = [tuple(rec.policy_after for rec in recs) for recs in plain.phase_records]
     b = [tuple(rec.policy_after for rec in recs)
@@ -305,8 +292,8 @@ def test_single_restart_equals_plain_run(two_cr_scenario):
 
 def test_restart_overhead_and_selection(two_cr_scenario):
     hp = small_hp(phase_length=75, n_phases=12)
-    trace = run_with_restarts(two_cr_scenario, hp, np.random.SeedSequence(10),
-                              "table", n_restarts=4, probe_phases=10)
+    trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(10),
+                         "table", n_restarts=4, probe_phases=10)
     # the add-on trains 3 extra probes of 10 phases on top of the 12
     assert len(trace.restart_rewards) == 4
     assert len(trace.phase_records) == 12
@@ -321,13 +308,13 @@ def test_restart_overhead_and_selection(two_cr_scenario):
 def test_restart_rejects_short_runs(two_cr_scenario):
     hp = small_hp(phase_length=75, n_phases=5)
     with pytest.raises(ValueError):
-        run_with_restarts(two_cr_scenario, hp, np.random.SeedSequence(11),
-                          "table", n_restarts=2, probe_phases=10)
+        run_learning(two_cr_scenario, hp, np.random.SeedSequence(11),
+                     "table", n_restarts=2, probe_phases=10)
     for n_restarts, probe_phases in ((0, 2), (2, 0)):
         with pytest.raises(ValueError):
-            run_with_restarts(two_cr_scenario, hp, np.random.SeedSequence(11),
-                              "table", n_restarts=n_restarts,
-                              probe_phases=probe_phases)
+            run_learning(two_cr_scenario, hp, np.random.SeedSequence(11),
+                         "table", n_restarts=n_restarts,
+                         probe_phases=probe_phases)
 
 
 def test_make_agents_rejects_unknown_kind():
@@ -433,7 +420,8 @@ class _RefAgent:
 
 def reference_run(scenario, hp, seed_seq, learner, n_restarts=None,
                   probe_phases=None):
-    """run_learning / run_with_restarts restated from the published rules."""
+    """run_learning restated from the published rules, with restarts when
+    n_restarts is given."""
     n, n_actions = scenario.n_cr, len(scenario.actions)
     states = scenario.outcomes.states
     rewards = scenario.outcomes.rewards(scenario.config.reward_mode)
@@ -491,8 +479,10 @@ def test_library_matches_reference_loop(learner, restarts, case):
     if case == "diverging":
         # With the tuned 30-phase settings, run 0 of master seed 3 diverges
         # at N=2 (tests/test_cli.py DIVERGING_DQL); in run 1 of master seed
-        # 8 at N=3 two agents diverge at the same update, so the error
-        # also depends on the order in which the agents learn.
+        # 8 at N=3 two agents diverge at the same update. The library
+        # raises the lowest-index diverging agent's error, the reference
+        # (which steps the agents together) the earliest update's; the
+        # two agree when the agents diverge at the same update.
         for n_cr, master_seed, run in ((2, 3, 0), (3, 8, 1)):
             config = ExperimentConfig(
                 env=EnvConfig(n_cr=n_cr, reward_mode="global",
@@ -516,12 +506,8 @@ def test_library_matches_reference_loop(learner, restarts, case):
     hp = small_hp(n_phases=3, c=2, std_window=30, **overrides)
     kwargs = dict(n_restarts=3, probe_phases=2) if restarts else {}
     seed = np.random.SeedSequence(12)
-    if restarts:
-        trace = run_with_restarts(scenario, hp, seed, learner,
-                                  record_updates=record_updates, **kwargs)
-    else:
-        trace = run_learning(scenario, hp, seed, learner,
-                             record_updates=record_updates)
+    trace = run_learning(scenario, hp, seed, learner,
+                         record_updates=record_updates, **kwargs)
     ref_agents, ref_records = reference_run(
         scenario, hp, np.random.SeedSequence(12), learner, **kwargs)
 

@@ -9,6 +9,8 @@ import pytest
 import crpower
 from crpower import cli, harness
 from crpower.agent import TUNED_DQL_HYPERPARAMS
+from crpower.environment import Scenario
+from crpower.oracle import exhaustive_search
 
 CONFIG = {
     "learner": "table",
@@ -112,6 +114,27 @@ def test_bad_input_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps(dict(RESTARTS, **restarts)))
         assert simulate(bad, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
+    bad.write_text(json.dumps(CONFIG))
+    for probe, message in ((["--steps", "0"], "at least one step"),
+                           (["--rhos=-0.5,1.5,3"], "rho must lie")):
+        out = tmp_path / "pvr"
+        assert cli.main(["p-vs-rho", "--config", str(bad), "--out", str(out),
+                         *probe]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "p_vs_rho.csv").exists()
+
+
+def test_oracle_matches_the_run_and_its_scenario(config_path, tmp_path):
+    run_out, oracle_out = tmp_path / "run", tmp_path / "oracle"
+    assert simulate(config_path, run_out) == 0
+    assert cli.main(["oracle", "--config", str(config_path),
+                     "--out", str(oracle_out), "--run", "2"]) == 0
+    oracle_json = (oracle_out / "oracle_run0002.json").read_bytes()
+    assert oracle_json == (run_out / "oracle" / "point0_run0002.json").read_bytes()
+    scenario = Scenario.from_json((oracle_out / "scenario_run0002.json").read_text())
+    config = harness.ExperimentConfig.from_dict(CONFIG)
+    result = exhaustive_search(scenario, config.env.reward_mode, tau=config.tau)
+    assert result.to_json().encode() == oracle_json
 
 
 def test_traces_match_the_run_trace(tmp_path):
@@ -170,3 +193,13 @@ def test_diverged_run_prints_no_numpy_warnings(tmp_path, workers):
     assert "over 2 runs, 1 errored" in proc.stdout
     assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].startswith("0,error,")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_traces_of_a_diverging_run_exit_2(tmp_path, capsys):
+    config_path = tmp_path / "dql.json"
+    config_path.write_text(json.dumps(DIVERGING_DQL))
+    assert cli.main(["traces", "--config", str(config_path),
+                     "--out", str(tmp_path / "out"), "--run", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and err[0].endswith("training has diverged")

@@ -104,13 +104,20 @@ def test_row_evaluation_is_pure():
     np.testing.assert_array_equal(a.pn_sinrs, b.pn_sinrs)
 
 
-def test_phase_change_probe_rejects_bad_actions():
+def test_phase_change_probe_rejects_bad_input():
     rng = np.random.default_rng(6)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
     with pytest.raises(ValueError):
         measure_phase_change_probability(sc, (0,), 0.1, 10, rng)
     with pytest.raises(ValueError):
         measure_phase_change_probability(sc, (14, 0), 0.1, 10, rng)
+    # all-off keeps both agents in S0, so only rho or steps is at fault
+    assert measure_phase_change_probability(sc, (0, 0), 0.1, 10, rng).steps == 10
+    for rho, steps, message in ((0.1, 0, "step"), (0.1, -3, "step"),
+                                (-0.5, 10, "rho"), (1.5, 10, "rho"),
+                                (float("nan"), 10, "rho")):
+        with pytest.raises(ValueError, match=message):
+            measure_phase_change_probability(sc, (0, 0), rho, steps, rng)
 
 
 def test_reward_zero_iff_s1(one_ap_one_cr):
