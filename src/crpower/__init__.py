@@ -22,8 +22,8 @@ from .environment import (
     Outcomes,
     Scenario,
     build_scenario,
-    measure_phase_change_probability,
     outcome_tensor,
+    phase_change_probability,
     pn_power_control,
 )
 from .harness import ExperimentConfig, RunMetrics, run_experiment, sweep_p_vs_rho

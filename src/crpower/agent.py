@@ -450,7 +450,6 @@ class RunTrace:
 
     agents: list
     phase_records: list[list[PhaseRecord]]   # [phase][agent]
-    restart_rewards: list[float]             # each probe's final-phase mean reward
 
     def joint_policy(self, state: int = 0) -> tuple[int, ...]:
         return tuple(int(ag.policy[state]) for ag in self.agents)
@@ -501,5 +500,4 @@ def run_learning(scenario: Scenario,
     agents, records = probes[int(np.argmax(probe_rewards))]
     for _ in range(hp.n_phases - probe_phases):
         records.append(run_exploration_phase(agents, scenario, rngs))
-    return RunTrace(agents=agents, phase_records=records,
-                    restart_rewards=probe_rewards)
+    return RunTrace(agents=agents, phase_records=records)

@@ -53,11 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(oracle)
     oracle.add_argument("--run", type=int, default=0, help="run index to pin")
 
-    pvr = sub.add_parser("p-vs-rho", help="phase-change probability sweep")
+    pvr = sub.add_parser("p-vs-rho", help="exact phase-change probability "
+                         "of agent 0 against rho, at the oracle's policy")
     _add_common(pvr)
     pvr.add_argument("--rhos", default="0.05,0.1,0.2,0.4",
                      help="comma-separated experimentation probabilities")
-    pvr.add_argument("--steps", type=int, default=20000)
 
     traces = sub.add_parser("traces", help="one traced run, Q-value CSVs")
     _add_common(traces)
@@ -106,9 +106,9 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = load_config(args)
-    out = _outdir(config)
     scenario = scenario_for_run(config, 0, args.run)
     result = exhaustive_search(scenario, config.env.reward_mode, tau=config.tau)
+    out = _outdir(config)
     (out / f"scenario_run{args.run:04d}.json").write_text(scenario.to_json())
     (out / f"oracle_run{args.run:04d}.json").write_text(result.to_json())
     print(f"best joint action {result.best_joint_action} "
@@ -120,24 +120,23 @@ def cmd_oracle(args) -> int:
 
 def cmd_p_vs_rho(args) -> int:
     config = load_config(args)
-    out = _outdir(config)
     rhos = [float(r) for r in args.rhos.split(",") if r]
-    result = sweep_p_vs_rho(config, rhos, steps=args.steps)
+    result = sweep_p_vs_rho(config, rhos)
+    out = _outdir(config)
     (out / "p_vs_rho.csv").write_text(p_vs_rho_csv(result))
     (out / "p_vs_rho.json").write_text(json.dumps(result, indent=2))
     for row in result["rows"]:
-        print(f"rho={row['rho']:.3f}  p_hat={row['p_hat']:.4f}  "
-              f"CI95 [{row['ci95'][0]:.4f}, {row['ci95'][1]:.4f}]")
+        print(f"rho={row['rho']:.3f}  p={row['p']:.6f}")
     print("monotone nondecreasing" if result["nondecreasing"]
-          else "NOT monotone (sampling noise or tight scenario)")
+          else "NOT monotone")
     return 0
 
 
 def cmd_traces(args) -> int:
     config = load_config(args)
-    out = _outdir(config)
     scenario = scenario_for_run(config, 0, args.run)
     trace = learn_for_run(config, 0, args.run, scenario, record_updates=True)
+    out = _outdir(config)
     (out / f"phases_run{args.run:04d}.jsonl").write_text(phase_trace_jsonl(trace))
     for i, agent in enumerate(trace.agents):
         csv_text = emit_qvalue_traces(agent.update_records,

@@ -8,7 +8,7 @@ zero in S1, either per link or summed over links (global mode).
 
 The joint action space is small (|A|^N), so a scenario evaluates all of it
 at once into one outcome tensor; the oracle, the learning loop and the
-phase-change probe all read from that tensor by flat joint index.
+phase-change probability all read from that tensor.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
     "build_scenario",
     "pn_power_control",
     "outcome_tensor",
-    "measure_phase_change_probability",
+    "phase_change_probability",
 ]
 
 STATE_S0 = 0
@@ -145,7 +145,7 @@ class Scenario:
     @cached_property
     def outcomes(self) -> "Outcomes":
         """The outcome tensor, built on first use and then shared by the
-        oracle, the learners and the phase-change probe."""
+        oracle, the learners and the phase-change probability."""
         return outcome_tensor(self)
 
     def to_json(self) -> str:
@@ -344,75 +344,36 @@ def outcome_tensor(scenario: Scenario) -> Outcomes:
     return _evaluate(scenario, grid)
 
 
-def _check_joint_action(scenario: Scenario, joint_action):
-    n = scenario.n_cr
-    if len(joint_action) != n:
-        raise ValueError(f"expected {n} actions, got {len(joint_action)}")
-    for a in joint_action:
-        if not 0 <= a < len(scenario.actions):
-            raise ValueError(f"action index {a} outside the action space")
-
-
-@dataclass(frozen=True)
-class PhaseChangeProbe:
-    """Outcome of a phase-change measurement for the reference agent."""
-
-    p_hat: float
-    rewards: np.ndarray
-    steps: int
-
-    @property
-    def mean_nonzero_reward(self) -> float:
-        nz = self.rewards[self.rewards > 0.0]
-        return float(nz.mean()) if nz.size else 0.0
-
-    @property
-    def reward_variance(self) -> float:
-        return float(self.rewards.var())
-
-
-def measure_phase_change_probability(scenario: Scenario,
-                                     policy,
-                                     rho: float,
-                                     steps: int,
-                                     rng: np.random.Generator,
-                                     reference: int = 0) -> PhaseChangeProbe:
-    """Empirical probability that co-agent experimentation flips the
-    reference agent into S1.
+def phase_change_probability(scenario: Scenario, policy, rho: float) -> float:
+    """Probability that co-agent experimentation puts agent 0 in S1 at
+    one step of an exploration phase.
 
     policy is one action index per agent and must keep every agent in S0
-    when nobody experiments. Each step the other agents keep their policy
-    action with probability 1-rho and otherwise draw uniformly from the
-    whole action space; the reference agent always plays its policy
-    action. Returns the observed S1 fraction and the reward samples.
-    Raises ValueError unless rho lies in [0, 1] and steps >= 1.
+    when nobody experiments. The step's joint action follows the
+    exploration-phase distribution of agent.phase_draws: agent 0 plays its
+    policy action, and each other agent j plays a uniform draw from the
+    whole action space with probability rho and policy[j] otherwise, so
+    action a has probability rho/|A| + (1 - rho)[a == policy[j]]. The
+    probability is the sum of agent 0's S1 indicator over the outcome
+    tensor under that product distribution, taken one agent's axis at a
+    time. Raises ValueError unless rho lies in [0, 1].
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if steps < 1:
-        raise ValueError("the probe needs at least one step")
+    n, n_actions = scenario.n_cr, len(scenario.actions)
     policy = [int(a) for a in policy]
-    _check_joint_action(scenario, policy)
-    n = scenario.n_cr
-    n_actions = len(scenario.actions)
-    outcomes = scenario.outcomes
-    policy_index = int(np.ravel_multi_index(policy, (n_actions,) * n))
-    if np.any(outcomes.states[policy_index] != STATE_S0):
+    if len(policy) != n:
+        raise ValueError(f"expected {n} actions, got {len(policy)}")
+    if not all(0 <= a < n_actions for a in policy):
+        raise ValueError(f"policy {policy} leaves the action space")
+    states = scenario.outcomes.states
+    if np.any(states[np.ravel_multi_index(policy, (n_actions,) * n)] != STATE_S0):
         raise ValueError("policy must keep every agent in S0 absent experimentation")
 
-    states = outcomes.states[:, reference].tolist()
-    ref_rewards = outcomes.rewards(scenario.config.reward_mode)[:, reference].tolist()
-    flips = 0
-    rewards = np.empty(steps)
-    for t in range(steps):
-        k = 0
-        for j in range(n):
-            if j != reference and rng.random() < rho:
-                a = int(rng.integers(n_actions))
-            else:
-                a = policy[j]
-            k = k * n_actions + a
-        if states[k] == STATE_S1:
-            flips += 1
-        rewards[t] = ref_rewards[k]
-    return PhaseChangeProbe(p_hat=flips / steps, rewards=rewards, steps=steps)
+    p = (states[:, 0] == STATE_S1).astype(float).reshape((n_actions,) * n)
+    for j in reversed(range(n)):            # contract the last axis: agent j
+        explore = 0.0 if j == 0 else rho    # agent 0 never experiments
+        weights = np.full(n_actions, explore / n_actions)
+        weights[policy[j]] += 1.0 - explore
+        p = p @ weights
+    return float(p)

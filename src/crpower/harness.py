@@ -27,7 +27,7 @@ from .environment import (
     EnvConfig,
     Scenario,
     build_scenario,
-    measure_phase_change_probability,
+    phase_change_probability,
 )
 from .link_adaptation import AmcTable
 from .oracle import exhaustive_search, score_policy
@@ -298,42 +298,30 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     return ExperimentReport(config=config, metrics=metrics)
 
 
-def sweep_p_vs_rho(config: ExperimentConfig, rhos, steps: int = 20_000,
-                   run: int = 0) -> dict:
-    """Empirical phase-change probability against experimentation rate.
+def sweep_p_vs_rho(config: ExperimentConfig, rhos, run: int = 0) -> dict:
+    """Phase-change probability against experimentation rate.
 
     Uses the oracle's best joint action as the S0-keeping policy on the
-    run's scenario and probes each rho with a fresh child stream.
+    run's scenario.
     """
     scenario = scenario_for_run(config, 0, run)
     oracle = exhaustive_search(scenario, config.env.reward_mode, tau=config.tau)
-    seq = child_seed(config.master_seed, 0, run)
-    streams = seq.spawn(2)[1].spawn(len(rhos))
-
-    rows = []
-    for rho, stream in zip(rhos, streams):
-        probe = measure_phase_change_probability(
-            scenario, oracle.best_joint_action, rho, steps,
-            np.random.default_rng(stream))
-        lo, hi = wilson_interval(round(probe.p_hat * steps), steps)
-        rows.append({"rho": float(rho), "p_hat": probe.p_hat,
-                     "ci95": [lo, hi], "steps": steps})
-    p_hats = [r["p_hat"] for r in rows]
+    rows = [{"rho": float(rho),
+             "p": phase_change_probability(scenario, oracle.best_joint_action, rho)}
+            for rho in rhos]
     return {
         "policy": list(oracle.best_joint_action),
         "rows": rows,
-        "nondecreasing": bool(np.all(np.diff(p_hats) >= 0)),
+        "nondecreasing": bool(np.all(np.diff([r["p"] for r in rows]) >= 0)),
     }
 
 
 def p_vs_rho_csv(result: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rho", "p_hat", "ci_lo", "ci_hi", "steps"])
+    writer.writerow(["rho", "p"])
     for row in result["rows"]:
-        writer.writerow([repr(row["rho"]), repr(row["p_hat"]),
-                         repr(row["ci95"][0]), repr(row["ci95"][1]),
-                         row["steps"]])
+        writer.writerow([repr(row["rho"]), repr(row["p"])])
     return buf.getvalue()
 
 

@@ -38,7 +38,6 @@ pass in the last bit. Every configured mini-batch has 25 rows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -166,25 +165,6 @@ class MlpParams:
                 a.flags.writeable = False
             object.__setattr__(self, "_two_state", (tuple(post), tuple(masks)))
         return self._two_state
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "layer_sizes": list(self.layer_sizes),
-            "weights": [w.ravel().tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "cap": self.cap,
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "MlpParams":
-        doc = json.loads(text)
-        sizes = doc["layer_sizes"]
-        weights = tuple(
-            np.asarray(flat, dtype=float).reshape(sizes[k], sizes[k + 1])
-            for k, flat in enumerate(doc["weights"])
-        )
-        biases = tuple(np.asarray(b, dtype=float) for b in doc["biases"])
-        return MlpParams(weights, biases, cap=float(doc["cap"]))
 
 
 def _bind(params: MlpParams, flat: np.ndarray, layer_sizes, cap: float):
@@ -328,6 +308,6 @@ def train_minibatch(params: MlpParams,
                 else "parameter update")
         raise FloatingPointError(
             f"non-finite {what} (loss={loss!r}, "
-            f"max|err|={np.max(np.abs(err))!r}); "
+            f"max|err|={float(np.max(np.abs(err)))!r}); "
             "training has diverged")
     return _params_from_flat(flat, params.layer_sizes, params.cap), loss

@@ -12,10 +12,11 @@ from crpower.environment import (
     _evaluate,
     _rewards,
     build_scenario,
-    measure_phase_change_probability,
     outcome_tensor,
+    phase_change_probability,
     pn_power_control,
 )
+from crpower.harness import wilson_interval
 from crpower.link_adaptation import AmcTable
 from crpower.oracle import exhaustive_search
 from crpower.topology import ConfigurationError, GridSpec
@@ -108,16 +109,14 @@ def test_phase_change_probe_rejects_bad_input():
     rng = np.random.default_rng(6)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
     with pytest.raises(ValueError):
-        measure_phase_change_probability(sc, (0,), 0.1, 10, rng)
+        phase_change_probability(sc, (0,), 0.1)
     with pytest.raises(ValueError):
-        measure_phase_change_probability(sc, (14, 0), 0.1, 10, rng)
-    # all-off keeps both agents in S0, so only rho or steps is at fault
-    assert measure_phase_change_probability(sc, (0, 0), 0.1, 10, rng).steps == 10
-    for rho, steps, message in ((0.1, 0, "step"), (0.1, -3, "step"),
-                                (-0.5, 10, "rho"), (1.5, 10, "rho"),
-                                (float("nan"), 10, "rho")):
-        with pytest.raises(ValueError, match=message):
-            measure_phase_change_probability(sc, (0, 0), rho, steps, rng)
+        phase_change_probability(sc, (14, 0), 0.1)
+    # all-off keeps both agents in S0, so only rho is at fault
+    assert type(phase_change_probability(sc, (0, 0), 0.1)) is float
+    for rho in (-0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="rho"):
+            phase_change_probability(sc, (0, 0), rho)
 
 
 def test_reward_zero_iff_s1(one_ap_one_cr):
@@ -231,43 +230,67 @@ def test_outcome_tensor_memory_budget(monkeypatch):
         outcome_tensor(sc)
 
 
+def sampled_phase_change(scenario, policy, rho, steps, rng) -> int:
+    """Reference for phase_change_probability: how many of ``steps``
+    sampled steps put agent 0 in S1. Each step, agent 0 plays its policy
+    action and every other agent draws uniformly from the action space
+    with probability rho, else plays its policy action."""
+    n_actions = len(scenario.actions)
+    states = scenario.outcomes.states[:, 0].tolist()
+    flips = 0
+    for _ in range(steps):
+        k = 0
+        for j, a in enumerate(policy):
+            if j and rng.random() < rho:
+                a = int(rng.integers(n_actions))
+            k = k * n_actions + a
+        flips += states[k] == STATE_S1
+    return flips
+
+
 def test_phase_change_probe_rho_zero(bernoulli_probe_scenario):
-    probe = measure_phase_change_probability(
-        bernoulli_probe_scenario, (13, 0), rho=0.0, steps=2000,
-        rng=np.random.default_rng(0))
-    assert probe.p_hat == 0.0
-    assert np.all(probe.rewards == probe.rewards[0])
+    assert phase_change_probability(bernoulli_probe_scenario, (13, 0), 0.0) == 0.0
 
 
 def test_phase_change_probe_rejects_s1_policy(one_ap_one_cr):
-    with pytest.raises(ValueError):
-        measure_phase_change_probability(one_ap_one_cr, (13,), 0.1, 100,
-                                         np.random.default_rng(0))
+    with pytest.raises(ValueError, match="S0"):
+        phase_change_probability(one_ap_one_cr, (13,), 0.1)
 
 
 def test_phase_change_probability_value(bernoulli_probe_scenario):
     # agent 1 breaks the link at its top 3 of 14 actions: p = rho * 3/14
-    rho = 0.2
-    probe = measure_phase_change_probability(
-        bernoulli_probe_scenario, (13, 0), rho=rho, steps=40_000,
-        rng=np.random.default_rng(1))
-    assert probe.p_hat == pytest.approx(rho * 3.0 / 14.0, rel=0.12)
+    for rho in (0.1, 0.2, 1.0):
+        p = phase_change_probability(bernoulli_probe_scenario, (13, 0), rho)
+        assert p == pytest.approx(rho * 3.0 / 14.0, rel=1e-12)
 
 
 def test_phase_change_monotone_in_rho(bernoulli_probe_scenario):
-    probes = [measure_phase_change_probability(
-        bernoulli_probe_scenario, (13, 0), rho, steps=30_000,
-        rng=np.random.default_rng(2)).p_hat for rho in (0.1, 0.4)]
-    assert probes[1] >= probes[0]
+    probes = [phase_change_probability(bernoulli_probe_scenario, (13, 0), rho)
+              for rho in (0.0, 0.1, 0.4, 0.7, 1.0)]
+    assert all(a <= b for a, b in zip(probes, probes[1:]))
+    assert probes[0] < probes[-1]
 
 
-def test_reward_variance_matches_bernoulli_model(bernoulli_probe_scenario):
-    probe = measure_phase_change_probability(
-        bernoulli_probe_scenario, (13, 0), rho=0.2, steps=50_000,
-        rng=np.random.default_rng(3))
-    k = probe.mean_nonzero_reward
-    predicted = k * k * probe.p_hat * (1.0 - probe.p_hat)
-    assert probe.reward_variance == pytest.approx(predicted, rel=0.10)
+@pytest.mark.parametrize("n_cr", [2, 3])
+def test_phase_change_probability_matches_sampling(n_cr):
+    """The exact value lies in the z = 3.29 Wilson interval of 4,000
+    sampled steps, on the first four scenarios where agent 0 can be
+    knocked out of S0 at the oracle's best joint action."""
+    rng = np.random.default_rng(20)
+    config = EnvConfig(n_cr=n_cr, reward_mode="global", tpc_reference="signal")
+    checked = 0
+    while checked < 4:
+        sc = build_scenario(GridSpec(), config, AmcTable.default(), rng)
+        policy = exhaustive_search(sc, "global").best_joint_action
+        if phase_change_probability(sc, policy, 0.4) == 0.0:
+            continue
+        for seed, rho in enumerate((0.1, 0.4)):
+            p = phase_change_probability(sc, policy, rho)
+            flips = sampled_phase_change(sc, policy, rho, 4000,
+                                         np.random.default_rng([checked, seed]))
+            lo, hi = wilson_interval(flips, 4000, z=3.29)
+            assert lo <= p <= hi, (policy, rho, p, flips)
+        checked += 1
 
 
 def test_scenario_json_contains_gains_and_powers():

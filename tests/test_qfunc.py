@@ -144,15 +144,6 @@ def test_init_mlp_uniform_unit_interval():
     assert 0.4 < flat.mean() < 0.6
 
 
-def test_params_json_roundtrip():
-    params = init_mlp(np.random.default_rng(2))
-    back = MlpParams.from_json(params.to_json())
-    assert back.layer_sizes == params.layer_sizes
-    for a, b in zip(back.weights, params.weights):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(q_matrix(back), q_matrix(params), rtol=1e-12)
-
-
 def test_forward_golden_values():
     # pinned seed -> pinned outputs, frozen from the finite-difference
     # verified implementation
@@ -335,10 +326,12 @@ def test_divergence_raises_numeric_error():
     params = init_mlp(rng)
     target = TargetArray(np.zeros((2, 14)), 50)
     batch = _random_batch(rng, reward_scale=100.0)
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError) as excinfo:
         with np.errstate(all="ignore"):
             for _ in range(2000):
                 params, _ = train_minibatch(params, *batch, target, 5.0, 0.9)
+    # the message prints plain numbers, not numpy scalar reprs
+    assert "np.float64" not in str(excinfo.value)
 
 
 def test_divergence_prints_no_numpy_warnings():
