@@ -36,6 +36,6 @@ from .qfunc import (
     table_update,
     train_minibatch,
 )
-from .topology import GridSpec, NodePlacement, sample_placement, wrap_distance
+from .topology import GridSpec, NodePlacement, sample_placement
 
 __version__ = "0.1.0"

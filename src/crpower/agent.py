@@ -79,13 +79,12 @@ class AgentHyperparams:
     phase_length: int = 6250        # environment steps per exploration phase
     n_phases: int = 100
     alpha0: float = 0.05            # initial learning rate
-    zeta: float = 5.0               # per-phase learning-rate divisor
+    zeta: float = 5.0               # per-phase learning-rate divisor; 1 keeps alpha0
     c: int = 50                     # target refresh period (in updates)
     minibatch: int = 25
     tolerance_multiplier: float = 3.0
     std_window: int = 50
     activation_cap: float = 20.0
-    fixed_alpha: bool = False       # disable the per-phase decay
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
@@ -242,7 +241,6 @@ class _AgentBase:
         self.windows = QValueWindows(n_actions, hp.std_window)
         self.phase_reward_sum = 0.0
         self.phase_step_count = 0
-        self.last_record: PhaseRecord | None = None
         self.update_records: list[UpdateRecord] | None = (
             [] if record_updates else None)
 
@@ -306,10 +304,8 @@ class _AgentBase:
             q_values=q.copy(),
             candidates=candidates,
         )
-        self.last_record = record
         self.phase += 1
-        if not self.hp.fixed_alpha:
-            self.alpha /= self.hp.zeta
+        self.alpha /= self.hp.zeta
         self.phase_reward_sum = 0.0
         self.phase_step_count = 0
         return record

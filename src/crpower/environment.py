@@ -101,7 +101,7 @@ class EnvConfig:
     """
 
     epsilon: float = 0.05           # limit on |T%| at the monitored link
-    reward_mode: str = "local"      # "local" (own throughput) or "global" (sum)
+    reward_mode: str = "global"     # "global" (sum) or "local" (own throughput)
     n_cr: int = 2
     tpc_reference: str = "noise"    # "noise" or "signal"
 

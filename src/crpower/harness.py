@@ -17,7 +17,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,19 +44,34 @@ __all__ = [
 ]
 
 
+def _keywords(doc, names, where: str) -> dict:
+    """doc as keyword arguments, once it is a JSON object keyed by names."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    unknown = [key for key in doc if key not in names]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    return dict(doc)
+
+
+def _build(cls, doc, where: str):
+    """The dataclass cls from a JSON object of its field names."""
+    return cls(**_keywords(doc, [f.name for f in fields(cls)], where))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one sweep needs, loadable from a single JSON document."""
 
     grid: GridSpec = field(default_factory=GridSpec)
-    env: EnvConfig = field(default_factory=lambda: EnvConfig(reward_mode="global"))
+    env: EnvConfig = field(default_factory=EnvConfig)
     agent: tuple[AgentHyperparams, ...] = (AgentHyperparams(),)
     learner: str = "dql"
     n_runs: int = 1
     master_seed: int = 0
-    restarts: bool = False
-    n_restarts: int = 4
-    probe_phases: int = 10
+    n_restarts: int = 1
+    probe_phases: int | None = None     # None: every probe runs all phases
     amc_csv: str | None = None
     amc_xi: float = 4.0
     amc_snr_gap: float = 1.0
@@ -70,17 +85,14 @@ class ExperimentConfig:
             raise ConfigurationError("n_runs must be >= 1")
         if self.learner not in ("dql", "table"):
             raise ConfigurationError(f"unknown learner {self.learner!r}")
-        if isinstance(self.agent, AgentHyperparams):
-            object.__setattr__(self, "agent", (self.agent,))
-        else:
-            object.__setattr__(self, "agent", tuple(self.agent))
-        if self.restarts:
-            if self.n_restarts < 1:
-                raise ConfigurationError("n_restarts must be >= 1")
-            if self.probe_phases < 1:
-                raise ConfigurationError("probe_phases must be >= 1")
-            if any(self.probe_phases > hp.n_phases for hp in self.agent):
-                raise ConfigurationError("probe_phases exceeds a point's n_phases")
+        agent = (self.agent,) if isinstance(self.agent, AgentHyperparams) else self.agent
+        object.__setattr__(self, "agent", tuple(agent))
+        if self.n_restarts < 1:
+            raise ConfigurationError("n_restarts must be >= 1")
+        if self.probe_phases is not None and self.probe_phases < 1:
+            raise ConfigurationError("probe_phases must be >= 1")
+        if any((self.probe_phases or 0) > hp.n_phases for hp in self.agent):
+            raise ConfigurationError("probe_phases exceeds a point's n_phases")
 
     def amc_table(self) -> AmcTable:
         kwargs = dict(xi=self.amc_xi, snr_gap=self.amc_snr_gap,
@@ -90,29 +102,30 @@ class ExperimentConfig:
         return AmcTable.default(**kwargs)
 
     @staticmethod
-    def from_dict(doc: dict) -> "ExperimentConfig":
-        kwargs: dict = {}
-        if "grid" in doc:
-            kwargs["grid"] = GridSpec(**doc["grid"])
-        if "env" in doc:
-            kwargs["env"] = EnvConfig(**doc["env"])
-        if "agent" in doc:
-            points = doc["agent"]
-            if isinstance(points, dict):
-                points = [points]
-            kwargs["agent"] = tuple(AgentHyperparams(**p) for p in points)
-        if "amc" in doc:
-            amc = doc["amc"]
-            kwargs["amc_csv"] = amc.get("csv")
-            for key in ("xi", "snr_gap", "bandwidth_hz"):
-                if key in amc:
-                    kwargs[f"amc_{key}"] = amc[key]
-        for key in ("learner", "n_runs", "master_seed", "restarts",
-                    "n_restarts", "probe_phases", "pn_target_sinr_db",
-                    "tau", "out_dir"):
-            if key in doc:
-                kwargs[key] = doc[key]
+    def from_dict(doc) -> "ExperimentConfig":
+        """The config a JSON document describes: an object keyed by this
+        class's field names, an absent key keeping its default. ``grid``,
+        ``env`` and ``agent`` (one object, or a list of one per phase
+        budget) are objects keyed by the field names of GridSpec, EnvConfig
+        and AgentHyperparams. The keys ``csv``, ``xi``, ``snr_gap`` and
+        ``bandwidth_hz`` of ``amc`` set the ``amc_*`` fields. An unknown key
+        at any level raises ConfigurationError naming it; a value of the
+        wrong type raises it too."""
+        names = [f.name for f in fields(ExperimentConfig)]
+        amc_names = [name for name in names if name.startswith("amc_")]
         try:
+            kwargs = _keywords(doc, set(names) - set(amc_names) | {"amc"}, "config")
+            amc = _keywords(kwargs.pop("amc", {}),
+                            [name[len("amc_"):] for name in amc_names], "amc")
+            kwargs.update((f"amc_{key}", value) for key, value in amc.items())
+            if "grid" in kwargs:
+                kwargs["grid"] = _build(GridSpec, kwargs["grid"], "grid")
+            if "env" in kwargs:
+                kwargs["env"] = _build(EnvConfig, kwargs["env"], "env")
+            if "agent" in kwargs:
+                points = kwargs["agent"]
+                kwargs["agent"] = [_build(AgentHyperparams, point, "agent") for point
+                                   in ([points] if isinstance(points, dict) else points)]
             return ExperimentConfig(**kwargs)
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc
@@ -152,13 +165,13 @@ def scenario_for_run(config: ExperimentConfig, point: int, run: int) -> Scenario
 
 def learn_for_run(config: ExperimentConfig, point: int, run: int,
                   scenario: Scenario, record_updates: bool = False) -> RunTrace:
-    """Train the run's agents on its scenario, with restarts if configured."""
-    hp = config.agent[point]
+    """Train the run's agents on its scenario, with the config's restarts:
+    n_restarts probes of probe_phases phases each, a plain run for one."""
     train_seq = child_seed(config.master_seed, point, run).spawn(2)[1]
-    restarts = (dict(n_restarts=config.n_restarts,
-                     probe_phases=config.probe_phases) if config.restarts else {})
-    return run_learning(scenario, hp, train_seq, config.learner,
-                        record_updates=record_updates, **restarts)
+    return run_learning(scenario, config.agent[point], train_seq, config.learner,
+                        n_restarts=config.n_restarts,
+                        probe_phases=config.probe_phases,
+                        record_updates=record_updates)
 
 
 def execute_run(config: ExperimentConfig, point: int, run: int):
@@ -259,7 +272,8 @@ class ExperimentReport:
             "learner": self.config.learner,
             "n_runs": self.config.n_runs,
             "master_seed": self.config.master_seed,
-            "restarts": self.config.restarts,
+            "n_restarts": self.config.n_restarts,
+            "probe_phases": self.config.probe_phases,
             "points": self.aggregate(),
             "wall_ms": {
                 str(point): [m.wall_ms for m in rows]

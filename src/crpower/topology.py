@@ -18,7 +18,6 @@ __all__ = [
     "GridSpec",
     "NodePlacement",
     "sample_placement",
-    "wrap_distance",
 ]
 
 # PN receivers stay inside the cell of their AP: half the lattice spacing.
@@ -119,23 +118,13 @@ class NodePlacement:
         )
 
 
-def wrap_distance(a, b, spec: GridSpec) -> float:
-    """Toroidal Euclidean distance between two points in meters.
+def pairwise_wrap_distances(points_a: np.ndarray, points_b: np.ndarray,
+                            spec: GridSpec) -> np.ndarray:
+    """Matrix of toroidal distances in meters, shape (len(a), len(b)).
 
     Per axis the displacement is min(|d|, extent - |d|), so it never
     exceeds half the grid extent.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    extent = np.asarray(spec.extent)
-    delta = np.abs(a - b)
-    delta = np.minimum(delta, extent - delta)
-    return float(np.hypot(delta[..., 0], delta[..., 1]))
-
-
-def pairwise_wrap_distances(points_a: np.ndarray, points_b: np.ndarray,
-                            spec: GridSpec) -> np.ndarray:
-    """Matrix of toroidal distances, shape (len(a), len(b))."""
     extent = np.asarray(spec.extent)
     delta = np.abs(points_a[:, None, :] - points_b[None, :, :])
     delta = np.minimum(delta, extent - delta)

@@ -190,13 +190,13 @@ def test_stationary_rewards_when_nobody_experiments(two_cr_scenario):
     agents = make_agents("table", hp, 2, 14, rngs, record_updates=True)
     agents[0].policy = np.array([12, 12])   # within limit alone
     agents[1].policy = np.array([0, 0])     # silent
-    run_exploration_phase(agents, two_cr_scenario, rngs)
+    records = run_exploration_phase(agents, two_cr_scenario, rngs)
     assert [rec.action for rec in agents[0].update_records] == [12] * 60
     assert [rec.action for rec in agents[1].update_records] == [0] * 60
     assert agents[0].phase_step_count == 0          # reset at boundary
     # every step is the joint action (12, 0), flat index 12 * 14 + 0
     rewards = two_cr_scenario.outcomes.rewards(two_cr_scenario.config.reward_mode)
-    rec = agents[0].last_record
+    rec = records[0]
     assert rec.mean_reward == pytest.approx(rewards[168, 0])
     assert rec.mean_reward > 0.0
 
@@ -210,10 +210,13 @@ def test_alpha_decays_once_per_phase(two_cr_scenario):
     assert trace.agents[0].alpha == pytest.approx(0.05 / 5.0 ** 3)
 
 
-def test_fixed_alpha_mode(two_cr_scenario):
-    hp = small_hp(alpha0=0.01, fixed_alpha=True, phase_length=50, n_phases=3)
-    trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(5), "dql")
-    assert trace.agents[0].alpha == 0.01
+def test_zeta_one_keeps_alpha_fixed(two_cr_scenario):
+    hp = small_hp(alpha0=0.01, zeta=1.0, phase_length=50, n_phases=6)
+    for learner in ("dql", "table"):
+        trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(5),
+                             learner)
+        assert len(trace.phase_records) == 6
+        assert all(ag.alpha == hp.alpha0 for ag in trace.agents)
 
 
 def test_lambda_one_policy_never_changes(two_cr_scenario):
@@ -248,7 +251,7 @@ def test_non_finite_q_spread_is_a_divergence():
         with pytest.raises(FloatingPointError,
                            match="non-finite Q-value spread.*diverged"):
             agent.update_policy(rng)
-    assert agent.phase == 0 and agent.last_record is None
+    assert agent.phase == 0 and agent.alpha == hp.alpha0
 
 
 def test_full_determinism(two_cr_scenario):

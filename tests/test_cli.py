@@ -33,7 +33,7 @@ def simulate(config_path, out, *extra):
                      *extra])
 
 
-RESTARTS = dict(CONFIG, restarts=True, n_restarts=2, probe_phases=1)
+RESTARTS = dict(CONFIG, n_restarts=2, probe_phases=1)
 DQL = dict(CONFIG, learner="dql",
            agent=dict(TUNED_DQL_HYPERPARAMS[30], phase_length=50, n_phases=2))
 
@@ -114,6 +114,23 @@ def test_bad_input_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps(dict(RESTARTS, **restarts)))
         assert simulate(bad, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
+    # unknown keys at every level, restarts and fixed_alpha among them, and a
+    # document that is not an object: one error line that names the key
+    for doc, message in (
+            (dict(CONFIG, n_run=3), "'n_run'"),
+            (dict(CONFIG, restarts=True), "'restarts'"),
+            (dict(CONFIG, env=dict(CONFIG["env"], n_crs=3)), "'n_crs'"),
+            (dict(CONFIG, agent=dict(CONFIG["agent"], fixed_alpha=True)),
+             "'fixed_alpha'"),
+            (dict(CONFIG, agent=[CONFIG["agent"], {"alpha": 0.1}]), "'alpha'"),
+            (dict(CONFIG, grid={"row": 3}), "'row'"),
+            (dict(CONFIG, amc={"xi": 4.0, "csv_path": "amc.csv"}), "'csv_path'"),
+            ([CONFIG], "must be a JSON object")):
+        bad.write_text(json.dumps(doc))
+        assert simulate(bad, tmp_path / "out") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
     bad.write_text(json.dumps(CONFIG))
     out = tmp_path / "pvr"
     assert cli.main(["p-vs-rho", "--config", str(bad), "--out", str(out),
@@ -121,6 +138,26 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert "rho must lie" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "out").exists()
+
+
+def test_single_restart_writes_the_plain_run(config_path, tmp_path):
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps(dict(CONFIG, n_restarts=1, probe_phases=1)))
+    plain, restarted = tmp_path / "plain", tmp_path / "restarted"
+    assert simulate(config_path, plain) == 0
+    assert simulate(single, restarted) == 0
+    assert ((plain / "summary.csv").read_bytes()
+            == (restarted / "summary.csv").read_bytes())
+    for sub in ("oracle", "traces"):
+        files = sorted(p.name for p in (plain / sub).iterdir())
+        assert files == sorted(p.name for p in (restarted / sub).iterdir())
+        for file in files:
+            assert ((plain / sub / file).read_bytes()
+                    == (restarted / sub / file).read_bytes())
+    reports = [json.loads((d / "report.json").read_text())
+               for d in (plain, restarted)]
+    assert [(r["n_restarts"], r["probe_phases"]) for r in reports] == [
+        (1, None), (1, 1)]
 
 
 def test_oracle_matches_the_run_and_its_scenario(config_path, tmp_path):

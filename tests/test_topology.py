@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,13 @@ from crpower.topology import (
     NodePlacement,
     pairwise_wrap_distances,
     sample_placement,
-    wrap_distance,
 )
+
+
+def pair_distance(a, b, spec):
+    """pairwise_wrap_distances on one-point arrays."""
+    one = [np.asarray(p, dtype=float).reshape(1, 2) for p in (a, b)]
+    return float(pairwise_wrap_distances(*one, spec)[0, 0])
 
 
 def test_default_spec():
@@ -28,9 +35,9 @@ def test_invalid_specs_rejected():
 
 def test_wrap_distance_identity_and_hand_value():
     spec = GridSpec()
-    assert wrap_distance((123.0, 456.0), (123.0, 456.0), spec) == 0.0
+    assert pair_distance((123.0, 456.0), (123.0, 456.0), spec) == 0.0
     # (0,0) to (400,400) on a 600 m torus: 200 per axis -> sqrt(80000)
-    d = wrap_distance((0.0, 0.0), (400.0, 400.0), spec)
+    d = pair_distance((0.0, 0.0), (400.0, 400.0), spec)
     assert d == pytest.approx(np.sqrt(2.0) * 200.0, abs=1e-9)
     assert d == pytest.approx(282.8427, abs=1e-3)
 
@@ -40,10 +47,14 @@ def test_wrap_distance_symmetry_and_half_extent_bound():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 600, size=(50, 2))
     for a, b in zip(pts[:25], pts[25:]):
-        assert wrap_distance(a, b, spec) == pytest.approx(
-            wrap_distance(b, a, spec), abs=1e-12)
+        assert pair_distance(a, b, spec) == pytest.approx(
+            pair_distance(b, a, spec), abs=1e-12)
         # no per-axis displacement exceeds half the extent
-        assert wrap_distance(a, b, spec) <= np.sqrt(2.0) * 300.0 + 1e-9
+        assert pair_distance(a, b, spec) <= np.sqrt(2.0) * 300.0 + 1e-9
+    mat = pairwise_wrap_distances(pts, pts, spec)
+    np.testing.assert_allclose(mat, mat.T, rtol=0.0, atol=1e-12)
+    assert np.all(np.diag(mat) == 0.0)
+    assert mat.max() <= np.sqrt(2.0) * 300.0 + 1e-9
 
 
 def test_toroidal_triangle_inequality():
@@ -51,10 +62,13 @@ def test_toroidal_triangle_inequality():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0, 600, size=(60, 2))
     for a, b, c in zip(pts[:20], pts[20:40], pts[40:]):
-        dab = wrap_distance(a, b, spec)
-        dbc = wrap_distance(b, c, spec)
-        dac = wrap_distance(a, c, spec)
+        dab = pair_distance(a, b, spec)
+        dbc = pair_distance(b, c, spec)
+        dac = pair_distance(a, c, spec)
         assert dac <= dab + dbc + 1e-9
+    # every triple: d[i, k] <= d[i, j] + d[j, k]
+    d = pairwise_wrap_distances(pts, pts, spec)
+    assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-9)
 
 
 def test_sample_placement_determinism():
@@ -79,10 +93,10 @@ def test_sample_placement_invariants():
             assert np.all(pos[:, 1] < 600.0)
         # receivers stay within radius of their transmitter (torus metric)
         for k, ap_idx in enumerate(p.active_ap_indices):
-            d = wrap_distance(p.ap_positions[ap_idx], p.pn_rx_positions[k], spec)
+            d = pair_distance(p.ap_positions[ap_idx], p.pn_rx_positions[k], spec)
             assert d <= spec.coverage_radius_m + 1e-9
         for j in range(p.n_cr):
-            d = wrap_distance(p.cr_tx_positions[j], p.cr_rx_positions[j], spec)
+            d = pair_distance(p.cr_tx_positions[j], p.cr_rx_positions[j], spec)
             assert d <= 50.0 + 1e-9
 
 
@@ -94,7 +108,7 @@ def test_cr_rx_distance_distribution():
     for _ in range(5000):
         p = sample_placement(spec, 2, rng)
         for j in range(2):
-            dists.append(wrap_distance(p.cr_tx_positions[j],
+            dists.append(pair_distance(p.cr_tx_positions[j],
                                        p.cr_rx_positions[j], spec))
     dists = np.asarray(dists)
     assert dists.min() >= 0.0
@@ -114,11 +128,16 @@ def test_placement_json_roundtrip():
 
 
 def test_pairwise_matches_scalar():
+    """Each entry is the scalar toroidal distance of its pair, and equals
+    the distance computed on that pair alone."""
     spec = GridSpec()
     rng = np.random.default_rng(9)
     a = rng.uniform(0, 600, size=(4, 2))
     b = rng.uniform(0, 600, size=(3, 2))
     mat = pairwise_wrap_distances(a, b, spec)
+    assert mat.shape == (4, 3)
     for i in range(4):
         for j in range(3):
-            assert mat[i, j] == pytest.approx(wrap_distance(a[i], b[j], spec))
+            dx, dy = (min(abs(u - v), 600.0 - abs(u - v)) for u, v in zip(a[i], b[j]))
+            assert mat[i, j] == pytest.approx(math.hypot(dx, dy), abs=1e-9)
+            assert mat[i, j] == pair_distance(a[i], b[j], spec)
