@@ -29,13 +29,7 @@ from .environment import (
 from .harness import ExperimentConfig, RunMetrics, run_experiment, sweep_p_vs_rho
 from .link_adaptation import AmcTable, relative_throughput_change, throughput
 from .oracle import OracleResult, exhaustive_search, score_policy
-from .qfunc import (
-    MlpParams,
-    TargetArray,
-    refresh_target,
-    table_update,
-    train_minibatch,
-)
+from .qfunc import MlpParams, table_update, train_minibatch
 from .topology import GridSpec, NodePlacement, sample_placement
 
 __version__ = "0.1.0"

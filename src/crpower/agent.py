@@ -30,10 +30,12 @@ reach the phase boundary's window ring in one in-place
 temporal-difference pass and the last ``std_window`` one at a time,
 pushing a snapshot after each; the network learner trains on
 consecutive mini-batch slices of its columns, carrying a partial
-mini-batch into the next phase. Each trained parameter set caches its
-read-only Q matrix, so the one forward pass after an update serves the
-window push, the update record, the phase-boundary policy update, the
-target refresh and the next training step.
+mini-batch into the next phase. A phase is at least one mini-batch long,
+so every phase pushes a window snapshot for either learner. Each trained
+parameter set caches its read-only Q matrix, so the one forward pass
+after an update serves the window push, the update record, the
+phase-boundary policy update, the target maxima refreshed every ``c``
+updates and the next training step.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,8 @@ import numpy as np
 from .environment import Scenario
 from .qfunc import (
     N_STATES,
-    TargetArray,
     init_mlp,
     q_matrix,
-    refresh_target,
     table_update,
     train_minibatch,
 )
@@ -237,10 +236,7 @@ class _AgentBase:
         self.state = 0
         self.alpha = hp.alpha0
         self.phase = 0
-        self.step_count = 0
         self.windows = QValueWindows(n_actions, hp.std_window)
-        self.phase_reward_sum = 0.0
-        self.phase_step_count = 0
         self.update_records: list[UpdateRecord] | None = (
             [] if record_updates else None)
 
@@ -248,18 +244,8 @@ class _AgentBase:
         raise NotImplementedError
 
     def learn(self, states, next_states, actions, rewards):
-        """Learn from one phase's columns, one entry per step."""
+        """Learn from one phase's columns and move to its last next state."""
         raise NotImplementedError
-
-    def _end_columns(self, next_states: list, rewards: list):
-        """Move the state, step counts and reward total past a phase."""
-        self.state = next_states[-1]
-        self.step_count += len(rewards)
-        self.phase_step_count += len(rewards)
-        # left to right, as one addition per step; sum() compensates
-        # float sums from Python 3.12 on
-        self.phase_reward_sum = functools.reduce(operator.add, rewards,
-                                                 self.phase_reward_sum)
 
     def _record_update(self, step: int, action: int, q):
         if self.update_records is not None:
@@ -267,24 +253,20 @@ class _AgentBase:
             self.update_records.append(UpdateRecord(
                 step=step, action=action, q_s0=np.array(q[0]), delta=delta))
 
-    def update_policy(self, rng: np.random.Generator) -> PhaseRecord:
-        """Best reply with inertia at a phase boundary.
+    def update_policy(self, rng: np.random.Generator, mean_reward: float) -> PhaseRecord:
+        """Best reply with inertia at a phase boundary; the record keeps the
+        phase's mean_reward.
 
         Raises FloatingPointError when the Q-value spread over the window
         is not finite: training has diverged.
         """
         q = self.q_values()
-        if self.windows.filled == 0:
-            warnings.warn("no Q evaluations recorded this phase; tolerance "
-                          "falls back to 0", stacklevel=2)
-            delta = 0.0
-        else:
-            spread = self.windows.largest_std()
-            if not math.isfinite(spread):
-                raise FloatingPointError(
-                    f"non-finite Q-value spread ({spread!r}) at the end of "
-                    f"phase {self.phase}; training has diverged")
-            delta = self.hp.tolerance_multiplier * spread
+        spread = self.windows.largest_std()
+        if not math.isfinite(spread):
+            raise FloatingPointError(
+                f"non-finite Q-value spread ({spread!r}) at the end of "
+                f"phase {self.phase}; training has diverged")
+        delta = self.hp.tolerance_multiplier * spread
         candidates = candidate_sets(q, delta)
 
         before = tuple(int(a) for a in self.policy)
@@ -298,16 +280,13 @@ class _AgentBase:
             policy_before=before,
             policy_after=after,
             delta=delta,
-            mean_reward=(self.phase_reward_sum / self.phase_step_count
-                         if self.phase_step_count else 0.0),
+            mean_reward=mean_reward,
             changed=after != before,
             q_values=q.copy(),
             candidates=candidates,
         )
         self.phase += 1
         self.alpha /= self.hp.zeta
-        self.phase_reward_sum = 0.0
-        self.phase_step_count = 0
         return record
 
 
@@ -318,7 +297,8 @@ class DqlAgent(_AgentBase):
         super().__init__(hp, n_actions, rng, record_updates)
         self.params = init_mlp(rng, (N_STATES, 8, 18, n_actions),
                                cap=hp.activation_cap)
-        self.target = TargetArray.from_params(self.params, hp.c)
+        # per-state maximum of the frozen target Q-values
+        self.target_max = q_matrix(self.params).max(axis=1)
         # partial mini-batch carried to the next phase: states, next states,
         # actions, rewards
         self.batch: tuple[np.ndarray, ...] = (
@@ -333,22 +313,21 @@ class DqlAgent(_AgentBase):
         columns = [np.concatenate(pair) for pair in zip(
             self.batch, (states, next_states, actions, rewards))]
         size = self.hp.minibatch
-        # the step number of a column entry: the carried entries come first
-        first_step = self.step_count + 1 - len(self.batch[0])
+        # the step number of column entry 0: the carried entries come first
+        first_step = self.phase * self.hp.phase_length + 1 - len(self.batch[0])
         n_full = len(columns[0]) // size
         for end in range(size, n_full * size + 1, size):
             self.params, _ = train_minibatch(
                 self.params, *(c[end - size:end] for c in columns),
-                self.target, self.alpha, self.hp.gamma)
+                self.target_max, self.alpha, self.hp.gamma)
             self.updates += 1
-            if self.updates % self.hp.c == 0:
-                self.target = refresh_target(self.target, self.params,
-                                             step=self.updates)
             q = q_matrix(self.params)
+            if self.updates % self.hp.c == 0:
+                self.target_max = q.max(axis=1)
             self.windows.push(q)
             self._record_update(first_step + end - 1, int(columns[2][end - 1]), q)
         self.batch = tuple(c[n_full * size:].copy() for c in columns)
-        self._end_columns(next_states.tolist(), rewards.tolist())
+        self.state = int(next_states[-1])
 
 
 class TableAgent(_AgentBase):
@@ -375,8 +354,9 @@ class TableAgent(_AgentBase):
             table_update(self.table, *(c[t:t + 1] for c in columns),
                          self.alpha, self.hp.gamma)
             self.windows.push(self.table)
-            self._record_update(self.step_count + t + 1, columns[2][t], self.table)
-        self._end_columns(columns[1], columns[3])
+            self._record_update(self.phase * self.hp.phase_length + t + 1,
+                                columns[2][t], self.table)
+        self.state = columns[1][-1]
 
 
 def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
@@ -437,7 +417,11 @@ def run_exploration_phase(agents, scenario: Scenario, rngs) -> list[PhaseRecord]
                           outcomes.rewards(scenario.config.reward_mode), n_actions)
     for ag, c in zip(agents, columns):
         ag.learn(*c)
-    return [ag.update_policy(rngs[i]) for i, ag in enumerate(agents)]
+    # each mean adds its rewards left to right, one addition per step;
+    # sum() compensates float sums from Python 3.12 on
+    means = [functools.reduce(operator.add, c[3].tolist(), 0.0) / len(c[3])
+             for c in columns]
+    return [ag.update_policy(rngs[i], means[i]) for i, ag in enumerate(agents)]
 
 
 @dataclass

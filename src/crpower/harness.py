@@ -16,8 +16,9 @@ import io
 import json
 import math
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,20 +45,36 @@ __all__ = [
 ]
 
 
-def _keywords(doc, names, where: str) -> dict:
-    """doc as keyword arguments, once it is a JSON object keyed by names."""
+def _field_types(cls) -> dict:
+    """Each field name of the dataclass cls with its annotation's types."""
+    return {name: typing.get_args(hint) or (hint,)
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+def _keywords(doc, types: dict, where: str) -> dict:
+    """doc as keyword arguments, once it is a JSON object keyed by the names
+    of types and each value has one of its key's types: an int also serves
+    for a float. A key whose types are None takes any value."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
-    unknown = [key for key in doc if key not in names]
+    unknown = [key for key in doc if key not in types]
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    for key, value in doc.items():
+        allowed = types[key]
+        if allowed is not None and type(value) not in allowed + (
+                (int,) if float in allowed else ()):
+            names = " or ".join("null" if t is type(None) else t.__name__
+                                for t in allowed)
+            raise ConfigurationError(f"{where} key {key!r} must be {names}, "
+                                     f"not {type(value).__name__}")
     return dict(doc)
 
 
 def _build(cls, doc, where: str):
     """The dataclass cls from a JSON object of its field names."""
-    return cls(**_keywords(doc, [f.name for f in fields(cls)], where))
+    return cls(**_keywords(doc, _field_types(cls), where))
 
 
 @dataclass(frozen=True)
@@ -87,6 +104,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown learner {self.learner!r}")
         agent = (self.agent,) if isinstance(self.agent, AgentHyperparams) else self.agent
         object.__setattr__(self, "agent", tuple(agent))
+        if not self.agent:
+            raise ConfigurationError("agent must hold at least one phase budget")
         if self.n_restarts < 1:
             raise ConfigurationError("n_restarts must be >= 1")
         if self.probe_phases is not None and self.probe_phases < 1:
@@ -109,14 +128,16 @@ class ExperimentConfig:
         budget) are objects keyed by the field names of GridSpec, EnvConfig
         and AgentHyperparams. The keys ``csv``, ``xi``, ``snr_gap`` and
         ``bandwidth_hz`` of ``amc`` set the ``amc_*`` fields. An unknown key
-        at any level raises ConfigurationError naming it; a value of the
-        wrong type raises it too."""
-        names = [f.name for f in fields(ExperimentConfig)]
-        amc_names = [name for name in names if name.startswith("amc_")]
+        at any level, or a value whose type differs from its field's
+        annotation, raises ConfigurationError naming the key."""
+        types = _field_types(ExperimentConfig)
+        amc_types = {name[len("amc_"):]: types.pop(name)
+                     for name in list(types) if name.startswith("amc_")}
+        # the keys of these sections are checked against their own fields
+        types.update(grid=None, env=None, agent=None, amc=None)
         try:
-            kwargs = _keywords(doc, set(names) - set(amc_names) | {"amc"}, "config")
-            amc = _keywords(kwargs.pop("amc", {}),
-                            [name[len("amc_"):] for name in amc_names], "amc")
+            kwargs = _keywords(doc, types, "config")
+            amc = _keywords(kwargs.pop("amc", {}), amc_types, "amc")
             kwargs.update((f"amc_{key}", value) for key, value in amc.items())
             if "grid" in kwargs:
                 kwargs["grid"] = _build(GridSpec, kwargs["grid"], "grid")
@@ -125,7 +146,7 @@ class ExperimentConfig:
             if "agent" in kwargs:
                 points = kwargs["agent"]
                 kwargs["agent"] = [_build(AgentHyperparams, point, "agent") for point
-                                   in ([points] if isinstance(points, dict) else points)]
+                                   in (points if isinstance(points, list) else [points])]
             return ExperimentConfig(**kwargs)
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc

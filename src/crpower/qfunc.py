@@ -3,14 +3,14 @@
 Two estimators share the 2-state x n-action interface: a lookup table
 updated in place by the standard temporal-difference rule, and a small
 fully-connected network trained by plain gradient descent on the squared
-Bellman error against a frozen target array. Both learn from the same
+Bellman error against frozen target values. Both learn from the same
 four columns (states, next states, actions, rewards) in arrival order:
 the table takes any run of them in one call, one in-place update per
 entry on two lists of plain floats; the network takes one mini-batch of
 them per gradient step and discards it afterwards. There is deliberately
-no replay memory. The target array replaces a second network: it is a
-plain matrix of Q-values refreshed from the live parameters every ``c``
-updates.
+no replay memory. In place of a second network, training reads the
+per-state maximum of frozen target Q-values, which the learner refreshes
+from the live parameters every ``c`` updates.
 
 The network's weights and biases live in one flat float64 vector, layer
 by layer (weights, then biases); ``MlpParams.weights`` and ``biases`` are
@@ -39,19 +39,16 @@ pass in the last bit. Every configured mini-batch has 25 rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 __all__ = [
     "N_STATES",
     "MlpParams",
-    "TargetArray",
     "table_update",
     "init_mlp",
     "q_matrix",
     "train_minibatch",
-    "refresh_target",
 ]
 
 N_STATES = 2
@@ -104,49 +101,52 @@ def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):
     return tuple(weights), tuple(biases)
 
 
-@dataclass(frozen=True)
 class MlpParams:
     """Weights of the feed-forward approximator.
 
     Hidden layers use a saturated ReLU clamped to [0, cap]; the output
-    layer is linear. weights[k] has shape (fan_in, fan_out). The
-    constructor validates its arrays and copies them into ``flat``;
-    weights and biases are then views of it. The two-state forward pass
-    is computed on first use and cached, so a parameter set must not be
-    modified after that; training returns a new one.
+    layer is linear. weights[k], of shape (fan_in, fan_out), and
+    biases[k] are views of ``flat`` in the layout of ``layer_sizes``. The
+    constructor trusts its arguments; ``from_layers`` checks them. The
+    two-state forward pass is computed on first use and cached, so a
+    parameter set must not be modified after that; training returns a
+    new one.
     """
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    cap: float = DEFAULT_ACTIVATION_CAP
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-    layer_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _two_state: tuple | None = field(init=False, default=None, repr=False,
-                                     compare=False)
+    def __init__(self, flat: np.ndarray, layer_sizes: tuple[int, ...], cap: float):
+        self.flat = flat
+        self.layer_sizes = layer_sizes
+        self.cap = cap
+        self.weights, self.biases = _layer_views(flat, layer_sizes)
+        self._two_state = None
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
+    @classmethod
+    def from_layers(cls, weights, biases,
+                    cap: float = DEFAULT_ACTIVATION_CAP) -> "MlpParams":
+        """Parameters copied from per-layer arrays, after checking that they
+        are finite, that the layers chain and that cap is positive."""
+        if len(weights) != len(biases):
             raise ValueError("one bias vector per weight matrix required")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for k, (w, b) in enumerate(zip(weights, biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("parameters must be finite")
             if w.shape[1] != b.shape[0]:
                 raise ValueError("bias length must match layer width")
-            if k and w.shape[0] != self.weights[k - 1].shape[1]:
+            if k and w.shape[0] != weights[k - 1].shape[1]:
                 raise ValueError("layer fan-in must match the previous width")
-        if self.cap <= 0:
+        if cap <= 0:
             raise ValueError("activation cap must be positive")
-        sizes = (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-        flat = np.concatenate([np.ravel(a) for layer in zip(self.weights, self.biases)
+        sizes = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
+        flat = np.concatenate([np.ravel(a) for layer in zip(weights, biases)
                                for a in layer], dtype=float)
-        _bind(self, flat, sizes, self.cap)
+        return cls(flat, sizes, cap)
 
     def __reduce__(self):
-        return _params_from_flat, (self.flat, self.layer_sizes, self.cap)
+        return MlpParams, (self.flat, self.layer_sizes, self.cap)
 
     @property
     def n_actions(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.layer_sizes[-1]
 
     def _two_state_pass(self):
         """Cached forward pass on eye(2): (activations, masks), read-only.
@@ -163,24 +163,8 @@ class MlpParams:
                          for z in pre[:-1]]
             for a in post[1:] + masks:
                 a.flags.writeable = False
-            object.__setattr__(self, "_two_state", (tuple(post), tuple(masks)))
+            self._two_state = (tuple(post), tuple(masks))
         return self._two_state
-
-
-def _bind(params: MlpParams, flat: np.ndarray, layer_sizes, cap: float):
-    weights, biases = _layer_views(flat, layer_sizes)
-    for name, value in (("weights", weights), ("biases", biases), ("cap", cap),
-                        ("flat", flat), ("layer_sizes", tuple(layer_sizes)),
-                        ("_two_state", None)):
-        object.__setattr__(params, name, value)
-
-
-def _params_from_flat(flat: np.ndarray, layer_sizes, cap: float) -> MlpParams:
-    """A parameter set over ``flat`` without the constructor's checks; the
-    caller guarantees a finite vector of the layout's length."""
-    params = object.__new__(MlpParams)
-    _bind(params, flat, layer_sizes, cap)
-    return params
 
 
 def init_mlp(rng: np.random.Generator,
@@ -191,7 +175,7 @@ def init_mlp(rng: np.random.Generator,
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         weights.append(rng.uniform(0.0, 1.0, size=(fan_in, fan_out)))
         biases.append(rng.uniform(0.0, 1.0, size=fan_out))
-    return MlpParams(tuple(weights), tuple(biases), cap=cap)
+    return MlpParams.from_layers(weights, biases, cap)
 
 
 def _forward_full(params: MlpParams, x: np.ndarray):
@@ -212,56 +196,17 @@ def q_matrix(params: MlpParams) -> np.ndarray:
     return params._two_state_pass()[0][-1]
 
 
-@dataclass(frozen=True)
-class TargetArray:
-    """Frozen Q-values used to form training targets.
-
-    Only refreshed on multiples of the refresh period, never trained;
-    values is not modified after construction, which caches its per-state
-    maximum.
-    """
-
-    values: np.ndarray
-    refresh_period: int = 50
-    _best: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.refresh_period < 1:
-            raise ValueError("refresh period must be >= 1")
-        object.__setattr__(self, "_best", np.max(self.values, axis=1))
-
-    def max_next(self, next_states) -> np.ndarray:
-        """max over actions of the target values of each next state."""
-        return self._best.take(np.asarray(next_states, dtype=int))
-
-    @staticmethod
-    def from_params(params: MlpParams, refresh_period: int) -> "TargetArray":
-        return TargetArray(q_matrix(params), refresh_period)
-
-
-def refresh_target(target: TargetArray, params: MlpParams,
-                   step: int | None = None) -> TargetArray:
-    """Copy the live Q-values into the target array.
-
-    When the caller supplies its update counter the refresh schedule is
-    enforced: an off-schedule refresh raises ValueError.
-    """
-    if step is not None and step % target.refresh_period != 0:
-        raise ValueError(f"target refresh at update {step} is off the "
-                         f"every-{target.refresh_period} schedule")
-    return replace(target, values=q_matrix(params))
-
-
 def train_minibatch(params: MlpParams,
                     states, next_states, actions, rewards,
-                    target: TargetArray,
+                    target_max: np.ndarray,
                     alpha: float,
                     gamma: float) -> tuple[MlpParams, float]:
     """One gradient-descent step on the mean squared Bellman error.
 
     The mini-batch is four equal-length columns: states, next states,
-    actions and rewards. Per sample the target is
-    r + gamma * max_a target[s', a]; the loss is the batch mean of
+    actions and rewards. target_max holds, per state, the maximum over
+    actions of the frozen target Q-values, so the target of a sample is
+    r + gamma * target_max[s']; the loss is the batch mean of
     0.5 * (target - Q(s, a))^2. Returns the updated parameters and that
     loss. Deterministic in its inputs. Raises FloatingPointError when the
     gradient or the updated parameters are not finite: training has
@@ -287,7 +232,7 @@ def train_minibatch(params: MlpParams,
     grad_w, grad_b = _layer_views(grad, params.layer_sizes)
     # diverging runs overflow here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        y = rewards + gamma * target.max_next(next_states)
+        y = rewards + gamma * target_max.take(next_states)
         err = activations[-1][states, actions] - y
         loss = float(0.5 * (np.add.reduce(err ** 2) / b))   # np.mean, inlined
 
@@ -310,4 +255,4 @@ def train_minibatch(params: MlpParams,
             f"non-finite {what} (loss={loss!r}, "
             f"max|err|={float(np.max(np.abs(err)))!r}); "
             "training has diverged")
-    return _params_from_flat(flat, params.layer_sizes, params.cap), loss
+    return MlpParams(flat, params.layer_sizes, params.cap), loss

@@ -25,7 +25,7 @@ from crpower.harness import (
     learn_for_run,
     scenario_for_run,
 )
-from crpower.qfunc import TargetArray, init_mlp, q_matrix, train_minibatch
+from crpower.qfunc import init_mlp, q_matrix, train_minibatch
 
 
 def small_hp(**over):
@@ -178,7 +178,6 @@ def test_table_one_update_per_step(two_cr_scenario):
     agents = make_agents("table", hp, 2, 14, rngs)
     before = [ag.q_values() for ag in agents]
     run_exploration_phase(agents, two_cr_scenario, rngs)
-    assert all(ag.step_count == 120 for ag in agents)
     assert all(ag.windows.filled == 50 for ag in agents)   # window saturated
     assert any(not np.array_equal(b, ag.q_values())
                for b, ag in zip(before, agents))
@@ -193,7 +192,6 @@ def test_stationary_rewards_when_nobody_experiments(two_cr_scenario):
     records = run_exploration_phase(agents, two_cr_scenario, rngs)
     assert [rec.action for rec in agents[0].update_records] == [12] * 60
     assert [rec.action for rec in agents[1].update_records] == [0] * 60
-    assert agents[0].phase_step_count == 0          # reset at boundary
     # every step is the joint action (12, 0), flat index 12 * 14 + 0
     rewards = two_cr_scenario.outcomes.rewards(two_cr_scenario.config.reward_mode)
     rec = records[0]
@@ -228,14 +226,20 @@ def test_lambda_one_policy_never_changes(two_cr_scenario):
             assert not rec.changed
 
 
-def test_empty_window_warns():
-    hp = small_hp()
-    rng = np.random.default_rng(7)
-    agent = TableAgent(hp, 14, rng)
-    with pytest.warns(UserWarning):
-        rec = agent.update_policy(rng)
-    assert rec.delta == 0.0
-    assert all(len(c) == 1 for c in rec.candidates)
+@pytest.mark.parametrize("learner", ["table", "dql"])
+@pytest.mark.parametrize("phase_length", [25, 26], ids=["one-batch", "carried"])
+def test_every_phase_pushes_a_window_snapshot(two_cr_scenario, learner,
+                                              phase_length):
+    # A phase covers at least one mini-batch, so every phase boundary reads
+    # a window that this phase added to; at 26 steps a partial mini-batch
+    # carries into each next phase.
+    hp = small_hp(phase_length=phase_length, minibatch=25, n_phases=8)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(7).spawn(2)]
+    agents = make_agents(learner, hp, 2, 14, rngs)
+    for phase in range(hp.n_phases):
+        run_exploration_phase(agents, two_cr_scenario, rngs)
+        for ag in agents:
+            assert ag.windows.filled >= min(phase + 1, hp.std_window) >= 1
 
 
 def test_non_finite_q_spread_is_a_divergence():
@@ -250,7 +254,7 @@ def test_non_finite_q_spread_is_a_divergence():
         assert agent.windows.largest_std() == np.inf
         with pytest.raises(FloatingPointError,
                            match="non-finite Q-value spread.*diverged"):
-            agent.update_policy(rng)
+            agent.update_policy(rng, 0.0)
     assert agent.phase == 0 and agent.alpha == hp.alpha0
 
 
@@ -266,11 +270,14 @@ def test_full_determinism(two_cr_scenario):
 
 
 def test_update_records_schema(two_cr_scenario):
-    hp = small_hp(phase_length=100, minibatch=25, n_phases=2)
+    # 110-step phases: the second phase's first mini-batch starts with the
+    # 10 steps the first one carried
+    hp = small_hp(phase_length=110, minibatch=25, n_phases=2)
     trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(8),
                          "dql", record_updates=True)
     recs = trace.agents[0].update_records
-    assert len(recs) == 8                       # 100/25 updates x 2 phases
+    # an update is numbered by the step of its mini-batch's last entry
+    assert [rec.step for rec in recs] == list(range(25, 201, 25))
     for rec in recs:
         assert rec.q_s0.shape == (14,)
         assert rec.threshold == pytest.approx(rec.q_s0.max() - rec.delta)
@@ -313,6 +320,28 @@ def test_restart_rejects_short_runs(two_cr_scenario):
                          probe_phases=probe_phases)
 
 
+def test_target_refreshed_every_c_updates(two_cr_scenario):
+    # 4 updates per phase at c=3: the target maxima are those of the
+    # initial network until update 3, then of the network after the last
+    # multiple of c, whose Q matrix is that update's window snapshot
+    hp = small_hp(phase_length=100, minibatch=25, c=3, n_phases=3)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(13).spawn(2)]
+    agents = make_agents("dql", hp, 2, 14, rngs)
+    initial = [q_matrix(ag.params).max(axis=1) for ag in agents]
+    stale = []
+    for _ in range(hp.n_phases):
+        run_exploration_phase(agents, two_cr_scenario, rngs)
+        for ag, target_max in zip(agents, initial):
+            refreshed = ag.updates - ag.updates % hp.c
+            if refreshed:
+                target_max = ag.windows.snapshots()[refreshed - 1].max(axis=1)
+            np.testing.assert_array_equal(ag.target_max, target_max)
+            if refreshed < ag.updates:
+                stale.append(not np.array_equal(
+                    ag.target_max, q_matrix(ag.params).max(axis=1)))
+    assert any(stale)       # the target lagged the live network
+
+
 def test_make_agents_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_agents("sarsa", small_hp(), 2, 14,
@@ -338,7 +367,7 @@ class _RefAgent:
         if learner == "dql":
             self.params = init_mlp(rng, (2, 8, 18, n_actions),
                                    cap=hp.activation_cap)
-            self.target = TargetArray(q_matrix(self.params), hp.c)
+            self.target = q_matrix(self.params)
             self.columns = ([], [], [], [])
             self.updates = 0
         else:
@@ -377,10 +406,10 @@ class _RefAgent:
             if len(self.columns[0]) == hp.minibatch:
                 self.params, _ = train_minibatch(
                     self.params, *(np.array(c) for c in self.columns),
-                    self.target, self.alpha, hp.gamma)
+                    self.target.max(axis=1), self.alpha, hp.gamma)
                 self.updates += 1
                 if self.updates % hp.c == 0:
-                    self.target = TargetArray(q_matrix(self.params), hp.c)
+                    self.target = q_matrix(self.params)
                 self.push_and_record(action)
                 self.columns = ([], [], [], [])
         self.state = next_state
@@ -520,7 +549,7 @@ def test_library_matches_reference_loop(learner, restarts, case):
             for w, w_ref in zip(ag.params.weights + ag.params.biases,
                                 ref.params.weights + ref.params.biases):
                 np.testing.assert_array_equal(w, w_ref)
-            np.testing.assert_array_equal(ag.target.values, ref.target.values)
+            np.testing.assert_array_equal(ag.target_max, ref.target.max(axis=1))
         filled = min(ref.pushes, hp.std_window)
         assert ag.windows.filled == filled
         np.testing.assert_array_equal(ag.windows.snapshots(), ref.ring[:filled])

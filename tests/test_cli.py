@@ -114,8 +114,9 @@ def test_bad_input_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps(dict(RESTARTS, **restarts)))
         assert simulate(bad, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
-    # unknown keys at every level, restarts and fixed_alpha among them, and a
-    # document that is not an object: one error line that names the key
+    # unknown keys at every level, restarts and fixed_alpha among them,
+    # values of the wrong type, no phase budget, and a document that is not
+    # an object: run and traces print one error line that names the key
     for doc, message in (
             (dict(CONFIG, n_run=3), "'n_run'"),
             (dict(CONFIG, restarts=True), "'restarts'"),
@@ -125,12 +126,21 @@ def test_bad_input_exits_2(tmp_path, capsys):
             (dict(CONFIG, agent=[CONFIG["agent"], {"alpha": 0.1}]), "'alpha'"),
             (dict(CONFIG, grid={"row": 3}), "'row'"),
             (dict(CONFIG, amc={"xi": 4.0, "csv_path": "amc.csv"}), "'csv_path'"),
+            (dict(CONFIG, n_runs="3"), "config key 'n_runs' must be int, not str"),
+            (dict(CONFIG, agent=dict(CONFIG["agent"], n_phases="2")),
+             "agent key 'n_phases' must be int, not str"),
+            (dict(CONFIG, env=dict(CONFIG["env"], epsilon="x")),
+             "env key 'epsilon' must be float, not str"),
+            (dict(CONFIG, agent=[]), "at least one phase budget"),
+            (dict(CONFIG, agent=5), "agent must be a JSON object"),
             ([CONFIG], "must be a JSON object")):
         bad.write_text(json.dumps(doc))
-        assert simulate(bad, tmp_path / "out") == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert message in err[0]
+        for command in ("run", "traces"):
+            assert cli.main([command, "--config", str(bad),
+                             "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert message in err[0]
     bad.write_text(json.dumps(CONFIG))
     out = tmp_path / "pvr"
     assert cli.main(["p-vs-rho", "--config", str(bad), "--out", str(out),

@@ -8,10 +8,8 @@ import pytest
 from crpower.environment import ActionSpace
 from crpower.qfunc import (
     MlpParams,
-    TargetArray,
     init_mlp,
     q_matrix,
-    refresh_target,
     table_update,
     train_minibatch,
 )
@@ -108,11 +106,11 @@ def test_transition_rejects_negative_reward():
         table_update(q, [0], [0], [0], [-1.0], alpha=0.5, gamma=0.9)
     assert q == zeros_table()
     params = init_mlp(np.random.default_rng(0))
-    target = TargetArray.from_params(params, 50)
+    target_max = q_matrix(params).max(axis=1)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             train_minibatch(params, [0, 1], [0, 0], [0, 3], [1.0, bad],
-                            target, 0.1, 0.9)
+                            target_max, 0.1, 0.9)
 
 
 # ---------------------------------------------------------------- forward
@@ -121,7 +119,7 @@ def test_forward_zero_params_zero_output():
     sizes = (2, 8, 18, 14)
     weights = tuple(np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:]))
     biases = tuple(np.zeros(b) for b in sizes[1:])
-    params = MlpParams(weights, biases)
+    params = MlpParams.from_layers(weights, biases)
     np.testing.assert_array_equal(q_matrix(params)[0], np.zeros(14))
 
 
@@ -129,9 +127,9 @@ def test_forward_output_layer_linearity():
     rng = np.random.default_rng(5)
     params = init_mlp(rng)
     k = 3.7
-    scaled = MlpParams(params.weights[:-1] + (k * params.weights[-1],),
-                       params.biases[:-1] + (k * params.biases[-1],),
-                       cap=params.cap)
+    scaled = MlpParams.from_layers(params.weights[:-1] + (k * params.weights[-1],),
+                                   params.biases[:-1] + (k * params.biases[-1],),
+                                   cap=params.cap)
     np.testing.assert_allclose(q_matrix(scaled)[1],
                                k * q_matrix(params)[1], rtol=1e-12)
 
@@ -172,8 +170,8 @@ def _reference_forward(params, x):
 @pytest.mark.parametrize("weight_scale", [1.0, 8.0])
 def test_q_matrix_is_the_cached_two_state_pass(weight_scale):
     params = init_mlp(np.random.default_rng(21))
-    params = MlpParams(tuple(weight_scale * w for w in params.weights),
-                       params.biases, cap=params.cap)
+    params = MlpParams.from_layers(tuple(weight_scale * w for w in params.weights),
+                                   params.biases, cap=params.cap)
     _, post = _reference_forward(params, np.eye(2))
     q = q_matrix(params)
     assert np.array_equal(q, post[-1])
@@ -202,21 +200,22 @@ def test_params_constructor_validates():
     bad = weights[1].copy()
     bad[0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        MlpParams(tuple(weights[:1] + [bad] + weights[2:]), params.biases)
+        MlpParams.from_layers(tuple(weights[:1] + [bad] + weights[2:]), params.biases)
     with pytest.raises(ValueError, match="bias length"):
-        MlpParams(params.weights, tuple(biases[:1] + [biases[1][:-1]] + biases[2:]))
+        MlpParams.from_layers(params.weights,
+                              tuple(biases[:1] + [biases[1][:-1]] + biases[2:]))
     with pytest.raises(ValueError, match="fan-in"):
-        MlpParams((weights[0], weights[2]), (biases[0], biases[2]))
+        MlpParams.from_layers((weights[0], weights[2]), (biases[0], biases[2]))
     with pytest.raises(ValueError, match="cap"):
-        MlpParams(params.weights, params.biases, cap=0.0)
+        MlpParams.from_layers(params.weights, params.biases, cap=0.0)
 
 
 # ---------------------------------------------------------------- training
 
-def _loss_only(params, batch, target, gamma):
+def _loss_only(params, batch, target_max, gamma):
     """Loss evaluated without touching the training code path."""
     states, nxt, actions, rewards = batch
-    y = rewards + gamma * target.values[nxt].max(axis=1)
+    y = rewards + gamma * target_max[nxt]
     x = np.eye(2)[states]
     h = x
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -234,10 +233,10 @@ def _random_batch(rng, n=25, reward_scale=12.0):
     return tuple(np.array(column) for column in zip(*rows))
 
 
-def _max_fd_relative_error(params, batch, target, gamma, h=1e-5):
+def _max_fd_relative_error(params, batch, target_max, gamma, h=1e-5):
     """Central finite differences against the gradient recovered from one
     unit-step update; checks every weight and bias."""
-    new_params, _ = train_minibatch(params, *batch, target, alpha=1.0,
+    new_params, _ = train_minibatch(params, *batch, target_max, alpha=1.0,
                                     gamma=gamma)
     worst = 0.0
     for li in range(len(params.weights)):
@@ -249,9 +248,9 @@ def _max_fd_relative_error(params, batch, target, gamma, h=1e-5):
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
-                up = _loss_only(params, batch, target, gamma)
+                up = _loss_only(params, batch, target_max, gamma)
                 flat[j] = orig - h
-                down = _loss_only(params, batch, target, gamma)
+                down = _loss_only(params, batch, target_max, gamma)
                 flat[j] = orig
                 numeric = (up - down) / (2.0 * h)
                 ga = analytic.ravel()[j]
@@ -267,11 +266,11 @@ def test_gradient_matches_finite_differences():
         params = init_mlp(rng)
         if trial % 3 == 0:
             # push units past the saturation cap
-            params = MlpParams(tuple(8.0 * w for w in params.weights),
-                               params.biases, cap=params.cap)
-        target = TargetArray(rng.uniform(0, 5, size=(2, 14)), 50)
+            params = MlpParams.from_layers(tuple(8.0 * w for w in params.weights),
+                                           params.biases, cap=params.cap)
+        target_max = rng.uniform(0, 5, size=(2, 14)).max(axis=1)
         batch = _random_batch(rng)
-        worst = max(worst, _max_fd_relative_error(params, batch, target, 0.9))
+        worst = max(worst, _max_fd_relative_error(params, batch, target_max, 0.9))
     assert worst <= 1e-4, worst
 
 
@@ -280,15 +279,15 @@ def test_zero_gradient_at_optimum():
     params = init_mlp(rng)
     q = q_matrix(params)
     gamma = 0.9
-    target = TargetArray(np.zeros((2, 14)), 50)
+    target_max = np.zeros(2)
     # rewards chosen so each sample's target equals the current prediction
     rows = []
     for _ in range(25):
         s, ns, a = int(rng.integers(2)), int(rng.integers(2)), int(rng.integers(14))
-        r = q[s, a] - gamma * target.values[ns].max()
+        r = q[s, a] - gamma * target_max[ns]
         rows.append((s, ns, a, max(r, 0.0)))
     batch = [np.array(column) for column in zip(*rows)]
-    new_params, loss = train_minibatch(params, *batch, target, 0.1, gamma)
+    new_params, loss = train_minibatch(params, *batch, target_max, 0.1, gamma)
     assert loss == pytest.approx(0.0, abs=1e-20)
     for a, b in zip(new_params.weights, params.weights):
         np.testing.assert_array_equal(a, b)
@@ -297,11 +296,11 @@ def test_zero_gradient_at_optimum():
 def test_training_drives_prediction_to_target():
     rng = np.random.default_rng(31)
     params = init_mlp(rng)
-    target = TargetArray(np.zeros((2, 14)), 50)
+    target_max = np.zeros(2)
     batch = ([0] * 25, [1] * 25, [4] * 25, [3.0] * 25)
     losses = []
     for _ in range(300):
-        params, loss = train_minibatch(params, *batch, target, 0.05, 0.9)
+        params, loss = train_minibatch(params, *batch, target_max, 0.05, 0.9)
         losses.append(loss)
     assert q_matrix(params)[0, 4] == pytest.approx(3.0, abs=1e-3)
     burn = losses[5:]
@@ -310,26 +309,26 @@ def test_training_drives_prediction_to_target():
 
 def test_train_minibatch_rejects_bad_args():
     params = init_mlp(np.random.default_rng(0))
-    target = TargetArray.from_params(params, 50)
+    target_max = q_matrix(params).max(axis=1)
     with pytest.raises(ValueError):
-        train_minibatch(params, [], [], [], [], target, 0.1, 0.9)
+        train_minibatch(params, [], [], [], [], target_max, 0.1, 0.9)
     with pytest.raises(ValueError):
         train_minibatch(params, *_random_batch(np.random.default_rng(1)),
-                        target, 0.0, 0.9)
+                        target_max, 0.0, 0.9)
     with pytest.raises(ValueError, match="differ in length"):
         train_minibatch(params, [0, 1], [0, 1], [2], [1.0, 1.0],
-                        target, 0.1, 0.9)
+                        target_max, 0.1, 0.9)
 
 
 def test_divergence_raises_numeric_error():
     rng = np.random.default_rng(13)
     params = init_mlp(rng)
-    target = TargetArray(np.zeros((2, 14)), 50)
+    target_max = np.zeros(2)
     batch = _random_batch(rng, reward_scale=100.0)
     with pytest.raises(FloatingPointError) as excinfo:
         with np.errstate(all="ignore"):
             for _ in range(2000):
-                params, _ = train_minibatch(params, *batch, target, 5.0, 0.9)
+                params, _ = train_minibatch(params, *batch, target_max, 5.0, 0.9)
     # the message prints plain numbers, not numpy scalar reprs
     assert "np.float64" not in str(excinfo.value)
 
@@ -337,35 +336,35 @@ def test_divergence_raises_numeric_error():
 def test_divergence_prints_no_numpy_warnings():
     rng = np.random.default_rng(13)
     params = init_mlp(rng)
-    target = TargetArray(np.zeros((2, 14)), 50)
+    target_max = np.zeros(2)
     batch = _random_batch(rng, reward_scale=100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError,
                            match=r"^non-finite gradient \(loss=.*training has diverged$"):
             for _ in range(2000):
-                params, _ = train_minibatch(params, *batch, target, 5.0, 0.9)
+                params, _ = train_minibatch(params, *batch, target_max, 5.0, 0.9)
 
 
 def test_overflowing_update_raises_numeric_error():
     """A finite gradient whose update overflows is a divergence too."""
     params = init_mlp(np.random.default_rng(0))
-    target = TargetArray.from_params(params, 50)
+    target_max = q_matrix(params).max(axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="non-finite parameter update"):
             train_minibatch(params, [0, 1], [1, 0], [3, 7], [1.0, 2.0],
-                            target, 1e308, 0.9)
+                            target_max, 1e308, 0.9)
 
 
-def _reference_step(params, states, next_states, actions, rewards, target,
+def _reference_step(params, states, next_states, actions, rewards, target_max,
                     alpha, gamma):
     """train_minibatch restated per sample: the batch's one-hot rows through
     the batched forward pass, the same backward pass, a per-layer update."""
     b = len(states)
     rows = np.arange(b)
     pre, post = _reference_forward(params, np.eye(2)[states])
-    y = rewards + gamma * target.values[next_states].max(axis=1)
+    y = rewards + gamma * target_max[next_states]
     err = post[-1][rows, actions] - y
     loss = float(0.5 * np.mean(err ** 2))
     delta = np.zeros_like(post[-1])
@@ -394,20 +393,20 @@ def test_train_minibatch_matches_per_sample_reference():
     unit_regions = set()
     for trial in range(200):
         scale = 8.0 if trial % 2 else 1.0
-        params = MlpParams(
+        params = MlpParams.from_layers(
             tuple(scale * rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:])),
             tuple(rng.normal(size=b) for b in sizes[1:]))
         pre, _ = _reference_forward(params, np.eye(2))
         for z in pre[:-1]:
             unit_regions.update(np.sign(z - params.cap).ravel() + np.sign(z).ravel())
             unit_regions.add(bool(np.any((z[0] > 0) != (z[1] > 0))))
-        target = TargetArray(rng.uniform(0, 5, size=(2, n_actions)), 50)
+        target_max = rng.uniform(0, 5, size=(2, n_actions)).max(axis=1)
         b = 25 if trial % 4 < 2 else int(rng.integers(2, 65))
         batch = (rng.integers(2, size=b), rng.integers(2, size=b),
                  rng.integers(n_actions, size=b), rng.uniform(0, 12, size=b))
         alpha = float(rng.choice([1e-4, 0.05, 1.0]))
-        new_params, loss = train_minibatch(params, *batch, target, alpha, 0.9)
-        weights, biases, ref_loss = _reference_step(params, *batch, target,
+        new_params, loss = train_minibatch(params, *batch, target_max, alpha, 0.9)
+        weights, biases, ref_loss = _reference_step(params, *batch, target_max,
                                                     alpha, 0.9)
         assert loss == ref_loss
         for got, want in zip(new_params.weights + new_params.biases,
@@ -426,12 +425,12 @@ def test_no_replay_memory_in_training_path():
     no history can be buffered anywhere in the path."""
     rng = np.random.default_rng(3)
     params = init_mlp(rng)
-    target = TargetArray.from_params(params, 50)
+    target_max = q_matrix(params).max(axis=1)
     batch1 = _random_batch(rng)
     batch2 = _random_batch(rng)
-    out_a = train_minibatch(params, *batch2, target, 0.01, 0.9)
-    train_minibatch(params, *batch1, target, 0.01, 0.9)   # interleaved call
-    out_b = train_minibatch(params, *batch2, target, 0.01, 0.9)
+    out_a = train_minibatch(params, *batch2, target_max, 0.01, 0.9)
+    train_minibatch(params, *batch1, target_max, 0.01, 0.9)   # interleaved call
+    out_b = train_minibatch(params, *batch2, target_max, 0.01, 0.9)
     assert out_a[1] == out_b[1]
     for a, b in zip(out_a[0].weights, out_b[0].weights):
         np.testing.assert_array_equal(a, b)
@@ -439,48 +438,14 @@ def test_no_replay_memory_in_training_path():
 
 # ---------------------------------------------------------------- target
 
-def test_refresh_target_copies_forward_pass():
-    rng = np.random.default_rng(6)
-    params = init_mlp(rng)
-    target = TargetArray(np.zeros((2, 14)), refresh_period=30)
-    refreshed = refresh_target(target, params)
-    np.testing.assert_array_equal(refreshed.values, q_matrix(params))
-    assert refreshed.refresh_period == 30
-
-
 def test_target_frozen_between_refreshes():
     rng = np.random.default_rng(16)
     params = init_mlp(rng)
-    target = TargetArray.from_params(params, refresh_period=30)
-    snapshot = target.values.copy()
+    initial_q = q_matrix(params)
+    target_max = initial_q.max(axis=1)
+    snapshot = target_max.copy()
     batch = _random_batch(rng)
     for _ in range(10):
-        params, _ = train_minibatch(params, *batch, target, 0.001, 0.9)
-    np.testing.assert_array_equal(target.values, snapshot)
-    assert not np.allclose(q_matrix(params), snapshot)
-
-
-def test_refresh_off_schedule_raises():
-    params = init_mlp(np.random.default_rng(4))
-    target = TargetArray.from_params(params, refresh_period=30)
-    refresh_target(target, params, step=60)     # on schedule
-    with pytest.raises(ValueError, match="off the every-30 schedule"):
-        refresh_target(target, params, step=31)
-
-
-def test_refresh_count_over_updates():
-    # c=30 over 250 updates: floor(250/30) = 8 refreshes
-    c = 30
-    refreshes = sum(1 for step in range(1, 251) if step % c == 0)
-    assert refreshes == 8
-    params = init_mlp(np.random.default_rng(10))
-    target = TargetArray.from_params(params, refresh_period=c)
-    rng = np.random.default_rng(11)
-    seen = 0
-    batch = _random_batch(rng, reward_scale=2.0)
-    for step in range(1, 251):
-        params, _ = train_minibatch(params, *batch, target, 1e-4, 0.9)
-        if step % c == 0:
-            target = refresh_target(target, params, step=step)
-            seen += 1
-    assert seen == 8
+        params, _ = train_minibatch(params, *batch, target_max, 0.001, 0.9)
+    np.testing.assert_array_equal(target_max, snapshot)
+    assert not np.allclose(q_matrix(params), initial_q)
