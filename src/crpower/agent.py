@@ -21,21 +21,32 @@ independently of the other steps and agents, and an exploring step
 takes an action uniformly from the whole action space. The phase's joint
 trajectory is then walked once through the outcome tensor, which gives
 every agent four columns: states, next states, actions and rewards.
-Finally each agent learns from its columns, one agent after another in
-index order: an agent's learning depends on its own columns alone, so
-the order changes nothing but which error a diverging phase raises. When
-several agents diverge in one phase, the lowest-index one's error is
-raised. The table learner applies the updates whose snapshots cannot
+Finally the agents learn from their columns. An agent's learning
+depends on its own columns alone. The table learners learn one after
+another in index order: each applies the updates whose snapshots cannot
 reach the phase boundary's window ring in one in-place
 temporal-difference pass and the last ``std_window`` one at a time,
-pushing a snapshot after each; the network learner trains on
-consecutive mini-batch slices of its columns, carrying a partial
-mini-batch into the next phase. A phase is at least one mini-batch long,
-so every phase pushes a window snapshot for either learner. Each trained
-parameter set caches its read-only Q matrix, so the one forward pass
-after an update serves the window push, the update record, the
-phase-boundary policy update, the target maxima refreshed every ``c``
-updates and the next training step.
+pushing a snapshot after each. The network learners of a run share the
+phase length, mini-batch size, step size and target-refresh period, so
+their gradient updates line up one to one, and they train in lockstep:
+their networks form one stacked block, and each update is one
+``train_minibatch`` call in which every network steps on the next
+mini-batch slice of its own columns. Each network's results are bit for
+bit those it would get alone. The partial mini-batch carried into the
+next phase is as long for every agent. Window pushes, update records
+and the target maxima refreshed every ``c`` updates stay per agent. A
+phase is at least one mini-batch long, so every phase pushes a window
+snapshot for either learner. Each trained parameter set caches its
+read-only Q matrices, so the one forward pass after an update serves
+the window pushes, the update records, the phase-boundary policy
+updates, the target refresh and the next training step.
+
+When several agents diverge in one phase, the phase raises the
+lowest-index one's error, as if the agents had learned one after
+another: a diverged network and those above it stop training, the
+others train on to the end of the phase, and a later divergence of a
+lower-index agent takes precedence over an earlier one of a
+higher-index agent.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ import numpy as np
 from .environment import Scenario
 from .qfunc import (
     N_STATES,
+    MlpParams,
     init_mlp,
     q_matrix,
     table_update,
@@ -243,8 +255,10 @@ class _AgentBase:
     def q_values(self) -> np.ndarray:
         raise NotImplementedError
 
-    def learn(self, states, next_states, actions, rewards):
-        """Learn from one phase's columns and move to its last next state."""
+    @staticmethod
+    def learn_phase(agents, columns):
+        """Learn from one phase's columns, columns[i] those of agent i, and
+        move each agent to its last next state."""
         raise NotImplementedError
 
     def _record_update(self, step: int, action: int, q):
@@ -290,44 +304,89 @@ class _AgentBase:
         return record
 
 
+class _Networks:
+    """The stacked networks of a run's DQL agents and what their lockstep
+    training carries from one phase to the next."""
+
+    def __init__(self, params: MlpParams):
+        self.params = params
+        # per network and state, the maximum of the frozen target Q-values
+        self.target_max = q_matrix(params).max(axis=2)
+        # partial mini-batch carried to the next phase, as long for every
+        # network: states, next states, actions, rewards, each (N, length)
+        n = len(params.flat)
+        self.batch: tuple[np.ndarray, ...] = (
+            (np.empty((n, 0), dtype=np.int64),) * 3 + (np.empty((n, 0)),))
+        self.updates = 0
+
+
 class DqlAgent(_AgentBase):
-    """Network-backed learner: one gradient update per full mini-batch."""
+    """Network-backed learner: one gradient update per full mini-batch.
+
+    The agent's network is row ``index`` of ``net``, the stacked networks
+    of the run's DQL agents (make_agents stacks them); an agent on its own
+    is row 0 of a stack of one.
+    """
 
     def __init__(self, hp, n_actions, rng, record_updates=False):
         super().__init__(hp, n_actions, rng, record_updates)
-        self.params = init_mlp(rng, (N_STATES, 8, 18, n_actions),
-                               cap=hp.activation_cap)
-        # per-state maximum of the frozen target Q-values
-        self.target_max = q_matrix(self.params).max(axis=1)
-        # partial mini-batch carried to the next phase: states, next states,
-        # actions, rewards
-        self.batch: tuple[np.ndarray, ...] = (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64), np.empty(0))
-        self.updates = 0
+        self.net = _Networks(init_mlp(rng, (N_STATES, 8, 18, n_actions),
+                                      cap=hp.activation_cap))
+        self.index = 0
 
     def q_values(self) -> np.ndarray:
-        return q_matrix(self.params)
+        return q_matrix(self.net.params)[self.index]
 
-    def learn(self, states, next_states, actions, rewards):
-        columns = [np.concatenate(pair) for pair in zip(
-            self.batch, (states, next_states, actions, rewards))]
-        size = self.hp.minibatch
+    @staticmethod
+    def learn_phase(agents, columns):
+        """Train the agents' stacked networks in lockstep.
+
+        Update u trains every network on its own u-th mini-batch in one
+        train_minibatch call. When network j diverges, networks j and up
+        stop and the others train on to the end of the phase, which then
+        raises the lowest-index diverging agent's error.
+        """
+        # the agents of a run share hyperparameters, phase and step size
+        net, hp, alpha = agents[0].net, agents[0].hp, agents[0].alpha
+        cols = [np.concatenate([carried, np.stack(new)], axis=1)
+                for carried, new in zip(net.batch, zip(*columns))]
+        size = hp.minibatch
         # the step number of column entry 0: the carried entries come first
-        first_step = self.phase * self.hp.phase_length + 1 - len(self.batch[0])
-        n_full = len(columns[0]) // size
+        first_step = agents[0].phase * hp.phase_length + 1 - net.batch[0].shape[1]
+        n_full = cols[0].shape[1] // size
+        params, target_max, updates = net.params, net.target_max, net.updates
+        live, error = len(agents), None
         for end in range(size, n_full * size + 1, size):
-            self.params, _ = train_minibatch(
-                self.params, *(c[end - size:end] for c in columns),
-                self.target_max, self.alpha, self.hp.gamma)
-            self.updates += 1
-            q = q_matrix(self.params)
-            if self.updates % self.hp.c == 0:
-                self.target_max = q.max(axis=1)
-            self.windows.push(q)
-            self._record_update(first_step + end - 1, int(columns[2][end - 1]), q)
-        self.batch = tuple(c[n_full * size:].copy() for c in columns)
-        self.state = int(next_states[-1])
+            while True:
+                try:
+                    params, _ = train_minibatch(
+                        params, *(c[:live, end - size:end] for c in cols),
+                        target_max, alpha, hp.gamma)
+                    break
+                except FloatingPointError as exc:
+                    if exc.network == 0:
+                        raise
+                    # the text alone: a kept exception would keep this
+                    # frame, and the phase's arrays, alive
+                    live, error = exc.network, str(exc)
+                # networks live and up stop; the others redo the update
+                params = MlpParams(params.flat[:live], params.layer_sizes,
+                                   params.cap)
+                target_max = target_max[:live]
+            updates += 1
+            q = q_matrix(params)
+            if updates % hp.c == 0:
+                target_max = q.max(axis=2)
+            for ag, q_agent, action in zip(agents, q,
+                                           cols[2][:, end - 1].tolist()):
+                ag.windows.push(q_agent)
+                ag._record_update(first_step + end - 1, action, q_agent)
+        if error is not None:
+            raise FloatingPointError(error)
+        net.params, net.target_max, net.updates = params, target_max, updates
+        net.batch = tuple(c[:, n_full * size:].copy() for c in cols)
+        for ag, c in zip(agents, columns):
+            ag.state = int(c[1][-1])
 
 
 class TableAgent(_AgentBase):
@@ -340,7 +399,13 @@ class TableAgent(_AgentBase):
     def q_values(self) -> np.ndarray:
         return np.array(self.table)
 
+    @staticmethod
+    def learn_phase(agents, columns):
+        for ag, agent_columns in zip(agents, columns):
+            ag.learn(*agent_columns)
+
     def learn(self, states, next_states, actions, rewards):
+        """Learn from one phase's columns and move to its last next state."""
         columns = [c.tolist() for c in (states, next_states, actions, rewards)]
         n = len(rewards)
         # Only the last std_window snapshots can still be in the window
@@ -364,7 +429,16 @@ def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
     cls = {"dql": DqlAgent, "table": TableAgent}.get(kind)
     if cls is None:
         raise ValueError(f"unknown learner kind {kind!r}")
-    return [cls(hp, n_actions, rngs[i], record_updates) for i in range(n_agents)]
+    agents = [cls(hp, n_actions, rngs[i], record_updates) for i in range(n_agents)]
+    if cls is DqlAgent:
+        # one stacked block for the run; row i is agent i's own network,
+        # drawn from its own generator
+        own = [ag.net.params for ag in agents]
+        net = _Networks(MlpParams(np.concatenate([p.flat for p in own]),
+                                  own[0].layer_sizes, own[0].cap))
+        for i, ag in enumerate(agents):
+            ag.net, ag.index = net, i
+    return agents
 
 
 def _walk_phase(agents, draws, states: np.ndarray, rewards: np.ndarray,
@@ -415,8 +489,7 @@ def run_exploration_phase(agents, scenario: Scenario, rngs) -> list[PhaseRecord]
              for i, ag in enumerate(agents)]
     columns = _walk_phase(agents, draws, outcomes.states,
                           outcomes.rewards(scenario.config.reward_mode), n_actions)
-    for ag, c in zip(agents, columns):
-        ag.learn(*c)
+    type(agents[0]).learn_phase(agents, columns)
     # each mean adds its rewards left to right, one addition per step;
     # sum() compensates float sums from Python 3.12 on
     means = [functools.reduce(operator.add, c[3].tolist(), 0.0) / len(c[3])

@@ -12,6 +12,7 @@ also writes that run's oracle and phase-trace files.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -114,6 +115,11 @@ class ExperimentConfig:
             raise ConfigurationError("probe_phases exceeds a point's n_phases")
 
     def amc_table(self) -> AmcTable:
+        """The AMC table of the amc_* fields, parsed once per config."""
+        return self._amc_table
+
+    @functools.cached_property
+    def _amc_table(self) -> AmcTable:
         kwargs = dict(xi=self.amc_xi, snr_gap=self.amc_snr_gap,
                       bandwidth_hz=self.amc_bandwidth_hz)
         if self.amc_csv:

@@ -12,28 +12,36 @@ no replay memory. In place of a second network, training reads the
 per-state maximum of frozen target Q-values, which the learner refreshes
 from the live parameters every ``c`` updates.
 
-The network's weights and biases live in one flat float64 vector, layer
-by layer (weights, then biases); ``MlpParams.weights`` and ``biases`` are
-reshaped views of it. The network only ever sees the two one-hot states,
-so each parameter set runs its forward pass once, on ``eye(2)``, and
-caches the activations and saturated-ReLU masks of both states
-read-only. ``q_matrix`` is a lookup in that cache, and
-``train_minibatch`` gathers its batch rows from it instead of running the
-forward pass on the batch. The backward matmuls still run over all batch
-rows, the gradient fills one flat buffer, and the update is one
-subtraction and one finiteness check on the flat vector.
+The networks of one learning run are trained together, as N stacked
+networks of one shape: their weights and biases live in one (N, P)
+float64 block, network i's in row i, layer by layer (weights, then
+biases); ``MlpParams.weights`` and ``biases`` are reshaped views of it
+with a leading network axis. A single network is the case N = 1. A
+network only ever sees the two one-hot states, so each parameter set
+runs its forward pass once, on ``eye(2)``, and caches the activations
+and saturated-ReLU masks of both states of every network read-only.
+``q_matrix`` is a lookup in that cache, and ``train_minibatch`` gathers
+each network's batch rows from it with flat indices instead of running
+the forward pass on the batch. The backward matmuls still run over all
+batch rows, the gradient fills one flat buffer, and the update is one
+subtraction and one finiteness check on the block.
 
-Training is bit-identical to running the forward pass over the batch's
-one-hot rows, as the per-sample formulation does: each such row equals
-the matching row of ``eye(2)``, and the matrix products compute every
-output row from its own input row alone, in the same order for a 2-row
-as for a 25-row input. That last property belongs to the BLAS build and
-the layer shapes. It holds on OpenBLAS 0.3.31 (AVX-512 kernels) for the
-learner's (2, 8, 18, 14) network and batches of 2 to 200 rows, and
-tests/test_qfunc.py pins it. On that build it fails for a 2- or 3-wide
-output layer. It also fails for a 1-row input, which numpy multiplies as a
-matrix-vector product, so a 1-row mini-batch may differ from a per-sample
-pass in the last bit. Every configured mini-batch has 25 rows.
+Training is bit-identical to running the forward pass of each network
+alone over its batch's one-hot rows, as the per-sample formulation
+does. First, each such row equals the matching row of ``eye(2)``, and
+the matrix products compute every output row from its own input row
+alone, in the same order for a 2-row as for a 25-row input. Second, a
+stacked matmul multiplies each network's slice by itself, with the same
+shapes and strides as for that network alone, and every elementwise
+operation and reduction runs along the same axis, so no network's
+results depend on the others or on N. The first property belongs to the
+BLAS build and the layer shapes. It holds on OpenBLAS 0.3.31 (AVX-512
+kernels) for the learner's (2, 8, 18, 14) network and batches of 2 to
+200 rows, and tests/test_qfunc.py pins it, one network and a stack of
+three. On that build it fails for a 2- or 3-wide output layer. It also
+fails for a 1-row input, which numpy multiplies as a matrix-vector
+product, so a 1-row mini-batch may differ from a per-sample pass in the
+last bit. Every configured mini-batch has 25 rows.
 """
 
 from __future__ import annotations
@@ -91,26 +99,29 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
 
 
 def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):
-    """(weights, biases) of the flat layout, as views of ``flat``."""
+    """(weights, biases) of the flat layout of the (N, P) block ``flat``, as
+    views: weights[k] is (N, fan_in, fan_out) and biases[k] (N, 1, fan_out)."""
+    n = len(flat)
     weights, biases, start = [], [], 0
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         stop = start + fan_in * fan_out
-        weights.append(flat[start:stop].reshape(fan_in, fan_out))
-        biases.append(flat[stop:stop + fan_out])
+        weights.append(flat[:, start:stop].reshape(n, fan_in, fan_out))
+        biases.append(flat[:, None, stop:stop + fan_out])
         start = stop + fan_out
     return tuple(weights), tuple(biases)
 
 
 class MlpParams:
-    """Weights of the feed-forward approximator.
+    """Weights of N feed-forward approximators of one shape, stacked.
 
     Hidden layers use a saturated ReLU clamped to [0, cap]; the output
-    layer is linear. weights[k], of shape (fan_in, fan_out), and
-    biases[k] are views of ``flat`` in the layout of ``layer_sizes``. The
-    constructor trusts its arguments; ``from_layers`` checks them. The
-    two-state forward pass is computed on first use and cached, so a
-    parameter set must not be modified after that; training returns a
-    new one.
+    layer is linear. Row i of the (N, P) array ``flat`` holds network i's
+    parameters in the layout of ``layer_sizes``; weights[k], of shape
+    (N, fan_in, fan_out), and biases[k], of shape (N, 1, fan_out), are
+    views of it. A single network is the case N = 1. The constructor
+    trusts its arguments; ``from_layers`` checks them. The two-state
+    forward pass is computed on first use and cached, so a parameter set
+    must not be modified after that; training returns a new one.
     """
 
     def __init__(self, flat: np.ndarray, layer_sizes: tuple[int, ...], cap: float):
@@ -124,21 +135,31 @@ class MlpParams:
     def from_layers(cls, weights, biases,
                     cap: float = DEFAULT_ACTIVATION_CAP) -> "MlpParams":
         """Parameters copied from per-layer arrays, after checking that they
-        are finite, that the layers chain and that cap is positive."""
+        are finite, that the layers chain and that cap is positive.
+
+        For N stacked networks weights[k] is (N, fan_in, fan_out) and
+        biases[k] (N, 1, fan_out); for one network they may also be
+        (fan_in, fan_out) and (fan_out,).
+        """
         if len(weights) != len(biases):
             raise ValueError("one bias vector per weight matrix required")
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        n = int(np.prod(weights[0].shape[:-2]))
         for k, (w, b) in enumerate(zip(weights, biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("parameters must be finite")
-            if w.shape[1] != b.shape[0]:
+            if w.shape[-1] != b.shape[-1]:
                 raise ValueError("bias length must match layer width")
-            if k and w.shape[0] != weights[k - 1].shape[1]:
+            if k and w.shape[-2] != weights[k - 1].shape[-1]:
                 raise ValueError("layer fan-in must match the previous width")
+            if w.size != n * w.shape[-2] * w.shape[-1] or b.size != n * b.shape[-1]:
+                raise ValueError("every layer must hold the same number of networks")
         if cap <= 0:
             raise ValueError("activation cap must be positive")
-        sizes = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
-        flat = np.concatenate([np.ravel(a) for layer in zip(weights, biases)
-                               for a in layer], dtype=float)
+        sizes = (weights[0].shape[-2],) + tuple(w.shape[-1] for w in weights)
+        flat = np.concatenate([a.reshape(n, -1) for layer in zip(weights, biases)
+                               for a in layer], axis=1)
         return cls(flat, sizes, cap)
 
     def __reduce__(self):
@@ -151,17 +172,24 @@ class MlpParams:
     def _two_state_pass(self):
         """Cached forward pass on eye(2): (activations, masks), read-only.
 
-        activations[k] is the input to layer k for states 0 and 1 (so
-        activations[0] is eye(2) and activations[-1] the Q matrix);
-        masks[k] is 1.0 where hidden layer k's pre-activation lies inside
-        (0, cap), else 0.0.
+        activations[k], of shape (N, 2, width), is the input to layer k for
+        states 0 and 1 (so activations[0] is eye(2) for every network and
+        activations[-1] the Q matrices); masks[k] is 1.0 where hidden
+        layer k's pre-activation lies inside (0, cap), else 0.0.
         """
         if self._two_state is None:
+            h = np.empty((len(self.flat), N_STATES, N_STATES))
+            h[...] = _STATES_ONE_HOT
+            post, masks = [h], []
+            last = len(self.weights) - 1
             with np.errstate(over="ignore", invalid="ignore"):
-                pre, post = _forward_full(self, _STATES_ONE_HOT)
-                masks = [((z > 0.0) & (z < self.cap)).astype(float)
-                         for z in pre[:-1]]
-            for a in post[1:] + masks:
+                for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+                    h = h @ w + b
+                    if k < last:
+                        masks.append(((h > 0.0) & (h < self.cap)).astype(float))
+                        h = np.clip(h, 0.0, self.cap)
+                    post.append(h)
+            for a in post + masks:
                 a.flags.writeable = False
             self._two_state = (tuple(post), tuple(masks))
         return self._two_state
@@ -170,7 +198,7 @@ class MlpParams:
 def init_mlp(rng: np.random.Generator,
              layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES,
              cap: float = DEFAULT_ACTIVATION_CAP) -> MlpParams:
-    """Fresh parameters, every weight and bias uniform on [0, 1)."""
+    """One fresh network (N = 1), every weight and bias uniform on [0, 1)."""
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         weights.append(rng.uniform(0.0, 1.0, size=(fan_in, fan_out)))
@@ -178,48 +206,50 @@ def init_mlp(rng: np.random.Generator,
     return MlpParams.from_layers(weights, biases, cap)
 
 
-def _forward_full(params: MlpParams, x: np.ndarray):
-    """Forward pass keeping pre-activations for backprop."""
-    pre, post = [], [x]
-    h = x
-    n_layers = len(params.weights)
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = z if k == n_layers - 1 else np.clip(z, 0.0, params.cap)
-        post.append(h)
-    return pre, post
-
-
 def q_matrix(params: MlpParams) -> np.ndarray:
-    """(n_states, n_actions) matrix of current Q estimates, read-only."""
+    """(N, n_states, n_actions) array of current Q estimates, read-only."""
     return params._two_state_pass()[0][-1]
+
+
+def _divergence(network: int, what: str, loss: float, err: float):
+    """The divergence error of one network, built outside the training
+    step's frame so that the raised error and that frame do not refer to
+    each other."""
+    error = FloatingPointError(f"non-finite {what} (loss={loss!r}, "
+                               f"max|err|={err!r}); training has diverged")
+    error.network = network
+    return error
 
 
 def train_minibatch(params: MlpParams,
                     states, next_states, actions, rewards,
                     target_max: np.ndarray,
                     alpha: float,
-                    gamma: float) -> tuple[MlpParams, float]:
-    """One gradient-descent step on the mean squared Bellman error.
+                    gamma: float) -> tuple[MlpParams, np.ndarray]:
+    """One gradient-descent step of each network on the mean squared
+    Bellman error of its own mini-batch.
 
-    The mini-batch is four equal-length columns: states, next states,
-    actions and rewards. target_max holds, per state, the maximum over
-    actions of the frozen target Q-values, so the target of a sample is
-    r + gamma * target_max[s']; the loss is the batch mean of
-    0.5 * (target - Q(s, a))^2. Returns the updated parameters and that
-    loss. Deterministic in its inputs. Raises FloatingPointError when the
-    gradient or the updated parameters are not finite: training has
-    diverged.
+    The mini-batches are four (N, b) columns: states, next states, actions
+    and rewards, row i holding network i's b samples (one network may also
+    take (b,) columns). target_max, of shape (N, 2), holds per network and
+    state the maximum over actions of the frozen target Q-values, so the
+    target of network i's sample is r + gamma * target_max[i, s']; its loss
+    is the batch mean of 0.5 * (target - Q_i(s, a))^2. Returns the updated
+    parameters and the (N,) losses. Deterministic in its inputs; network
+    i's results depend on row i alone, bit for bit. Raises
+    FloatingPointError when a network's gradient or updated parameters
+    are not finite: training has diverged. The error reports the
+    lowest-index such network, whose index is its ``network`` attribute.
     """
-    states = np.asarray(states, dtype=int)
-    next_states = np.asarray(next_states, dtype=int)
-    actions = np.asarray(actions, dtype=int)
-    rewards = np.asarray(rewards, dtype=float)
-    b = len(states)
+    n = len(params.flat)
+    states = np.asarray(states, dtype=int).reshape(n, -1)
+    next_states = np.asarray(next_states, dtype=int).reshape(n, -1)
+    actions = np.asarray(actions, dtype=int).reshape(n, -1)
+    rewards = np.asarray(rewards, dtype=float).reshape(n, -1)
+    b = states.shape[1]
     if b == 0:
         raise ValueError("empty mini-batch")
-    if not len(next_states) == len(actions) == len(rewards) == b:
+    if not next_states.shape == actions.shape == rewards.shape == states.shape:
         raise ValueError("mini-batch columns differ in length")
     if not (np.isfinite(rewards).all() and (rewards >= 0.0).all()):
         raise ValueError("rewards must be finite and nonnegative")
@@ -227,32 +257,37 @@ def train_minibatch(params: MlpParams,
         raise ValueError("learning rate must be positive")
 
     activations, masks = params._two_state_pass()
-    rows = np.arange(b)
+    n_actions = params.n_actions
+    # Network i's state s is row 2i + s of the (N * 2, width) reshapes of
+    # the two-state arrays: flat gathers keep every per-network matrix
+    # product the one a single network computes.
+    offsets = np.arange(0, N_STATES * n, N_STATES)[:, None]
+    rows = states + offsets
     grad = np.empty_like(params.flat)
     grad_w, grad_b = _layer_views(grad, params.layer_sizes)
     # diverging runs overflow here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        y = rewards + gamma * target_max.take(next_states)
-        err = activations[-1][states, actions] - y
-        loss = float(0.5 * (np.add.reduce(err ** 2) / b))   # np.mean, inlined
+        y = rewards + gamma * target_max.take(next_states + offsets)
+        err = activations[-1].take(rows * n_actions + actions) - y
+        loss = 0.5 * (np.add.reduce(err ** 2, axis=1) / b)   # np.mean, inlined
 
-        delta = np.zeros((b, params.n_actions))
-        delta[rows, actions] = err / b
+        delta = np.zeros((n, b, n_actions))
+        delta.put(np.arange(0, n * b * n_actions, n_actions).reshape(n, b)
+                  + actions, err / b)
         for k in range(len(params.weights) - 1, -1, -1):
-            np.matmul(activations[k].take(states, axis=0).T, delta,
-                      out=grad_w[k])
-            np.add.reduce(delta, axis=0, out=grad_b[k])
+            x = activations[k].reshape(n * N_STATES, -1).take(rows, axis=0)
+            np.matmul(x.transpose(0, 2, 1), delta, out=grad_w[k])
+            np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[k])
             if k > 0:
-                delta = delta @ params.weights[k].T
+                delta = delta @ params.weights[k].transpose(0, 2, 1)
                 # saturated ReLU: zero subgradient outside (0, cap)
-                delta = delta * masks[k - 1].take(states, axis=0)
+                delta = delta * masks[k - 1].reshape(n * N_STATES, -1).take(
+                    rows, axis=0)
         flat = params.flat - alpha * grad
 
     if not np.isfinite(flat).all():
-        what = ("gradient" if not np.isfinite(grad).all()
-                else "parameter update")
-        raise FloatingPointError(
-            f"non-finite {what} (loss={loss!r}, "
-            f"max|err|={float(np.max(np.abs(err)))!r}); "
-            "training has diverged")
+        i = int(np.flatnonzero(~np.isfinite(flat).all(axis=1))[0])
+        raise _divergence(i, "gradient" if not np.isfinite(grad[i]).all()
+                          else "parameter update", float(loss[i]),
+                          float(np.max(np.abs(err[i]))))
     return MlpParams(flat, params.layer_sizes, params.cap), loss

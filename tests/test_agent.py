@@ -25,7 +25,7 @@ from crpower.harness import (
     learn_for_run,
     scenario_for_run,
 )
-from crpower.qfunc import init_mlp, q_matrix, train_minibatch
+from crpower.qfunc import MlpParams, init_mlp, q_matrix, train_minibatch
 
 
 def small_hp(**over):
@@ -169,7 +169,10 @@ def test_dql_updates_per_phase(two_cr_scenario):
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(2)]
     agents = make_agents("dql", hp, 2, 14, rngs)
     run_exploration_phase(agents, two_cr_scenario, rngs)
-    assert all(ag.updates == 250 for ag in agents)
+    # the agents share one stacked block of networks, agent i's in row i
+    assert agents[0].net is agents[1].net
+    assert [ag.index for ag in agents] == [0, 1]
+    assert agents[0].net.updates == 250
 
 
 def test_table_one_update_per_step(two_cr_scenario):
@@ -327,19 +330,59 @@ def test_target_refreshed_every_c_updates(two_cr_scenario):
     hp = small_hp(phase_length=100, minibatch=25, c=3, n_phases=3)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(13).spawn(2)]
     agents = make_agents("dql", hp, 2, 14, rngs)
-    initial = [q_matrix(ag.params).max(axis=1) for ag in agents]
+    initial = [ag.q_values().max(axis=1) for ag in agents]
     stale = []
     for _ in range(hp.n_phases):
         run_exploration_phase(agents, two_cr_scenario, rngs)
         for ag, target_max in zip(agents, initial):
-            refreshed = ag.updates - ag.updates % hp.c
+            updates = ag.net.updates
+            refreshed = updates - updates % hp.c
             if refreshed:
                 target_max = ag.windows.snapshots()[refreshed - 1].max(axis=1)
-            np.testing.assert_array_equal(ag.target_max, target_max)
-            if refreshed < ag.updates:
+            np.testing.assert_array_equal(ag.net.target_max[ag.index], target_max)
+            if refreshed < updates:
                 stale.append(not np.array_equal(
-                    ag.target_max, q_matrix(ag.params).max(axis=1)))
+                    ag.net.target_max[ag.index], ag.q_values().max(axis=1)))
     assert any(stale)       # the target lagged the live network
+
+
+def test_lowest_index_divergence_is_raised(two_cr_scenario, monkeypatch):
+    # Agent 1's network, scaled by 1e300, diverges at the phase's first
+    # update; agent 0's, scaled by 1e150, at its sixth. The phase raises
+    # agent 0's error, the one agent 0's network gives on its own batches.
+    hp = small_hp(phase_length=200, minibatch=25, c=50, alpha0=1.0)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(14).spawn(2)]
+    agents = make_agents("dql", hp, 2, 14, rngs)
+    net = agents[0].net
+    target_max = net.target_max.copy()     # c=50: frozen for the phase
+    flat = net.params.flat * np.array([[1e150], [1e300]])
+    net.params = MlpParams(flat, net.params.layer_sizes, net.params.cap)
+    columns = []
+    learn_phase = DqlAgent.learn_phase
+
+    def recording(agents, phase_columns):
+        columns.extend(phase_columns)
+        learn_phase(agents, phase_columns)
+
+    monkeypatch.setattr(DqlAgent, "learn_phase", staticmethod(recording))
+    with pytest.raises(FloatingPointError) as excinfo:
+        run_exploration_phase(agents, two_cr_scenario, rngs)
+
+    def alone(i):
+        """(update index, error text) of agent i's network on its own."""
+        params = MlpParams(flat[i:i + 1], net.params.layer_sizes, net.params.cap)
+        for update in range(hp.phase_length // hp.minibatch):
+            batch = (c[update * 25:(update + 1) * 25] for c in columns[i])
+            try:
+                params, _ = train_minibatch(params, *batch, target_max[i],
+                                            hp.alpha0, hp.gamma)
+            except FloatingPointError as exc:
+                return update, str(exc)
+        return None
+
+    (update0, text0), (update1, _) = alone(0), alone(1)
+    assert update1 == 0 < update0 == 5
+    assert str(excinfo.value) == text0
 
 
 def test_make_agents_rejects_unknown_kind():
@@ -367,7 +410,7 @@ class _RefAgent:
         if learner == "dql":
             self.params = init_mlp(rng, (2, 8, 18, n_actions),
                                    cap=hp.activation_cap)
-            self.target = q_matrix(self.params)
+            self.target = q_matrix(self.params)[0]
             self.columns = ([], [], [], [])
             self.updates = 0
         else:
@@ -375,7 +418,7 @@ class _RefAgent:
 
     def q(self):
         if self.learner == "dql":
-            return q_matrix(self.params)
+            return q_matrix(self.params)[0]
         return np.array(self.table)
 
     def largest_std(self):
@@ -409,7 +452,7 @@ class _RefAgent:
                     self.target.max(axis=1), self.alpha, hp.gamma)
                 self.updates += 1
                 if self.updates % hp.c == 0:
-                    self.target = q_matrix(self.params)
+                    self.target = q_matrix(self.params)[0]
                 self.push_and_record(action)
                 self.columns = ([], [], [], [])
         self.state = next_state
@@ -493,14 +536,18 @@ REFERENCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("learner, restarts, case", [
-    *(pytest.param(learner, restarts, case, id="-".join(
+@pytest.mark.parametrize("learner, restarts, case, n_cr", [
+    *(pytest.param(learner, restarts, case, 2, id="-".join(
         [str(restarts), learner] + ([case] if case != "recorded" else [])))
       for case in REFERENCE_CASES for restarts in (False, True)
       for learner in ("table", "dql")),
-    pytest.param("dql", False, "diverging", id="False-dql-diverging"),
+    # three agents' networks train in lockstep in one stacked block
+    *(pytest.param("dql", False, case, 3, id="-".join(
+        ["False-dql"] + ([case] if case != "recorded" else []) + ["n3"]))
+      for case in ("recorded", "carried")),
+    pytest.param("dql", False, "diverging", None, id="False-dql-diverging"),
 ])
-def test_library_matches_reference_loop(learner, restarts, case):
+def test_library_matches_reference_loop(learner, restarts, case, n_cr):
     if case == "diverging":
         # With the tuned 30-phase settings, run 0 of master seed 3 diverges
         # at N=2 (tests/test_cli.py DIVERGING_DQL); in run 1 of master seed
@@ -525,7 +572,7 @@ def test_library_matches_reference_loop(learner, restarts, case):
         return
 
     config = ExperimentConfig(
-        env=EnvConfig(n_cr=2, reward_mode="global", tpc_reference="signal"))
+        env=EnvConfig(n_cr=n_cr, reward_mode="global", tpc_reference="signal"))
     scenario = scenario_for_run(config, 0, 3)
     overrides, record_updates = REFERENCE_CASES[case]
     hp = small_hp(n_phases=3, c=2, std_window=30, **overrides)
@@ -546,10 +593,12 @@ def test_library_matches_reference_loop(learner, restarts, case):
         if learner == "table":
             assert ag.table == ref.table
         else:
-            for w, w_ref in zip(ag.params.weights + ag.params.biases,
+            params = ag.net.params
+            for w, w_ref in zip(params.weights + params.biases,
                                 ref.params.weights + ref.params.biases):
-                np.testing.assert_array_equal(w, w_ref)
-            np.testing.assert_array_equal(ag.target_max, ref.target.max(axis=1))
+                np.testing.assert_array_equal(w[ag.index], w_ref[0])
+            np.testing.assert_array_equal(ag.net.target_max[ag.index],
+                                          ref.target.max(axis=1))
         filled = min(ref.pushes, hp.std_window)
         assert ag.windows.filled == filled
         np.testing.assert_array_equal(ag.windows.snapshots(), ref.ring[:filled])

@@ -10,6 +10,7 @@ import crpower
 from crpower import cli, harness
 from crpower.agent import TUNED_DQL_HYPERPARAMS
 from crpower.environment import Scenario
+from crpower.link_adaptation import AmcTable
 from crpower.oracle import exhaustive_search
 
 CONFIG = {
@@ -36,10 +37,12 @@ def simulate(config_path, out, *extra):
 RESTARTS = dict(CONFIG, n_restarts=2, probe_phases=1)
 DQL = dict(CONFIG, learner="dql",
            agent=dict(TUNED_DQL_HYPERPARAMS[30], phase_length=50, n_phases=2))
+DQL_N3 = dict(DQL, env=dict(CONFIG["env"], n_cr=3))
 
 
 def test_outputs_do_not_depend_on_worker_count(tmp_path):
-    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS), ("dql", DQL)):
+    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS), ("dql", DQL),
+                      ("dql-n3", DQL_N3)):
         config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(doc))
         one, two = tmp_path / name / "w1", tmp_path / name / "w2"
@@ -58,6 +61,21 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path):
             assert len(files) == CONFIG["n_runs"]
             for file in files:
                 assert (one / sub / file).read_bytes() == (two / sub / file).read_bytes()
+
+
+def test_amc_table_is_parsed_once_per_config(monkeypatch):
+    from_csv = AmcTable.from_csv
+    calls = []
+
+    def counting(path, **kwargs):
+        calls.append(path)
+        return from_csv(path, **kwargs)
+
+    monkeypatch.setattr(AmcTable, "from_csv", staticmethod(counting))
+    config = harness.ExperimentConfig.from_dict(CONFIG)
+    scenarios = [harness.scenario_for_run(config, 0, 1) for _ in range(2)]
+    assert len(calls) == 1
+    assert scenarios[0].to_json() == scenarios[1].to_json()
 
 
 def test_each_run_executes_once(config_path, tmp_path, monkeypatch):

@@ -106,7 +106,7 @@ def test_transition_rejects_negative_reward():
         table_update(q, [0], [0], [0], [-1.0], alpha=0.5, gamma=0.9)
     assert q == zeros_table()
     params = init_mlp(np.random.default_rng(0))
-    target_max = q_matrix(params).max(axis=1)
+    target_max = q_matrix(params).max(axis=-1)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             train_minibatch(params, [0, 1], [0, 0], [0, 3], [1.0, bad],
@@ -120,7 +120,7 @@ def test_forward_zero_params_zero_output():
     weights = tuple(np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:]))
     biases = tuple(np.zeros(b) for b in sizes[1:])
     params = MlpParams.from_layers(weights, biases)
-    np.testing.assert_array_equal(q_matrix(params)[0], np.zeros(14))
+    np.testing.assert_array_equal(q_matrix(params)[0, 0], np.zeros(14))
 
 
 def test_forward_output_layer_linearity():
@@ -130,8 +130,8 @@ def test_forward_output_layer_linearity():
     scaled = MlpParams.from_layers(params.weights[:-1] + (k * params.weights[-1],),
                                    params.biases[:-1] + (k * params.biases[-1],),
                                    cap=params.cap)
-    np.testing.assert_allclose(q_matrix(scaled)[1],
-                               k * q_matrix(params)[1], rtol=1e-12)
+    np.testing.assert_allclose(q_matrix(scaled)[0, 1],
+                               k * q_matrix(params)[0, 1], rtol=1e-12)
 
 
 def test_init_mlp_uniform_unit_interval():
@@ -146,7 +146,7 @@ def test_forward_golden_values():
     # pinned seed -> pinned outputs, frozen from the finite-difference
     # verified implementation
     params = init_mlp(np.random.default_rng(20240101))
-    q = q_matrix(params)
+    q = q_matrix(params)[0]
     expected_s0 = [28.193978636926726, 34.63741058528186, 34.458935110527584,
                    32.76355161922245, 35.92803478405758, 33.47556743350543,
                    34.62707148807791, 37.83850668331971, 34.890247501935704,
@@ -155,16 +155,31 @@ def test_forward_golden_values():
     np.testing.assert_allclose(q[0], expected_s0, rtol=1e-12)
 
 
-def _reference_forward(params, x):
-    """Forward pass over the rows of x, keeping pre-activations."""
+def _network(params, i=0):
+    """Network i of a stack: its (fan_in, fan_out) weights and (fan_out,)
+    biases, as views."""
+    return [w[i] for w in params.weights], [b[i, 0] for b in params.biases]
+
+
+def _reference_forward(params, x, i=0):
+    """Forward pass of network i over the rows of x, keeping
+    pre-activations."""
     pre, post = [], [x]
     h = x
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+    weights, biases = _network(params, i)
+    for k, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w + b
         pre.append(z)
-        h = z if k == len(params.weights) - 1 else np.clip(z, 0.0, params.cap)
+        h = z if k == len(weights) - 1 else np.clip(z, 0.0, params.cap)
         post.append(h)
     return pre, post
+
+
+def _stack(networks):
+    """One stacked parameter set of the given N=1 parameter sets."""
+    first = networks[0]
+    return MlpParams(np.concatenate([p.flat for p in networks]),
+                     first.layer_sizes, first.cap)
 
 
 @pytest.mark.parametrize("weight_scale", [1.0, 8.0])
@@ -174,40 +189,62 @@ def test_q_matrix_is_the_cached_two_state_pass(weight_scale):
                                    params.biases, cap=params.cap)
     _, post = _reference_forward(params, np.eye(2))
     q = q_matrix(params)
-    assert np.array_equal(q, post[-1])
+    assert q.shape == (1, 2, 14)
+    assert np.array_equal(q[0], post[-1])
     assert q_matrix(params) is q
     with pytest.raises(ValueError):
-        q[0, 0] = 1.0
+        q[0, 0, 0] = 1.0
 
 
 def test_params_are_views_of_one_flat_vector():
-    params = init_mlp(np.random.default_rng(22))
-    sizes = params.layer_sizes
-    assert params.flat.shape == (sum(a * b + b for a, b in zip(sizes, sizes[1:])),)
-    for w, b in zip(params.weights, params.biases):
-        assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
-    for clone in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
-        np.testing.assert_array_equal(clone.flat, params.flat)
-        assert not np.shares_memory(clone.flat, params.flat)
-        for w, b in zip(clone.weights, clone.biases):
-            assert np.shares_memory(w, clone.flat) and np.shares_memory(b, clone.flat)
-        np.testing.assert_array_equal(q_matrix(clone), q_matrix(params))
+    rng = np.random.default_rng(22)
+    for n in (1, 3):
+        networks = [init_mlp(rng) for _ in range(n)]
+        params = _stack(networks)
+        sizes = params.layer_sizes
+        assert params.flat.shape == (
+            n, sum(a * b + b for a, b in zip(sizes, sizes[1:])))
+        for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+            assert w.shape == (n, sizes[k], sizes[k + 1])
+            assert b.shape == (n, 1, sizes[k + 1])
+            assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+            for i, network in enumerate(networks):
+                assert np.array_equal(w[i], network.weights[k][0])
+                assert np.array_equal(b[i], network.biases[k][0])
+        # network i of the stack is network i on its own
+        for i, network in enumerate(networks):
+            assert np.array_equal(q_matrix(params)[i], q_matrix(network)[0])
+        for clone in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            np.testing.assert_array_equal(clone.flat, params.flat)
+            assert not np.shares_memory(clone.flat, params.flat)
+            for w, b in zip(clone.weights, clone.biases):
+                assert np.shares_memory(w, clone.flat) and np.shares_memory(b, clone.flat)
+            np.testing.assert_array_equal(q_matrix(clone), q_matrix(params))
 
 
 def test_params_constructor_validates():
     params = init_mlp(np.random.default_rng(23))
     weights, biases = list(params.weights), list(params.biases)
     bad = weights[1].copy()
-    bad[0, 0] = np.inf
+    bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         MlpParams.from_layers(tuple(weights[:1] + [bad] + weights[2:]), params.biases)
     with pytest.raises(ValueError, match="bias length"):
         MlpParams.from_layers(params.weights,
-                              tuple(biases[:1] + [biases[1][:-1]] + biases[2:]))
+                              tuple(biases[:1] + [biases[1][..., :-1]] + biases[2:]))
     with pytest.raises(ValueError, match="fan-in"):
         MlpParams.from_layers((weights[0], weights[2]), (biases[0], biases[2]))
+    with pytest.raises(ValueError, match="same number of networks"):
+        MlpParams.from_layers(tuple([np.concatenate([weights[0]] * 2)] + weights[1:]),
+                              params.biases)
     with pytest.raises(ValueError, match="cap"):
         MlpParams.from_layers(params.weights, params.biases, cap=0.0)
+    # per-network layers of one network and the stacked views build equal
+    # parameter sets
+    single = MlpParams.from_layers(*_network(params))
+    assert np.array_equal(single.flat, params.flat)
+    assert np.array_equal(MlpParams.from_layers(params.weights, params.biases).flat,
+                          params.flat)
 
 
 # ---------------------------------------------------------------- training
@@ -218,9 +255,10 @@ def _loss_only(params, batch, target_max, gamma):
     y = rewards + gamma * target_max[nxt]
     x = np.eye(2)[states]
     h = x
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+    weights, biases = _network(params)
+    for k, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w + b
-        h = z if k == len(params.weights) - 1 else np.clip(z, 0.0, params.cap)
+        h = z if k == len(weights) - 1 else np.clip(z, 0.0, params.cap)
     pred = h[np.arange(len(states)), actions]
     return float(0.5 * np.mean((y - pred) ** 2))
 
@@ -277,7 +315,7 @@ def test_gradient_matches_finite_differences():
 def test_zero_gradient_at_optimum():
     rng = np.random.default_rng(77)
     params = init_mlp(rng)
-    q = q_matrix(params)
+    q = q_matrix(params)[0]
     gamma = 0.9
     target_max = np.zeros(2)
     # rewards chosen so each sample's target equals the current prediction
@@ -302,14 +340,14 @@ def test_training_drives_prediction_to_target():
     for _ in range(300):
         params, loss = train_minibatch(params, *batch, target_max, 0.05, 0.9)
         losses.append(loss)
-    assert q_matrix(params)[0, 4] == pytest.approx(3.0, abs=1e-3)
+    assert q_matrix(params)[0, 0, 4] == pytest.approx(3.0, abs=1e-3)
     burn = losses[5:]
     assert all(b <= a + 1e-12 for a, b in zip(burn, burn[1:]))
 
 
 def test_train_minibatch_rejects_bad_args():
     params = init_mlp(np.random.default_rng(0))
-    target_max = q_matrix(params).max(axis=1)
+    target_max = q_matrix(params).max(axis=-1)
     with pytest.raises(ValueError):
         train_minibatch(params, [], [], [], [], target_max, 0.1, 0.9)
     with pytest.raises(ValueError):
@@ -349,7 +387,7 @@ def test_divergence_prints_no_numpy_warnings():
 def test_overflowing_update_raises_numeric_error():
     """A finite gradient whose update overflows is a divergence too."""
     params = init_mlp(np.random.default_rng(0))
-    target_max = q_matrix(params).max(axis=1)
+    target_max = q_matrix(params).max(axis=-1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="non-finite parameter update"):
@@ -358,65 +396,130 @@ def test_overflowing_update_raises_numeric_error():
 
 
 def _reference_step(params, states, next_states, actions, rewards, target_max,
-                    alpha, gamma):
-    """train_minibatch restated per sample: the batch's one-hot rows through
-    the batched forward pass, the same backward pass, a per-layer update."""
+                    alpha, gamma, i=0):
+    """train_minibatch restated per sample for network i: the batch's one-hot
+    rows through the batched forward pass, the same backward pass, a
+    per-layer update."""
     b = len(states)
     rows = np.arange(b)
-    pre, post = _reference_forward(params, np.eye(2)[states])
+    weights, biases = _network(params, i)
+    pre, post = _reference_forward(params, np.eye(2)[states], i)
     y = rewards + gamma * target_max[next_states]
     err = post[-1][rows, actions] - y
     loss = float(0.5 * np.mean(err ** 2))
     delta = np.zeros_like(post[-1])
     delta[rows, actions] = err / b
-    n_layers = len(params.weights)
-    weights, biases = [None] * n_layers, [None] * n_layers
+    n_layers = len(weights)
+    new_weights, new_biases = [None] * n_layers, [None] * n_layers
     for k in range(n_layers - 1, -1, -1):
-        weights[k] = params.weights[k] - alpha * (post[k].T @ delta)
-        biases[k] = params.biases[k] - alpha * delta.sum(axis=0)
+        new_weights[k] = weights[k] - alpha * (post[k].T @ delta)
+        new_biases[k] = biases[k] - alpha * delta.sum(axis=0)
         if k > 0:
-            delta = delta @ params.weights[k].T
+            delta = delta @ weights[k].T
             z = pre[k - 1]
             delta = delta * ((z > 0.0) & (z < params.cap))
-    return weights, biases, loss
+    return new_weights, new_biases, loss
 
 
 def test_train_minibatch_matches_per_sample_reference():
     """Bit for bit, on the learner's network (one output per action of the
     default 14-action space, whatever the number of radios), over batches
-    of 25 and of random sizes from 2 to 64 rows. Zero-mean weights, scaled
-    up on every other trial, put hidden units below 0, inside (0, cap) and
-    above cap, differently for the two states."""
+    of 25 and of random sizes from 2 to 64 rows, for one network and for
+    each network of a stack of three. Zero-mean weights, scaled up on
+    every other trial, put hidden units below 0, inside (0, cap) and above
+    cap, differently for the two states."""
     rng = np.random.default_rng(2205)
     n_actions = len(ActionSpace.default())
     sizes = (2, 8, 18, n_actions)
     unit_regions = set()
-    for trial in range(200):
+    for trial in range(400):
+        n = 1 if trial < 200 else 3
         scale = 8.0 if trial % 2 else 1.0
-        params = MlpParams.from_layers(
+        params = _stack([MlpParams.from_layers(
             tuple(scale * rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:])),
-            tuple(rng.normal(size=b) for b in sizes[1:]))
-        pre, _ = _reference_forward(params, np.eye(2))
-        for z in pre[:-1]:
-            unit_regions.update(np.sign(z - params.cap).ravel() + np.sign(z).ravel())
-            unit_regions.add(bool(np.any((z[0] > 0) != (z[1] > 0))))
-        target_max = rng.uniform(0, 5, size=(2, n_actions)).max(axis=1)
+            tuple(rng.normal(size=b) for b in sizes[1:])) for _ in range(n)])
+        for i in range(n):
+            pre, _ = _reference_forward(params, np.eye(2), i)
+            for z in pre[:-1]:
+                unit_regions.update(np.sign(z - params.cap).ravel() + np.sign(z).ravel())
+                unit_regions.add(bool(np.any((z[0] > 0) != (z[1] > 0))))
+        target_max = rng.uniform(0, 5, size=(n, 2, n_actions)).max(axis=-1)
         b = 25 if trial % 4 < 2 else int(rng.integers(2, 65))
-        batch = (rng.integers(2, size=b), rng.integers(2, size=b),
-                 rng.integers(n_actions, size=b), rng.uniform(0, 12, size=b))
+        batch = (rng.integers(2, size=(n, b)), rng.integers(2, size=(n, b)),
+                 rng.integers(n_actions, size=(n, b)), rng.uniform(0, 12, size=(n, b)))
         alpha = float(rng.choice([1e-4, 0.05, 1.0]))
         new_params, loss = train_minibatch(params, *batch, target_max, alpha, 0.9)
-        weights, biases, ref_loss = _reference_step(params, *batch, target_max,
-                                                    alpha, 0.9)
-        assert loss == ref_loss
-        for got, want in zip(new_params.weights + new_params.biases,
-                             tuple(weights) + tuple(biases)):
-            assert np.array_equal(got, want)
-        _, post = _reference_forward(new_params, np.eye(2))
-        assert np.array_equal(q_matrix(new_params), post[-1])
+        assert loss.shape == (n,)
+        for i in range(n):
+            weights, biases, ref_loss = _reference_step(
+                params, *(c[i] for c in batch), target_max[i], alpha, 0.9, i)
+            assert loss[i] == ref_loss
+            got_weights, got_biases = _network(new_params, i)
+            for got, want in zip(got_weights + got_biases, weights + biases):
+                assert np.array_equal(got, want)
+            _, post = _reference_forward(new_params, np.eye(2), i)
+            assert np.array_equal(q_matrix(new_params)[i], post[-1])
     # units below 0 (-2), inside (0, cap) (0) and above cap (2) all occurred,
     # and some unit was active for one state only (True)
     assert {-2.0, 0.0, 2.0, True} <= unit_regions
+
+
+def _single_step(params, i, batch, target_max, alpha, gamma):
+    """train_minibatch on network i of a stack alone: (flat row, loss) or
+    the FloatingPointError text."""
+    single = MlpParams(params.flat[i:i + 1], params.layer_sizes, params.cap)
+    try:
+        new, loss = train_minibatch(single, *(c[i] for c in batch),
+                                    target_max[i], alpha, gamma)
+    except FloatingPointError as exc:
+        return str(exc)
+    return new.flat[0], float(loss[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_step_equals_single_network_steps(n):
+    """A step of a stack of n networks gives each network, bit for bit,
+    what a step of that network alone gives. A network scaled up so that
+    its step is not finite (its gradient overflows, or its update with a
+    huge step size) makes the stacked step raise the lowest-index
+    diverging network's own error, and the other networks' steps do not
+    depend on it."""
+    rng = np.random.default_rng(40 + n)
+    for trial in range(24):
+        params = _stack([init_mlp(rng) for _ in range(n)])
+        target_max = rng.uniform(0, 5, size=(n, 2))
+        batch = (rng.integers(2, size=(n, 25)), rng.integers(2, size=(n, 25)),
+                 rng.integers(14, size=(n, 25)), rng.uniform(0, 12, size=(n, 25)))
+        alpha = 0.05
+        diverging = sorted(set(rng.integers(n, size=trial % 3).tolist()))
+        flat = params.flat.copy()
+        for i in diverging:
+            if trial % 2:
+                flat[i] *= 1e300        # the gradient overflows
+            else:
+                # huge output biases: the update overflows
+                flat[i, -params.n_actions:] = 1e300
+                alpha = 1e10
+        params = MlpParams(flat, params.layer_sizes, params.cap)
+        single = [_single_step(params, i, batch, target_max, alpha, 0.9)
+                  for i in range(n)]
+        assert [i for i in range(n) if isinstance(single[i], str)] == diverging
+        if diverging:
+            with pytest.raises(FloatingPointError) as excinfo:
+                train_minibatch(params, *batch, target_max, alpha, 0.9)
+            assert excinfo.value.network == diverging[0]
+            assert str(excinfo.value) == single[diverging[0]]
+            keep = [i for i in range(n) if i not in diverging]
+            if not keep:
+                continue
+            params = MlpParams(flat[keep], params.layer_sizes, params.cap)
+            batch = tuple(c[keep] for c in batch)
+            target_max = target_max[keep]
+            single = [single[i] for i in keep]
+        new_params, loss = train_minibatch(params, *batch, target_max, alpha, 0.9)
+        for row, want in enumerate(single):
+            assert np.array_equal(new_params.flat[row], want[0])
+            assert loss[row] == want[1]
 
 
 def test_no_replay_memory_in_training_path():
@@ -425,7 +528,7 @@ def test_no_replay_memory_in_training_path():
     no history can be buffered anywhere in the path."""
     rng = np.random.default_rng(3)
     params = init_mlp(rng)
-    target_max = q_matrix(params).max(axis=1)
+    target_max = q_matrix(params).max(axis=-1)
     batch1 = _random_batch(rng)
     batch2 = _random_batch(rng)
     out_a = train_minibatch(params, *batch2, target_max, 0.01, 0.9)
@@ -442,7 +545,7 @@ def test_target_frozen_between_refreshes():
     rng = np.random.default_rng(16)
     params = init_mlp(rng)
     initial_q = q_matrix(params)
-    target_max = initial_q.max(axis=1)
+    target_max = initial_q.max(axis=-1)
     snapshot = target_max.copy()
     batch = _random_batch(rng)
     for _ in range(10):
