@@ -39,14 +39,10 @@ phase is at least one mini-batch long, so every phase pushes a window
 snapshot for either learner. Each trained parameter set caches its
 read-only Q matrices, so the one forward pass after an update serves
 the window pushes, the update records, the phase-boundary policy
-updates, the target refresh and the next training step.
-
-When several agents diverge in one phase, the phase raises the
-lowest-index one's error, as if the agents had learned one after
-another: a diverged network and those above it stop training, the
-others train on to the end of the phase, and a later divergence of a
-lower-index agent takes precedence over an earlier one of a
-higher-index agent.
+updates, the target refresh and the next training step. The first
+update at which any network diverges ends the run with that update's
+error, the one of its lowest-index diverging network, as agents
+stepping together through the phase would.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ import numpy as np
 from .environment import Scenario
 from .qfunc import (
     N_STATES,
-    MlpParams,
     init_mlp,
     q_matrix,
     table_update,
@@ -109,8 +104,10 @@ class AgentHyperparams:
         if self.zeta < 1.0:
             raise ValueError("zeta must be >= 1")
         if min(self.n_phases, self.alpha0, self.c, self.minibatch,
-               self.tolerance_multiplier, self.std_window) <= 0:
-            raise ValueError("counts, rates and windows must be positive")
+               self.tolerance_multiplier, self.std_window,
+               self.activation_cap) <= 0:
+            raise ValueError("counts, rates, windows and the activation cap "
+                             "must be positive")
 
 
 # Hyper-parameter choices that gave the best percent-optimal at each phase
@@ -308,7 +305,7 @@ class _Networks:
     """The stacked networks of a run's DQL agents and what their lockstep
     training carries from one phase to the next."""
 
-    def __init__(self, params: MlpParams):
+    def __init__(self, params):
         self.params = params
         # per network and state, the maximum of the frozen target Q-values
         self.target_max = q_matrix(params).max(axis=2)
@@ -324,28 +321,17 @@ class DqlAgent(_AgentBase):
     """Network-backed learner: one gradient update per full mini-batch.
 
     The agent's network is row ``index`` of ``net``, the stacked networks
-    of the run's DQL agents (make_agents stacks them); an agent on its own
-    is row 0 of a stack of one.
+    of the run's DQL agents, which make_agents builds.
     """
-
-    def __init__(self, hp, n_actions, rng, record_updates=False):
-        super().__init__(hp, n_actions, rng, record_updates)
-        self.net = _Networks(init_mlp(rng, (N_STATES, 8, 18, n_actions),
-                                      cap=hp.activation_cap))
-        self.index = 0
 
     def q_values(self) -> np.ndarray:
         return q_matrix(self.net.params)[self.index]
 
     @staticmethod
     def learn_phase(agents, columns):
-        """Train the agents' stacked networks in lockstep.
-
-        Update u trains every network on its own u-th mini-batch in one
-        train_minibatch call. When network j diverges, networks j and up
-        stop and the others train on to the end of the phase, which then
-        raises the lowest-index diverging agent's error.
-        """
+        """Train the agents' stacked networks in lockstep: update u trains
+        every network on its own u-th mini-batch in one train_minibatch
+        call, whose divergence error the phase raises."""
         # the agents of a run share hyperparameters, phase and step size
         net, hp, alpha = agents[0].net, agents[0].hp, agents[0].alpha
         cols = [np.concatenate([carried, np.stack(new)], axis=1)
@@ -354,36 +340,18 @@ class DqlAgent(_AgentBase):
         # the step number of column entry 0: the carried entries come first
         first_step = agents[0].phase * hp.phase_length + 1 - net.batch[0].shape[1]
         n_full = cols[0].shape[1] // size
-        params, target_max, updates = net.params, net.target_max, net.updates
-        live, error = len(agents), None
         for end in range(size, n_full * size + 1, size):
-            while True:
-                try:
-                    params, _ = train_minibatch(
-                        params, *(c[:live, end - size:end] for c in cols),
-                        target_max, alpha, hp.gamma)
-                    break
-                except FloatingPointError as exc:
-                    if exc.network == 0:
-                        raise
-                    # the text alone: a kept exception would keep this
-                    # frame, and the phase's arrays, alive
-                    live, error = exc.network, str(exc)
-                # networks live and up stop; the others redo the update
-                params = MlpParams(params.flat[:live], params.layer_sizes,
-                                   params.cap)
-                target_max = target_max[:live]
-            updates += 1
-            q = q_matrix(params)
-            if updates % hp.c == 0:
-                target_max = q.max(axis=2)
+            net.params, _ = train_minibatch(
+                net.params, *(c[:, end - size:end] for c in cols),
+                net.target_max, alpha, hp.gamma)
+            net.updates += 1
+            q = q_matrix(net.params)
+            if net.updates % hp.c == 0:
+                net.target_max = q.max(axis=2)
             for ag, q_agent, action in zip(agents, q,
                                            cols[2][:, end - 1].tolist()):
                 ag.windows.push(q_agent)
                 ag._record_update(first_step + end - 1, action, q_agent)
-        if error is not None:
-            raise FloatingPointError(error)
-        net.params, net.target_max, net.updates = params, target_max, updates
         net.batch = tuple(c[:, n_full * size:].copy() for c in cols)
         for ag, c in zip(agents, columns):
             ag.state = int(c[1][-1])
@@ -431,11 +399,9 @@ def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
         raise ValueError(f"unknown learner kind {kind!r}")
     agents = [cls(hp, n_actions, rngs[i], record_updates) for i in range(n_agents)]
     if cls is DqlAgent:
-        # one stacked block for the run; row i is agent i's own network,
-        # drawn from its own generator
-        own = [ag.net.params for ag in agents]
-        net = _Networks(MlpParams(np.concatenate([p.flat for p in own]),
-                                  own[0].layer_sizes, own[0].cap))
+        # one stacked block for the run; each generator draws its agent's
+        # policy, then its network
+        net = _Networks(init_mlp(rngs[:n_agents], n_actions, hp.activation_cap))
         for i, ag in enumerate(agents):
             ag.net, ag.index = net, i
     return agents

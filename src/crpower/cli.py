@@ -84,6 +84,8 @@ def _outdir(config: ExperimentConfig) -> Path:
 
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigurationError("--workers must be >= 1")
     config = load_config(args)
     out = _outdir(config)
     report = run_experiment(config, args.workers,

@@ -55,7 +55,8 @@ def _field_types(cls) -> dict:
 def _keywords(doc, types: dict, where: str) -> dict:
     """doc as keyword arguments, once it is a JSON object keyed by the names
     of types and each value has one of its key's types: an int also serves
-    for a float. A key whose types are None takes any value."""
+    for a float, and a float must be finite (JSON as Python reads it also
+    has NaN and Infinity). A key whose types are None takes any value."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
     unknown = [key for key in doc if key not in types]
@@ -70,6 +71,9 @@ def _keywords(doc, types: dict, where: str) -> dict:
                                 for t in allowed)
             raise ConfigurationError(f"{where} key {key!r} must be {names}, "
                                      f"not {type(value).__name__}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigurationError(f"{where} key {key!r} must be finite, "
+                                     f"not {value!r}")
     return dict(doc)
 
 
@@ -315,9 +319,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     """Run every (phase budget, run index) job and aggregate.
 
     Jobs are independent; with workers > 1 they execute on a process pool
-    and are re-sorted by index, so the report does not depend on the
-    schedule. Given ``artifact_dir``, each job writes its run's
-    ``oracle/point{p}_run{r:04d}.json`` and ``traces/point{p}_run{r:04d}.jsonl``.
+    of at most one worker per job and are re-sorted by index, so the
+    report does not depend on the schedule. Given ``artifact_dir``, each
+    job writes its run's ``oracle/point{p}_run{r:04d}.json`` and
+    ``traces/point{p}_run{r:04d}.jsonl``.
     """
     if artifact_dir is not None:
         for sub in ("oracle", "traces"):
@@ -325,6 +330,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     jobs = [(config, point, run, artifact_dir)
             for point in range(len(config.agent))
             for run in range(config.n_runs)]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs))

@@ -13,10 +13,11 @@ per-state maximum of frozen target Q-values, which the learner refreshes
 from the live parameters every ``c`` updates.
 
 The networks of one learning run are trained together, as N stacked
-networks of one shape: their weights and biases live in one (N, P)
-float64 block, network i's in row i, layer by layer (weights, then
-biases); ``MlpParams.weights`` and ``biases`` are reshaped views of it
-with a leading network axis. A single network is the case N = 1. A
+networks of one shape: ``init_mlp`` builds the stack, and the layer
+widths are stated there alone. Their weights and biases live in one
+(N, P) float64 block, network i's in row i, layer by layer (weights,
+then biases); ``MlpParams.weights`` and ``biases`` are reshaped views of
+it with a leading network axis. A single network is the case N = 1. A
 network only ever sees the two one-hot states, so each parameter set
 runs its forward pass once, on ``eye(2)``, and caches the activations
 and saturated-ReLU masks of both states of every network read-only.
@@ -36,7 +37,7 @@ shapes and strides as for that network alone, and every elementwise
 operation and reduction runs along the same axis, so no network's
 results depend on the others or on N. The first property belongs to the
 BLAS build and the layer shapes. It holds on OpenBLAS 0.3.31 (AVX-512
-kernels) for the learner's (2, 8, 18, 14) network and batches of 2 to
+kernels) for the learner's network at 14 actions and batches of 2 to
 200 rows, and tests/test_qfunc.py pins it, one network and a stack of
 three. On that build it fails for a 2- or 3-wide output layer. It also
 fails for a 1-row input, which numpy multiplies as a matrix-vector
@@ -60,8 +61,6 @@ __all__ = [
 ]
 
 N_STATES = 2
-DEFAULT_LAYER_SIZES = (N_STATES, 8, 18, 14)
-DEFAULT_ACTIVATION_CAP = 20.0
 
 # One-hot encodings of the states, row s for state s.
 _STATES_ONE_HOT = np.eye(N_STATES)
@@ -119,9 +118,9 @@ class MlpParams:
     parameters in the layout of ``layer_sizes``; weights[k], of shape
     (N, fan_in, fan_out), and biases[k], of shape (N, 1, fan_out), are
     views of it. A single network is the case N = 1. The constructor
-    trusts its arguments; ``from_layers`` checks them. The two-state
-    forward pass is computed on first use and cached, so a parameter set
-    must not be modified after that; training returns a new one.
+    trusts its arguments. The two-state forward pass is computed on first
+    use and cached, so a parameter set must not be modified after that;
+    training returns a new one.
     """
 
     def __init__(self, flat: np.ndarray, layer_sizes: tuple[int, ...], cap: float):
@@ -130,37 +129,6 @@ class MlpParams:
         self.cap = cap
         self.weights, self.biases = _layer_views(flat, layer_sizes)
         self._two_state = None
-
-    @classmethod
-    def from_layers(cls, weights, biases,
-                    cap: float = DEFAULT_ACTIVATION_CAP) -> "MlpParams":
-        """Parameters copied from per-layer arrays, after checking that they
-        are finite, that the layers chain and that cap is positive.
-
-        For N stacked networks weights[k] is (N, fan_in, fan_out) and
-        biases[k] (N, 1, fan_out); for one network they may also be
-        (fan_in, fan_out) and (fan_out,).
-        """
-        if len(weights) != len(biases):
-            raise ValueError("one bias vector per weight matrix required")
-        weights = [np.asarray(w, dtype=float) for w in weights]
-        biases = [np.asarray(b, dtype=float) for b in biases]
-        n = int(np.prod(weights[0].shape[:-2]))
-        for k, (w, b) in enumerate(zip(weights, biases)):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("parameters must be finite")
-            if w.shape[-1] != b.shape[-1]:
-                raise ValueError("bias length must match layer width")
-            if k and w.shape[-2] != weights[k - 1].shape[-1]:
-                raise ValueError("layer fan-in must match the previous width")
-            if w.size != n * w.shape[-2] * w.shape[-1] or b.size != n * b.shape[-1]:
-                raise ValueError("every layer must hold the same number of networks")
-        if cap <= 0:
-            raise ValueError("activation cap must be positive")
-        sizes = (weights[0].shape[-2],) + tuple(w.shape[-1] for w in weights)
-        flat = np.concatenate([a.reshape(n, -1) for layer in zip(weights, biases)
-                               for a in layer], axis=1)
-        return cls(flat, sizes, cap)
 
     def __reduce__(self):
         return MlpParams, (self.flat, self.layer_sizes, self.cap)
@@ -195,30 +163,21 @@ class MlpParams:
         return self._two_state
 
 
-def init_mlp(rng: np.random.Generator,
-             layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES,
-             cap: float = DEFAULT_ACTIVATION_CAP) -> MlpParams:
-    """One fresh network (N = 1), every weight and bias uniform on [0, 1)."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(rng.uniform(0.0, 1.0, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(0.0, 1.0, size=fan_out))
-    return MlpParams.from_layers(weights, biases, cap)
+def init_mlp(rngs, n_actions: int, cap: float) -> MlpParams:
+    """Fresh stacked networks, network i drawn from the generator rngs[i]:
+    one-hot state in, one Q-value per action out. Every weight and bias is
+    uniform on [0, 1), drawn layer by layer, weights (row-major) then
+    biases, which is the order of the flat layout."""
+    sizes = (N_STATES, 8, 18, n_actions)
+    size = sum(fan_in * fan_out + fan_out
+               for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    return MlpParams(np.stack([rng.uniform(0.0, 1.0, size) for rng in rngs]),
+                     sizes, cap)
 
 
 def q_matrix(params: MlpParams) -> np.ndarray:
     """(N, n_states, n_actions) array of current Q estimates, read-only."""
     return params._two_state_pass()[0][-1]
-
-
-def _divergence(network: int, what: str, loss: float, err: float):
-    """The divergence error of one network, built outside the training
-    step's frame so that the raised error and that frame do not refer to
-    each other."""
-    error = FloatingPointError(f"non-finite {what} (loss={loss!r}, "
-                               f"max|err|={err!r}); training has diverged")
-    error.network = network
-    return error
 
 
 def train_minibatch(params: MlpParams,
@@ -239,7 +198,7 @@ def train_minibatch(params: MlpParams,
     i's results depend on row i alone, bit for bit. Raises
     FloatingPointError when a network's gradient or updated parameters
     are not finite: training has diverged. The error reports the
-    lowest-index such network, whose index is its ``network`` attribute.
+    lowest-index such network.
     """
     n = len(params.flat)
     states = np.asarray(states, dtype=int).reshape(n, -1)
@@ -287,7 +246,8 @@ def train_minibatch(params: MlpParams,
 
     if not np.isfinite(flat).all():
         i = int(np.flatnonzero(~np.isfinite(flat).all(axis=1))[0])
-        raise _divergence(i, "gradient" if not np.isfinite(grad[i]).all()
-                          else "parameter update", float(loss[i]),
-                          float(np.max(np.abs(err[i]))))
+        what = "gradient" if not np.isfinite(grad[i]).all() else "parameter update"
+        raise FloatingPointError(
+            f"non-finite {what} (loss={float(loss[i])!r}, "
+            f"max|err|={float(np.max(np.abs(err[i])))!r}); training has diverged")
     return MlpParams(flat, params.layer_sizes, params.cap), loss

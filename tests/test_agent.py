@@ -150,6 +150,8 @@ def test_hyperparams_validation():
         small_hp(phase_length=10, minibatch=25)
     with pytest.raises(ValueError):
         small_hp(zeta=0.5)
+    with pytest.raises(ValueError, match="activation cap"):
+        small_hp(activation_cap=0.0)
 
 
 def test_tuned_hyperparams_rows():
@@ -346,10 +348,11 @@ def test_target_refreshed_every_c_updates(two_cr_scenario):
     assert any(stale)       # the target lagged the live network
 
 
-def test_lowest_index_divergence_is_raised(two_cr_scenario, monkeypatch):
+def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
     # Agent 1's network, scaled by 1e300, diverges at the phase's first
     # update; agent 0's, scaled by 1e150, at its sixth. The phase raises
-    # agent 0's error, the one agent 0's network gives on its own batches.
+    # agent 1's error, the one agent 1's network gives on its own batches,
+    # at the first update, so no update completes.
     hp = small_hp(phase_length=200, minibatch=25, c=50, alpha0=1.0)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(14).spawn(2)]
     agents = make_agents("dql", hp, 2, 14, rngs)
@@ -380,9 +383,10 @@ def test_lowest_index_divergence_is_raised(two_cr_scenario, monkeypatch):
                 return update, str(exc)
         return None
 
-    (update0, text0), (update1, _) = alone(0), alone(1)
+    (update0, _), (update1, text1) = alone(0), alone(1)
     assert update1 == 0 < update0 == 5
-    assert str(excinfo.value) == text0
+    assert str(excinfo.value) == text1
+    assert net.updates == 0
 
 
 def test_make_agents_rejects_unknown_kind():
@@ -408,8 +412,7 @@ class _RefAgent:
         self.pushes = 0
         self.update_records = []
         if learner == "dql":
-            self.params = init_mlp(rng, (2, 8, 18, n_actions),
-                                   cap=hp.activation_cap)
+            self.params = init_mlp([rng], n_actions, hp.activation_cap)
             self.target = q_matrix(self.params)[0]
             self.columns = ([], [], [], [])
             self.updates = 0
@@ -551,11 +554,11 @@ def test_library_matches_reference_loop(learner, restarts, case, n_cr):
     if case == "diverging":
         # With the tuned 30-phase settings, run 0 of master seed 3 diverges
         # at N=2 (tests/test_cli.py DIVERGING_DQL); in run 1 of master seed
-        # 8 at N=3 two agents diverge at the same update. The library
-        # raises the lowest-index diverging agent's error, the reference
-        # (which steps the agents together) the earliest update's; the
-        # two agree when the agents diverge at the same update.
-        for n_cr, master_seed, run in ((2, 3, 0), (3, 8, 1)):
+        # 8 at N=3 two agents diverge at the same update; in run 1 of
+        # master seed 10 at N=3 a higher-index agent diverges first. Both
+        # raise the error of the earliest diverging update, that of its
+        # lowest-index diverging agent.
+        for n_cr, master_seed, run in ((2, 3, 0), (3, 8, 1), (3, 10, 1)):
             config = ExperimentConfig(
                 env=EnvConfig(n_cr=n_cr, reward_mode="global",
                               tpc_reference="signal"),

@@ -41,26 +41,57 @@ DQL_N3 = dict(DQL, env=dict(CONFIG["env"], n_cr=3))
 
 
 def test_outputs_do_not_depend_on_worker_count(tmp_path):
-    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS), ("dql", DQL),
-                      ("dql-n3", DQL_N3)):
+    # name -> (config, the runs that diverge)
+    for name, (doc, errored) in {
+            "plain": (CONFIG, []), "restarts": (RESTARTS, []), "dql": (DQL, []),
+            "dql-n3": (DQL_N3, []), "diverging-n3": (DIVERGING_DQL_N3, [1])}.items():
         config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(doc))
         one, two = tmp_path / name / "w1", tmp_path / name / "w2"
         assert simulate(config_path, one, "--workers", "1") == 0
         assert simulate(config_path, two, "--workers", "2") == 0
         assert (one / "summary.csv").read_bytes() == (two / "summary.csv").read_bytes()
+        rows = (one / "summary.csv").read_text().splitlines()[1:]
+        assert [i for i, row in enumerate(rows) if ",error," in row] == errored
 
         reports = [json.loads((d / "report.json").read_text()) for d in (one, two)]
         for report in reports:
-            assert len(report["wall_ms"]["0"]) == CONFIG["n_runs"]
+            assert len(report["wall_ms"]["0"]) == doc["n_runs"]
             del report["wall_ms"]
         assert reports[0] == reports[1]
 
         for sub in ("oracle", "traces"):
             files = sorted(p.name for p in (one / sub).iterdir())
-            assert len(files) == CONFIG["n_runs"]
+            assert len(files) == doc["n_runs"] - len(errored)
             for file in files:
                 assert (one / sub / file).read_bytes() == (two / sub / file).read_bytes()
+
+
+def test_pool_is_sized_by_the_job_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps
+        the jobs in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    config = harness.ExperimentConfig.from_dict(CONFIG)         # 3 runs
+    for workers in (64, 3, 2, 1):
+        harness.run_experiment(config, workers)
+    harness.run_experiment(harness.ExperimentConfig.from_dict(dict(CONFIG, n_runs=1)), 4)
+    assert sizes == [3, 3, 2]
 
 
 def test_amc_table_is_parsed_once_per_config(monkeypatch):
@@ -151,7 +182,18 @@ def test_bad_input_exits_2(tmp_path, capsys):
              "env key 'epsilon' must be float, not str"),
             (dict(CONFIG, agent=[]), "at least one phase budget"),
             (dict(CONFIG, agent=5), "agent must be a JSON object"),
-            ([CONFIG], "must be a JSON object")):
+            ([CONFIG], "must be a JSON object"),
+            # bad hyperparameters fail at load, not once per run: JSON as
+            # Python reads it has NaN and Infinity
+            (dict(DQL, agent=dict(DQL["agent"], activation_cap=0)),
+             "activation cap must be positive"),
+            (dict(DQL, agent=dict(DQL["agent"], alpha0=float("nan"))),
+             "agent key 'alpha0' must be finite, not nan"),
+            (dict(DQL, agent=dict(DQL["agent"], zeta=float("nan"))),
+             "agent key 'zeta' must be finite, not nan"),
+            (dict(CONFIG, agent=dict(CONFIG["agent"], activation_cap=float("nan"))),
+             "agent key 'activation_cap' must be finite, not nan"),
+            (dict(CONFIG, amc={"xi": float("inf")}), "amc key 'xi' must be finite, not inf")):
         bad.write_text(json.dumps(doc))
         for command in ("run", "traces"):
             assert cli.main([command, "--config", str(bad),
@@ -160,6 +202,10 @@ def test_bad_input_exits_2(tmp_path, capsys):
             assert len(err) == 1 and err[0].startswith("error: ")
             assert message in err[0]
     bad.write_text(json.dumps(CONFIG))
+    for workers in ("0", "-1"):
+        assert simulate(bad, tmp_path / "out", "--workers", workers) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --workers must be >= 1"]
     out = tmp_path / "pvr"
     assert cli.main(["p-vs-rho", "--config", str(bad), "--out", str(out),
                      "--rhos=-0.5,1.5,3"]) == 2
@@ -238,6 +284,9 @@ DIVERGING_DQL = {
     "env": {"n_cr": 2, "reward_mode": "global", "tpc_reference": "signal"},
     "agent": dict(TUNED_DQL_HYPERPARAMS[30], phase_length=1250, n_phases=2),
 }
+# Run 1 of this sweep diverges at N=3, a higher-index agent first.
+DIVERGING_DQL_N3 = dict(DIVERGING_DQL, master_seed=10,
+                        env=dict(DIVERGING_DQL["env"], n_cr=3))
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
