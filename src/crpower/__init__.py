@@ -11,8 +11,8 @@ CLI).
 
 from .agent import (
     AgentHyperparams,
-    DqlAgent,
-    TableAgent,
+    DqlAgents,
+    TableAgents,
     run_learning,
 )
 from .channel import ChannelGains, PowerVector, all_sinrs, path_gain

@@ -13,6 +13,13 @@ All agents in a run share a single outcome per step, looked up by flat
 joint index in the scenario's outcome tensor, so the only coupling
 between them is the wireless environment itself.
 
+The N agents of a run are one object. It holds what they share
+(hyperparameters, step size, phase count) once, and their own state as
+arrays with a leading agent axis: the (N, 2) policies, the states, the Q
+tables or the stacked networks, and one window ring. Agent i draws from
+its own generator and learns from its own row of the columns alone, so
+every agent learns as it would on its own.
+
 A phase runs in three stages. Because the policies are frozen for the
 whole phase and an agent's random draws never depend on its Q-values,
 each agent first takes the phase's exploration draws from its own
@@ -20,29 +27,21 @@ generator (``phase_draws``): each step explores with probability rho,
 independently of the other steps and agents, and an exploring step
 takes an action uniformly from the whole action space. The phase's joint
 trajectory is then walked once through the outcome tensor, which gives
-every agent four columns: states, next states, actions and rewards.
-Finally the agents learn from their columns. An agent's learning
-depends on its own columns alone. The table learners learn one after
-another in index order: each applies the updates whose snapshots cannot
-reach the phase boundary's window ring in one in-place
-temporal-difference pass and the last ``std_window`` one at a time,
-pushing a snapshot after each. The network learners of a run share the
-phase length, mini-batch size, step size and target-refresh period, so
-their gradient updates line up one to one, and they train in lockstep:
-their networks form one stacked block, and each update is one
-``train_minibatch`` call in which every network steps on the next
-mini-batch slice of its own columns. Each network's results are bit for
-bit those it would get alone. The partial mini-batch carried into the
-next phase is as long for every agent. Window pushes, update records
-and the target maxima refreshed every ``c`` updates stay per agent. A
-phase is at least one mini-batch long, so every phase pushes a window
-snapshot for either learner. Each trained parameter set caches its
-read-only Q matrices, so the one forward pass after an update serves
-the window pushes, the update records, the phase-boundary policy
-updates, the target refresh and the next training step. The first
-update at which any network diverges ends the run with that update's
-error, the one of its lowest-index diverging network, as agents
-stepping together through the phase would.
+four (N, L) columns: states, next states, actions and rewards. Finally
+the agents learn from the columns, and both learners push all N Q
+matrices to the window ring at once, in lockstep. The table learners
+apply, per agent, the updates whose snapshots cannot reach the phase
+boundary's ring in one in-place temporal-difference pass; each of the
+last ``std_window`` steps then updates every table and pushes. The
+networks form one stacked block. The agents share the phase length,
+mini-batch size, step size and target-refresh period, so each update is
+one ``train_minibatch`` call in which every network steps on its own
+next mini-batch, bit for bit as it would alone, and then one push. The
+partial mini-batch carried into the next phase is as long for every
+agent. A phase is at least one mini-batch long, so every phase pushes a
+snapshot. The first update at which any network diverges ends the run
+with that update's error, the one of its lowest-index diverging network,
+as agents stepping together through the phase would.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ from .qfunc import (
 
 __all__ = [
     "AgentHyperparams",
-    "DqlAgent",
-    "TableAgent",
+    "DqlAgents",
+    "TableAgents",
     "make_agents",
     "phase_draws",
     "run_exploration_phase",
@@ -101,11 +100,12 @@ class AgentHyperparams:
             raise ValueError("gamma must lie in (0, 1)")
         if self.phase_length < self.minibatch:
             raise ValueError("phase must cover at least one mini-batch")
-        if self.zeta < 1.0:
+        # written so that NaN fails too
+        if not self.zeta >= 1.0:
             raise ValueError("zeta must be >= 1")
-        if min(self.n_phases, self.alpha0, self.c, self.minibatch,
-               self.tolerance_multiplier, self.std_window,
-               self.activation_cap) <= 0:
+        if not all(x > 0 for x in (
+                self.n_phases, self.alpha0, self.c, self.minibatch,
+                self.tolerance_multiplier, self.std_window, self.activation_cap)):
             raise ValueError("counts, rates, windows and the activation cap "
                              "must be positive")
 
@@ -142,14 +142,16 @@ def phase_draws(rng: np.random.Generator, length: int, rho: float,
 
 
 class QValueWindows:
-    """Rolling per-(state, action) record of recent Q-value evaluations."""
+    """Rolling per-(agent, state, action) record of recent Q-value
+    evaluations; one push stores every agent's Q matrix."""
 
-    def __init__(self, n_actions: int, window: int):
-        self._buf = np.zeros((window, N_STATES, n_actions))
+    def __init__(self, n_agents: int, n_actions: int, window: int):
+        self._buf = np.zeros((window, n_agents, N_STATES, n_actions))
         self._window = window
         self._count = 0
 
     def push(self, q):
+        """Store q, the (n_agents, n_states, n_actions) Q matrices."""
         self._buf[self._count % self._window] = q
         self._count += 1
 
@@ -164,19 +166,21 @@ class QValueWindows:
         return min(self._count, self._window)
 
     def snapshots(self) -> np.ndarray:
-        """The filled ring slots, (filled, n_states, n_actions), in slot order."""
+        """The filled ring slots, (filled, n_agents, n_states, n_actions), in
+        slot order."""
         return self._buf[:self.filled]
 
-    def largest_std(self) -> float:
-        """Max over (state, action) of the std over the window, 0 if empty.
+    def largest_std(self) -> np.ndarray:
+        """Per agent, the max over (state, action) of the std over the
+        window; zeros if empty.
 
         Exploding Q-values overflow the std to inf (or nan) without a
         warning; update_policy reports that as a divergence.
         """
         if self.filled == 0:
-            return 0.0
+            return np.zeros(self._buf.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(self.snapshots().std(axis=0).max())
+            return self.snapshots().std(axis=0).max(axis=(1, 2))
 
 
 @dataclass
@@ -236,198 +240,186 @@ def candidate_sets(q: np.ndarray, delta: float) -> tuple[tuple[int, ...], ...]:
 
 
 class _AgentBase:
-    """Shared phase bookkeeping; subclasses provide the Q backend."""
+    """The N agents of one run: shared phase bookkeeping, agent i's state
+    in row i. Subclasses provide the Q backend: q_values() returns the
+    (N, n_states, n_actions) Q matrices, and learn_phase(columns) learns
+    from one phase's four (N, L) columns."""
 
-    def __init__(self, hp: AgentHyperparams, n_actions: int,
-                 rng: np.random.Generator, record_updates: bool = False):
+    def __init__(self, hp: AgentHyperparams, n_actions: int, rngs,
+                 record_updates: bool = False):
         self.hp = hp
-        self.policy = rng.integers(n_actions, size=N_STATES)
-        self.state = 0
         self.alpha = hp.alpha0
         self.phase = 0
-        self.windows = QValueWindows(n_actions, hp.std_window)
-        self.update_records: list[UpdateRecord] | None = (
-            [] if record_updates else None)
+        self.policies = np.array([rng.integers(n_actions, size=N_STATES)
+                                  for rng in rngs])
+        self.states = [0] * len(rngs)
+        self.windows = QValueWindows(len(rngs), n_actions, hp.std_window)
+        self.update_records: list[list[UpdateRecord]] | None = (
+            [[] for _ in rngs] if record_updates else None)
 
-    def q_values(self) -> np.ndarray:
-        raise NotImplementedError
-
-    @staticmethod
-    def learn_phase(agents, columns):
-        """Learn from one phase's columns, columns[i] those of agent i, and
-        move each agent to its last next state."""
-        raise NotImplementedError
-
-    def _record_update(self, step: int, action: int, q):
+    def _push(self, q, step: int, actions):
+        """Push q, every agent's Q matrix, to the window ring, and record
+        the update, at which agent i played actions[i], if updates are
+        recorded."""
+        self.windows.push(q)
         if self.update_records is not None:
-            delta = self.hp.tolerance_multiplier * self.windows.largest_std()
-            self.update_records.append(UpdateRecord(
-                step=step, action=action, q_s0=np.array(q[0]), delta=delta))
+            spreads = self.windows.largest_std().tolist()
+            for records, q_agent, action, spread in zip(
+                    self.update_records, q, actions, spreads):
+                records.append(UpdateRecord(
+                    step=step, action=action, q_s0=np.array(q_agent[0]),
+                    delta=self.hp.tolerance_multiplier * spread))
 
-    def update_policy(self, rng: np.random.Generator, mean_reward: float) -> PhaseRecord:
-        """Best reply with inertia at a phase boundary; the record keeps the
-        phase's mean_reward.
+    def update_policy(self, rngs, mean_rewards) -> list[PhaseRecord]:
+        """Best reply with inertia at a phase boundary, agent i drawing from
+        rngs[i]; agent i's record keeps its phase's mean_rewards[i].
 
-        Raises FloatingPointError when the Q-value spread over the window
-        is not finite: training has diverged.
+        Raises FloatingPointError when an agent's Q-value spread over the
+        window is not finite: training has diverged. The error gives the
+        spread of the lowest-index such agent.
         """
         q = self.q_values()
-        spread = self.windows.largest_std()
-        if not math.isfinite(spread):
-            raise FloatingPointError(
-                f"non-finite Q-value spread ({spread!r}) at the end of "
-                f"phase {self.phase}; training has diverged")
-        delta = self.hp.tolerance_multiplier * spread
-        candidates = candidate_sets(q, delta)
-
-        before = tuple(int(a) for a in self.policy)
-        if rng.random() >= self.hp.lam:
-            self.policy = np.array(
-                [cands[rng.integers(len(cands))] for cands in candidates])
-        after = tuple(int(a) for a in self.policy)
-
-        record = PhaseRecord(
-            phase=self.phase,
-            policy_before=before,
-            policy_after=after,
-            delta=delta,
-            mean_reward=mean_reward,
-            changed=after != before,
-            q_values=q.copy(),
-            candidates=candidates,
-        )
+        spreads = self.windows.largest_std().tolist()
+        for spread in spreads:
+            if not math.isfinite(spread):
+                raise FloatingPointError(
+                    f"non-finite Q-value spread ({spread!r}) at the end of "
+                    f"phase {self.phase}; training has diverged")
+        records = []
+        for i, (rng, spread) in enumerate(zip(rngs, spreads)):
+            delta = self.hp.tolerance_multiplier * spread
+            candidates = candidate_sets(q[i], delta)
+            before = tuple(self.policies[i].tolist())
+            if rng.random() >= self.hp.lam:
+                self.policies[i] = [cands[rng.integers(len(cands))]
+                                    for cands in candidates]
+            after = tuple(self.policies[i].tolist())
+            records.append(PhaseRecord(
+                phase=self.phase,
+                policy_before=before,
+                policy_after=after,
+                delta=delta,
+                mean_reward=mean_rewards[i],
+                changed=after != before,
+                q_values=q[i].copy(),
+                candidates=candidates,
+            ))
         self.phase += 1
         self.alpha /= self.hp.zeta
-        return record
+        return records
 
 
-class _Networks:
-    """The stacked networks of a run's DQL agents and what their lockstep
-    training carries from one phase to the next."""
+class DqlAgents(_AgentBase):
+    """Network-backed learners: one gradient update per full mini-batch,
+    every agent's network stepping in lockstep in one stacked block."""
 
-    def __init__(self, params):
-        self.params = params
+    def __init__(self, hp, n_actions, rngs, record_updates=False):
+        super().__init__(hp, n_actions, rngs, record_updates)
+        # each generator draws its agent's policy, then its network
+        self.params = init_mlp(rngs, n_actions, hp.activation_cap)
         # per network and state, the maximum of the frozen target Q-values
-        self.target_max = q_matrix(params).max(axis=2)
-        # partial mini-batch carried to the next phase, as long for every
-        # network: states, next states, actions, rewards, each (N, length)
-        n = len(params.flat)
+        self.target_max = q_matrix(self.params).max(axis=2)
+        # the partial mini-batch carried to the next phase, as (N, length)
+        # columns: states, next states, actions, rewards
+        n = len(rngs)
         self.batch: tuple[np.ndarray, ...] = (
             (np.empty((n, 0), dtype=np.int64),) * 3 + (np.empty((n, 0)),))
         self.updates = 0
 
-
-class DqlAgent(_AgentBase):
-    """Network-backed learner: one gradient update per full mini-batch.
-
-    The agent's network is row ``index`` of ``net``, the stacked networks
-    of the run's DQL agents, which make_agents builds.
-    """
-
     def q_values(self) -> np.ndarray:
-        return q_matrix(self.net.params)[self.index]
+        return q_matrix(self.params)
 
-    @staticmethod
-    def learn_phase(agents, columns):
-        """Train the agents' stacked networks in lockstep: update u trains
-        every network on its own u-th mini-batch in one train_minibatch
-        call, whose divergence error the phase raises."""
-        # the agents of a run share hyperparameters, phase and step size
-        net, hp, alpha = agents[0].net, agents[0].hp, agents[0].alpha
-        cols = [np.concatenate([carried, np.stack(new)], axis=1)
-                for carried, new in zip(net.batch, zip(*columns))]
+    def learn_phase(self, columns):
+        """Train the stacked networks in lockstep: update u trains every
+        network on its own u-th mini-batch in one train_minibatch call,
+        whose divergence error the phase raises."""
+        hp = self.hp
+        cols = [np.concatenate([carried, new], axis=1)
+                for carried, new in zip(self.batch, columns)]
         size = hp.minibatch
         # the step number of column entry 0: the carried entries come first
-        first_step = agents[0].phase * hp.phase_length + 1 - net.batch[0].shape[1]
+        first_step = self.phase * hp.phase_length + 1 - self.batch[0].shape[1]
         n_full = cols[0].shape[1] // size
         for end in range(size, n_full * size + 1, size):
-            net.params, _ = train_minibatch(
-                net.params, *(c[:, end - size:end] for c in cols),
-                net.target_max, alpha, hp.gamma)
-            net.updates += 1
-            q = q_matrix(net.params)
-            if net.updates % hp.c == 0:
-                net.target_max = q.max(axis=2)
-            for ag, q_agent, action in zip(agents, q,
-                                           cols[2][:, end - 1].tolist()):
-                ag.windows.push(q_agent)
-                ag._record_update(first_step + end - 1, action, q_agent)
-        net.batch = tuple(c[:, n_full * size:].copy() for c in cols)
-        for ag, c in zip(agents, columns):
-            ag.state = int(c[1][-1])
+            self.params, _ = train_minibatch(
+                self.params, *(c[:, end - size:end] for c in cols),
+                self.target_max, self.alpha, hp.gamma)
+            self.updates += 1
+            q = q_matrix(self.params)
+            if self.updates % hp.c == 0:
+                self.target_max = q.max(axis=2)
+            self._push(q, first_step + end - 1, cols[2][:, end - 1].tolist())
+        self.batch = tuple(c[:, n_full * size:].copy() for c in cols)
 
 
-class TableAgent(_AgentBase):
-    """Table-backed learner: one in-place temporal-difference update per step."""
+class TableAgents(_AgentBase):
+    """Table-backed learners: one in-place temporal-difference update per
+    step."""
 
-    def __init__(self, hp, n_actions, rng, record_updates=False):
-        super().__init__(hp, n_actions, rng, record_updates)
-        self.table = [[0.0] * n_actions for _ in range(N_STATES)]
+    def __init__(self, hp, n_actions, rngs, record_updates=False):
+        super().__init__(hp, n_actions, rngs, record_updates)
+        self.tables = [[[0.0] * n_actions for _ in range(N_STATES)]
+                       for _ in rngs]
 
     def q_values(self) -> np.ndarray:
-        return np.array(self.table)
+        return np.array(self.tables)
 
-    @staticmethod
-    def learn_phase(agents, columns):
-        for ag, agent_columns in zip(agents, columns):
-            ag.learn(*agent_columns)
-
-    def learn(self, states, next_states, actions, rewards):
-        """Learn from one phase's columns and move to its last next state."""
-        columns = [c.tolist() for c in (states, next_states, actions, rewards)]
-        n = len(rewards)
+    def learn_phase(self, columns):
+        """Update every table in place, one update per step, in step
+        order."""
+        hp = self.hp
+        columns = [c.tolist() for c in columns]    # columns[j][i]: agent i's
+        n = len(columns[3][0])
         # Only the last std_window snapshots can still be in the window
         # ring at the phase boundary; the earlier updates are applied in one
-        # pass and counted, not pushed, unless every update is recorded.
-        bulk = max(n - self.hp.std_window, 0) if self.update_records is None else 0
-        table_update(self.table, *(c[:bulk] for c in columns),
-                     self.alpha, self.hp.gamma)
+        # pass per agent and counted, not pushed, unless every update is
+        # recorded.
+        bulk = max(n - hp.std_window, 0) if self.update_records is None else 0
+        for i, table in enumerate(self.tables):
+            table_update(table, *(c[i][:bulk] for c in columns),
+                         self.alpha, hp.gamma)
         self.windows.skip(bulk)
         for t in range(bulk, n):
-            table_update(self.table, *(c[t:t + 1] for c in columns),
-                         self.alpha, self.hp.gamma)
-            self.windows.push(self.table)
-            self._record_update(self.phase * self.hp.phase_length + t + 1,
-                                columns[2][t], self.table)
-        self.state = columns[1][-1]
+            for i, table in enumerate(self.tables):
+                table_update(table, *(c[i][t:t + 1] for c in columns),
+                             self.alpha, hp.gamma)
+            self._push(self.tables, self.phase * hp.phase_length + t + 1,
+                       [actions[t] for actions in columns[2]])
 
 
-def make_agents(kind: str, hp: AgentHyperparams, n_agents: int, n_actions: int,
-                rngs, record_updates: bool = False):
-    cls = {"dql": DqlAgent, "table": TableAgent}.get(kind)
+def make_agents(kind: str, hp: AgentHyperparams, n_actions: int, rngs,
+                record_updates: bool = False) -> _AgentBase:
+    """The agents of one run, one per generator in rngs."""
+    cls = {"dql": DqlAgents, "table": TableAgents}.get(kind)
     if cls is None:
         raise ValueError(f"unknown learner kind {kind!r}")
-    agents = [cls(hp, n_actions, rngs[i], record_updates) for i in range(n_agents)]
-    if cls is DqlAgent:
-        # one stacked block for the run; each generator draws its agent's
-        # policy, then its network
-        net = _Networks(init_mlp(rngs[:n_agents], n_actions, hp.activation_cap))
-        for i, ag in enumerate(agents):
-            ag.net, ag.index = net, i
-    return agents
+    return cls(hp, n_actions, rngs, record_updates)
 
 
-def _walk_phase(agents, draws, states: np.ndarray, rewards: np.ndarray,
+def _walk_phase(policies: np.ndarray, states, draws: np.ndarray,
+                outcome_states: np.ndarray, rewards: np.ndarray,
                 n_actions: int):
     """The phase's joint trajectory under the frozen policies.
 
-    draws[i] is agent i's phase_draws result. Returns, per agent, its four
-    columns: states, next states, actions and rewards. The walk follows
-    the joint state (agent i's state in bit n-1-i): for each step and each
-    joint state, the joint action and the next joint state are found at
-    once, which leaves one lookup per step in order.
+    policies is (N, 2), states the N agents' states at the phase start,
+    and row i of the (N, L) draws agent i's phase_draws result. Returns
+    four (N, L) columns, row i agent i's: states, next states, actions
+    and rewards. The walk follows the joint state (agent i's state in bit
+    N-1-i): for each step and each joint state, the joint action and the
+    next joint state are found at once, which leaves one lookup per step
+    in order.
     """
-    n, length = len(agents), len(draws[0])
+    n, length = draws.shape
     shifts = np.arange(n - 1, -1, -1)
     bits = (np.arange(2 ** n)[:, None] >> shifts) & 1          # (2^n, n)
-    # actions[i][t, s]: agent i's action at step t when in state s
-    actions = [np.where(d[:, None] >= 0, d[:, None], ag.policy[None, :])
-               for d, ag in zip(draws, agents)]
+    # actions[i, t, s]: agent i's action at step t when in state s
+    actions = np.repeat(policies[:, None, :], length, axis=1)
+    np.copyto(actions, draws[:, :, None], where=draws[:, :, None] >= 0)
     joint_index = np.zeros((length, 2 ** n), dtype=np.int64)
-    for i, act in enumerate(actions):
-        joint_index = joint_index * n_actions + act[:, bits[:, i]]
-    next_joint = (states << shifts).sum(axis=1)[joint_index]
-    joint = sum(ag.state << int(shift) for ag, shift in zip(agents, shifts))
+    for i in range(n):
+        joint_index = joint_index * n_actions + actions[i][:, bits[:, i]]
+    next_joint = (outcome_states << shifts).sum(axis=1)[joint_index]
+    joint = sum(state << int(shift) for state, shift in zip(states, shifts))
     path = []
     for row in next_joint.tolist():
         path.append(joint)
@@ -435,53 +427,52 @@ def _walk_phase(agents, draws, states: np.ndarray, rewards: np.ndarray,
     path = np.array(path)
     steps = np.arange(length)
     k = joint_index[steps, path]
-    columns = []
-    for i, act in enumerate(actions):
-        own = (path >> shifts[i]) & 1
-        columns.append((own, states[k, i], act[steps, own], rewards[k, i]))
-    return columns
+    own = (path >> shifts[:, None]) & 1
+    # take() gathers rows faster than fancy indexing on these arrays, which
+    # need not be contiguous
+    return (own, outcome_states.take(k, axis=0).T,
+            actions[np.arange(n)[:, None], steps, own],
+            rewards.take(k, axis=0).T)
 
 
-def run_exploration_phase(agents, scenario: Scenario, rngs) -> list[PhaseRecord]:
+def run_exploration_phase(agents: _AgentBase, scenario: Scenario,
+                          rngs) -> list[PhaseRecord]:
     """One phase for all agents: frozen policies, one joint action per
-    step, policy updates at the boundary.
+    step, policy updates at the boundary. Returns agent i's record at
+    index i.
 
     Each step's states and rewards are the row of the scenario's outcome
     tensor at the joint action's flat index.
     """
-    outcomes = scenario.outcomes
+    hp, outcomes = agents.hp, scenario.outcomes
     n_actions = len(scenario.actions)
-    draws = [phase_draws(rngs[i], ag.hp.phase_length, ag.hp.rho, n_actions)
-             for i, ag in enumerate(agents)]
-    columns = _walk_phase(agents, draws, outcomes.states,
+    draws = np.stack([phase_draws(rng, hp.phase_length, hp.rho, n_actions)
+                      for rng in rngs])
+    columns = _walk_phase(agents.policies, agents.states, draws, outcomes.states,
                           outcomes.rewards(scenario.config.reward_mode), n_actions)
-    type(agents[0]).learn_phase(agents, columns)
+    agents.learn_phase(columns)
+    agents.states = columns[1][:, -1].tolist()
     # each mean adds its rewards left to right, one addition per step;
     # sum() compensates float sums from Python 3.12 on
-    means = [functools.reduce(operator.add, c[3].tolist(), 0.0) / len(c[3])
-             for c in columns]
-    return [ag.update_policy(rngs[i], means[i]) for i, ag in enumerate(agents)]
+    means = [functools.reduce(operator.add, row, 0.0) / len(row)
+             for row in columns[3].tolist()]
+    return agents.update_policy(rngs, means)
 
 
 @dataclass
 class RunTrace:
     """Everything a finished run exposes for scoring and plotting."""
 
-    agents: list
+    agents: _AgentBase
     phase_records: list[list[PhaseRecord]]   # [phase][agent]
 
-    def joint_policy(self, state: int = 0) -> tuple[int, ...]:
-        return tuple(int(ag.policy[state]) for ag in self.agents)
+    def joint_policy(self) -> tuple[int, ...]:
+        """Every agent's action in S0."""
+        return tuple(self.agents.policies[:, 0].tolist())
 
 
 def _spawn_rngs(seed_seq: np.random.SeedSequence, n: int):
     return [np.random.default_rng(s) for s in seed_seq.spawn(n)]
-
-
-def _sense_initial_state(agents, scenario: Scenario):
-    """Every agent starts in its state under the all-off joint action (flat index 0)."""
-    for ag, state in zip(agents, scenario.outcomes.states[0].tolist()):
-        ag.state = state
 
 
 def run_learning(scenario: Scenario,
@@ -508,9 +499,11 @@ def run_learning(scenario: Scenario,
     rngs = _spawn_rngs(seed_seq, scenario.n_cr)
     probes = []
     for _ in range(n_restarts):
-        agents = make_agents(learner, hp, scenario.n_cr, len(scenario.actions),
-                             rngs, record_updates)
-        _sense_initial_state(agents, scenario)
+        agents = make_agents(learner, hp, len(scenario.actions), rngs,
+                             record_updates)
+        # every agent starts in its state under the all-off joint action
+        # (flat index 0)
+        agents.states = scenario.outcomes.states[0].tolist()
         records = [run_exploration_phase(agents, scenario, rngs)
                    for _ in range(probe_phases)]
         probes.append((agents, records))

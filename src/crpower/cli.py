@@ -140,11 +140,11 @@ def cmd_traces(args) -> int:
     trace = learn_for_run(config, 0, args.run, scenario, record_updates=True)
     out = _outdir(config)
     (out / f"phases_run{args.run:04d}.jsonl").write_text(phase_trace_jsonl(trace))
-    for i, agent in enumerate(trace.agents):
-        csv_text = emit_qvalue_traces(agent.update_records,
-                                      len(scenario.actions))
+    records = trace.agents.update_records
+    for i, agent_records in enumerate(records):
+        csv_text = emit_qvalue_traces(agent_records, len(scenario.actions))
         (out / f"qvalues_run{args.run:04d}_agent{i}.csv").write_text(csv_text)
-    print(f"wrote Q-value traces for {len(trace.agents)} agents to {out}")
+    print(f"wrote Q-value traces for {len(records)} agents to {out}")
     return 0
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "build_scenario",
     "pn_power_control",
     "outcome_tensor",
+    "check_outcome_budget",
     "phase_change_probability",
 ]
 
@@ -325,6 +326,20 @@ def _evaluate(scenario: Scenario, joint_actions) -> Outcomes:
     )
 
 
+def check_outcome_budget(n_actions: int, n_cr: int, n_pn: int) -> None:
+    """Raise ConfigurationError when the outcome tensor of n_cr CRs with
+    n_actions actions each, beside n_pn primary links, would exceed
+    OUTCOME_MEMORY_BUDGET."""
+    rows = n_actions ** n_cr
+    # peak working set: about six float64 values per row and column of
+    # the (K, N) and (K, M) arrays (5.4 measured at N=4, M=7)
+    peak_bytes = rows * (n_cr + n_pn) * 8 * 6
+    if peak_bytes > OUTCOME_MEMORY_BUDGET:
+        raise ConfigurationError(
+            f"{rows} joint actions need about {peak_bytes} bytes, over the "
+            f"outcome tensor budget of {OUTCOME_MEMORY_BUDGET} bytes")
+
+
 def outcome_tensor(scenario: Scenario) -> Outcomes:
     """Every joint action of the scenario, in lexicographic order.
 
@@ -332,15 +347,8 @@ def outcome_tensor(scenario: Scenario) -> Outcomes:
     OUTCOME_MEMORY_BUDGET.
     """
     n_actions, n = len(scenario.actions), scenario.n_cr
-    rows = n_actions ** n
-    # peak working set: about six float64 values per row and column of
-    # the (K, N) and (K, M) arrays (5.4 measured at N=4, M=7)
-    peak_bytes = rows * (n + scenario.n_pn) * 8 * 6
-    if peak_bytes > OUTCOME_MEMORY_BUDGET:
-        raise ConfigurationError(
-            f"{rows} joint actions need about {peak_bytes} bytes, over the "
-            f"outcome tensor budget of {OUTCOME_MEMORY_BUDGET} bytes")
-    grid = np.indices((n_actions,) * n).reshape(n, rows).T
+    check_outcome_budget(n_actions, n, scenario.n_pn)
+    grid = np.indices((n_actions,) * n).reshape(n, n_actions ** n).T
     return _evaluate(scenario, grid)
 
 

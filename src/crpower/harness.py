@@ -12,7 +12,6 @@ also writes that run's oracle and phase-trace files.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -26,9 +25,11 @@ import numpy as np
 
 from .agent import AgentHyperparams, RunTrace, run_learning
 from .environment import (
+    ActionSpace,
     EnvConfig,
     Scenario,
     build_scenario,
+    check_outcome_budget,
     phase_change_probability,
 )
 from .link_adaptation import AmcTable
@@ -117,18 +118,22 @@ class ExperimentConfig:
             raise ConfigurationError("probe_phases must be >= 1")
         if any((self.probe_phases or 0) > hp.n_phases for hp in self.agent):
             raise ConfigurationError("probe_phases exceeds a point's n_phases")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be >= 0")
+        if not 0.0 <= self.tau < 1.0:
+            raise ConfigurationError("tau must lie in [0, 1)")
+        check_outcome_budget(len(ActionSpace.default()), self.env.n_cr,
+                             self.grid.active_ap_count)
+        # parsed once per config, so a table that cannot load fails here
+        kwargs = dict(xi=self.amc_xi, snr_gap=self.amc_snr_gap,
+                      bandwidth_hz=self.amc_bandwidth_hz)
+        object.__setattr__(self, "_amc_table", (
+            AmcTable.from_csv(self.amc_csv, **kwargs) if self.amc_csv
+            else AmcTable.default(**kwargs)))
 
     def amc_table(self) -> AmcTable:
         """The AMC table of the amc_* fields, parsed once per config."""
         return self._amc_table
-
-    @functools.cached_property
-    def _amc_table(self) -> AmcTable:
-        kwargs = dict(xi=self.amc_xi, snr_gap=self.amc_snr_gap,
-                      bandwidth_hz=self.amc_bandwidth_hz)
-        if self.amc_csv:
-            return AmcTable.from_csv(self.amc_csv, **kwargs)
-        return AmcTable.default(**kwargs)
 
     @staticmethod
     def from_dict(doc) -> "ExperimentConfig":

@@ -52,8 +52,10 @@ class AmcTable:
             raise ValueError("SNR thresholds must be strictly increasing")
         if np.any(eff < 0) or np.any(np.diff(eff) < 0):
             raise ValueError("efficiencies must be nonnegative and nondecreasing")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        # written so that NaN fails too
+        for name in ("xi", "snr_gap", "bandwidth_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         object.__setattr__(self, "snr_thresholds_db", thr)
         object.__setattr__(self, "spectral_efficiencies", eff)
 

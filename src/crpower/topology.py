@@ -42,7 +42,7 @@ class GridSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigurationError("grid must have at least one row and column")
-        if self.spacing_m <= 0:
+        if not self.spacing_m > 0:        # NaN fails too
             raise ConfigurationError("AP spacing must be positive")
         if not (1 <= self.active_ap_count <= self.rows * self.cols):
             raise ConfigurationError(

@@ -7,9 +7,9 @@ from conftest import TINY, make_scenario
 
 from crpower.agent import (
     AgentHyperparams,
-    DqlAgent,
+    DqlAgents,
     PhaseRecord,
-    TableAgent,
+    TableAgents,
     TUNED_DQL_HYPERPARAMS,
     UpdateRecord,
     candidate_sets,
@@ -152,6 +152,10 @@ def test_hyperparams_validation():
         small_hp(zeta=0.5)
     with pytest.raises(ValueError, match="activation cap"):
         small_hp(activation_cap=0.0)
+    # NaN fails too, also when built directly rather than loaded from JSON
+    for name in ("alpha0", "zeta", "activation_cap", "tolerance_multiplier"):
+        with pytest.raises(ValueError):
+            small_hp(**{name: float("nan")})
 
 
 def test_tuned_hyperparams_rows():
@@ -169,34 +173,33 @@ def test_dql_updates_per_phase(two_cr_scenario):
     # 6250 steps at mini-batch 25 -> exactly 250 gradient updates
     hp = small_hp(phase_length=6250)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(2)]
-    agents = make_agents("dql", hp, 2, 14, rngs)
+    agents = make_agents("dql", hp, 14, rngs)
     run_exploration_phase(agents, two_cr_scenario, rngs)
-    # the agents share one stacked block of networks, agent i's in row i
-    assert agents[0].net is agents[1].net
-    assert [ag.index for ag in agents] == [0, 1]
-    assert agents[0].net.updates == 250
+    # the agents' networks are the rows of one stacked block
+    assert len(agents.params.flat) == 2
+    assert agents.updates == 250
 
 
 def test_table_one_update_per_step(two_cr_scenario):
     hp = small_hp(phase_length=120)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(1).spawn(2)]
-    agents = make_agents("table", hp, 2, 14, rngs)
-    before = [ag.q_values() for ag in agents]
+    agents = make_agents("table", hp, 14, rngs)
+    before = agents.q_values()
     run_exploration_phase(agents, two_cr_scenario, rngs)
-    assert all(ag.windows.filled == 50 for ag in agents)   # window saturated
-    assert any(not np.array_equal(b, ag.q_values())
-               for b, ag in zip(before, agents))
+    assert agents.windows.filled == 50                     # window saturated
+    assert any(not np.array_equal(b, after)
+               for b, after in zip(before, agents.q_values()))
 
 
 def test_stationary_rewards_when_nobody_experiments(two_cr_scenario):
     hp = small_hp(rho=0.0, phase_length=60, minibatch=25)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(2).spawn(2)]
-    agents = make_agents("table", hp, 2, 14, rngs, record_updates=True)
-    agents[0].policy = np.array([12, 12])   # within limit alone
-    agents[1].policy = np.array([0, 0])     # silent
+    agents = make_agents("table", hp, 14, rngs, record_updates=True)
+    agents.policies[0] = [12, 12]   # within limit alone
+    agents.policies[1] = [0, 0]     # silent
     records = run_exploration_phase(agents, two_cr_scenario, rngs)
-    assert [rec.action for rec in agents[0].update_records] == [12] * 60
-    assert [rec.action for rec in agents[1].update_records] == [0] * 60
+    assert [rec.action for rec in agents.update_records[0]] == [12] * 60
+    assert [rec.action for rec in agents.update_records[1]] == [0] * 60
     # every step is the joint action (12, 0), flat index 12 * 14 + 0
     rewards = two_cr_scenario.outcomes.rewards(two_cr_scenario.config.reward_mode)
     rec = records[0]
@@ -210,7 +213,7 @@ def test_alpha_decays_once_per_phase(two_cr_scenario):
     trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(4),
                          "table")
     # after k completed phases alpha = alpha0 / zeta^k
-    assert trace.agents[0].alpha == pytest.approx(0.05 / 5.0 ** 3)
+    assert trace.agents.alpha == pytest.approx(0.05 / 5.0 ** 3)
 
 
 def test_zeta_one_keeps_alpha_fixed(two_cr_scenario):
@@ -219,7 +222,7 @@ def test_zeta_one_keeps_alpha_fixed(two_cr_scenario):
         trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(5),
                              learner)
         assert len(trace.phase_records) == 6
-        assert all(ag.alpha == hp.alpha0 for ag in trace.agents)
+        assert trace.agents.alpha == hp.alpha0
 
 
 def test_lambda_one_policy_never_changes(two_cr_scenario):
@@ -240,27 +243,33 @@ def test_every_phase_pushes_a_window_snapshot(two_cr_scenario, learner,
     # carries into each next phase.
     hp = small_hp(phase_length=phase_length, minibatch=25, n_phases=8)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(7).spawn(2)]
-    agents = make_agents(learner, hp, 2, 14, rngs)
+    agents = make_agents(learner, hp, 14, rngs)
     for phase in range(hp.n_phases):
         run_exploration_phase(agents, two_cr_scenario, rngs)
-        for ag in agents:
-            assert ag.windows.filled >= min(phase + 1, hp.std_window) >= 1
+        assert agents.windows.filled >= min(phase + 1, hp.std_window) >= 1
 
 
 def test_non_finite_q_spread_is_a_divergence():
-    # the std of +-1e200 overflows in its square
+    # Agent 0's Q-values stay put. The std of agent 1's +-1e200 overflows
+    # in its square; agent 2's +-inf has no mean. The error gives the
+    # spread of the lowest-index non-finite agent.
     hp = small_hp()
-    rng = np.random.default_rng(7)
-    agent = TableAgent(hp, 14, rng)
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    agents = TableAgents(hp, 14, rngs)
+    policies = agents.policies.copy()
     for sign in (1.0, -1.0):
-        agent.windows.push(np.full((2, 14), sign * 1e200))
+        q = np.zeros((3, 2, 14))
+        q[1], q[2] = sign * 1e200, sign * np.inf
+        agents.windows.push(q)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert agent.windows.largest_std() == np.inf
+        np.testing.assert_array_equal(agents.windows.largest_std(),
+                                      [0.0, np.inf, np.nan])
         with pytest.raises(FloatingPointError,
-                           match="non-finite Q-value spread.*diverged"):
-            agent.update_policy(rng, 0.0)
-    assert agent.phase == 0 and agent.alpha == hp.alpha0
+                           match=r"non-finite Q-value spread \(inf\).*diverged"):
+            agents.update_policy(rngs, [0.0] * 3)
+    assert agents.phase == 0 and agents.alpha == hp.alpha0
+    np.testing.assert_array_equal(agents.policies, policies)
 
 
 def test_full_determinism(two_cr_scenario):
@@ -280,7 +289,7 @@ def test_update_records_schema(two_cr_scenario):
     hp = small_hp(phase_length=110, minibatch=25, n_phases=2)
     trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(8),
                          "dql", record_updates=True)
-    recs = trace.agents[0].update_records
+    recs = trace.agents.update_records[0]
     # an update is numbered by the step of its mini-batch's last entry
     assert [rec.step for rec in recs] == list(range(25, 201, 25))
     for rec in recs:
@@ -301,8 +310,8 @@ def test_single_restart_equals_plain_run(two_cr_scenario):
     b = [tuple(rec.policy_after for rec in recs)
          for recs in restarted.phase_records]
     assert a == b
-    np.testing.assert_array_equal(plain.agents[0].q_values(),
-                                  restarted.agents[0].q_values())
+    np.testing.assert_array_equal(plain.agents.q_values(),
+                                  restarted.agents.q_values())
 
 
 def test_restart_overhead_and_selection(two_cr_scenario):
@@ -331,20 +340,20 @@ def test_target_refreshed_every_c_updates(two_cr_scenario):
     # multiple of c, whose Q matrix is that update's window snapshot
     hp = small_hp(phase_length=100, minibatch=25, c=3, n_phases=3)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(13).spawn(2)]
-    agents = make_agents("dql", hp, 2, 14, rngs)
-    initial = [ag.q_values().max(axis=1) for ag in agents]
+    agents = make_agents("dql", hp, 14, rngs)
+    initial = agents.q_values().max(axis=2)
     stale = []
     for _ in range(hp.n_phases):
         run_exploration_phase(agents, two_cr_scenario, rngs)
-        for ag, target_max in zip(agents, initial):
-            updates = ag.net.updates
-            refreshed = updates - updates % hp.c
-            if refreshed:
-                target_max = ag.windows.snapshots()[refreshed - 1].max(axis=1)
-            np.testing.assert_array_equal(ag.net.target_max[ag.index], target_max)
-            if refreshed < updates:
-                stale.append(not np.array_equal(
-                    ag.net.target_max[ag.index], ag.q_values().max(axis=1)))
+        updates = agents.updates
+        refreshed = updates - updates % hp.c
+        target_max = initial
+        if refreshed:
+            target_max = agents.windows.snapshots()[refreshed - 1].max(axis=2)
+        np.testing.assert_array_equal(agents.target_max, target_max)
+        if refreshed < updates:
+            stale.append(not np.array_equal(agents.target_max,
+                                            agents.q_values().max(axis=2)))
     assert any(stale)       # the target lagged the live network
 
 
@@ -355,29 +364,29 @@ def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
     # at the first update, so no update completes.
     hp = small_hp(phase_length=200, minibatch=25, c=50, alpha0=1.0)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(14).spawn(2)]
-    agents = make_agents("dql", hp, 2, 14, rngs)
-    net = agents[0].net
-    target_max = net.target_max.copy()     # c=50: frozen for the phase
-    flat = net.params.flat * np.array([[1e150], [1e300]])
-    net.params = MlpParams(flat, net.params.layer_sizes, net.params.cap)
+    agents = make_agents("dql", hp, 14, rngs)
+    target_max = agents.target_max.copy()     # c=50: frozen for the phase
+    params = agents.params
+    flat = params.flat * np.array([[1e150], [1e300]])
+    agents.params = MlpParams(flat, params.layer_sizes, params.cap)
     columns = []
-    learn_phase = DqlAgent.learn_phase
+    learn_phase = DqlAgents.learn_phase
 
-    def recording(agents, phase_columns):
+    def recording(self, phase_columns):
         columns.extend(phase_columns)
-        learn_phase(agents, phase_columns)
+        learn_phase(self, phase_columns)
 
-    monkeypatch.setattr(DqlAgent, "learn_phase", staticmethod(recording))
+    monkeypatch.setattr(DqlAgents, "learn_phase", recording)
     with pytest.raises(FloatingPointError) as excinfo:
         run_exploration_phase(agents, two_cr_scenario, rngs)
 
     def alone(i):
         """(update index, error text) of agent i's network on its own."""
-        params = MlpParams(flat[i:i + 1], net.params.layer_sizes, net.params.cap)
+        single = MlpParams(flat[i:i + 1], params.layer_sizes, params.cap)
         for update in range(hp.phase_length // hp.minibatch):
-            batch = (c[update * 25:(update + 1) * 25] for c in columns[i])
+            batch = (c[i, update * 25:(update + 1) * 25] for c in columns)
             try:
-                params, _ = train_minibatch(params, *batch, target_max[i],
+                single, _ = train_minibatch(single, *batch, target_max[i],
                                             hp.alpha0, hp.gamma)
             except FloatingPointError as exc:
                 return update, str(exc)
@@ -386,12 +395,12 @@ def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
     (update0, _), (update1, text1) = alone(0), alone(1)
     assert update1 == 0 < update0 == 5
     assert str(excinfo.value) == text1
-    assert net.updates == 0
+    assert agents.updates == 0
 
 
 def test_make_agents_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        make_agents("sarsa", small_hp(), 2, 14,
+        make_agents("sarsa", small_hp(), 14,
                     [np.random.default_rng(0)] * 2)
 
 
@@ -544,10 +553,13 @@ REFERENCE_CASES = {
         [str(restarts), learner] + ([case] if case != "recorded" else [])))
       for case in REFERENCE_CASES for restarts in (False, True)
       for learner in ("table", "dql")),
-    # three agents' networks train in lockstep in one stacked block
-    *(pytest.param("dql", False, case, 3, id="-".join(
-        ["False-dql"] + ([case] if case != "recorded" else []) + ["n3"]))
-      for case in ("recorded", "carried")),
+    # three agents push one window ring, and their networks train in
+    # lockstep in one stacked block
+    *(pytest.param(learner, False, case, 3, id="-".join(
+        [f"False-{learner}"] + ([case] if case != "recorded" else []) + ["n3"]))
+      for learner, cases in (("table", ("recorded", "unrecorded")),
+                             ("dql", ("recorded", "carried")))
+      for case in cases),
     pytest.param("dql", False, "diverging", None, id="False-dql-diverging"),
 ])
 def test_library_matches_reference_loop(learner, restarts, case, n_cr):
@@ -591,25 +603,29 @@ def test_library_matches_reference_loop(learner, restarts, case, n_cr):
         for rec, ref in zip(recs, ref_recs):
             assert rec.to_jsonable() == ref.to_jsonable()
     assert any(rec.changed for recs in ref_records for rec in recs)
-    for ag, ref in zip(trace.agents, ref_agents):
-        np.testing.assert_array_equal(ag.q_values(), ref.q())
+    agents = trace.agents
+    assert len(ref_agents) == len(agents.policies)
+    for i, ref in enumerate(ref_agents):
+        np.testing.assert_array_equal(agents.q_values()[i], ref.q())
         if learner == "table":
-            assert ag.table == ref.table
+            assert agents.tables[i] == ref.table
         else:
-            params = ag.net.params
+            params = agents.params
             for w, w_ref in zip(params.weights + params.biases,
                                 ref.params.weights + ref.params.biases):
-                np.testing.assert_array_equal(w[ag.index], w_ref[0])
-            np.testing.assert_array_equal(ag.net.target_max[ag.index],
+                np.testing.assert_array_equal(w[i], w_ref[0])
+            np.testing.assert_array_equal(agents.target_max[i],
                                           ref.target.max(axis=1))
         filled = min(ref.pushes, hp.std_window)
-        assert ag.windows.filled == filled
-        np.testing.assert_array_equal(ag.windows.snapshots(), ref.ring[:filled])
+        assert agents.windows.filled == filled
+        np.testing.assert_array_equal(agents.windows.snapshots()[:, i],
+                                      ref.ring[:filled])
         if not record_updates:
-            assert ag.update_records is None
+            assert agents.update_records is None
             continue
-        assert len(ag.update_records) == len(ref.update_records) > 0
-        for rec, ref_rec in zip(ag.update_records, ref.update_records):
+        records = agents.update_records[i]
+        assert len(records) == len(ref.update_records) > 0
+        for rec, ref_rec in zip(records, ref.update_records):
             assert (rec.step, rec.action, rec.delta) == (
                 ref_rec.step, ref_rec.action, ref_rec.delta)
             np.testing.assert_array_equal(rec.q_s0, ref_rec.q_s0)

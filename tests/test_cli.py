@@ -38,6 +38,7 @@ RESTARTS = dict(CONFIG, n_restarts=2, probe_phases=1)
 DQL = dict(CONFIG, learner="dql",
            agent=dict(TUNED_DQL_HYPERPARAMS[30], phase_length=50, n_phases=2))
 DQL_N3 = dict(DQL, env=dict(CONFIG["env"], n_cr=3))
+TABLE_N3 = dict(CONFIG, env=dict(CONFIG["env"], n_cr=3))
 
 
 def test_outputs_do_not_depend_on_worker_count(tmp_path):
@@ -193,7 +194,20 @@ def test_bad_input_exits_2(tmp_path, capsys):
              "agent key 'zeta' must be finite, not nan"),
             (dict(CONFIG, agent=dict(CONFIG["agent"], activation_cap=float("nan"))),
              "agent key 'activation_cap' must be finite, not nan"),
-            (dict(CONFIG, amc={"xi": float("inf")}), "amc key 'xi' must be finite, not inf")):
+            (dict(CONFIG, amc={"xi": float("inf")}), "amc key 'xi' must be finite, not inf"),
+            # a config that cannot give one valid run, or whose values
+            # would mis-score every run, fails at load too
+            (dict(CONFIG, amc={"xi": 0}), "xi must be positive"),
+            (dict(CONFIG, amc={"csv": str(tmp_path / "missing.csv")}),
+             "No such file or directory"),
+            (dict(CONFIG, master_seed=-1), "master_seed must be >= 0"),
+            (dict(CONFIG, env=dict(CONFIG["env"], n_cr=6)),
+             "over the outcome tensor budget"),
+            (dict(CONFIG, tau=2.0), "tau must lie in [0, 1)"),
+            (dict(CONFIG, tau=-0.5), "tau must lie in [0, 1)"),
+            (dict(CONFIG, amc={"snr_gap": 0}), "snr_gap must be positive"),
+            (dict(CONFIG, amc={"snr_gap": -1.0}), "snr_gap must be positive"),
+            (dict(CONFIG, amc={"bandwidth_hz": 0}), "bandwidth_hz must be positive")):
         bad.write_text(json.dumps(doc))
         for command in ("run", "traces"):
             assert cli.main([command, "--config", str(bad),
@@ -201,6 +215,12 @@ def test_bad_input_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
             assert message in err[0]
+    bad.write_text(json.dumps(CONFIG))
+    for command in ("run", "traces"):
+        assert cli.main([command, "--config", str(bad), "--seed", "-2",
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: master_seed must be >= 0"]
     bad.write_text(json.dumps(CONFIG))
     for workers in ("0", "-1"):
         assert simulate(bad, tmp_path / "out", "--workers", workers) == 2
@@ -248,7 +268,8 @@ def test_oracle_matches_the_run_and_its_scenario(config_path, tmp_path):
 
 
 def test_traces_match_the_run_trace(tmp_path):
-    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS)):
+    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS),
+                      ("table-n3", TABLE_N3)):
         config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(doc))
         run_out, traces_out = tmp_path / name / "run", tmp_path / name / "traces"
@@ -257,7 +278,10 @@ def test_traces_match_the_run_trace(tmp_path):
                          "--out", str(traces_out), "--run", "0"]) == 0
         assert ((traces_out / "phases_run0000.jsonl").read_bytes()
                 == (run_out / "traces" / "point0_run0000.jsonl").read_bytes())
-        for agent in range(CONFIG["env"]["n_cr"]):
+        n_cr = doc["env"]["n_cr"]
+        assert sorted(p.name for p in traces_out.glob("qvalues_*")) == [
+            f"qvalues_run0000_agent{agent}.csv" for agent in range(n_cr)]
+        for agent in range(n_cr):
             rows = (traces_out / f"qvalues_run0000_agent{agent}.csv").read_text()
             assert rows.startswith("step,action,q_0,")
 

@@ -49,8 +49,10 @@ def test_table_validation():
         AmcTable(np.array([0.0, 0.0]), np.array([1.0, 2.0]))   # not increasing
     with pytest.raises(ValueError):
         AmcTable(np.array([0.0, 1.0]), np.array([2.0, 1.0]))   # decreasing eff
-    with pytest.raises(ValueError):
-        AmcTable(np.array([0.0]), np.array([1.0]), xi=0.0)
+    for name in ("xi", "snr_gap", "bandwidth_hz"):
+        for value in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                AmcTable(np.array([0.0]), np.array([1.0]), **{name: value})
 
 
 def test_relative_change_hand_value():

@@ -27,8 +27,9 @@ def test_default_spec():
 def test_invalid_specs_rejected():
     with pytest.raises(ConfigurationError):
         GridSpec(active_ap_count=10)           # exceeds 3x3 grid
-    with pytest.raises(ConfigurationError):
-        GridSpec(spacing_m=0.0)
+    for spacing in (0.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            GridSpec(spacing_m=spacing)
     with pytest.raises(ConfigurationError):
         GridSpec(active_ap_count=0)
 
