@@ -407,26 +407,35 @@ def _walk_phase(policies: np.ndarray, states, draws: np.ndarray,
     and rewards. The walk follows the joint state (agent i's state in bit
     N-1-i): for each step and each joint state, the joint action and the
     next joint state are found at once, which leaves one lookup per step
-    in order.
+    in order. Those lookups run on one flat list of L * 2^N positions,
+    step t's joint state j at position t * 2^N + j, whose entry at a
+    position is the position of step t+1's joint state; the walk collects
+    the positions it visits, and a step's joint state is its position
+    less t * 2^N.
     """
     n, length = draws.shape
+    width = 2 ** n
     shifts = np.arange(n - 1, -1, -1)
-    bits = (np.arange(2 ** n)[:, None] >> shifts) & 1          # (2^n, n)
+    bits = (np.arange(width)[:, None] >> shifts) & 1          # (2^n, n)
     # actions[i, t, s]: agent i's action at step t when in state s
     actions = np.repeat(policies[:, None, :], length, axis=1)
     np.copyto(actions, draws[:, :, None], where=draws[:, :, None] >= 0)
-    joint_index = np.zeros((length, 2 ** n), dtype=np.int64)
+    joint_index = np.zeros((length, width), dtype=np.int64)
     for i in range(n):
         joint_index = joint_index * n_actions + actions[i][:, bits[:, i]]
-    next_joint = (outcome_states << shifts).sum(axis=1)[joint_index]
-    joint = sum(state << int(shift) for state, shift in zip(states, shifts))
-    path = []
-    for row in next_joint.tolist():
-        path.append(joint)
-        joint = row[joint]
-    path = np.array(path)
     steps = np.arange(length)
-    k = joint_index[steps, path]
+    # follow[t * width + j]: the position of the joint state after step t
+    # from joint state j
+    follow = ((outcome_states << shifts).sum(axis=1)[joint_index]
+              + (steps[:, None] + 1) * width).ravel().tolist()
+    pos = sum(state << int(shift) for state, shift in zip(states, shifts))
+    visited = [0] * length
+    for t in range(length):
+        visited[t] = pos
+        pos = follow[pos]
+    visited = np.array(visited)
+    path = visited - steps * width
+    k = joint_index.ravel()[visited]
     own = (path >> shifts[:, None]) & 1
     # take() gathers rows faster than fancy indexing on these arrays, which
     # need not be contiguous

@@ -118,6 +118,11 @@ class ExperimentConfig:
             raise ConfigurationError("probe_phases must be >= 1")
         if any((self.probe_phases or 0) > hp.n_phases for hp in self.agent):
             raise ConfigurationError("probe_phases exceeds a point's n_phases")
+        # a table entry moves toward its target by at most the whole gap;
+        # the network's gradient step takes any positive rate
+        if self.learner == "table" and any(hp.alpha0 > 1.0 for hp in self.agent):
+            raise ConfigurationError(
+                "agent key 'alpha0' must be <= 1 for the table learner")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be >= 0")
         if not 0.0 <= self.tau < 1.0:

@@ -6,8 +6,10 @@ fully-connected network trained by plain gradient descent on the squared
 Bellman error against frozen target values. Both learn from the same
 four columns (states, next states, actions, rewards) in arrival order:
 the table takes any run of them in one call, one in-place update per
-entry on two lists of plain floats; the network takes one mini-batch of
-them per gradient step and discards it afterwards. There is deliberately
+entry on two lists of plain floats, and keeps each state's row maximum
+through the call, so that an update reads the next state's maximum
+instead of scanning its row; the network takes one mini-batch of them
+per gradient step and discards it afterwards. There is deliberately
 no replay memory. In place of a second network, training reads the
 per-state maximum of frozen target Q-values, which the learner refreshes
 from the live parameters every ``c`` updates.
@@ -79,22 +81,37 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
     Raises ValueError on rates out of range or columns of unequal length,
     leaving q unchanged, and on a negative reward or a non-finite result,
     leaving that update's entry unwritten.
+
+    The row maxima are taken once per call and kept current after each
+    write: a value above its row's maximum becomes the maximum, and the
+    row is scanned again only when the entry it overwrote held the
+    maximum. The maximum of finite floats is exact, and every entry
+    written is finite, so each kept maximum equals max(q[s]) and every
+    entry is bit-identical to scanning the row on each update. (Where
+    0.0 and -0.0 tie, the kept maximum may differ from the scan in its
+    sign, which no update's value depends on.)
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError("alpha in [0,1] and gamma in (0,1] required")
     if not len(states) == len(next_states) == len(actions) == len(rewards):
         raise ValueError("update columns differ in length")
     isfinite = math.isfinite
+    best = [max(row) for row in q]     # best[s] == max(q[s]) after each write
     for state, next_state, action, reward in zip(states, next_states, actions,
                                                  rewards):
         if reward < 0.0:
             raise ValueError("rewards are nonnegative by construction")
         row = q[state]
         old = row[action]
-        value = old + alpha * (reward + gamma * max(q[next_state]) - old)
+        value = old + alpha * (reward + gamma * best[next_state] - old)
         if not isfinite(value):
             raise ValueError("table entries must be finite")
         row[action] = value
+        if value > best[state]:
+            best[state] = value
+        elif old == best[state]:
+            # the written entry held the maximum and may have fallen
+            best[state] = max(row)
 
 
 def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):

@@ -12,6 +12,7 @@ from crpower.agent import (
     TableAgents,
     TUNED_DQL_HYPERPARAMS,
     UpdateRecord,
+    _walk_phase,
     candidate_sets,
     make_agents,
     phase_draws,
@@ -398,6 +399,48 @@ def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
     assert agents.updates == 0
 
 
+def _plain_walk(policies, states, draws, outcome_states, rewards, n_actions):
+    """_walk_phase restated one step at a time: every agent's action, the
+    joint action's flat index and the outcome tensor's row at it."""
+    n, length = draws.shape
+    columns = [np.zeros((n, length), dtype=dt)
+               for dt in (np.int64, np.int64, np.int64, float)]
+    states = list(states)
+    for t in range(length):
+        joint = [int(policies[i][states[i]]) if draws[i, t] < 0 else int(draws[i, t])
+                 for i in range(n)]
+        k = int(np.ravel_multi_index(joint, (n_actions,) * n))
+        for i in range(n):
+            for column, value in zip(columns, (states[i], outcome_states[k, i],
+                                               joint[i], rewards[k, i])):
+                column[i, t] = value
+        states = outcome_states[k].tolist()
+    return columns
+
+
+@pytest.mark.parametrize("n_cr", [2, 3])
+def test_walk_phase_matches_a_plain_walk(n_cr):
+    config = ExperimentConfig(
+        env=EnvConfig(n_cr=n_cr, reward_mode="global", tpc_reference="signal"))
+    scenario = scenario_for_run(config, 0, 3)
+    outcome_states = scenario.outcomes.states
+    rewards = scenario.outcomes.rewards("global")
+    n_actions = len(scenario.actions)
+    rng = np.random.default_rng(n_cr)
+    for start in range(2 ** n_cr):
+        states = [(start >> (n_cr - 1 - i)) & 1 for i in range(n_cr)]
+        for rho in (0.0, 0.3, 1.0):
+            for length in (1, 2, 400):
+                policies = rng.integers(n_actions, size=(n_cr, 2))
+                draws = np.stack([phase_draws(rng, length, rho, n_actions)
+                                  for _ in range(n_cr)])
+                args = (policies, states, draws, outcome_states, rewards, n_actions)
+                columns = _walk_phase(*args)
+                for column, expected in zip(columns, _plain_walk(*args)):
+                    assert column.shape == (n_cr, length)
+                    np.testing.assert_array_equal(column, expected)
+
+
 def test_make_agents_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_agents("sarsa", small_hp(), 14,
@@ -545,14 +588,17 @@ REFERENCE_CASES = {
     "recorded": (dict(phase_length=100), True),
     "unrecorded": (dict(phase_length=100), False),
     "carried": (dict(phase_length=110, minibatch=25), False),
+    # thousands of bulk updates per table before the window tail
+    "long": (dict(phase_length=2000, n_phases=2), False),
 }
 
 
 @pytest.mark.parametrize("learner, restarts, case, n_cr", [
     *(pytest.param(learner, restarts, case, 2, id="-".join(
         [str(restarts), learner] + ([case] if case != "recorded" else [])))
-      for case in REFERENCE_CASES for restarts in (False, True)
+      for case in REFERENCE_CASES if case != "long" for restarts in (False, True)
       for learner in ("table", "dql")),
+    pytest.param("table", False, "long", 2, id="False-table-long"),
     # three agents push one window ring, and their networks train in
     # lockstep in one stacked block
     *(pytest.param(learner, False, case, 3, id="-".join(
@@ -590,7 +636,7 @@ def test_library_matches_reference_loop(learner, restarts, case, n_cr):
         env=EnvConfig(n_cr=n_cr, reward_mode="global", tpc_reference="signal"))
     scenario = scenario_for_run(config, 0, 3)
     overrides, record_updates = REFERENCE_CASES[case]
-    hp = small_hp(n_phases=3, c=2, std_window=30, **overrides)
+    hp = small_hp(**{"n_phases": 3, "c": 2, "std_window": 30, **overrides})
     kwargs = dict(n_restarts=3, probe_phases=2) if restarts else {}
     seed = np.random.SeedSequence(12)
     trace = run_learning(scenario, hp, seed, learner,

@@ -201,6 +201,10 @@ def test_bad_input_exits_2(tmp_path, capsys):
             (dict(CONFIG, amc={"csv": str(tmp_path / "missing.csv")}),
              "No such file or directory"),
             (dict(CONFIG, master_seed=-1), "master_seed must be >= 0"),
+            # a table entry cannot move past its target, so the table
+            # learner's step size is at most 1 (a network's is not bounded)
+            (dict(CONFIG, agent=dict(CONFIG["agent"], alpha0=1.5)),
+             "agent key 'alpha0' must be <= 1 for the table learner"),
             (dict(CONFIG, env=dict(CONFIG["env"], n_cr=6)),
              "over the outcome tensor budget"),
             (dict(CONFIG, tau=2.0), "tau must lie in [0, 1)"),
@@ -215,6 +219,8 @@ def test_bad_input_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
             assert message in err[0]
+    # the network learner loads the step size the table learner rejects
+    harness.ExperimentConfig.from_dict(dict(DQL, agent=dict(DQL["agent"], alpha0=1.5)))
     bad.write_text(json.dumps(CONFIG))
     for command in ("run", "traces"):
         assert cli.main([command, "--config", str(bad), "--seed", "-2",

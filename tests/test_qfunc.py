@@ -75,6 +75,16 @@ def test_table_update_bellman_fixed_point():
         assert q[0][2] == pytest.approx(values[0, 2], rel=1e-12)
 
 
+def _restated(q, columns, alpha, gamma):
+    """The updates of columns applied to a copy of q, one at a time, each
+    reading its next state's row maximum by a scan of the row."""
+    expected = [row[:] for row in q]
+    for s, ns, a, reward in zip(*columns):
+        expected[s][a] = scalar_td_update(expected[s][a], max(expected[ns]),
+                                          reward, alpha, gamma)
+    return expected
+
+
 def test_table_update_against_scalar_oracle():
     rng = np.random.default_rng(99)
     q = rng.uniform(0, 10, size=(2, 14)).tolist()
@@ -92,12 +102,49 @@ def test_table_update_against_scalar_oracle():
                [int(v) for v in rng.integers(2, size=500)],
                [int(v) for v in rng.integers(14, size=500)],
                rng.uniform(0, 12, size=500).tolist())
-    expected = [row[:] for row in q]
-    for s, ns, a, reward in zip(*columns):
-        expected[s][a] = scalar_td_update(expected[s][a], max(expected[ns]),
-                                          reward, 0.3, 0.9)
+    expected = _restated(q, columns, 0.3, 0.9)
     table_update(q, *columns, 0.3, 0.9)
     assert q == expected
+
+
+def test_table_update_row_maximum_that_falls():
+    # Large Q-values and small rewards: an update of a row's maximum lowers
+    # it, so the maximum is found again by a scan of the row. The rows
+    # start with exact ties, so a fallen maximum can leave an equal entry.
+    rng = np.random.default_rng(5)
+    q = [[100.0, 80.0, 100.0, 60.0, 100.0] + [90.0] * 9,
+         rng.choice([70.0, 95.0, 100.0], size=14).tolist()]
+    n = 3000
+    columns = ([int(v) for v in rng.integers(2, size=n)],
+               [int(v) for v in rng.integers(2, size=n)],
+               [int(v) for v in rng.integers(14, size=n)],
+               rng.uniform(0, 1, size=n).tolist())
+    # _restated, counting the updates that lower their row's maximum and
+    # those of them that leave an equal entry behind
+    expected, falls, tied = [row[:] for row in q], 0, 0
+    for s, ns, a, reward in zip(*columns):
+        row, top = expected[s], max(expected[s])
+        old = row[a]
+        row[a] = scalar_td_update(old, max(expected[ns]), reward, 0.5, 0.9)
+        if old == top and row[a] < old:
+            falls += 1
+            tied += row.count(top) > 0
+    assert falls > 100 and tied > 0
+    table_update(q, *columns, 0.5, 0.9)
+    assert q == expected
+
+    # a column that fails mid-way keeps its earlier updates, the second of
+    # which lowers row 0's maximum from 10.0 to 9.5; the next call reads it
+    q = [[10.0, 10.0, 4.0], [9.0, 8.0, 2.0]]
+    good = ([0, 0], [1, 0], [0, 1], [0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        table_update(q, *(c + [v] for c, v in zip(good, (1, 0, 0, float("nan")))),
+                     alpha=0.5, gamma=0.9)
+    expected = _restated([[10.0, 10.0, 4.0], [9.0, 8.0, 2.0]], good, 0.5, 0.9)
+    assert q == expected and max(q[0]) == 9.5
+    table_update(q, [1], [0], [1], [1.0], alpha=0.5, gamma=0.9)
+    assert q == _restated(expected, ([1], [0], [1], [1.0]), 0.5, 0.9)
+    assert q[1][1] == scalar_td_update(8.0, 9.5, 1.0, 0.5, 0.9)
 
 
 def test_table_update_validates_rates():
