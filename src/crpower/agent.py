@@ -34,14 +34,17 @@ apply, per agent, the updates whose snapshots cannot reach the phase
 boundary's ring in one in-place temporal-difference pass; each of the
 last ``std_window`` steps then updates every table and pushes. The
 networks form one stacked block. The agents share the phase length,
-mini-batch size, step size and target-refresh period, so each update is
-one ``train_minibatch`` call in which every network steps on its own
-next mini-batch, bit for bit as it would alone, and then one push. The
-partial mini-batch carried into the next phase is as long for every
-agent. A phase is at least one mini-batch long, so every phase pushes a
-snapshot. The first update at which any network diverges ends the run
-with that update's error, the one of its lowest-index diverging network,
-as agents stepping together through the phase would.
+mini-batch size, step size and target-refresh period, so the phase is
+set up once for all of them and each update is one gradient step of the
+block, the step ``train_minibatch`` takes, in which every network steps
+on its own next mini-batch, bit for bit as it would alone. As for the
+tables, only the last ``std_window`` updates push; the earlier ones are
+counted, unless every update is recorded. The partial mini-batch carried
+into the next phase is as long for every agent. A phase is at least one
+mini-batch long, so every phase pushes a snapshot. The first update at
+which any network diverges ends the run with that update's error, the
+one of its lowest-index diverging network, as agents stepping together
+through the phase would.
 """
 
 from __future__ import annotations
@@ -56,10 +59,10 @@ import numpy as np
 from .environment import Scenario
 from .qfunc import (
     N_STATES,
+    _Descent,
     init_mlp,
     q_matrix,
     table_update,
-    train_minibatch,
 )
 
 __all__ = [
@@ -158,7 +161,9 @@ class QValueWindows:
     def skip(self, n: int):
         """Count n pushes without storing them. At least ``window`` pushes
         must follow before the next snapshots call, so that none of the
-        skipped slots is read."""
+        skipped slots is read. Both learners count a phase's updates
+        before its last ``window`` this way unless every update is
+        recorded."""
         self._count += n
 
     @property
@@ -331,8 +336,11 @@ class DqlAgents(_AgentBase):
 
     def learn_phase(self, columns):
         """Train the stacked networks in lockstep: update u trains every
-        network on its own u-th mini-batch in one train_minibatch call,
-        whose divergence error the phase raises."""
+        network on its own u-th mini-batch. The phase's set-up is done
+        once (qfunc._Descent), and the targets once per target refresh;
+        the first update whose step diverges raises its error and leaves
+        the networks, targets and window ring as the update before it
+        left them."""
         hp = self.hp
         cols = [np.concatenate([carried, new], axis=1)
                 for carried, new in zip(self.batch, columns)]
@@ -340,16 +348,36 @@ class DqlAgents(_AgentBase):
         # the step number of column entry 0: the carried entries come first
         first_step = self.phase * hp.phase_length + 1 - self.batch[0].shape[1]
         n_full = cols[0].shape[1] // size
-        for end in range(size, n_full * size + 1, size):
-            self.params, _ = train_minibatch(
-                self.params, *(c[:, end - size:end] for c in cols),
-                self.target_max, self.alpha, hp.gamma)
-            self.updates += 1
-            q = q_matrix(self.params)
-            if self.updates % hp.c == 0:
-                self.target_max = q.max(axis=2)
-            self._push(q, first_step + end - 1, cols[2][:, end - 1].tolist())
-        self.batch = tuple(c[:, n_full * size:].copy() for c in cols)
+        end = n_full * size
+        descent = _Descent(self.params, *(c[:, :end] for c in cols), n_full,
+                           self.alpha, hp.gamma)
+        # Only the last std_window snapshots can still be in the window ring
+        # at the phase boundary; earlier updates are counted, not pushed,
+        # unless every update is recorded.
+        bulk = max(n_full - hp.std_window, 0) if self.update_records is None else 0
+        stop = 0
+        # diverging networks overflow; their step raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for u in range(n_full):
+                    if u == stop:
+                        # the targets of the updates up to the next refresh
+                        start = u
+                        stop = min(u + hp.c - self.updates % hp.c, n_full)
+                        targets = descent.targets(self.target_max, start, stop)
+                    descent.step(u, targets[u - start])
+                    self.updates += 1
+                    q = descent.q
+                    if self.updates % hp.c == 0:
+                        self.target_max = q.max(axis=2)
+                    if u < bulk:
+                        self.windows.skip(1)
+                    else:
+                        last = (u + 1) * size - 1
+                        self._push(q, first_step + last, cols[2][:, last].tolist())
+            finally:
+                self.params = descent.params()
+        self.batch = tuple(c[:, end:].copy() for c in cols)
 
 
 class TableAgents(_AgentBase):

@@ -23,11 +23,26 @@ it with a leading network axis. A single network is the case N = 1. A
 network only ever sees the two one-hot states, so each parameter set
 runs its forward pass once, on ``eye(2)``, and caches the activations
 and saturated-ReLU masks of both states of every network read-only.
-``q_matrix`` is a lookup in that cache, and ``train_minibatch`` gathers
-each network's batch rows from it with flat indices instead of running
-the forward pass on the batch. The backward matmuls still run over all
-batch rows, the gradient fills one flat buffer, and the update is one
-subtraction and one finiteness check on the block.
+``q_matrix`` is a lookup in that cache, and a gradient step gathers each
+network's batch rows from it with flat indices instead of running the
+forward pass on the batch.
+
+Gradient steps come in runs on consecutive mini-batches (``_Descent``).
+A run sets up once what its steps share: the columns are converted and
+checked, rewards and rates included; the flat gather and scatter
+indices of every mini-batch are built; and the gradient buffer, its
+layer views and two parameter buffers are allocated. The targets
+r + gamma * target_max[s'] are computed once for all the steps that
+share the target maxima. Each step does only its own work: the backward
+matmuls over all batch rows into the gradient buffer, one subtraction
+into the parameter buffer the previous step did not write, one
+finiteness check on the block, and the two-state forward pass of the
+new block when its Q matrices are read. The loss is computed only where
+it is used: in ``train_minibatch``'s return value and in a divergence
+error's text. ``train_minibatch`` is a run of one step; a DQL phase
+(``agent.DqlAgents.learn_phase``) is a run of one step per full
+mini-batch, under one ``np.errstate``, with new targets every ``c``
+steps.
 
 Training is bit-identical to running the forward pass of each network
 alone over its batch's one-hot rows, as the per-sample formulation
@@ -155,29 +170,44 @@ class MlpParams:
         return self.layer_sizes[-1]
 
     def _two_state_pass(self):
-        """Cached forward pass on eye(2): (activations, masks), read-only.
-
-        activations[k], of shape (N, 2, width), is the input to layer k for
-        states 0 and 1 (so activations[0] is eye(2) for every network and
-        activations[-1] the Q matrices); masks[k] is 1.0 where hidden
-        layer k's pre-activation lies inside (0, cap), else 0.0.
-        """
+        """Cached forward pass on eye(2): (activations, masks), read-only;
+        see _forward."""
         if self._two_state is None:
-            h = np.empty((len(self.flat), N_STATES, N_STATES))
-            h[...] = _STATES_ONE_HOT
-            post, masks = [h], []
-            last = len(self.weights) - 1
             with np.errstate(over="ignore", invalid="ignore"):
-                for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-                    h = h @ w + b
-                    if k < last:
-                        masks.append(((h > 0.0) & (h < self.cap)).astype(float))
-                        h = np.clip(h, 0.0, self.cap)
-                    post.append(h)
+                post, masks = _forward(_one_hot_stack(len(self.flat)),
+                                       self.weights, self.biases, self.cap)
             for a in post + masks:
                 a.flags.writeable = False
-            self._two_state = (tuple(post), tuple(masks))
+            self._two_state = (post, masks)
         return self._two_state
+
+
+def _one_hot_stack(n: int) -> np.ndarray:
+    """eye(2) once per network, (n, 2, 2)."""
+    h = np.empty((n, N_STATES, N_STATES))
+    h[...] = _STATES_ONE_HOT
+    return h
+
+
+def _forward(h: np.ndarray, weights, biases, cap: float):
+    """Forward pass of stacked networks on the one-hot states h, of shape
+    (N, 2, 2): (activations, masks), two tuples.
+
+    activations[k], of shape (N, 2, width), is the input to layer k for
+    states 0 and 1 (so activations[0] is h and activations[-1] the Q
+    matrices); masks[k] is True where hidden layer k's pre-activation lies
+    inside (0, cap). Diverging networks overflow here; call it under
+    np.errstate(over="ignore", invalid="ignore").
+    """
+    post, masks = [h], []
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if k < last:
+            masks.append((h > 0.0) & (h < cap))
+            h = h.clip(0.0, cap)
+        post.append(h)
+    return tuple(post), tuple(masks)
 
 
 def init_mlp(rngs, n_actions: int, cap: float) -> MlpParams:
@@ -212,59 +242,149 @@ def train_minibatch(params: MlpParams,
     target of network i's sample is r + gamma * target_max[i, s']; its loss
     is the batch mean of 0.5 * (target - Q_i(s, a))^2. Returns the updated
     parameters and the (N,) losses. Deterministic in its inputs; network
-    i's results depend on row i alone, bit for bit. Raises
-    FloatingPointError when a network's gradient or updated parameters
-    are not finite: training has diverged. The error reports the
-    lowest-index such network.
+    i's results depend on row i alone, bit for bit. Raises ValueError on
+    an empty mini-batch, columns of unequal length, a negative or
+    non-finite reward, a step size that is not positive or a discount
+    factor outside (0, 1]. Raises FloatingPointError when a network's
+    gradient or updated parameters are not finite: training has diverged.
+    The error reports the lowest-index such network.
     """
-    n = len(params.flat)
-    states = np.asarray(states, dtype=int).reshape(n, -1)
-    next_states = np.asarray(next_states, dtype=int).reshape(n, -1)
-    actions = np.asarray(actions, dtype=int).reshape(n, -1)
-    rewards = np.asarray(rewards, dtype=float).reshape(n, -1)
-    b = states.shape[1]
-    if b == 0:
-        raise ValueError("empty mini-batch")
-    if not next_states.shape == actions.shape == rewards.shape == states.shape:
-        raise ValueError("mini-batch columns differ in length")
-    if not (np.isfinite(rewards).all() and (rewards >= 0.0).all()):
-        raise ValueError("rewards must be finite and nonnegative")
-    if alpha <= 0:
-        raise ValueError("learning rate must be positive")
-
-    activations, masks = params._two_state_pass()
-    n_actions = params.n_actions
-    # Network i's state s is row 2i + s of the (N * 2, width) reshapes of
-    # the two-state arrays: flat gathers keep every per-network matrix
-    # product the one a single network computes.
-    offsets = np.arange(0, N_STATES * n, N_STATES)[:, None]
-    rows = states + offsets
-    grad = np.empty_like(params.flat)
-    grad_w, grad_b = _layer_views(grad, params.layer_sizes)
-    # diverging runs overflow here; the finiteness check below reports it
+    descent = _Descent(params, states, next_states, actions, rewards, 1,
+                       alpha, gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = rewards + gamma * target_max.take(next_states + offsets)
-        err = activations[-1].take(rows * n_actions + actions) - y
-        loss = 0.5 * (np.add.reduce(err ** 2, axis=1) / b)   # np.mean, inlined
+        err = descent.step(0, descent.targets(target_max, 0, 1)[0])
+        return descent.params(), _loss(err)
 
-        delta = np.zeros((n, b, n_actions))
-        delta.put(np.arange(0, n * b * n_actions, n_actions).reshape(n, b)
-                  + actions, err / b)
-        for k in range(len(params.weights) - 1, -1, -1):
+
+def _loss(err: np.ndarray) -> np.ndarray:
+    """(N,) mean squared Bellman errors of the (N, b) errors err."""
+    return 0.5 * (np.add.reduce(err ** 2, axis=1) / err.shape[1])  # np.mean, inlined
+
+
+class _Descent:
+    """Gradient steps of one stacked block on consecutive mini-batches.
+
+    The columns, as train_minibatch takes them, hold ``n_updates``
+    mini-batches of equal size back to back, update u training every
+    network on its own u-th one. What stays fixed across the updates is
+    done once: the checks of the columns and rates, the index arrays of
+    each mini-batch, the gradient buffer and its layer views, and two
+    parameter buffers that the updates write in turn. ``step`` is the one
+    copy of the gradient maths: train_minibatch runs it once, a DQL phase
+    once per full mini-batch. Call targets, step and q under
+    np.errstate(over="ignore", invalid="ignore"); diverging networks
+    overflow there.
+    """
+
+    def __init__(self, params: MlpParams, states, next_states, actions, rewards,
+                 n_updates: int, alpha: float, gamma: float):
+        n = len(params.flat)
+        states = np.asarray(states, dtype=int).reshape(n, -1)
+        next_states = np.asarray(next_states, dtype=int).reshape(n, -1)
+        actions = np.asarray(actions, dtype=int).reshape(n, -1)
+        rewards = np.asarray(rewards, dtype=float).reshape(n, -1)
+        if states.shape[1] == 0:
+            raise ValueError("empty mini-batch")
+        if not next_states.shape == actions.shape == rewards.shape == states.shape:
+            raise ValueError("mini-batch columns differ in length")
+        if not (np.isfinite(rewards).all() and (rewards >= 0.0).all()):
+            raise ValueError("rewards must be finite and nonnegative")
+        # written so that NaN fails too
+        if not alpha > 0:
+            raise ValueError("learning rate must be positive")
+        if not 0 < gamma <= 1:
+            raise ValueError("discount factor must lie in (0, 1]")
+        self.alpha, self.gamma = alpha, gamma
+        b = states.shape[1] // n_updates
+        n_actions = params.n_actions
+
+        def per_update(a):
+            """(n_updates, N, b): update u's mini-batches at index u."""
+            return np.ascontiguousarray(
+                a.reshape(n, n_updates, b).transpose(1, 0, 2))
+
+        # Network i's state s is row 2i + s of the (N * 2, width) reshapes
+        # of the two-state arrays: flat gathers keep every per-network
+        # matrix product the one a single network computes.
+        offsets = np.arange(0, N_STATES * n, N_STATES)[:, None]
+        rows = states + offsets
+        self._rows = per_update(rows)
+        self._next_rows = per_update(next_states + offsets)
+        self._rewards = per_update(rewards)
+        # the flat indices of Q_i(s, a) in the (N, 2, A) Q matrices and of
+        # each sample's entry in the (N, b, A) output delta
+        self._picks = per_update(rows * n_actions + actions)
+        self._spots = (per_update(actions)
+                       + np.arange(0, n * b * n_actions, n_actions).reshape(n, b))
+
+        self._sizes, self._cap = params.layer_sizes, params.cap
+        self._one_hot = _one_hot_stack(n)
+        self._grad = np.empty_like(params.flat)
+        self._grad_w, self._grad_b = _layer_views(self._grad, self._sizes)
+        # the parameter buffers, with their layer views, that the updates
+        # write in turn
+        buffers = [np.empty_like(params.flat) for _ in range(min(n_updates, 2))]
+        self._buffers = [(flat, _layer_views(flat, self._sizes)) for flat in buffers]
+        # the current block and its (weights, biases): the caller's until
+        # the first update
+        self._flat, self._layers = params.flat, (params.weights, params.biases)
+        self._two_state = params._two_state_pass()
+        self._written = 0
+
+    def targets(self, target_max: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """The targets r + gamma * target_max[i, s'] of updates start to
+        stop - 1, (stop - start, N, b)."""
+        return (self._rewards[start:stop]
+                + self.gamma * target_max.take(self._next_rows[start:stop]))
+
+    def step(self, u: int, y: np.ndarray) -> np.ndarray:
+        """Update u against the (N, b) targets y: the gradient of the
+        current block, written to a buffer of its own, which becomes the
+        current block. Returns the (N, b) errors Q_i(s, a) - y. Raises
+        FloatingPointError, keeping the current block, when a network's
+        gradient or updated parameters are not finite."""
+        activations, masks = self._state()
+        rows = self._rows[u]
+        n, b = rows.shape
+        err = activations[-1].take(self._picks[u]) - y
+        delta = np.zeros((n, b, self._sizes[-1]))
+        delta.put(self._spots[u], err / b)
+        weights = self._layers[0]
+        for k in range(len(weights) - 1, -1, -1):
             x = activations[k].reshape(n * N_STATES, -1).take(rows, axis=0)
-            np.matmul(x.transpose(0, 2, 1), delta, out=grad_w[k])
-            np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[k])
+            np.matmul(x.transpose(0, 2, 1), delta, out=self._grad_w[k])
+            np.add.reduce(delta, axis=1, keepdims=True, out=self._grad_b[k])
             if k > 0:
-                delta = delta @ params.weights[k].transpose(0, 2, 1)
+                delta = delta @ weights[k].transpose(0, 2, 1)
                 # saturated ReLU: zero subgradient outside (0, cap)
                 delta = delta * masks[k - 1].reshape(n * N_STATES, -1).take(
                     rows, axis=0)
-        flat = params.flat - alpha * grad
+        flat, layers = self._buffers[self._written % 2]
+        np.subtract(self._flat, self.alpha * self._grad, out=flat)
+        if not np.isfinite(flat).all():
+            i = int(np.flatnonzero(~np.isfinite(flat).all(axis=1))[0])
+            what = ("gradient" if not np.isfinite(self._grad[i]).all()
+                    else "parameter update")
+            raise FloatingPointError(
+                f"non-finite {what} (loss={float(_loss(err)[i])!r}, "
+                f"max|err|={float(np.max(np.abs(err[i])))!r}); "
+                "training has diverged")
+        self._flat, self._layers = flat, layers
+        self._two_state = None
+        self._written += 1
+        return err
 
-    if not np.isfinite(flat).all():
-        i = int(np.flatnonzero(~np.isfinite(flat).all(axis=1))[0])
-        what = "gradient" if not np.isfinite(grad[i]).all() else "parameter update"
-        raise FloatingPointError(
-            f"non-finite {what} (loss={float(loss[i])!r}, "
-            f"max|err|={float(np.max(np.abs(err[i])))!r}); training has diverged")
-    return MlpParams(flat, params.layer_sizes, params.cap), loss
+    def _state(self):
+        """The current block's two-state pass (see _forward)."""
+        if self._two_state is None:
+            self._two_state = _forward(self._one_hot, *self._layers, self._cap)
+        return self._two_state
+
+    @property
+    def q(self) -> np.ndarray:
+        """(N, n_states, n_actions) Q matrices of the current block."""
+        return self._state()[0][-1]
+
+    def params(self) -> MlpParams:
+        """The current block."""
+        return MlpParams(self._flat, self._sizes, self._cap)

@@ -358,17 +358,17 @@ def test_target_refreshed_every_c_updates(two_cr_scenario):
     assert any(stale)       # the target lagged the live network
 
 
-def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
-    # Agent 1's network, scaled by 1e300, diverges at the phase's first
-    # update; agent 0's, scaled by 1e150, at its sixth. The phase raises
-    # agent 1's error, the one agent 1's network gives on its own batches,
-    # at the first update, so no update completes.
+def _diverging_phase(scenario, monkeypatch, scales):
+    """A first phase of 200 steps (8 updates, c=50, alpha 1.0) of two agents
+    whose networks are scaled by scales[i], which must raise. Returns the
+    agents, their hyperparameters, the scaled (2, P) block, the initial
+    target maxima, the phase's four (2, 200) columns and the error."""
     hp = small_hp(phase_length=200, minibatch=25, c=50, alpha0=1.0)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(14).spawn(2)]
     agents = make_agents("dql", hp, 14, rngs)
     target_max = agents.target_max.copy()     # c=50: frozen for the phase
     params = agents.params
-    flat = params.flat * np.array([[1e150], [1e300]])
+    flat = params.flat * np.array(scales)[:, None]
     agents.params = MlpParams(flat, params.layer_sizes, params.cap)
     columns = []
     learn_phase = DqlAgents.learn_phase
@@ -379,11 +379,22 @@ def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
 
     monkeypatch.setattr(DqlAgents, "learn_phase", recording)
     with pytest.raises(FloatingPointError) as excinfo:
-        run_exploration_phase(agents, two_cr_scenario, rngs)
+        run_exploration_phase(agents, scenario, rngs)
+    return agents, hp, flat, target_max, columns, excinfo.value
+
+
+def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
+    # Agent 1's network, scaled by 1e300, diverges at the phase's first
+    # update; agent 0's, scaled by 1e150, at its sixth. The phase raises
+    # agent 1's error, the one agent 1's network gives on its own batches,
+    # at the first update, so no update completes.
+    agents, hp, flat, target_max, columns, error = _diverging_phase(
+        two_cr_scenario, monkeypatch, [1e150, 1e300])
+    sizes, cap = agents.params.layer_sizes, agents.params.cap
 
     def alone(i):
         """(update index, error text) of agent i's network on its own."""
-        single = MlpParams(flat[i:i + 1], params.layer_sizes, params.cap)
+        single = MlpParams(flat[i:i + 1], sizes, cap)
         for update in range(hp.phase_length // hp.minibatch):
             batch = (c[i, update * 25:(update + 1) * 25] for c in columns)
             try:
@@ -395,8 +406,36 @@ def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
 
     (update0, _), (update1, text1) = alone(0), alone(1)
     assert update1 == 0 < update0 == 5
-    assert str(excinfo.value) == text1
+    assert str(error) == text1
     assert agents.updates == 0
+    np.testing.assert_array_equal(agents.params.flat, flat)
+    assert agents.windows.filled == 0
+
+
+def test_state_after_a_later_divergence(two_cr_scenario, monkeypatch):
+    # Only agent 0's network is scaled, by 1e150, so the phase raises at
+    # its sixth update. The run object is left as the fifth left it: its
+    # update count, networks, target maxima and window ring are those of a
+    # chain of five train_minibatch calls on the stacked block.
+    agents, hp, flat, target_max, columns, error = _diverging_phase(
+        two_cr_scenario, monkeypatch, [1e150, 1.0])
+    chain = MlpParams(flat, agents.params.layer_sizes, agents.params.cap)
+    snapshots = []
+    for update in range(5):
+        chain, _ = train_minibatch(
+            chain, *(c[:, update * 25:(update + 1) * 25] for c in columns),
+            target_max, hp.alpha0, hp.gamma)
+        snapshots.append(q_matrix(chain))
+    with pytest.raises(FloatingPointError) as sixth:
+        train_minibatch(chain, *(c[:, 125:150] for c in columns),
+                        target_max, hp.alpha0, hp.gamma)
+    assert str(error) == str(sixth.value)
+    assert agents.updates == 5
+    np.testing.assert_array_equal(agents.params.flat, chain.flat)
+    np.testing.assert_array_equal(agents.q_values(), q_matrix(chain))
+    np.testing.assert_array_equal(agents.target_max, target_max)
+    assert agents.windows.filled == 5
+    np.testing.assert_array_equal(agents.windows.snapshots(), snapshots)
 
 
 def _plain_walk(policies, states, draws, outcome_states, rewards, n_actions):
@@ -590,15 +629,21 @@ REFERENCE_CASES = {
     "carried": (dict(phase_length=110, minibatch=25), False),
     # thousands of bulk updates per table before the window tail
     "long": (dict(phase_length=2000, n_phases=2), False),
+    # 80 updates per phase against the 30-snapshot window, so the earlier
+    # ones are counted, not pushed; a partial mini-batch carried over; and
+    # target refreshes every 3 updates, whose periods span phase boundaries
+    "dql-long": (dict(phase_length=2010, n_phases=2, c=3), False),
 }
 
 
 @pytest.mark.parametrize("learner, restarts, case, n_cr", [
     *(pytest.param(learner, restarts, case, 2, id="-".join(
         [str(restarts), learner] + ([case] if case != "recorded" else [])))
-      for case in REFERENCE_CASES if case != "long" for restarts in (False, True)
-      for learner in ("table", "dql")),
+      for case in REFERENCE_CASES if "long" not in case
+      for restarts in (False, True) for learner in ("table", "dql")),
     pytest.param("table", False, "long", 2, id="False-table-long"),
+    pytest.param("dql", False, "dql-long", 2, id="False-dql-long"),
+    pytest.param("dql", False, "dql-long", 3, id="False-dql-long-n3"),
     # three agents push one window ring, and their networks train in
     # lockstep in one stacked block
     *(pytest.param(learner, False, case, 3, id="-".join(

@@ -410,6 +410,12 @@ def test_train_minibatch_rejects_bad_args():
     with pytest.raises(ValueError, match="differ in length"):
         train_minibatch(params, [0, 1], [0, 1], [2], [1.0, 1.0],
                         target_max, 0.1, 0.9)
+    # rates out of range are bad arguments, not a divergence
+    for alpha, gamma in ((float("nan"), 0.9), (0.1, float("nan")),
+                         (0.1, -1.0), (0.1, 5.0)):
+        with pytest.raises(ValueError, match="learning rate|discount factor"):
+            train_minibatch(params, *_random_batch(np.random.default_rng(1)),
+                            target_max, alpha, gamma)
 
 
 def test_divergence_raises_numeric_error():
