@@ -15,7 +15,7 @@ from .agent import (
     TableAgents,
     run_learning,
 )
-from .channel import ChannelGains, PowerVector, all_sinrs, path_gain
+from .channel import ChannelGains, all_sinrs, path_gain
 from .environment import (
     ActionSpace,
     EnvConfig,

@@ -2,9 +2,9 @@
 
 Gains follow a log-distance loss model with fixed penetration loss and
 lognormal shadowing; every internal power is linear mW and conversions to
-dB happen only at the boundaries. The loss model and the SINRs are
-vectorised, so one call covers a whole gain matrix or every joint action
-of a scenario at once.
+dB happen only at the boundaries, so all_sinrs takes both networks'
+powers in mW. The loss model and the SINRs are vectorised, so one call
+covers a whole gain matrix or every joint action of a scenario at once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .topology import GridSpec, NodePlacement, pairwise_wrap_distances
 
 __all__ = [
     "ChannelGains",
-    "PowerVector",
     "path_gain",
     "build_gains",
     "all_sinrs",
@@ -34,8 +33,6 @@ PENETRATION_LOSS_DB = 10.0
 SHADOWING_STD_DB = 6.0
 
 NOISE_POWER_MW = 1e-13          # -130 dBm AWGN on every link
-PN_POWER_MIN_DBM = -20.0
-PN_POWER_MAX_DBM = 40.0
 
 
 def dbm_to_mw(dbm):
@@ -86,12 +83,13 @@ class ChannelGains:
             raise ValueError("g_pp and g_ss must be square")
         if self.g_ps.shape != (n, m) or self.g_sp.shape != (m, n):
             raise ValueError("cross matrices inconsistent with g_pp/g_ss")
+        # written so that NaN fails too
         for name in ("g_pp", "g_ps", "g_ss", "g_sp"):
             g = getattr(self, name)
-            if np.any(g <= 0.0) or np.any(g > 1.0):
+            if not np.all((g > 0.0) & (g <= 1.0)):
                 raise ValueError(f"{name} entries must lie in (0, 1]")
-        if self.noise_power_mw <= 0:
-            raise ValueError("noise power must be positive")
+        if not 0.0 < self.noise_power_mw < np.inf:
+            raise ValueError("noise power must be positive and finite")
 
     @property
     def n_pn(self) -> int:
@@ -122,32 +120,12 @@ class ChannelGains:
         )
 
 
-@dataclass(frozen=True)
-class PowerVector:
-    """Transmit powers of one step: PN in dBm, CR in mW (0.0 means off)."""
-
-    pn_powers_dbm: np.ndarray
-    cr_powers_mw: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.pn_powers_dbm, dtype=float)
-        if np.any(p < PN_POWER_MIN_DBM - 1e-9) or np.any(p > PN_POWER_MAX_DBM + 1e-9):
-            raise ValueError("PN powers outside [-20, 40] dBm")
-        if np.any(np.asarray(self.cr_powers_mw) < 0.0):
-            raise ValueError("CR powers must be nonnegative mW")
-
-    @property
-    def pn_powers_mw(self) -> np.ndarray:
-        return dbm_to_mw(self.pn_powers_dbm)
-
-
 def _shadowing(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(0.0, SHADOWING_STD_DB, size=shape)
 
 
-def build_gains(placement: NodePlacement, rng: np.random.Generator,
-                noise_power_mw: float = NOISE_POWER_MW) -> ChannelGains:
-    """Frozen gains for one scenario.
+def build_gains(placement: NodePlacement, rng: np.random.Generator) -> ChannelGains:
+    """Frozen gains for one scenario, over NOISE_POWER_MW of noise.
 
     Shadowing is drawn once per transmitter-receiver pair and never
     re-sampled; the same loss model applies to all four link classes.
@@ -168,7 +146,6 @@ def build_gains(placement: NodePlacement, rng: np.random.Generator,
         g_ps=gains(cr_tx, pn_rx),
         g_ss=gains(cr_tx, cr_rx),
         g_sp=gains(ap, cr_rx),
-        noise_power_mw=noise_power_mw,
     )
 
 
@@ -187,17 +164,18 @@ def received_power_mw(tx_mw, g: np.ndarray) -> np.ndarray:
     return total.T
 
 
-def all_sinrs(gains: ChannelGains, powers: PowerVector) -> tuple[np.ndarray, np.ndarray]:
+def all_sinrs(gains: ChannelGains, pn_mw, cr_mw) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (pn_sinrs, sn_sinrs) of one or many CR power assignments.
 
-    cr_powers_mw may be (N,) or (K, N); the SINRs then come back as (M,),
-    (N,) or (K, M), (K, N). Each link's SINR is its own received power
-    over every other transmitter's received power plus noise.
+    pn_mw holds the M primary powers and cr_mw the CR powers (0.0 is off),
+    both in mW; cr_mw may be (N,) or (K, N), and the SINRs then come back
+    as (M,), (N,) or (K, M), (K, N). Each link's SINR is its own received
+    power over every other transmitter's received power plus noise.
     """
-    pn_mw = powers.pn_powers_mw
-    cr_mw = np.asarray(powers.cr_powers_mw, dtype=float)
-    if pn_mw.shape[0] != gains.n_pn or cr_mw.shape[-1] != gains.n_cr:
-        raise ValueError("power vector does not match gain matrices")
+    pn_mw = np.asarray(pn_mw, dtype=float)
+    cr_mw = np.asarray(cr_mw, dtype=float)
+    if pn_mw.shape != (gains.n_pn,) or cr_mw.shape[-1] != gains.n_cr:
+        raise ValueError("powers do not match gain matrices")
 
     pn_signal = np.diag(gains.g_pp) * pn_mw
     pn_total = gains.g_pp.T @ pn_mw

@@ -1,10 +1,12 @@
-"""Multi-agent environment: states, rewards, and step semantics.
+"""Multi-agent environment: scenario build, states, rewards, step semantics.
 
 A Scenario freezes one sampled network (geometry, shadowed gains, primary
-powers). Each cognitive radio monitors the primary link it hears loudest
-and is in state S0 while the relative throughput change it inflicts there
-stays within the configured limit. Rewards are 10^throughput in S0 and
-zero in S1, either per link or summed over links (global mode).
+powers); build_scenario sets the primary powers on the primary links
+alone, the radios silent, as in the underlay setting. Each cognitive
+radio monitors the primary link it hears loudest and is in state S0
+while the relative throughput change it inflicts there stays within the
+configured limit. Rewards are 10^throughput in S0 and zero in S1, either
+per link or summed over links (global mode).
 
 The joint action space is small (|A|^N), so a scenario evaluates all of it
 at once into one outcome tensor; the oracle, the learning loop and the
@@ -14,20 +16,13 @@ phase-change probability all read from that tensor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import channel
-from .channel import (
-    ChannelGains,
-    PowerVector,
-    all_sinrs,
-    dbm_to_mw,
-    mw_to_dbm,
-    received_power_mw,
-)
+from .channel import ChannelGains, all_sinrs, dbm_to_mw, mw_to_dbm, received_power_mw
 from .link_adaptation import AmcTable, relative_throughput_change, throughput
 from .topology import ConfigurationError, GridSpec, NodePlacement, sample_placement
 
@@ -47,6 +42,9 @@ STATE_S0 = 0
 STATE_S1 = 1
 
 DEFAULT_PN_TARGET_SINR_DB = 10.0
+PN_POWER_MIN_DBM, PN_POWER_MAX_DBM = -20.0, 40.0
+PN_POWER_MAX_ITERS = 100        # pn_power_control's iteration cap
+PN_POWER_TOL_DB = 0.01          # and its per-AP convergence tolerance
 
 # Largest outcome tensor outcome_tensor() builds, in bytes of its peak
 # working set; the joint action space grows as |A|^N.
@@ -57,14 +55,17 @@ OUTCOME_MEMORY_BUDGET = 1 << 30
 class ActionSpace:
     """Ordered CR transmit options; index 0 is always "off".
 
-    powers_dbm holds the dBm level of indices 1.., strictly increasing.
+    powers_dbm holds the dBm level of indices 1.., finite and strictly
+    increasing.
     """
 
     powers_dbm: tuple[float, ...]
 
     def __post_init__(self):
-        if np.any(np.diff(self.powers_dbm) <= 0):
-            raise ConfigurationError("transmit levels must be strictly increasing")
+        levels = np.asarray(self.powers_dbm, dtype=float)
+        if not (np.all(np.isfinite(levels)) and np.all(np.diff(levels) > 0)):
+            raise ConfigurationError(
+                "transmit levels must be finite and strictly increasing")
 
     @staticmethod
     def default() -> "ActionSpace":
@@ -78,14 +79,11 @@ class ActionSpace:
     def __len__(self) -> int:
         return len(self.powers_dbm) + 1
 
-    def power_mw(self, action: int) -> float:
-        """Linear transmit power of one action (0.0 for "off")."""
-        if action == 0:
-            return 0.0
-        return float(dbm_to_mw(self.powers_dbm[action - 1]))
-
-    def powers_mw(self, actions) -> np.ndarray:
-        return np.array([self.power_mw(a) for a in actions])
+    @cached_property
+    def powers_mw(self) -> np.ndarray:
+        """Linear power of each action ("off" is 0.0), by the scalar pow
+        per level, which numpy's array pow can miss in the last bit."""
+        return np.array([0.0] + [float(dbm_to_mw(p)) for p in self.powers_dbm])
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,8 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One immutable network instance the agents learn on."""
+    """One immutable network instance the agents learn on; its primary
+    powers must lie in [-20, 40] dBm (ValueError otherwise)."""
 
     placement: NodePlacement
     gains: ChannelGains
@@ -129,6 +128,12 @@ class Scenario:
     amc: AmcTable
     config: EnvConfig
     pn_power_converged: bool = True
+
+    def __post_init__(self):
+        p = np.asarray(self.pn_powers_dbm, dtype=float)
+        # written so that NaN fails too
+        if not np.all((p >= PN_POWER_MIN_DBM) & (p <= PN_POWER_MAX_DBM)):
+            raise ValueError("PN powers outside [-20, 40] dBm")
 
     @property
     def n_cr(self) -> int:
@@ -190,56 +195,45 @@ class Scenario:
         )
 
 
-def pn_power_control(scenario: Scenario,
-                     target_sinr_db: float = DEFAULT_PN_TARGET_SINR_DB,
-                     max_iters: int = 100,
-                     tol_db: float = 0.01) -> tuple[PowerVector, bool]:
+def pn_power_control(gains: ChannelGains,
+                     target_sinr_db: float = DEFAULT_PN_TARGET_SINR_DB
+                     ) -> tuple[np.ndarray, bool]:
     """Fixed-point primary power allocation toward a common SINR target.
 
-    With the CRs silent, each AP scales its power by target/SINR and clips
-    to [-20, 40] dBm until the largest per-AP change drops below tol_db.
-    Returns the final powers and whether the loop converged; an infeasible
-    target simply rails the powers and reports False.
+    With the CRs silent, a primary link's SINR is its own received power
+    over the other APs' plus noise. From 0 dBm, each AP scales its power
+    by target/SINR, clipped to [-20, 40] dBm, until no AP moves by
+    PN_POWER_TOL_DB. Returns the powers in dBm and whether that happened
+    within PN_POWER_MAX_ITERS; an infeasible target rails the powers.
     """
-    gains = scenario.gains
     target = 10.0 ** (target_sinr_db / 10.0)
-    silent = np.zeros(gains.n_cr)
-    p_dbm = np.asarray(scenario.pn_powers_dbm, dtype=float).copy()
-    converged = False
-    for _ in range(max_iters):
-        pn, _ = all_sinrs(gains, PowerVector(p_dbm, silent))
-        new_mw = dbm_to_mw(p_dbm) * (target / pn)
-        new_dbm = np.clip(mw_to_dbm(new_mw),
-                          channel.PN_POWER_MIN_DBM, channel.PN_POWER_MAX_DBM)
-        if np.max(np.abs(new_dbm - p_dbm)) < tol_db:
-            p_dbm = new_dbm
-            converged = True
-            break
+    own_gain = np.diag(gains.g_pp)
+    p_dbm = np.zeros(gains.n_pn)
+    for _ in range(PN_POWER_MAX_ITERS):
+        p_mw = dbm_to_mw(p_dbm)
+        signal = own_gain * p_mw
+        sinr = signal / (gains.g_pp.T @ p_mw - signal + gains.noise_power_mw)
+        new_dbm = np.clip(mw_to_dbm(p_mw * (target / sinr)),
+                          PN_POWER_MIN_DBM, PN_POWER_MAX_DBM)
+        if np.max(np.abs(new_dbm - p_dbm)) < PN_POWER_TOL_DB:
+            return new_dbm, True
         p_dbm = new_dbm
-    return PowerVector(p_dbm, silent), converged
+    return p_dbm, False
 
 
 def build_scenario(grid: GridSpec,
                    config: EnvConfig,
                    amc: AmcTable,
                    rng: np.random.Generator,
-                   actions: ActionSpace | None = None,
-                   pn_target_sinr_db: float = DEFAULT_PN_TARGET_SINR_DB,
-                   noise_power_mw: float = channel.NOISE_POWER_MW) -> Scenario:
-    """Sample a placement, freeze gains, and run primary power control."""
+                   pn_target_sinr_db: float = DEFAULT_PN_TARGET_SINR_DB) -> Scenario:
+    """Sample a placement, freeze gains, and run primary power control,
+    with the default action space."""
     placement = sample_placement(grid, config.n_cr, rng)
-    gains = channel.build_gains(placement, rng, noise_power_mw=noise_power_mw)
-    provisional = Scenario(
-        placement=placement,
-        gains=gains,
-        pn_powers_dbm=np.zeros(gains.n_pn),
-        actions=actions or ActionSpace.default(),
-        amc=amc,
-        config=config,
-    )
-    powers, converged = pn_power_control(provisional, pn_target_sinr_db)
-    return replace(provisional, pn_powers_dbm=powers.pn_powers_dbm,
-                   pn_power_converged=converged)
+    gains = channel.build_gains(placement, rng)
+    pn_dbm, converged = pn_power_control(gains, pn_target_sinr_db)
+    return Scenario(placement=placement, gains=gains, pn_powers_dbm=pn_dbm,
+                    actions=ActionSpace.default(), amc=amc, config=config,
+                    pn_power_converged=converged)
 
 
 @dataclass(frozen=True)
@@ -297,15 +291,15 @@ def _evaluate(scenario: Scenario, joint_actions) -> Outcomes:
     """Evaluate a (K, N) block of joint actions; pure in its arguments."""
     joint = np.asarray(joint_actions, dtype=np.intp)
     gains = scenario.gains
-    cr_mw = scenario.actions.powers_mw(range(len(scenario.actions)))[joint]
-    powers = PowerVector(scenario.pn_powers_dbm, cr_mw)
-    pn, sn = all_sinrs(gains, powers)
+    pn_mw = dbm_to_mw(scenario.pn_powers_dbm)
+    cr_mw = scenario.actions.powers_mw[joint]
+    pn, sn = all_sinrs(gains, pn_mw, cr_mw)
 
     monitored = scenario.monitored_links()
     # total SN interference arriving at each CR's monitored PN receiver
     interference_mw = received_power_mw(cr_mw, gains.g_ps[:, monitored])
     if scenario.config.tpc_reference == "signal":
-        reference_mw = np.diag(gains.g_pp) * powers.pn_powers_mw
+        reference_mw = np.diag(gains.g_pp) * pn_mw
     else:
         reference_mw = np.full(gains.n_pn, gains.noise_power_mw)
     with np.errstate(divide="ignore"):      # no interference: -inf dB, T% = 0

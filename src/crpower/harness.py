@@ -25,6 +25,7 @@ import numpy as np
 
 from .agent import AgentHyperparams, RunTrace, run_learning
 from .environment import (
+    DEFAULT_PN_TARGET_SINR_DB,
     ActionSpace,
     EnvConfig,
     Scenario,
@@ -99,7 +100,7 @@ class ExperimentConfig:
     amc_xi: float = 4.0
     amc_snr_gap: float = 1.0
     amc_bandwidth_hz: float = 180_000.0
-    pn_target_sinr_db: float = 10.0
+    pn_target_sinr_db: float = DEFAULT_PN_TARGET_SINR_DB
     tau: float = 0.01
     out_dir: str = "out"
 

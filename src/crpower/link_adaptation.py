@@ -48,6 +48,8 @@ class AmcTable:
             raise ValueError("AMC table is empty")
         if thr.size != eff.size:
             raise ValueError("thresholds and efficiencies differ in length")
+        if not (np.all(np.isfinite(thr)) and np.all(np.isfinite(eff))):
+            raise ValueError("SNR thresholds and efficiencies must be finite")
         if np.any(np.diff(thr) <= 0):
             raise ValueError("SNR thresholds must be strictly increasing")
         if np.any(eff < 0) or np.any(np.diff(eff) < 0):
@@ -58,10 +60,6 @@ class AmcTable:
                 raise ValueError(f"{name} must be positive")
         object.__setattr__(self, "snr_thresholds_db", thr)
         object.__setattr__(self, "spectral_efficiencies", eff)
-
-    @property
-    def max_throughput_mbps(self) -> float:
-        return float(self.spectral_efficiencies[-1]) * self.bandwidth_hz / 1e6
 
     @staticmethod
     def from_csv(path, **kwargs) -> "AmcTable":

@@ -77,10 +77,6 @@ class NodePlacement:
     grid: GridSpec = field(default_factory=GridSpec)
 
     @property
-    def n_active(self) -> int:
-        return len(self.active_ap_indices)
-
-    @property
     def n_cr(self) -> int:
         return len(self.cr_tx_positions)
 

@@ -3,7 +3,6 @@ import pytest
 
 from crpower.channel import (
     ChannelGains,
-    PowerVector,
     SHADOWING_STD_DB,
     all_sinrs,
     build_gains,
@@ -85,8 +84,7 @@ def test_pn_sinr_hand_value():
     # received power -100 dBm over -130 dBm noise and no interference: 30 dB
     g = 1e-10  # 0 dBm transmit * 1e-10 = -100 dBm received
     gains = _single_link_gains(g)
-    powers = PowerVector(np.array([0.0]), np.array([0.0]))
-    pn, _ = all_sinrs(gains, powers)
+    pn, _ = all_sinrs(gains, dbm_to_mw(np.array([0.0])), np.array([0.0]))
     assert pn[0] == pytest.approx(1e3, rel=1e-9)
 
 
@@ -99,17 +97,17 @@ def test_pn_sinr_unity_when_signal_equals_interference_plus_noise():
         noise_power_mw=1e-13,
     )
     # signal = 1e-10 mW; CR interference 0.999e-10 + noise 1e-13 = 1e-10
-    powers = PowerVector(np.array([0.0]), np.array([0.999]))
-    assert all_sinrs(gains, powers)[0][0] == pytest.approx(1.0, rel=1e-12)
+    pn, _ = all_sinrs(gains, dbm_to_mw(np.array([0.0])), np.array([0.999]))
+    assert pn[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cr_transmission_strictly_decreases_pn_sinr():
     rng = np.random.default_rng(4)
     placement = sample_placement(GridSpec(), 2, rng)
     gains = build_gains(placement, rng)
-    pn_dbm = np.full(gains.n_pn, 30.0)
-    base, _ = all_sinrs(gains, PowerVector(pn_dbm, np.zeros(2)))
-    with_cr, _ = all_sinrs(gains, PowerVector(pn_dbm, np.array([1.0, 0.0])))
+    pn_mw = dbm_to_mw(np.full(gains.n_pn, 30.0))
+    base, _ = all_sinrs(gains, pn_mw, np.zeros(2))
+    with_cr, _ = all_sinrs(gains, pn_mw, np.array([1.0, 0.0]))
     assert base.shape == with_cr.shape == (gains.n_pn,)
     assert np.all(with_cr < base)
 
@@ -118,12 +116,12 @@ def test_sn_sinr_zero_when_off_and_degenerate_case():
     gains = _single_link_gains(1e-9)
     gains = ChannelGains(gains.g_pp, gains.g_ps, np.array([[1e-9]]),
                          gains.g_sp, gains.noise_power_mw)
-    off = PowerVector(np.array([-20.0]), np.array([0.0]))
-    assert all_sinrs(gains, off)[1][0] == 0.0
+    pn_mw = dbm_to_mw(np.array([-20.0]))
+    assert all_sinrs(gains, pn_mw, np.array([0.0]))[1][0] == 0.0
     # lone CR, negligible PN interference: gamma = G*P/noise
-    on = PowerVector(np.array([-20.0]), np.array([1.0]))
     expected = 1e-9 * 1.0 / (1e-30 * dbm_to_mw(-20.0) + 1e-13)
-    assert all_sinrs(gains, on)[1][0] == pytest.approx(expected, rel=1e-9)
+    assert all_sinrs(gains, pn_mw, np.array([1.0]))[1][0] == pytest.approx(
+        expected, rel=1e-9)
 
 
 def test_symmetric_cr_links_have_identical_sinr():
@@ -134,8 +132,7 @@ def test_symmetric_cr_links_have_identical_sinr():
         g_ss=np.array([[own, cross], [cross, own]]),
         g_sp=np.array([[pn_leak, pn_leak]]),
     )
-    powers = PowerVector(np.array([10.0]), np.array([0.5, 0.5]))
-    _, sn = all_sinrs(gains, powers)
+    _, sn = all_sinrs(gains, dbm_to_mw(np.array([10.0])), np.array([0.5, 0.5]))
     assert sn[0] == pytest.approx(sn[1], rel=1e-12)
 
 
@@ -143,19 +140,17 @@ def test_sinr_monotonicity_in_powers():
     rng = np.random.default_rng(8)
     placement = sample_placement(GridSpec(), 2, rng)
     gains = build_gains(placement, rng)
-    pn_dbm = np.full(gains.n_pn, 20.0)
+    pn_mw = dbm_to_mw(np.full(gains.n_pn, 20.0))
     # one batched call: rows are (base, more own power, more interference)
     cr_mw = np.array([[0.1, 0.2], [0.2, 0.2], [0.1, 0.4]])
-    _, sn = all_sinrs(gains, PowerVector(pn_dbm, cr_mw))
+    _, sn = all_sinrs(gains, pn_mw, cr_mw)
     low, high, more_interf = sn[:, 0]
     assert high > low
     assert more_interf < low
 
 
-def _scalar_sinrs(gains, powers):
+def _scalar_sinrs(gains, pn_mw, cr_mw):
     """Reference: each link's SINR from scalar sums over transmitters."""
-    pn_mw = dbm_to_mw(powers.pn_powers_dbm)
-    cr_mw = np.asarray(powers.cr_powers_mw, dtype=float)
     pn, sn = [], []
     for k in range(gains.n_pn):
         other = sum(gains.g_pp[m, k] * pn_mw[m]
@@ -176,29 +171,39 @@ def test_all_sinrs_matches_scalar_ops():
     rng = np.random.default_rng(21)
     placement = sample_placement(GridSpec(), 2, rng)
     gains = build_gains(placement, rng)
-    pn_dbm = rng.uniform(-20, 40, gains.n_pn)
-    powers = PowerVector(pn_dbm, np.array([0.0, 3.0]))
-    pn, sn = all_sinrs(gains, powers)
-    ref_pn, ref_sn = _scalar_sinrs(gains, powers)
+    pn_mw = dbm_to_mw(rng.uniform(-20, 40, gains.n_pn))
+    cr_mw = np.array([0.0, 3.0])
+    pn, sn = all_sinrs(gains, pn_mw, cr_mw)
+    ref_pn, ref_sn = _scalar_sinrs(gains, pn_mw, cr_mw)
     np.testing.assert_allclose(pn, ref_pn, rtol=1e-12)
     np.testing.assert_allclose(sn, ref_sn, rtol=1e-12)
     # a (K, N) block of CR powers gives one row per assignment
     block = np.array([[0.0, 3.0], [1.0, 0.0], [0.5, 2.0]])
-    pn_k, sn_k = all_sinrs(gains, PowerVector(pn_dbm, block))
+    pn_k, sn_k = all_sinrs(gains, pn_mw, block)
     assert pn_k.shape == (3, gains.n_pn) and sn_k.shape == (3, 2)
     for row, p, s in zip(block, pn_k, sn_k):
-        ref_pn, ref_sn = _scalar_sinrs(gains, PowerVector(pn_dbm, row))
+        ref_pn, ref_sn = _scalar_sinrs(gains, pn_mw, row)
         np.testing.assert_allclose(p, ref_pn, rtol=1e-12)
         np.testing.assert_allclose(s, ref_sn, rtol=1e-12)
     with pytest.raises(ValueError):
-        all_sinrs(gains, PowerVector(pn_dbm, np.zeros(3)))
+        all_sinrs(gains, pn_mw, np.zeros(3))
+    with pytest.raises(ValueError):
+        all_sinrs(gains, pn_mw[:-1], cr_mw)
 
 
 def test_gain_validation():
     with pytest.raises(ValueError):
         _single_link_gains(2.0)        # gains must be <= 1
-    with pytest.raises(ValueError):
-        _single_link_gains(1e-10, noise=0.0)
+    # every check is written so that NaN fails too
+    for g in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"g_pp entries must lie in \(0, 1\]"):
+            _single_link_gains(g)
+    for noise in (0.0, -1e-13, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise power must be positive"):
+            _single_link_gains(1e-10, noise=noise)
+    good = _single_link_gains(1e-10)
+    with pytest.raises(ValueError, match="g_sp entries"):
+        ChannelGains(good.g_pp, good.g_ps, good.g_ss, np.array([[np.nan]]))
 
 
 def test_gains_json_roundtrip():

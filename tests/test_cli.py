@@ -164,6 +164,8 @@ def test_bad_input_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps(dict(RESTARTS, **restarts)))
         assert simulate(bad, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
+    nan_amc = tmp_path / "nan_amc.csv"
+    nan_amc.write_text("snr_db,spectral_efficiency\n-6,0.15\nnan,0.5\n")
     # unknown keys at every level, restarts and fixed_alpha among them,
     # values of the wrong type, no phase budget, and a document that is not
     # an object: run and traces print one error line that names the key
@@ -211,7 +213,11 @@ def test_bad_input_exits_2(tmp_path, capsys):
             (dict(CONFIG, tau=-0.5), "tau must lie in [0, 1)"),
             (dict(CONFIG, amc={"snr_gap": 0}), "snr_gap must be positive"),
             (dict(CONFIG, amc={"snr_gap": -1.0}), "snr_gap must be positive"),
-            (dict(CONFIG, amc={"bandwidth_hz": 0}), "bandwidth_hz must be positive")):
+            (dict(CONFIG, amc={"bandwidth_hz": 0}), "bandwidth_hz must be positive"),
+            # NaN passes the table's ordering checks; the run used to score
+            # every run 0% optimal instead of failing
+            (dict(CONFIG, amc={"csv": str(nan_amc)}),
+             "SNR thresholds and efficiencies must be finite")):
         bad.write_text(json.dumps(doc))
         for command in ("run", "traces"):
             assert cli.main([command, "--config", str(bad),

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import TINY, make_scenario
 
+from crpower.channel import all_sinrs, dbm_to_mw, mw_to_dbm
 from crpower.environment import (
     ActionSpace,
     EnvConfig,
@@ -25,11 +26,16 @@ from crpower.topology import ConfigurationError, GridSpec
 def test_action_space_default():
     space = ActionSpace.default()
     assert len(space) == 14
-    assert space.power_mw(0) == 0.0
+    assert space.powers_mw[0] == 0.0
     assert space.powers_dbm[0] == -10.0
     assert space.powers_dbm[-1] == 20.0
     np.testing.assert_allclose(np.diff(space.powers_dbm), 2.5)
-    assert space.power_mw(13) == pytest.approx(100.0)
+    assert space.powers_mw[13] == pytest.approx(100.0)
+    assert space.powers_mw.shape == (14,)
+    assert space.powers_mw is space.powers_mw          # built once
+    # the scalar pow per level, which numpy's array pow may miss by a bit
+    for a in range(1, 14):
+        assert space.powers_mw[a] == 10.0 ** (space.powers_dbm[a - 1] / 10.0)
 
 
 def test_action_space_default_pins_14_actions(monkeypatch):
@@ -43,6 +49,11 @@ def test_action_space_default_pins_14_actions(monkeypatch):
 def test_action_space_rejects_unordered_levels():
     with pytest.raises(ConfigurationError):
         ActionSpace((0.0, -5.0))
+    # a NaN level compares false both ways, so it must fail explicitly
+    for levels in ((0.0, float("nan")), (float("nan"), 1.0),
+                   (0.0, float("inf")), (float("-inf"), 0.0)):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            ActionSpace(levels)
 
 
 def test_env_config_validation():
@@ -154,11 +165,11 @@ def test_pn_power_control_single_link_hits_target():
     sc = make_scenario(g_pp=[[1e-10]], g_ps=[[TINY]], g_ss=[[1e-12]],
                        g_sp=[[TINY]], pn_dbm=[0.0],
                        config=EnvConfig(n_cr=1))
-    powers, converged = pn_power_control(sc, target_sinr_db=15.0)
+    pn_dbm, converged = pn_power_control(sc.gains, target_sinr_db=15.0)
     assert converged
-    assert powers.pn_powers_dbm[0] == pytest.approx(-15.0, abs=0.1)
-    from crpower.channel import all_sinrs
-    gamma_db = 10 * np.log10(all_sinrs(sc.gains, powers)[0][0])
+    assert pn_dbm[0] == pytest.approx(-15.0, abs=0.1)
+    gamma_db = 10 * np.log10(all_sinrs(sc.gains, dbm_to_mw(pn_dbm),
+                                       np.zeros(1))[0][0])
     assert gamma_db == pytest.approx(15.0, abs=0.1)
 
 
@@ -166,17 +177,63 @@ def test_pn_power_control_clips_low():
     sc = make_scenario(g_pp=[[1e-10]], g_ps=[[TINY]], g_ss=[[1e-12]],
                        g_sp=[[TINY]], pn_dbm=[0.0],
                        config=EnvConfig(n_cr=1))
-    powers, _ = pn_power_control(sc, target_sinr_db=-40.0)
-    assert powers.pn_powers_dbm[0] == -20.0
+    pn_dbm, _ = pn_power_control(sc.gains, target_sinr_db=-40.0)
+    assert pn_dbm[0] == -20.0
 
 
 def test_pn_power_control_seven_links_bounded():
     rng = np.random.default_rng(7)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
-    powers, converged = pn_power_control(sc, target_sinr_db=10.0)
-    assert np.all(powers.pn_powers_dbm >= -20.0 - 1e-9)
-    assert np.all(powers.pn_powers_dbm <= 40.0 + 1e-9)
+    pn_dbm, converged = pn_power_control(sc.gains, target_sinr_db=10.0)
+    assert np.all(pn_dbm >= -20.0 - 1e-9)
+    assert np.all(pn_dbm <= 40.0 + 1e-9)
     assert isinstance(converged, bool)
+
+
+def _reference_pn_power_control(gains, target_sinr_db):
+    """The loop pn_power_control replaced: the full all_sinrs, CR
+    interference term included, with every CR silent."""
+    target = 10.0 ** (target_sinr_db / 10.0)
+    silent = np.zeros(gains.n_cr)
+    p_dbm = np.zeros(gains.n_pn)
+    for _ in range(100):
+        pn, _ = all_sinrs(gains, dbm_to_mw(p_dbm), silent)
+        new_dbm = np.clip(mw_to_dbm(dbm_to_mw(p_dbm) * (target / pn)), -20.0, 40.0)
+        if np.max(np.abs(new_dbm - p_dbm)) < 0.01:
+            return new_dbm, True
+        p_dbm = new_dbm
+    return p_dbm, False
+
+
+def test_pn_power_control_matches_reference_loop():
+    """Bit for bit, on build_scenario draws at N = 1..3 (three of the 30
+    do not converge) and at a second target."""
+    rng = np.random.default_rng(3)
+    flags = []
+    for n_cr in (1, 2, 3):
+        for _ in range(10):
+            sc = build_scenario(GridSpec(), EnvConfig(n_cr=n_cr),
+                                AmcTable.default(), rng)
+            for target in (10.0, 20.0):
+                ref_dbm, ref_converged = _reference_pn_power_control(sc.gains, target)
+                pn_dbm, converged = pn_power_control(sc.gains, target)
+                np.testing.assert_array_equal(pn_dbm, ref_dbm)
+                assert converged is ref_converged
+            np.testing.assert_array_equal(sc.pn_powers_dbm,
+                                          pn_power_control(sc.gains)[0])
+            flags.append(sc.pn_power_converged)
+    assert flags.count(False) == 3
+
+
+def test_scenario_rejects_pn_powers_out_of_range():
+    for pn_dbm in (-20.5, 40.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"PN powers outside \[-20, 40\] dBm"):
+            make_scenario(g_pp=[[1e-10]], g_ps=[[TINY]], g_ss=[[1e-12]],
+                          g_sp=[[TINY]], pn_dbm=[pn_dbm],
+                          config=EnvConfig(n_cr=1))
+    for pn_dbm in (-20.0, 40.0):                # the bounds themselves are in
+        make_scenario(g_pp=[[1e-10]], g_ps=[[TINY]], g_ss=[[1e-12]],
+                      g_sp=[[TINY]], pn_dbm=[pn_dbm], config=EnvConfig(n_cr=1))
 
 
 def test_outcome_tensor_matches_row_evaluation():
@@ -302,6 +359,35 @@ def test_scenario_json_contains_gains_and_powers():
     assert len(doc["action_powers_dbm"]) == 13
     assert doc["epsilon"] == 0.05
     assert np.asarray(doc["gains"]["g_pp"]).shape == (7, 7)
+
+
+def test_scenario_from_json_rejects_bad_values():
+    import json
+    rng = np.random.default_rng(13)
+    text = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng).to_json()
+    Scenario.from_json(text)
+    nan = float("nan")
+    cases = [
+        (("pn_powers_dbm", 0), 40.5, ValueError, "PN powers outside"),
+        (("pn_powers_dbm", 3), -21.0, ValueError, "PN powers outside"),
+        (("pn_powers_dbm", 1), nan, ValueError, "PN powers outside"),
+        (("gains", "g_pp", 0, 0), nan, ValueError, "g_pp entries"),
+        (("gains", "g_ss", 1, 0), nan, ValueError, "g_ss entries"),
+        (("gains", "noise_power_mw"), nan, ValueError, "noise power"),
+        (("action_powers_dbm", 4), nan, ConfigurationError, "must be finite"),
+        (("action_powers_dbm", 12), float("inf"), ConfigurationError,
+         "must be finite"),
+        (("amc", "snr_thresholds_db", 2), nan, ValueError, "must be finite"),
+        (("amc", "spectral_efficiencies", 0), nan, ValueError, "must be finite"),
+    ]
+    for path, value, error, message in cases:
+        doc = json.loads(text)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(error, match=message):
+            Scenario.from_json(json.dumps(doc))
 
 
 def test_scenario_json_roundtrip():

@@ -27,7 +27,8 @@ def test_throughput_floor_and_ceiling():
     above = 10.0 ** (25.0 / 10.0)
     # 6 b/s/Hz * 180 kHz = 1.08 Mbps
     assert throughput(above, table) == pytest.approx(1.08, abs=1e-12)
-    assert table.max_throughput_mbps == pytest.approx(1.08)
+    # the top mode caps it however high the SINR
+    assert throughput(1e12, table) == pytest.approx(1.08)
 
 
 def test_throughput_monotone_over_sweep():
@@ -49,6 +50,13 @@ def test_table_validation():
         AmcTable(np.array([0.0, 0.0]), np.array([1.0, 2.0]))   # not increasing
     with pytest.raises(ValueError):
         AmcTable(np.array([0.0, 1.0]), np.array([2.0, 1.0]))   # decreasing eff
+    # NaN passes every ordering comparison, so non-finite entries are
+    # rejected on their own
+    for thr, eff in (([0.0, np.nan], [0.15, 0.5]), ([np.nan, 1.0], [0.15, 0.5]),
+                     ([0.0, np.inf], [0.15, 0.5]), ([0.0, 1.0], [0.15, np.nan]),
+                     ([0.0, 1.0], [np.nan, 0.5]), ([0.0, 1.0], [0.15, np.inf])):
+        with pytest.raises(ValueError, match="must be finite"):
+            AmcTable(np.array(thr), np.array(eff))
     for name in ("xi", "snr_gap", "bandwidth_hz"):
         for value in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match=f"{name} must be positive"):

@@ -80,7 +80,7 @@ def test_sample_placement_determinism():
     np.testing.assert_array_equal(p1.pn_rx_positions, p2.pn_rx_positions)
     np.testing.assert_array_equal(p1.cr_tx_positions, p2.cr_tx_positions)
     np.testing.assert_array_equal(p1.cr_rx_positions, p2.cr_rx_positions)
-    assert p1.n_active == 7 and p1.n_cr == 2
+    assert len(p1.active_ap_indices) == 7 and p1.n_cr == 2
 
 
 def test_sample_placement_invariants():
