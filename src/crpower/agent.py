@@ -26,13 +26,17 @@ each agent first takes the phase's exploration draws from its own
 generator (``phase_draws``): each step explores with probability rho,
 independently of the other steps and agents, and an exploring step
 takes an action uniformly from the whole action space. The phase's joint
-trajectory is then walked once through the outcome tensor, which gives
-four (N, L) columns: states, next states, actions and rewards. Finally
-the agents learn from the columns, and both learners push all N Q
-matrices to the window ring at once, in lockstep. The table learners
-apply, per agent, the updates whose snapshots cannot reach the phase
-boundary's ring in one in-place temporal-difference pass; each of the
-last ``std_window`` steps then updates every table and pushes. The
+trajectory is then walked once through the outcome tensor, step by step
+only where an agent explores (``_walk_phase``), which gives four (N, L)
+columns: states, next states, actions and rewards. Finally the agents
+learn from the columns, and both learners push all N Q matrices to the
+window ring at once, in lockstep. The table learners apply, per agent,
+the updates whose snapshots cannot reach the phase boundary's ring in
+one in-place temporal-difference pass, which takes each run of equal
+consecutive updates as one entry and its length (``table_update``'s
+``counts``); each of the last ``std_window`` steps then updates every
+table and pushes. The phase's mean rewards add each agent's rewards left
+to right, one addition per step. The
 networks form one stacked block. The agents share the phase length,
 mini-batch size, step size and target-refresh period, so the phase is
 set up once for all of them and each update is one gradient step of the
@@ -49,9 +53,7 @@ through the phase would.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -396,23 +398,31 @@ class TableAgents(_AgentBase):
         """Update every table in place, one update per step, in step
         order."""
         hp = self.hp
-        columns = [c.tolist() for c in columns]    # columns[j][i]: agent i's
-        n = len(columns[3][0])
+        n = columns[3].shape[1]
         # Only the last std_window snapshots can still be in the window
         # ring at the phase boundary; the earlier updates are applied in one
         # pass per agent and counted, not pushed, unless every update is
-        # recorded.
+        # recorded. The pass takes each run of equal consecutive updates
+        # (rewards compared by their bits) as one entry and its length.
         bulk = max(n - hp.std_window, 0) if self.update_records is None else 0
-        for i, table in enumerate(self.tables):
-            table_update(table, *(c[i][:bulk] for c in columns),
-                         self.alpha, hp.gamma)
-        self.windows.skip(bulk)
-        for t in range(bulk, n):
+        if bulk:
+            starts = np.zeros((len(self.tables), bulk), dtype=bool)
+            starts[:, 0] = True
+            for c in (*columns[:3], columns[3].view(np.int64)):
+                starts[:, 1:] |= c[:, 1:bulk] != c[:, :bulk - 1]
             for i, table in enumerate(self.tables):
-                table_update(table, *(c[i][t:t + 1] for c in columns),
+                heads = np.flatnonzero(starts[i])
+                table_update(table, *(c[i, heads].tolist() for c in columns),
+                             self.alpha, hp.gamma,
+                             counts=np.diff(heads, append=bulk).tolist())
+        self.windows.skip(bulk)
+        tail = [c[:, bulk:].tolist() for c in columns]    # tail[j][i]: agent i's
+        for t in range(n - bulk):
+            for i, table in enumerate(self.tables):
+                table_update(table, *(c[i][t:t + 1] for c in tail),
                              self.alpha, hp.gamma)
-            self._push(self.tables, self.phase * hp.phase_length + t + 1,
-                       [actions[t] for actions in columns[2]])
+            self._push(self.tables, self.phase * hp.phase_length + bulk + t + 1,
+                       [actions[t] for actions in tail[2]])
 
 
 def make_agents(kind: str, hp: AgentHyperparams, n_actions: int, rngs,
@@ -433,42 +443,72 @@ def _walk_phase(policies: np.ndarray, states, draws: np.ndarray,
     and row i of the (N, L) draws agent i's phase_draws result. Returns
     four (N, L) columns, row i agent i's: states, next states, actions
     and rewards. The walk follows the joint state (agent i's state in bit
-    N-1-i): for each step and each joint state, the joint action and the
-    next joint state are found at once, which leaves one lookup per step
-    in order. Those lookups run on one flat list of L * 2^N positions,
-    step t's joint state j at position t * 2^N + j, whose entry at a
-    position is the position of step t+1's joint state; the walk collects
-    the positions it visits, and a step's joint state is its position
-    less t * 2^N.
+    N-1-i). On a step where no agent explores, it moves by f0, the frozen
+    policies' map over the 2^N joint states, so only the exploring steps
+    (a share 1 - (1 - rho)^N of them) are walked one by one. For each of
+    them and each joint state, the joint action and the joint state at
+    the next exploring step are found at once, which leaves one lookup
+    per exploring step, in order, on one flat list. Then every step's
+    joint state is gathered at once from f0's iterates, counted from the
+    state its stretch of non-exploring steps started in. A trajectory of
+    f0 is on its cycle after 2^N steps, so a longer stretch is reduced
+    modulo that cycle's length, and the iterates are tabulated once per
+    phase up to 2 * 2^N steps, however long a stretch is (with rho = 0
+    one stretch spans the whole phase). The actions, next states and
+    rewards follow from the joint states in one gather each.
     """
     n, length = draws.shape
     width = 2 ** n
     shifts = np.arange(n - 1, -1, -1)
+    place = n_actions ** shifts                    # joint index = actions @ place
     bits = (np.arange(width)[:, None] >> shifts) & 1          # (2^n, n)
-    # actions[i, t, s]: agent i's action at step t when in state s
-    actions = np.repeat(policies[:, None, :], length, axis=1)
-    np.copyto(actions, draws[:, :, None], where=draws[:, :, None] >= 0)
-    joint_index = np.zeros((length, width), dtype=np.int64)
+    # the joint state after the joint action at each flat index
+    next_joint = (outcome_states << shifts).sum(axis=1)
+    f0 = next_joint[(policies[np.arange(n), bits] * place).sum(axis=1)]
+    # iterates[k, j] = f0^k(j) for k <= 2 * 2^n. From any j, f0 enters its
+    # cycle within 2^n steps, so f0^k(j) = f0^k'(j) for k' =
+    # 2^n + (k - 2^n) mod cycle[j], the cycle's length, once k >= 2^n.
+    iterates = np.empty((2 * width + 1, width), dtype=np.int64)
+    iterates[0] = np.arange(width)
+    for k in range(1, len(iterates)):
+        iterates[k] = f0[iterates[k - 1]]
+    cycle = (iterates[width + 1:] == iterates[width]).argmax(axis=0) + 1
+
+    def follow(k, start):
+        """f0^k(start), elementwise."""
+        return iterates[np.minimum(k, width + (k - width) % cycle[start]), start]
+
+    explores = (draws >= 0).any(axis=0)
+    steps = np.flatnonzero(explores)                # the exploring steps
+    # explore_actions[i, e, s]: agent i's action at exploring step e when
+    # in state s
+    explore_actions = np.repeat(policies[:, None, :], len(steps), axis=1)
+    np.copyto(explore_actions, draws[:, steps, None],
+              where=draws[:, steps, None] >= 0)
+    joint_index = np.zeros((len(steps), width), dtype=np.int64)
     for i in range(n):
-        joint_index = joint_index * n_actions + actions[i][:, bits[:, i]]
-    steps = np.arange(length)
-    # follow[t * width + j]: the position of the joint state after step t
-    # from joint state j
-    follow = ((outcome_states << shifts).sum(axis=1)[joint_index]
-              + (steps[:, None] + 1) * width).ravel().tolist()
-    pos = sum(state << int(shift) for state, shift in zip(states, shifts))
-    visited = [0] * length
-    for t in range(length):
-        visited[t] = pos
-        pos = follow[pos]
-    visited = np.array(visited)
-    path = visited - steps * width
-    k = joint_index.ravel()[visited]
-    own = (path >> shifts[:, None]) & 1
-    # take() gathers rows faster than fancy indexing on these arrays, which
-    # need not be contiguous
-    return (own, outcome_states.take(k, axis=0).T,
-            actions[np.arange(n)[:, None], steps, own],
+        joint_index = joint_index * n_actions + explore_actions[i][:, bits[:, i]]
+    after = next_joint[joint_index]
+    # Exploring step e's joint state j is at position e * 2^n + j of one
+    # flat list; the entry there is the position of exploring step e+1's.
+    jumps = (follow((np.diff(steps) - 1)[:, None], after[:-1])
+             + np.arange(width, len(steps) * width, width)[:, None]).ravel().tolist()
+    start = sum(state << int(shift) for state, shift in zip(states, shifts))
+    visited = follow(steps[:1], start).tolist()
+    for _ in range(len(steps) - 1):
+        visited.append(jumps[visited[-1]])
+    path = np.array(visited, dtype=np.int64) - np.arange(len(steps)) * width
+    # every step's joint state, from the state its stretch started in: the
+    # phase's first, or the one after the exploring step before it
+    stretch = np.cumsum(explores) - explores
+    begin = np.concatenate(([0], steps + 1))[stretch]
+    origin = np.concatenate(([start], after[np.arange(len(steps)), path]))[stretch]
+    joint = follow(np.arange(length) - begin, origin)
+    own = (joint >> shifts[:, None]) & 1
+    actions = np.where(draws >= 0, draws, policies[np.arange(n)[:, None], own])
+    k = place @ actions
+    # take() gathers rows faster than fancy indexing on these arrays
+    return (own, outcome_states.take(k, axis=0).T, actions,
             rewards.take(k, axis=0).T)
 
 
@@ -479,7 +519,8 @@ def run_exploration_phase(agents: _AgentBase, scenario: Scenario,
     index i.
 
     Each step's states and rewards are the row of the scenario's outcome
-    tensor at the joint action's flat index.
+    tensor at the joint action's flat index (see _walk_phase). Agent i's
+    record keeps the mean of its phase's rewards, added left to right.
     """
     hp, outcomes = agents.hp, scenario.outcomes
     n_actions = len(scenario.actions)
@@ -489,10 +530,11 @@ def run_exploration_phase(agents: _AgentBase, scenario: Scenario,
                           outcomes.rewards(scenario.config.reward_mode), n_actions)
     agents.learn_phase(columns)
     agents.states = columns[1][:, -1].tolist()
-    # each mean adds its rewards left to right, one addition per step;
-    # sum() compensates float sums from Python 3.12 on
-    means = [functools.reduce(operator.add, row, 0.0) / len(row)
-             for row in columns[3].tolist()]
+    # each mean adds its rewards left to right, one addition per step, as
+    # np.add.accumulate does (np.sum adds pairwise, and sum() compensates
+    # float sums from Python 3.12 on)
+    rewards = columns[3]
+    means = (np.cumsum(rewards, axis=1)[:, -1] / rewards.shape[1]).tolist()
     return agents.update_policy(rngs, means)
 
 

@@ -161,7 +161,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, FileNotFoundError, FloatingPointError,
+    except (ConfigurationError, OSError, FloatingPointError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -243,10 +243,12 @@ def execute_run(config: ExperimentConfig, point: int, run: int):
 def _run_job(args) -> RunMetrics:
     """Execute one run; write its artifact files if a directory is given.
 
-    A run that raises is recorded as an "error" row and gets no files. A
-    failing file write is not a run outcome and propagates.
+    A run that raises is recorded as an "error" row, with the time it
+    took until it raised, and gets no files. A failing file write is not a
+    run outcome and propagates.
     """
     config, point, run, artifact_dir = args
+    start = time.perf_counter()
     try:
         metrics, oracle, trace = execute_run(config, point, run)
     except Exception as exc:  # record the failure, keep sweeping
@@ -254,7 +256,8 @@ def _run_job(args) -> RunMetrics:
         return RunMetrics(run=run, phases=hp.n_phases, outcome="error",
                           reward=float("nan"), joint_policy=(),
                           best_joint_action=(), best_reward=float("nan"),
-                          wall_ms=float("nan"), error=repr(exc))
+                          wall_ms=(time.perf_counter() - start) * 1e3,
+                          error=repr(exc))
     if artifact_dir is not None:
         stem = f"point{point}_run{run:04d}"
         (artifact_dir / "oracle" / f"{stem}.json").write_text(oracle.to_json())
@@ -310,6 +313,8 @@ class ExperimentReport:
         return buf.getvalue()
 
     def report_json(self) -> str:
+        """Strict JSON: every value is finite (an error row's reward, which
+        is NaN, stays in summary_csv)."""
         doc = {
             "learner": self.config.learner,
             "n_runs": self.config.n_runs,
@@ -322,7 +327,7 @@ class ExperimentReport:
                 for point, rows in enumerate(self.metrics)
             },
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1,

@@ -6,9 +6,10 @@ fully-connected network trained by plain gradient descent on the squared
 Bellman error against frozen target values. Both learn from the same
 four columns (states, next states, actions, rewards) in arrival order:
 the table takes any run of them in one call, one in-place update per
-entry on two lists of plain floats, and keeps each state's row maximum
-through the call, so that an update reads the next state's maximum
-instead of scanning its row; the network takes one mini-batch of them
+entry on two lists of plain floats (or, given run lengths, a run of
+repeats per entry), and keeps each state's row maximum through the
+call, so that an update reads the next state's maximum instead of
+scanning its row; the network takes one mini-batch of them
 per gradient step and discards it afterwards. There is deliberately
 no replay memory. In place of a second network, training reads the
 per-state maximum of frozen target Q-values, which the learner refreshes
@@ -85,48 +86,87 @@ _STATES_ONE_HOT.flags.writeable = False
 
 
 def table_update(q: list[list[float]], states, next_states, actions, rewards,
-                 alpha: float, gamma: float) -> None:
+                 alpha: float, gamma: float, counts=None) -> None:
     """Temporal-difference updates of q, in place, one per column entry.
 
     Q(s,a) <- Q(s,a) + alpha * [r + gamma * max_a' Q(s',a') - Q(s,a)]
 
     The updates are four equal-length columns, applied in order: states,
-    next states, actions and rewards, as train_minibatch takes them. q
-    holds one list of floats per state; only the updated entries change.
-    Raises ValueError on rates out of range or columns of unequal length,
-    leaving q unchanged, and on a negative reward or a non-finite result,
-    leaving that update's entry unwritten.
+    next states, actions and rewards, as train_minibatch takes them. The
+    optional fifth column ``counts`` run-length encodes them: entry k is
+    applied counts[k] times in a row; without it every entry is applied
+    once. q holds one list of floats per state; only the updated entries
+    change. Raises ValueError on rates out of range, columns of unequal
+    length or a count below 1, leaving q unchanged, and on a negative
+    reward or a non-finite result, leaving that update's entry at the
+    last finite value it was given.
 
     The row maxima are taken once per call and kept current after each
-    write: a value above its row's maximum becomes the maximum, and the
+    entry: a value above its row's maximum becomes the maximum, and the
     row is scanned again only when the entry it overwrote held the
     maximum. The maximum of finite floats is exact, and every entry
     written is finite, so each kept maximum equals max(q[s]) and every
     entry is bit-identical to scanning the row on each update. (Where
     0.0 and -0.0 tie, the kept maximum may differ from the scan in its
     sign, which no update's value depends on.)
+
+    A run of repeats changes entry (s, a) alone. So when s' != s the
+    target r + gamma * max Q(s') is the same for every repeat and is
+    computed once; when s' == s the maximum is max(v, m), v the entry's
+    current value and m the maximum of the row's other entries, which is
+    fixed for the run. Each repeat then evaluates the update in the
+    order above and is checked for finiteness, bit for bit as one update
+    per repeat.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError("alpha in [0,1] and gamma in (0,1] required")
     if not len(states) == len(next_states) == len(actions) == len(rewards):
         raise ValueError("update columns differ in length")
+    if counts is None:
+        counts = [1] * len(states)
+    elif len(counts) != len(states):
+        raise ValueError("update columns differ in length")
+    elif len(counts) and not min(counts) >= 1:
+        raise ValueError("run lengths must be at least 1")
     isfinite = math.isfinite
-    best = [max(row) for row in q]     # best[s] == max(q[s]) after each write
-    for state, next_state, action, reward in zip(states, next_states, actions,
-                                                 rewards):
+    best = [max(row) for row in q]     # best[s] == max(q[s]) after each run
+    for state, next_state, action, reward, count in zip(
+            states, next_states, actions, rewards, counts):
         if reward < 0.0:
             raise ValueError("rewards are nonnegative by construction")
         row = q[state]
-        old = row[action]
-        value = old + alpha * (reward + gamma * best[next_state] - old)
-        if not isfinite(value):
-            raise ValueError("table entries must be finite")
+        old = value = row[action]
+        if next_state != state or count == 1:
+            target = reward + gamma * best[next_state]
+            for _ in range(count):
+                new = value + alpha * (target - value)
+                if not isfinite(new):
+                    row[action] = value
+                    raise ValueError("table entries must be finite")
+                value = new
+            row[action] = value
+            if value > best[state]:
+                best[state] = value
+            elif old == best[state]:
+                # the written entry held the maximum and may have fallen
+                best[state] = max(row)
+            continue
+        # the maximum of the row's other entries, fixed for the run; the
+        # entry is left out of a scan by -inf, which the run overwrites
+        if old < best[state]:
+            others = best[state]
+        else:
+            row[action] = -math.inf
+            others = max(row)
+        for _ in range(count):
+            new = value + alpha * (
+                reward + gamma * (value if value > others else others) - value)
+            if not isfinite(new):
+                row[action] = value
+                raise ValueError("table entries must be finite")
+            value = new
         row[action] = value
-        if value > best[state]:
-            best[state] = value
-        elif old == best[state]:
-            # the written entry held the maximum and may have fallen
-            best[state] = max(row)
+        best[state] = value if value > others else others
 
 
 def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):

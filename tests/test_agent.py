@@ -1,3 +1,6 @@
+import functools
+import math
+import operator
 import warnings
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 
 from conftest import TINY, make_scenario
 
+from crpower import agent as agent_module
 from crpower.agent import (
     AgentHyperparams,
     DqlAgents,
@@ -190,6 +194,56 @@ def test_table_one_update_per_step(two_cr_scenario):
     assert agents.windows.filled == 50                     # window saturated
     assert any(not np.array_equal(b, after)
                for b, after in zip(before, agents.q_values()))
+
+
+def test_table_runs_of_steps_match_single_steps():
+    # A phase's bulk pass takes each run of equal consecutive updates as
+    # one entry and its length. On columns whose run heads each change one
+    # of the four columns, it must leave the tables that one update per
+    # step leaves: a recorded phase updates step by step throughout.
+    rng = np.random.default_rng(11)
+    n, length = 3, 3000
+    columns = [np.zeros((n, length), dtype=np.int64) for _ in range(3)]
+    columns.append(np.zeros((n, length)))
+    for i in range(n):
+        values, t = [0, 0, 0, 0.0], 0
+        while t < length:
+            j = int(rng.integers(4))
+            values[j] = (1 - values[j] if j < 2 else int(rng.integers(14)) if j == 2
+                         else float(rng.choice([0.0, 1.5, 30.0])))
+            count = int(rng.integers(1, 10))
+            for column, value in zip(columns, values):
+                column[i, t:t + count] = value
+            t += count
+    start = rng.uniform(0, 100, size=(n, 2, 14)).tolist()
+    hp = small_hp(phase_length=length, std_window=30)
+    rngs = [np.random.default_rng(0)] * n
+    bulk, single = TableAgents(hp, 14, rngs), TableAgents(hp, 14, rngs, True)
+    for agents in (bulk, single):
+        agents.tables = [[row[:] for row in table] for table in start]
+        agents.learn_phase(columns)
+    assert bulk.tables == single.tables != start
+    np.testing.assert_array_equal(bulk.windows.snapshots(),
+                                  single.windows.snapshots())
+
+
+def test_phase_mean_adds_rewards_left_to_right(two_cr_scenario, monkeypatch):
+    # Rewards over many magnitudes, on which one addition per step, left
+    # to right, differs from numpy's pairwise np.sum and from math.fsum
+    # (and from sum() on Python 3.12, which compensates).
+    rng = np.random.default_rng(0)
+    rows = rng.uniform(0, 1, size=(2, 100)) * 10.0 ** rng.integers(-8, 8, (2, 100))
+    expected = [functools.reduce(operator.add, row, 0.0) / 100
+                for row in rows.tolist()]
+    for row, mean in zip(rows, expected):
+        assert mean != np.sum(row) / 100 and mean != math.fsum(row) / 100
+    walk = agent_module._walk_phase
+    monkeypatch.setattr(agent_module, "_walk_phase",
+                        lambda *args: walk(*args)[:3] + (rows,))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(2).spawn(2)]
+    agents = make_agents("table", small_hp(phase_length=100), 14, rngs)
+    records = run_exploration_phase(agents, two_cr_scenario, rngs)
+    assert [record.mean_reward for record in records] == expected
 
 
 def test_stationary_rewards_when_nobody_experiments(two_cr_scenario):
@@ -457,7 +511,15 @@ def _plain_walk(policies, states, draws, outcome_states, rewards, n_actions):
     return columns
 
 
-@pytest.mark.parametrize("n_cr", [2, 3])
+def _check_walk(policies, states, draws, outcome_states, rewards, n_actions):
+    args = (policies, states, draws, outcome_states, rewards, n_actions)
+    columns = _walk_phase(*args)
+    for column, expected in zip(columns, _plain_walk(*args)):
+        assert column.shape == draws.shape
+        np.testing.assert_array_equal(column, expected)
+
+
+@pytest.mark.parametrize("n_cr", [1, 2, 3])
 def test_walk_phase_matches_a_plain_walk(n_cr):
     config = ExperimentConfig(
         env=EnvConfig(n_cr=n_cr, reward_mode="global", tpc_reference="signal"))
@@ -473,11 +535,38 @@ def test_walk_phase_matches_a_plain_walk(n_cr):
                 policies = rng.integers(n_actions, size=(n_cr, 2))
                 draws = np.stack([phase_draws(rng, length, rho, n_actions)
                                   for _ in range(n_cr)])
-                args = (policies, states, draws, outcome_states, rewards, n_actions)
-                columns = _walk_phase(*args)
-                for column, expected in zip(columns, _plain_walk(*args)):
-                    assert column.shape == (n_cr, length)
-                    np.testing.assert_array_equal(column, expected)
+                _check_walk(policies, states, draws, outcome_states, rewards,
+                            n_actions)
+    # paper-length phases whose stretches without an exploring step are far
+    # longer than 2^N: with rho = 0 one stretch spans the phase
+    for rho in (0.0, 0.01):
+        policies = rng.integers(n_actions, size=(n_cr, 2))
+        draws = np.stack([phase_draws(rng, 6250, rho, n_actions)
+                          for _ in range(n_cr)])
+        _check_walk(policies, [1] * n_cr, draws, outcome_states, rewards,
+                    n_actions)
+
+
+def test_walk_phase_follows_a_transient_into_a_cycle():
+    # Three actions, and outcomes under which the policies' map over the
+    # joint states is 0 -> 1 -> 2 -> 3 -> 2: a transient of two steps, then
+    # a 2-cycle. Agent 0 plays 0 in S0 and 1 in S1, agent 1 0 and 2, so
+    # joint states 0, 1, 2 and 3 play the joint actions 0, 2, 3 and 5.
+    rng = np.random.default_rng(7)
+    outcome_states = rng.integers(2, size=(9, 2))
+    outcome_states[[0, 2, 3, 5]] = [[0, 1], [1, 0], [1, 1], [1, 0]]
+    rewards = rng.uniform(0, 5, size=(9, 2))
+    policies = np.array([[0, 1], [0, 2]])
+    for rho in (0.0, 0.01, 0.2):
+        for length in (1, 3, 4, 5, 6250):
+            for start in ([0, 0], [0, 1], [1, 1]):
+                draws = np.stack([phase_draws(rng, length, rho, 3)
+                                  for _ in range(2)])
+                _check_walk(policies, start, draws, outcome_states, rewards, 3)
+    columns = _walk_phase(policies, [0, 0], np.full((2, 7), -1),
+                          outcome_states, rewards, 3)
+    joint = 2 * columns[0][0] + columns[0][1]
+    assert joint.tolist() == [0, 1, 2, 3, 2, 3, 2]
 
 
 def test_make_agents_rejects_unknown_kind():

@@ -238,6 +238,18 @@ def test_bad_input_exits_2(tmp_path, capsys):
         assert simulate(bad, tmp_path / "out", "--workers", workers) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: --workers must be >= 1"]
+    # a directory as the config, and an existing file as the output
+    # directory, fail on the file system: one error line, no traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for command in ("run", "traces"):
+        for args, message in (((tmp_path, tmp_path / "out"), "Is a directory"),
+                              ((bad, taken), "File exists")):
+            assert cli.main([command, "--config", str(args[0]),
+                             "--out", str(args[1])]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert message in err[0]
     out = tmp_path / "pvr"
     assert cli.main(["p-vs-rho", "--config", str(bad), "--out", str(out),
                      "--rhos=-0.5,1.5,3"]) == 2
@@ -342,6 +354,24 @@ def test_diverged_run_prints_no_numpy_warnings(tmp_path, workers):
     assert "over 2 runs, 1 errored" in proc.stdout
     assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].startswith("0,error,")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_report_of_a_diverging_sweep_is_strict_json(tmp_path):
+    """An error row's time is the time its run took until it raised, so
+    report.json holds no NaN; summary.csv keeps the row's NaN reward."""
+    config_path = tmp_path / "dql.json"
+    config_path.write_text(json.dumps(DIVERGING_DQL))
+    out = tmp_path / "out"
+    assert simulate(config_path, out, "--no-artifacts") == 0
+    assert (out / "summary.csv").read_text().splitlines()[1] == "0,error,nan,2"
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    times = report["wall_ms"]["0"]
+    assert len(times) == 2
+    assert all(isinstance(t, float) and t > 0 for t in times)
 
 
 def test_traces_of_a_diverging_run_exit_2(tmp_path, capsys):

@@ -85,6 +85,12 @@ def _restated(q, columns, alpha, gamma):
     return expected
 
 
+def _expand(columns, counts):
+    """Run-length columns written out: entry k repeated counts[k] times."""
+    return tuple([v for v, count in zip(column, counts) for _ in range(count)]
+                 for column in columns)
+
+
 def test_table_update_against_scalar_oracle():
     rng = np.random.default_rng(99)
     q = rng.uniform(0, 10, size=(2, 14)).tolist()
@@ -114,6 +120,7 @@ def test_table_update_row_maximum_that_falls():
     rng = np.random.default_rng(5)
     q = [[100.0, 80.0, 100.0, 60.0, 100.0] + [90.0] * 9,
          rng.choice([70.0, 95.0, 100.0], size=14).tolist()]
+    start = [row[:] for row in q]
     n = 3000
     columns = ([int(v) for v in rng.integers(2, size=n)],
                [int(v) for v in rng.integers(2, size=n)],
@@ -133,6 +140,13 @@ def test_table_update_row_maximum_that_falls():
     table_update(q, *columns, 0.5, 0.9)
     assert q == expected
 
+    # the same updates as runs of 1 to 11 repeats, half of them with
+    # s' == s, read against the repeats written out one by one
+    counts = [int(v) for v in rng.integers(1, 12, size=n)]
+    q = [row[:] for row in start]
+    table_update(q, *columns, 0.5, 0.9, counts=counts)
+    assert q == _restated(start, _expand(columns, counts), 0.5, 0.9)
+
     # a column that fails mid-way keeps its earlier updates, the second of
     # which lowers row 0's maximum from 10.0 to 9.5; the next call reads it
     q = [[10.0, 10.0, 4.0], [9.0, 8.0, 2.0]]
@@ -145,6 +159,56 @@ def test_table_update_row_maximum_that_falls():
     table_update(q, [1], [0], [1], [1.0], alpha=0.5, gamma=0.9)
     assert q == _restated(expected, ([1], [0], [1], [1.0]), 0.5, 0.9)
     assert q[1][1] == scalar_td_update(8.0, 9.5, 1.0, 0.5, 0.9)
+
+
+def test_table_update_run_lengths():
+    # Long s' == s runs on a row maximum: with no reward, entry (0, 0)
+    # falls below the row's next entry mid-run, and a later rewarded run
+    # lifts it above again. A run starts on an exact tie in row 1, and
+    # s' != s runs and runs of one step lie between them.
+    start = [[10.0, 9.0, 5.0, 2.0], [7.0, 7.0, 3.0, 1.0]]
+    columns = ([0, 1, 0, 1, 0, 0, 1],
+               [0, 1, 1, 0, 0, 1, 1],
+               [0, 1, 2, 0, 0, 2, 3],
+               [0.0, 0.25, 0.0, 3.0, 4.0, 1.0, 2.0])
+    counts = [40, 25, 1, 6, 30, 1, 12]
+    q, tops = [row[:] for row in start], []
+    for update in zip(*_expand(columns, counts)):
+        q = _restated(q, [[v] for v in update], 0.7, 0.9)
+        tops.append(q[0][0] == max(q[0]))
+    assert tops[0] and not tops[1] and tops[-1]
+    for alpha in (0.7, 1.0, 0.0):
+        q = [row[:] for row in start]
+        table_update(q, *columns, alpha, 0.9, counts=counts)
+        assert q == _restated(start, _expand(columns, counts), alpha, 0.9)
+
+    # a negative reward at a run's head fails there: the earlier runs stay
+    # applied and the entry is not written
+    q = [row[:] for row in start]
+    with pytest.raises(ValueError, match="nonnegative"):
+        table_update(q, [0, 1, 1], [0, 1, 1], [0, 1, 2], [0.0, -1.0, 1.0],
+                     0.7, 0.9, counts=[5, 3, 2])
+    assert q == _restated(start, ([0] * 5, [0] * 5, [0] * 5, [0.0] * 5), 0.7, 0.9)
+
+    # A run that turns non-finite mid-run: its second repeat overflows. The
+    # entry keeps its first repeat's value, and the run before it stays.
+    q = [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="finite"):
+        table_update(q, [1, 0, 1], [1, 0, 1], [0, 1, 1], [1.0, 1e308, 1.0],
+                     1.0, 0.9, counts=[3, 5, 2])
+    finite = _restated([[0.0, 0.0], [0.0, 0.0]],
+                       ([1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1],
+                        [1.0, 1.0, 1.0, 1e308]), 1.0, 0.9)
+    assert q == finite and q[0][1] == 1e308
+
+    # a counts column of the wrong length, or with an entry below 1, fails
+    # before any update
+    for bad in ([1, 2], [1, 2, 3, 4], [1, 0, 2], [3, -1, 1]):
+        q = [row[:] for row in start]
+        with pytest.raises(ValueError):
+            table_update(q, [0, 1, 0], [0, 1, 1], [0, 1, 2], [1.0, 1.0, 1.0],
+                         0.7, 0.9, counts=bad)
+        assert q == start
 
 
 def test_table_update_validates_rates():
