@@ -41,7 +41,10 @@ networks form one stacked block. The agents share the phase length,
 mini-batch size, step size and target-refresh period, so the phase is
 set up once for all of them and each update is one gradient step of the
 block, the step ``train_minibatch`` takes, in which every network steps
-on its own next mini-batch, bit for bit as it would alone. As for the
+on its own next mini-batch, bit for bit as it would alone. A step sums
+each network's errors per (state, action) and backpropagates the two
+state rows of the sums, which equals the per-sample gradient to
+rounding (see ``qfunc``). As for the
 tables, only the last ``std_window`` updates push; the earlier ones are
 counted, unless every update is recorded. The partial mini-batch carried
 into the next phase is as long for every agent. A phase is at least one

@@ -106,7 +106,13 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_run(args) -> None:
+    if args.run < 0:
+        raise ConfigurationError("--run must be >= 0")
+
+
 def cmd_oracle(args) -> int:
+    _check_run(args)
     config = load_config(args)
     scenario = scenario_for_run(config, 0, args.run)
     result = exhaustive_search(scenario, config.env.reward_mode, tau=config.tau)
@@ -121,8 +127,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_p_vs_rho(args) -> int:
-    config = load_config(args)
     rhos = [float(r) for r in args.rhos.split(",") if r]
+    if not rhos:
+        raise ConfigurationError("--rhos must name at least one probability")
+    config = load_config(args)
     result = sweep_p_vs_rho(config, rhos)
     out = _outdir(config)
     (out / "p_vs_rho.csv").write_text(p_vs_rho_csv(result))
@@ -135,6 +143,7 @@ def cmd_p_vs_rho(args) -> int:
 
 
 def cmd_traces(args) -> int:
+    _check_run(args)
     config = load_config(args)
     scenario = scenario_for_run(config, 0, args.run)
     trace = learn_for_run(config, 0, args.run, scenario, record_updates=True)

@@ -22,45 +22,48 @@ widths are stated there alone. Their weights and biases live in one
 then biases); ``MlpParams.weights`` and ``biases`` are reshaped views of
 it with a leading network axis. A single network is the case N = 1. A
 network only ever sees the two one-hot states, so each parameter set
-runs its forward pass once, on ``eye(2)``, and caches the activations
-and saturated-ReLU masks of both states of every network read-only.
-``q_matrix`` is a lookup in that cache, and a gradient step gathers each
-network's batch rows from it with flat indices instead of running the
-forward pass on the batch.
+runs its forward pass once, for both states, and caches the activations
+and saturated-ReLU masks of both states of every network. The first
+layer's pre-activation is its weights plus its bias, since the one-hot
+rows pick the weight rows. ``q_matrix`` is a lookup in that cache.
+
+For the same reason a gradient step never runs the forward or backward
+pass on a batch. The backward pass is linear in the output errors, and
+every sample enters it through one of two input rows. So network i's
+batch gradient depends on its mini-batch only through D[i, s, a], the
+sum of err / b over its samples at state s and action a. A step builds
+D with one ``np.bincount`` over the samples' flat (network, state,
+action) cells and backpropagates its two rows through the cached
+activations and masks: 2-row matrix products per layer.
 
 Gradient steps come in runs on consecutive mini-batches (``_Descent``).
 A run sets up once what its steps share: the columns are converted and
-checked, rewards and rates included; the flat gather and scatter
-indices of every mini-batch are built; and the gradient buffer, its
-layer views and two parameter buffers are allocated. The targets
-r + gamma * target_max[s'] are computed once for all the steps that
-share the target maxima. Each step does only its own work: the backward
-matmuls over all batch rows into the gradient buffer, one subtraction
-into the parameter buffer the previous step did not write, one
-finiteness check on the block, and the two-state forward pass of the
-new block when its Q matrices are read. The loss is computed only where
-it is used: in ``train_minibatch``'s return value and in a divergence
-error's text. ``train_minibatch`` is a run of one step; a DQL phase
-(``agent.DqlAgents.learn_phase``) is a run of one step per full
-mini-batch, under one ``np.errstate``, with new targets every ``c``
-steps.
+checked, rewards and rates included; the cell of every sample is
+computed, which indexes both its Q-value in the Q matrices and its sum
+in D; and the gradient buffer, its layer views and two parameter sets
+are allocated. The targets r + gamma * target_max[s'] are computed once
+for all the steps that share the target maxima. Each step does only its
+own work: the error sums, the backward products into the gradient
+buffer, one subtraction into the parameter set the previous step did
+not write, one finiteness check on the block, and the two-state forward
+pass of the new block when its Q matrices are read. The loss is
+computed only where it is used: in ``train_minibatch``'s return value
+and in a divergence error's text. ``train_minibatch`` is a run of one
+step; a DQL phase (``agent.DqlAgents.learn_phase``) is a run of one step
+per full mini-batch, under one ``np.errstate``, with new targets every
+``c`` steps.
 
-Training is bit-identical to running the forward pass of each network
-alone over its batch's one-hot rows, as the per-sample formulation
-does. First, each such row equals the matching row of ``eye(2)``, and
-the matrix products compute every output row from its own input row
-alone, in the same order for a 2-row as for a 25-row input. Second, a
-stacked matmul multiplies each network's slice by itself, with the same
-shapes and strides as for that network alone, and every elementwise
-operation and reduction runs along the same axis, so no network's
-results depend on the others or on N. The first property belongs to the
-BLAS build and the layer shapes. It holds on OpenBLAS 0.3.31 (AVX-512
-kernels) for the learner's network at 14 actions and batches of 2 to
-200 rows, and tests/test_qfunc.py pins it, one network and a stack of
-three. On that build it fails for a 2- or 3-wide output layer. It also
-fails for a 1-row input, which numpy multiplies as a matrix-vector
-product, so a 1-row mini-batch may differ from a per-sample pass in the
-last bit. Every configured mini-batch has 25 rows.
+A stacked step is bit-identical to a step of each network alone. A
+stacked matmul multiplies each network's slice with the same shapes and
+strides as for that network alone, each error sum adds its own
+network's samples in sample order, and every elementwise operation and
+reduction runs along the same axis, so no network's results depend on
+the others or on N. The step agrees with the per-sample formulation
+(each sample's one-hot row through the forward pass and its own
+backward pass, added up over the batch by the matrix products) to
+rounding, not bit for bit: both compute the same sums, grouped
+differently. tests/test_qfunc.py pins both, and a two-row step
+restated sum by sum bit for bit.
 """
 
 from __future__ import annotations
@@ -80,9 +83,9 @@ __all__ = [
 
 N_STATES = 2
 
-# One-hot encodings of the states, row s for state s.
-_STATES_ONE_HOT = np.eye(N_STATES)
-_STATES_ONE_HOT.flags.writeable = False
+# the clip ufunc, without ndarray.clip's Python wrapper (numpy 1.x keeps
+# it in np.core, which numpy 2 deprecates)
+_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 
 def table_update(q: list[list[float]], states, next_states, actions, rewards,
@@ -210,44 +213,33 @@ class MlpParams:
         return self.layer_sizes[-1]
 
     def _two_state_pass(self):
-        """Cached forward pass on eye(2): (activations, masks), read-only;
-        see _forward."""
+        """Cached forward pass on both states: (activations, masks); see
+        _forward, also for the np.errstate to call it under."""
         if self._two_state is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                post, masks = _forward(_one_hot_stack(len(self.flat)),
-                                       self.weights, self.biases, self.cap)
-            for a in post + masks:
-                a.flags.writeable = False
-            self._two_state = (post, masks)
+            self._two_state = _forward(self.weights, self.biases, self.cap)
         return self._two_state
 
 
-def _one_hot_stack(n: int) -> np.ndarray:
-    """eye(2) once per network, (n, 2, 2)."""
-    h = np.empty((n, N_STATES, N_STATES))
-    h[...] = _STATES_ONE_HOT
-    return h
+def _forward(weights, biases, cap: float):
+    """Forward pass of stacked networks on the one-hot states 0 and 1:
+    (activations, masks), two tuples.
 
-
-def _forward(h: np.ndarray, weights, biases, cap: float):
-    """Forward pass of stacked networks on the one-hot states h, of shape
-    (N, 2, 2): (activations, masks), two tuples.
-
-    activations[k], of shape (N, 2, width), is the input to layer k for
-    states 0 and 1 (so activations[0] is h and activations[-1] the Q
-    matrices); masks[k] is True where hidden layer k's pre-activation lies
-    inside (0, cap). Diverging networks overflow here; call it under
-    np.errstate(over="ignore", invalid="ignore").
+    activations[k], of shape (N, 2, width), is the output of layer k for
+    both states (so activations[-1] is the Q matrices); masks[k] is True
+    where hidden layer k's pre-activation lies inside (0, cap). The first
+    layer's pre-activation is its weights plus its bias: the one-hot rows
+    of eye(2) pick the weight rows. Diverging networks overflow here;
+    call it under np.errstate(over="ignore", invalid="ignore").
     """
-    post, masks = [h], []
-    last = len(weights) - 1
-    for k, (w, b) in enumerate(zip(weights, biases)):
+    h = weights[0] + biases[0]
+    acts, masks = [], []
+    for w, b in zip(weights[1:], biases[1:]):
+        masks.append((h > 0.0) & (h < cap))
+        acts.append(_clip(h, 0.0, cap, out=h))
         h = h @ w + b
-        if k < last:
-            masks.append((h > 0.0) & (h < cap))
-            h = h.clip(0.0, cap)
-        post.append(h)
-    return tuple(post), tuple(masks)
+    h.flags.writeable = False       # q_matrix hands it out
+    acts.append(h)
+    return tuple(acts), tuple(masks)
 
 
 def init_mlp(rngs, n_actions: int, cap: float) -> MlpParams:
@@ -264,7 +256,8 @@ def init_mlp(rngs, n_actions: int, cap: float) -> MlpParams:
 
 def q_matrix(params: MlpParams) -> np.ndarray:
     """(N, n_states, n_actions) array of current Q estimates, read-only."""
-    return params._two_state_pass()[0][-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return params._two_state_pass()[0][-1]
 
 
 def train_minibatch(params: MlpParams,
@@ -307,11 +300,11 @@ class _Descent:
     The columns, as train_minibatch takes them, hold ``n_updates``
     mini-batches of equal size back to back, update u training every
     network on its own u-th one. What stays fixed across the updates is
-    done once: the checks of the columns and rates, the index arrays of
-    each mini-batch, the gradient buffer and its layer views, and two
-    parameter buffers that the updates write in turn. ``step`` is the one
-    copy of the gradient maths: train_minibatch runs it once, a DQL phase
-    once per full mini-batch. Call targets, step and q under
+    done once: the checks of the columns and rates, the cell of every
+    sample, the gradient buffer and its layer views, and two parameter
+    sets whose blocks the updates write in turn. ``step`` is the one copy
+    of the gradient maths: train_minibatch runs it once, a DQL phase once
+    per full mini-batch. Call targets, step and q under
     np.errstate(over="ignore", invalid="ignore"); diverging networks
     overflow there.
     """
@@ -343,33 +336,24 @@ class _Descent:
             return np.ascontiguousarray(
                 a.reshape(n, n_updates, b).transpose(1, 0, 2))
 
-        # Network i's state s is row 2i + s of the (N * 2, width) reshapes
-        # of the two-state arrays: flat gathers keep every per-network
-        # matrix product the one a single network computes.
+        # Network i's state s is row 2i + s of target_max; the flat
+        # (network, state, action) cell of a sample indexes both its
+        # Q_i(s, a) in the (N, 2, A) Q matrices and its error sum.
         offsets = np.arange(0, N_STATES * n, N_STATES)[:, None]
-        rows = states + offsets
-        self._rows = per_update(rows)
+        self._cells = per_update((states + offsets) * n_actions + actions)
         self._next_rows = per_update(next_states + offsets)
         self._rewards = per_update(rewards)
-        # the flat indices of Q_i(s, a) in the (N, 2, A) Q matrices and of
-        # each sample's entry in the (N, b, A) output delta
-        self._picks = per_update(rows * n_actions + actions)
-        self._spots = (per_update(actions)
-                       + np.arange(0, n * b * n_actions, n_actions).reshape(n, b))
+        self._sums_shape = (n, N_STATES, n_actions)
+        self._n_cells = n * N_STATES * n_actions
 
-        self._sizes, self._cap = params.layer_sizes, params.cap
-        self._one_hot = _one_hot_stack(n)
+        sizes, cap = params.layer_sizes, params.cap
         self._grad = np.empty_like(params.flat)
-        self._grad_w, self._grad_b = _layer_views(self._grad, self._sizes)
-        # the parameter buffers, with their layer views, that the updates
-        # write in turn
-        buffers = [np.empty_like(params.flat) for _ in range(min(n_updates, 2))]
-        self._buffers = [(flat, _layer_views(flat, self._sizes)) for flat in buffers]
-        # the current block and its (weights, biases): the caller's until
-        # the first update
-        self._flat, self._layers = params.flat, (params.weights, params.biases)
-        self._two_state = params._two_state_pass()
-        self._written = 0
+        self._grad_w, self._grad_b = _layer_views(self._grad, sizes)
+        # the parameter sets whose blocks the updates write in turn
+        self._buffers = [MlpParams(np.empty_like(params.flat), sizes, cap)
+                         for _ in range(min(n_updates, 2))]
+        self._params = params       # the current block: the caller's until
+        self._written = 0           # the first update
 
     def targets(self, target_max: np.ndarray, start: int, stop: int) -> np.ndarray:
         """The targets r + gamma * target_max[i, s'] of updates start to
@@ -382,49 +366,45 @@ class _Descent:
         current block, written to a buffer of its own, which becomes the
         current block. Returns the (N, b) errors Q_i(s, a) - y. Raises
         FloatingPointError, keeping the current block, when a network's
-        gradient or updated parameters are not finite."""
-        activations, masks = self._state()
-        rows = self._rows[u]
-        n, b = rows.shape
-        err = activations[-1].take(self._picks[u]) - y
-        delta = np.zeros((n, b, self._sizes[-1]))
-        delta.put(self._spots[u], err / b)
-        weights = self._layers[0]
-        for k in range(len(weights) - 1, -1, -1):
-            x = activations[k].reshape(n * N_STATES, -1).take(rows, axis=0)
-            np.matmul(x.transpose(0, 2, 1), delta, out=self._grad_w[k])
+        gradient or updated parameters are not finite. The backward pass
+        runs on the two state rows of the error sums D (see the module
+        docstring)."""
+        activations, masks = self._params._two_state_pass()
+        cells = self._cells[u]
+        err = activations[-1].take(cells) - y
+        delta = np.bincount(cells.ravel(), (err / err.shape[1]).ravel(),
+                            self._n_cells).reshape(self._sums_shape)
+        weights = self._params.weights
+        for k in range(len(weights) - 1, 0, -1):
+            np.matmul(activations[k - 1].transpose(0, 2, 1), delta,
+                      out=self._grad_w[k])
             np.add.reduce(delta, axis=1, keepdims=True, out=self._grad_b[k])
-            if k > 0:
-                delta = delta @ weights[k].transpose(0, 2, 1)
-                # saturated ReLU: zero subgradient outside (0, cap)
-                delta = delta * masks[k - 1].reshape(n * N_STATES, -1).take(
-                    rows, axis=0)
-        flat, layers = self._buffers[self._written % 2]
-        np.subtract(self._flat, self.alpha * self._grad, out=flat)
-        if not np.isfinite(flat).all():
-            i = int(np.flatnonzero(~np.isfinite(flat).all(axis=1))[0])
+            # saturated ReLU: zero subgradient outside (0, cap)
+            delta = (delta @ weights[k].transpose(0, 2, 1)) * masks[k - 1]
+        # the first layer's input is eye(2), so its weight gradient is delta
+        np.copyto(self._grad_w[0], delta)
+        np.add.reduce(delta, axis=1, keepdims=True, out=self._grad_b[0])
+        new = self._buffers[self._written % 2]
+        new._two_state = None
+        np.subtract(self._params.flat, self.alpha * self._grad, out=new.flat)
+        if not np.isfinite(new.flat).all():
+            i = int(np.flatnonzero(~np.isfinite(new.flat).all(axis=1))[0])
             what = ("gradient" if not np.isfinite(self._grad[i]).all()
                     else "parameter update")
             raise FloatingPointError(
                 f"non-finite {what} (loss={float(_loss(err)[i])!r}, "
                 f"max|err|={float(np.max(np.abs(err[i])))!r}); "
                 "training has diverged")
-        self._flat, self._layers = flat, layers
-        self._two_state = None
+        self._params = new
         self._written += 1
         return err
-
-    def _state(self):
-        """The current block's two-state pass (see _forward)."""
-        if self._two_state is None:
-            self._two_state = _forward(self._one_hot, *self._layers, self._cap)
-        return self._two_state
 
     @property
     def q(self) -> np.ndarray:
         """(N, n_states, n_actions) Q matrices of the current block."""
-        return self._state()[0][-1]
+        return self._params._two_state_pass()[0][-1]
 
     def params(self) -> MlpParams:
-        """The current block."""
-        return MlpParams(self._flat, self._sizes, self._cap)
+        """The current block, with its two-state pass if computed. A later
+        update may overwrite it: take it after the last one."""
+        return self._params

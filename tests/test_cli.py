@@ -255,6 +255,21 @@ def test_bad_input_exits_2(tmp_path, capsys):
                      "--rhos=-0.5,1.5,3"]) == 2
     assert "rho must lie" in capsys.readouterr().err
     assert not out.exists()
+    # an empty rho list is no sweep: it used to write a header-only CSV and
+    # call zero points monotone
+    for rhos in (",", ""):
+        assert cli.main(["p-vs-rho", "--config", str(bad), "--out", str(out),
+                         f"--rhos={rhos}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --rhos must name at least one probability"]
+        assert not out.exists()
+    # a negative run index names the flag, not numpy's seed error
+    for command in ("oracle", "traces"):
+        assert cli.main([command, "--config", str(bad), "--out", str(out),
+                         "--run", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --run must be >= 0"]
+        assert not out.exists()
     assert not (tmp_path / "out").exists()
 
 
