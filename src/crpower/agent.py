@@ -44,14 +44,12 @@ block, the step ``train_minibatch`` takes, in which every network steps
 on its own next mini-batch, bit for bit as it would alone. A step sums
 each network's errors per (state, action) and backpropagates the two
 state rows of the sums, which equals the per-sample gradient to
-rounding (see ``qfunc``). As for the
-tables, only the last ``std_window`` updates push; the earlier ones are
-counted, unless every update is recorded. The partial mini-batch carried
-into the next phase is as long for every agent. A phase is at least one
-mini-batch long, so every phase pushes a snapshot. The first update at
-which any network diverges ends the run with that update's error, the
-one of its lowest-index diverging network, as agents stepping together
-through the phase would.
+rounding (see ``qfunc``). Unlike the tables, a DQL phase is a whole
+number of mini-batches and every update pushes, so each gradient step
+learns from its own phase's columns, under one joint policy and one
+step size. The first update at which any network diverges ends the run
+with that update's error, the one of its lowest-index diverging network,
+as agents stepping together through the phase would.
 """
 
 from __future__ import annotations
@@ -94,7 +92,7 @@ class AgentHyperparams:
     alpha0: float = 0.05            # initial learning rate
     zeta: float = 5.0               # per-phase learning-rate divisor; 1 keeps alpha0
     c: int = 50                     # target refresh period (in updates)
-    minibatch: int = 25
+    minibatch: int = 25             # DQL: steps per gradient update; divides phase_length
     tolerance_multiplier: float = 3.0
     std_window: int = 50
     activation_cap: float = 20.0
@@ -166,7 +164,7 @@ class QValueWindows:
     def skip(self, n: int):
         """Count n pushes without storing them. At least ``window`` pushes
         must follow before the next snapshots call, so that none of the
-        skipped slots is read. Both learners count a phase's updates
+        skipped slots is read. The table learner counts a phase's updates
         before its last ``window`` this way unless every update is
         recorded."""
         self._count += n
@@ -320,20 +318,19 @@ class _AgentBase:
 
 
 class DqlAgents(_AgentBase):
-    """Network-backed learners: one gradient update per full mini-batch,
-    every agent's network stepping in lockstep in one stacked block."""
+    """Network-backed learners: one gradient update per mini-batch, every
+    agent's network stepping in lockstep in one stacked block. A phase is
+    phase_length // minibatch updates; a phase_length that minibatch does
+    not divide raises ValueError."""
 
     def __init__(self, hp, n_actions, rngs, record_updates=False):
+        if hp.phase_length % hp.minibatch:
+            raise ValueError("a DQL phase_length must be a multiple of minibatch")
         super().__init__(hp, n_actions, rngs, record_updates)
         # each generator draws its agent's policy, then its network
         self.params = init_mlp(rngs, n_actions, hp.activation_cap)
         # per network and state, the maximum of the frozen target Q-values
         self.target_max = q_matrix(self.params).max(axis=2)
-        # the partial mini-batch carried to the next phase, as (N, length)
-        # columns: states, next states, actions, rewards
-        n = len(rngs)
-        self.batch: tuple[np.ndarray, ...] = (
-            (np.empty((n, 0), dtype=np.int64),) * 3 + (np.empty((n, 0)),))
         self.updates = 0
 
     def q_values(self) -> np.ndarray:
@@ -341,48 +338,36 @@ class DqlAgents(_AgentBase):
 
     def learn_phase(self, columns):
         """Train the stacked networks in lockstep: update u trains every
-        network on its own u-th mini-batch. The phase's set-up is done
-        once (qfunc._Descent), and the targets once per target refresh;
-        the first update whose step diverges raises its error and leaves
-        the networks, targets and window ring as the update before it
-        left them."""
+        network on its own u-th mini-batch of the phase, and every update
+        pushes. The phase's set-up is done once (qfunc._Descent), and the
+        targets once per target refresh; the first update whose step
+        diverges raises its error and leaves the networks, targets and
+        window ring as the update before it left them."""
         hp = self.hp
-        cols = [np.concatenate([carried, new], axis=1)
-                for carried, new in zip(self.batch, columns)]
         size = hp.minibatch
-        # the step number of column entry 0: the carried entries come first
-        first_step = self.phase * hp.phase_length + 1 - self.batch[0].shape[1]
-        n_full = cols[0].shape[1] // size
-        end = n_full * size
-        descent = _Descent(self.params, *(c[:, :end] for c in cols), n_full,
-                           self.alpha, hp.gamma)
-        # Only the last std_window snapshots can still be in the window ring
-        # at the phase boundary; earlier updates are counted, not pushed,
-        # unless every update is recorded.
-        bulk = max(n_full - hp.std_window, 0) if self.update_records is None else 0
+        n_updates = hp.phase_length // size
+        descent = _Descent(self.params, *columns, n_updates, self.alpha, hp.gamma)
+        # an update is numbered by the step of its mini-batch's last entry
+        first_step = self.phase * hp.phase_length + size
+        actions = columns[2][:, size - 1::size].T.tolist()
         stop = 0
         # diverging networks overflow; their step raises
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for u in range(n_full):
+                for u in range(n_updates):
                     if u == stop:
                         # the targets of the updates up to the next refresh
                         start = u
-                        stop = min(u + hp.c - self.updates % hp.c, n_full)
+                        stop = min(u + hp.c - self.updates % hp.c, n_updates)
                         targets = descent.targets(self.target_max, start, stop)
                     descent.step(u, targets[u - start])
                     self.updates += 1
                     q = descent.q
                     if self.updates % hp.c == 0:
                         self.target_max = q.max(axis=2)
-                    if u < bulk:
-                        self.windows.skip(1)
-                    else:
-                        last = (u + 1) * size - 1
-                        self._push(q, first_step + last, cols[2][:, last].tolist())
+                    self._push(q, first_step + u * size, actions[u])
             finally:
                 self.params = descent.params()
-        self.batch = tuple(c[:, end:].copy() for c in cols)
 
 
 class TableAgents(_AgentBase):

@@ -124,6 +124,11 @@ class ExperimentConfig:
         if self.learner == "table" and any(hp.alpha0 > 1.0 for hp in self.agent):
             raise ConfigurationError(
                 "agent key 'alpha0' must be <= 1 for the table learner")
+        # each DQL gradient step learns from one phase's columns alone
+        if self.learner == "dql" and any(hp.phase_length % hp.minibatch
+                                         for hp in self.agent):
+            raise ConfigurationError("agent key 'phase_length' must be a "
+                                     "multiple of 'minibatch' for the DQL learner")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be >= 0")
         if not 0.0 <= self.tau < 1.0:
@@ -365,13 +370,14 @@ def sweep_p_vs_rho(config: ExperimentConfig, rhos, run: int = 0) -> dict:
     """Phase-change probability against experimentation rate.
 
     Uses the oracle's best joint action as the S0-keeping policy on the
-    run's scenario.
+    run's scenario. The rows are in rho order, whatever order ``rhos``
+    gives them in.
     """
     scenario = scenario_for_run(config, 0, run)
     oracle = exhaustive_search(scenario, config.env.reward_mode, tau=config.tau)
-    rows = [{"rho": float(rho),
+    rows = [{"rho": rho,
              "p": phase_change_probability(scenario, oracle.best_joint_action, rho)}
-            for rho in rhos]
+            for rho in sorted(map(float, rhos))]
     return {
         "policy": list(oracle.best_joint_action),
         "rows": rows,

@@ -50,8 +50,8 @@ pass of the new block when its Q matrices are read. The loss is
 computed only where it is used: in ``train_minibatch``'s return value
 and in a divergence error's text. ``train_minibatch`` is a run of one
 step; a DQL phase (``agent.DqlAgents.learn_phase``) is a run of one step
-per full mini-batch, under one ``np.errstate``, with new targets every
-``c`` steps.
+per mini-batch, under one ``np.errstate``, with new targets every ``c``
+steps.
 
 A stacked step is bit-identical to a step of each network alone. A
 stacked matmul multiplies each network's slice with the same shapes and
@@ -304,7 +304,7 @@ class _Descent:
     sample, the gradient buffer and its layer views, and two parameter
     sets whose blocks the updates write in turn. ``step`` is the one copy
     of the gradient maths: train_minibatch runs it once, a DQL phase once
-    per full mini-batch. Call targets, step and q under
+    per mini-batch. Call targets, step and q under
     np.errstate(over="ignore", invalid="ignore"); diverging networks
     overflow there.
     """

@@ -185,6 +185,38 @@ def test_dql_updates_per_phase(two_cr_scenario):
     assert agents.updates == 250
 
 
+def test_dql_phase_is_whole_mini_batches(two_cr_scenario):
+    # a DQL phase is phase_length // minibatch updates on its own columns,
+    # so a phase that leaves a partial mini-batch is rejected; the table
+    # learner takes it
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(2)]
+    hp = small_hp(phase_length=110, minibatch=25)
+    with pytest.raises(ValueError, match="phase_length must be a multiple"):
+        make_agents("dql", hp, 14, rngs)
+    agents = make_agents("table", hp, 14, rngs)
+    run_exploration_phase(agents, two_cr_scenario, rngs)
+    assert agents.windows.filled == 50
+
+
+@pytest.mark.parametrize("n_cr", [2, 3])
+def test_recorded_dql_run_pushes_as_an_unrecorded_one(n_cr):
+    # Every DQL update pushes its snapshot, recorded or not: 80 updates per
+    # phase against a 30-snapshot window, target refreshes every 3 updates
+    config = ExperimentConfig(
+        env=EnvConfig(n_cr=n_cr, reward_mode="global", tpc_reference="signal"))
+    scenario = scenario_for_run(config, 0, 3)
+    hp = small_hp(phase_length=2000, n_phases=3, c=3, std_window=30)
+    plain, traced = (run_learning(scenario, hp, np.random.SeedSequence(13),
+                                  "dql", record_updates=recorded)
+                     for recorded in (False, True))
+    assert plain.agents.windows.filled == traced.agents.windows.filled == 30
+    np.testing.assert_array_equal(plain.agents.windows.snapshots(),
+                                  traced.agents.windows.snapshots())
+    assert ([[rec.to_jsonable() for rec in recs] for recs in plain.phase_records]
+            == [[rec.to_jsonable() for rec in recs] for recs in traced.phase_records])
+    assert [len(records) for records in traced.agents.update_records] == [240] * n_cr
+
+
 def test_table_one_update_per_step(two_cr_scenario):
     hp = small_hp(phase_length=120)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(1).spawn(2)]
@@ -289,13 +321,16 @@ def test_lambda_one_policy_never_changes(two_cr_scenario):
             assert not rec.changed
 
 
-@pytest.mark.parametrize("learner", ["table", "dql"])
-@pytest.mark.parametrize("phase_length", [25, 26], ids=["one-batch", "carried"])
+@pytest.mark.parametrize("learner, phase_length", [
+    pytest.param("table", 25, id="one-batch-table"),
+    pytest.param("dql", 25, id="one-batch-dql"),
+    pytest.param("table", 26, id="uneven-table"),
+])
 def test_every_phase_pushes_a_window_snapshot(two_cr_scenario, learner,
                                               phase_length):
     # A phase covers at least one mini-batch, so every phase boundary reads
-    # a window that this phase added to; at 26 steps a partial mini-batch
-    # carries into each next phase.
+    # a window that this phase added to; the table learner also takes a
+    # phase that is no multiple of the mini-batch.
     hp = small_hp(phase_length=phase_length, minibatch=25, n_phases=8)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(7).spawn(2)]
     agents = make_agents(learner, hp, 14, rngs)
@@ -339,9 +374,7 @@ def test_full_determinism(two_cr_scenario):
 
 
 def test_update_records_schema(two_cr_scenario):
-    # 110-step phases: the second phase's first mini-batch starts with the
-    # 10 steps the first one carried
-    hp = small_hp(phase_length=110, minibatch=25, n_phases=2)
+    hp = small_hp(phase_length=100, minibatch=25, n_phases=2)
     trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(8),
                          "dql", record_updates=True)
     recs = trace.agents.update_records[0]
@@ -711,17 +744,17 @@ def reference_run(scenario, hp, seed_seq, learner, n_restarts=None,
 
 # case -> (small_hp overrides, record_updates): every update recorded; the
 # table's fast window path; a phase that is no multiple of the mini-batch,
-# so a partial batch carries over and the DQL window ring spans phases
+# which the table learner alone takes
 REFERENCE_CASES = {
     "recorded": (dict(phase_length=100), True),
     "unrecorded": (dict(phase_length=100), False),
-    "carried": (dict(phase_length=110, minibatch=25), False),
+    "uneven": (dict(phase_length=110, minibatch=25), False),
     # thousands of bulk updates per table before the window tail
     "long": (dict(phase_length=2000, n_phases=2), False),
-    # 80 updates per phase against the 30-snapshot window, so the earlier
-    # ones are counted, not pushed; a partial mini-batch carried over; and
-    # target refreshes every 3 updates, whose periods span phase boundaries
-    "dql-long": (dict(phase_length=2010, n_phases=2, c=3), False),
+    # 80 updates per phase against the 30-snapshot window, so the ring
+    # wraps within a phase, and target refreshes every 3 updates, whose
+    # periods span phase boundaries (80 is no multiple of 3)
+    "dql-long": (dict(phase_length=2000, n_phases=2, c=3), False),
 }
 
 
@@ -729,7 +762,8 @@ REFERENCE_CASES = {
     *(pytest.param(learner, restarts, case, 2, id="-".join(
         [str(restarts), learner] + ([case] if case != "recorded" else [])))
       for case in REFERENCE_CASES if "long" not in case
-      for restarts in (False, True) for learner in ("table", "dql")),
+      for restarts in (False, True) for learner in ("table", "dql")
+      if case != "uneven" or learner == "table"),
     pytest.param("table", False, "long", 2, id="False-table-long"),
     pytest.param("dql", False, "dql-long", 2, id="False-dql-long"),
     pytest.param("dql", False, "dql-long", 3, id="False-dql-long-n3"),
@@ -738,7 +772,7 @@ REFERENCE_CASES = {
     *(pytest.param(learner, False, case, 3, id="-".join(
         [f"False-{learner}"] + ([case] if case != "recorded" else []) + ["n3"]))
       for learner, cases in (("table", ("recorded", "unrecorded")),
-                             ("dql", ("recorded", "carried")))
+                             ("dql", ("recorded",)))
       for case in cases),
     pytest.param("dql", False, "diverging", None, id="False-dql-diverging"),
 ])

@@ -152,6 +152,9 @@ def test_errored_run_is_recorded_and_gets_no_artifacts(config_path, tmp_path,
     assert "over 3 runs, 1 errored" in out_text
 
 
+UNEVEN_DQL = dict(DQL, agent=dict(DQL["agent"], phase_length=110, minibatch=25))
+
+
 def test_bad_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(CONFIG, learner="sarsa")))
@@ -207,6 +210,9 @@ def test_bad_input_exits_2(tmp_path, capsys):
             # learner's step size is at most 1 (a network's is not bounded)
             (dict(CONFIG, agent=dict(CONFIG["agent"], alpha0=1.5)),
              "agent key 'alpha0' must be <= 1 for the table learner"),
+            # a DQL phase is a whole number of mini-batches
+            (UNEVEN_DQL, "agent key 'phase_length' must be a multiple of "
+                         "'minibatch' for the DQL learner"),
             (dict(CONFIG, env=dict(CONFIG["env"], n_cr=6)),
              "over the outcome tensor budget"),
             (dict(CONFIG, tau=2.0), "tau must lie in [0, 1)"),
@@ -225,8 +231,11 @@ def test_bad_input_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
             assert message in err[0]
-    # the network learner loads the step size the table learner rejects
+    # the network learner loads the step size the table learner rejects,
+    # and the table learner runs the phase length the network rejects
     harness.ExperimentConfig.from_dict(dict(DQL, agent=dict(DQL["agent"], alpha0=1.5)))
+    bad.write_text(json.dumps(dict(UNEVEN_DQL, learner="table")))
+    assert simulate(bad, tmp_path / "uneven-table") == 0
     bad.write_text(json.dumps(CONFIG))
     for command in ("run", "traces"):
         assert cli.main([command, "--config", str(bad), "--seed", "-2",
@@ -337,6 +346,23 @@ def test_confidence_bounds_are_plain_floats(config_path, tmp_path):
     for row in rows:
         for cell in row.split(","):
             float(cell)
+
+
+def test_p_vs_rho_rows_are_in_rho_order(config_path, tmp_path, capsys):
+    # p rises with rho on this scenario; given out of order, the rhos used
+    # to be judged in the order given, which read "NOT monotone"
+    out = tmp_path / "out"
+    assert cli.main(["p-vs-rho", "--config", str(config_path), "--out", str(out),
+                     "--seed", "5", "--rhos=0.4,0.1,0.2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "rho=0.100", "rho=0.200", "rho=0.400", "monotone"]
+    assert lines[-1] == "monotone nondecreasing"
+    header, *rows = (out / "p_vs_rho.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["0.1", "0.2", "0.4"]
+    result = json.loads((out / "p_vs_rho.json").read_text())
+    assert [row["rho"] for row in result["rows"]] == [0.1, 0.2, 0.4]
+    assert result["nondecreasing"] is True
 
 
 # Run 0 of this sweep diverges (FloatingPointError in train_minibatch).
