@@ -104,14 +104,13 @@ class AgentHyperparams:
             raise ValueError("lambda must lie in [0, 1]")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.phase_length < self.minibatch:
-            raise ValueError("phase must cover at least one mini-batch")
         # written so that NaN fails too
         if not self.zeta >= 1.0:
             raise ValueError("zeta must be >= 1")
         if not all(x > 0 for x in (
-                self.n_phases, self.alpha0, self.c, self.minibatch,
-                self.tolerance_multiplier, self.std_window, self.activation_cap)):
+                self.phase_length, self.n_phases, self.alpha0, self.c,
+                self.minibatch, self.tolerance_multiplier, self.std_window,
+                self.activation_cap)):
             raise ValueError("counts, rates, windows and the activation cap "
                              "must be positive")
 

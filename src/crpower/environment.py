@@ -10,7 +10,10 @@ per link or summed over links (global mode).
 
 The joint action space is small (|A|^N), so a scenario evaluates all of it
 at once into one outcome tensor; the oracle, the learning loop and the
-phase-change probability all read from that tensor.
+phase-change probability all read from that tensor. A throughput takes
+one of a few AMC levels, so the tensor's rewards are scalar pows taken
+once per AMC mode (local) and once per distinct combination of the
+links' modes (global), not once per row.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from . import channel
-from .channel import ChannelGains, all_sinrs, dbm_to_mw, mw_to_dbm, received_power_mw
-from .link_adaptation import AmcTable, relative_throughput_change, throughput
+from .channel import ChannelGains, all_sinrs, dbm_to_mw, received_power_mw
+from .link_adaptation import AmcTable, amc_mode, relative_throughput_change
+from .qfunc import _clip
 from .topology import ConfigurationError, GridSpec, NodePlacement, sample_placement
 
 __all__ = [
@@ -49,6 +53,11 @@ PN_POWER_TOL_DB = 0.01          # and its per-AP convergence tolerance
 # Largest outcome tensor outcome_tensor() builds, in bytes of its peak
 # working set; the joint action space grows as |A|^N.
 OUTCOME_MEMORY_BUDGET = 1 << 30
+
+# Most slots of the table _rewards keys rows into by their AMC modes:
+# 16^5, the default AMC table at N = 5. Beyond it (large custom tables)
+# each row's global reward is taken on its own.
+REWARD_KEY_SLOTS_MAX = 16 ** 5
 
 
 @dataclass(frozen=True)
@@ -205,17 +214,22 @@ def pn_power_control(gains: ChannelGains,
     by target/SINR, clipped to [-20, 40] dBm, until no AP moves by
     PN_POWER_TOL_DB. Returns the powers in dBm and whether that happened
     within PN_POWER_MAX_ITERS; an infeasible target rails the powers.
+
+    The loop runs on ufuncs alone (the dBm/mW conversions inline, the
+    clip ufunc, maximum.reduce): on a few primary links numpy's Python
+    wrappers (np.clip, np.max, np.asarray) cost more than the arithmetic.
     """
     target = 10.0 ** (target_sinr_db / 10.0)
     own_gain = np.diag(gains.g_pp)
+    g_pp_t, noise = gains.g_pp.T, gains.noise_power_mw
     p_dbm = np.zeros(gains.n_pn)
     for _ in range(PN_POWER_MAX_ITERS):
-        p_mw = dbm_to_mw(p_dbm)
+        p_mw = 10.0 ** (p_dbm / 10.0)
         signal = own_gain * p_mw
-        sinr = signal / (gains.g_pp.T @ p_mw - signal + gains.noise_power_mw)
-        new_dbm = np.clip(mw_to_dbm(p_mw * (target / sinr)),
-                          PN_POWER_MIN_DBM, PN_POWER_MAX_DBM)
-        if np.max(np.abs(new_dbm - p_dbm)) < PN_POWER_TOL_DB:
+        sinr = signal / (g_pp_t @ p_mw - signal + noise)
+        new_dbm = _clip(10.0 * np.log10(p_mw * (target / sinr)),
+                        PN_POWER_MIN_DBM, PN_POWER_MAX_DBM)
+        if np.maximum.reduce(np.abs(new_dbm - p_dbm)) < PN_POWER_TOL_DB:
             return new_dbm, True
         p_dbm = new_dbm
     return p_dbm, False
@@ -243,6 +257,9 @@ class Outcomes:
     Row k of every array belongs to joint_actions[k]. In the full tensor
     of outcome_tensor() the rows are all |A|^N joint actions in
     lexicographic order, so row k is the joint action with flat index k.
+    A reward in S0 is the scalar pow 10.0 ** v of the link's AMC level
+    (local) or of the row's float throughput sum (global), bit for bit
+    whether the row is evaluated alone or in a block.
     """
 
     joint_actions: np.ndarray        # (K, N) action indices
@@ -263,28 +280,43 @@ class Outcomes:
         raise ValueError(f"unknown reward mode {mode!r}")
 
 
-def _pow10(x: np.ndarray) -> np.ndarray:
-    """10**x elementwise with the scalar pow, taken once per distinct value.
+def _representatives(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """Indices of one element per distinct value of keys, ints in
+    [0, n_keys): whichever element lands in that key's slot."""
+    elements = np.arange(keys.size)
+    slot = np.empty(n_keys, dtype=np.intp)
+    slot[keys] = elements
+    return np.flatnonzero(slot[keys] == elements)
 
-    numpy's vectorised pow can differ from the scalar one in the last bit;
-    rewards are defined by the scalar pow. Throughputs take a few AMC
-    levels only, so there are few distinct exponents.
+
+def _rewards(states: np.ndarray, modes: np.ndarray, tputs: np.ndarray):
+    """Per-agent (local, global) rewards of each row of a (K, N) block.
+
+    modes are the amc_mode indices of the SN links and tputs their
+    throughputs in Mbps. A reward is zero whenever the agent's own state
+    is S1; otherwise 10.0 ** T with T its own throughput (local) or the
+    row's float sum over all SN links (global). Rewards are defined by the
+    scalar pow, which numpy's vectorised pow can miss in the last bit, so
+    it is taken once per AMC mode (local) and once per distinct row of
+    modes, keyed by the modes read as digits (global). Rows with equal
+    modes have equal throughputs and sums, so one row stands for all.
     """
-    values, inverse = np.unique(x, return_inverse=True)
-    powers = np.array([10.0 ** v for v in values])
-    return powers[inverse.ravel()].reshape(np.shape(x))
-
-
-def _rewards(states: np.ndarray, tputs: np.ndarray):
-    """Per-agent (local, global) rewards of each row of states/throughputs.
-
-    Zero whenever the agent's own state is S1; otherwise 10^T with T its
-    own throughput (local) or the sum over all SN links (global), in Mbps.
-    """
+    k, n = modes.shape
+    base = int(modes.max()) + 1
+    if base ** n <= REWARD_KEY_SLOTS_MAX:
+        row_keys, n_keys = np.ravel_multi_index(modes.T, (base,) * n), base ** n
+    else:
+        row_keys, n_keys = np.arange(k), k
+    rows = _representatives(row_keys, n_keys)
+    row_pow = np.empty(n_keys)
+    row_pow[row_keys[rows]] = [10.0 ** v for v in tputs[rows].sum(axis=-1)]
+    rep_modes, rep_tputs = modes[rows].ravel(), tputs[rows].ravel()
+    links = _representatives(rep_modes, base)
+    mode_pow = np.empty(base)
+    mode_pow[rep_modes[links]] = [10.0 ** v for v in rep_tputs[links]]
     s0 = states == STATE_S0
-    local = np.where(s0, _pow10(tputs), 0.0)
-    global_ = np.where(s0, _pow10(tputs.sum(axis=-1))[..., None], 0.0)
-    return local, global_
+    return (np.where(s0, mode_pow[modes], 0.0),
+            np.where(s0, row_pow[row_keys][:, None], 0.0))
 
 
 def _evaluate(scenario: Scenario, joint_actions) -> Outcomes:
@@ -306,8 +338,9 @@ def _evaluate(scenario: Scenario, joint_actions) -> Outcomes:
         i_db = 10.0 * np.log10(interference_mw / reference_mw[monitored])
     tpc = np.abs(relative_throughput_change(i_db, scenario.amc))
     states = np.where(tpc <= scenario.config.epsilon, STATE_S0, STATE_S1)
-    tputs = throughput(sn, scenario.amc)
-    local, global_ = _rewards(states, tputs)
+    modes = amc_mode(sn, scenario.amc)
+    tputs = scenario.amc.mode_throughputs_mbps[modes]
+    local, global_ = _rewards(states, modes, tputs)
     return Outcomes(
         joint_actions=joint,
         states=states,

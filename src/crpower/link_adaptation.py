@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
 __all__ = [
     "AmcTable",
+    "amc_mode",
     "throughput",
     "relative_throughput_change",
     "shannon_reference_table",
@@ -61,6 +63,13 @@ class AmcTable:
         object.__setattr__(self, "snr_thresholds_db", thr)
         object.__setattr__(self, "spectral_efficiencies", eff)
 
+    @cached_property
+    def mode_throughputs_mbps(self) -> np.ndarray:
+        """Throughput in Mbps of each amc_mode index: 0 for no mode, then
+        one entry per table row."""
+        return (np.concatenate(([0.0], self.spectral_efficiencies))
+                * self.bandwidth_hz / 1e6)
+
     @staticmethod
     def from_csv(path, **kwargs) -> "AmcTable":
         """Load rows from a CSV with header ``snr_db,spectral_efficiency``."""
@@ -79,22 +88,30 @@ class AmcTable:
             return AmcTable.from_csv(path, **kwargs)
 
 
-def throughput(sinr, table: AmcTable):
-    """Throughput in Mbps of the best AMC mode each SINR supports.
+def amc_mode(sinr, table: AmcTable):
+    """Index of the best AMC mode each SINR supports: 0 below the lowest
+    threshold, else 1 + the table row.
 
-    Zero below the lowest threshold; the table is evaluated on the SINR in
-    dB, so sinr must be a nonnegative linear ratio. Elementwise over
-    arrays; a scalar gives a scalar.
+    The table is evaluated on the SINR in dB, so sinr must be a
+    nonnegative linear ratio. Elementwise over arrays; a scalar gives a
+    scalar.
     """
     sinr = np.asarray(sinr, dtype=float)
     if np.any(sinr < 0):
         raise ValueError("SINR must be a nonnegative linear ratio")
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(sinr)          # -inf for a silent link
-    # mode index + 1; 0 means below the lowest threshold, i.e. no mode
-    mode = np.searchsorted(table.snr_thresholds_db, sinr_db, side="right")
-    efficiency = np.concatenate(([0.0], table.spectral_efficiencies))[mode]
-    return efficiency * table.bandwidth_hz / 1e6
+    return np.searchsorted(table.snr_thresholds_db, sinr_db, side="right")
+
+
+def throughput(sinr, table: AmcTable):
+    """Throughput in Mbps of the best AMC mode each SINR supports.
+
+    table.mode_throughputs_mbps indexed by amc_mode, so zero below the
+    lowest threshold; sinr must be a nonnegative linear ratio.
+    Elementwise over arrays; a scalar gives a scalar.
+    """
+    return table.mode_throughputs_mbps[amc_mode(sinr, table)]
 
 
 def relative_throughput_change(interference_over_noise_db, table: AmcTable):

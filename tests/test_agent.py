@@ -31,6 +31,7 @@ from crpower.harness import (
     scenario_for_run,
 )
 from crpower.qfunc import MlpParams, init_mlp, q_matrix, train_minibatch
+from crpower.topology import ConfigurationError
 
 
 def small_hp(**over):
@@ -151,8 +152,15 @@ def test_hyperparams_validation():
         small_hp(lam=1.5)
     with pytest.raises(ValueError):
         small_hp(gamma=0.0)
-    with pytest.raises(ValueError):
-        small_hp(phase_length=10, minibatch=25)
+    # a phase shorter than a mini-batch is the table learner's business
+    # alone: the DQL learner rejects it at load, as any phase_length that
+    # minibatch does not divide
+    assert small_hp(phase_length=10, minibatch=25).phase_length == 10
+    with pytest.raises(ConfigurationError, match="phase_length"):
+        ExperimentConfig.from_dict({"learner": "dql", "agent": {
+            "phase_length": 10, "minibatch": 25, "n_phases": 2}})
+    with pytest.raises(ValueError, match="must be positive"):
+        small_hp(phase_length=0)
     with pytest.raises(ValueError):
         small_hp(zeta=0.5)
     with pytest.raises(ValueError, match="activation cap"):

@@ -365,6 +365,17 @@ def test_p_vs_rho_rows_are_in_rho_order(config_path, tmp_path, capsys):
     assert result["nondecreasing"] is True
 
 
+def test_table_phase_shorter_than_a_minibatch_runs(tmp_path):
+    # the table learner takes no mini-batches, so a 10-step phase (under
+    # the default minibatch of 25) is a valid table run
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"learner": "table", "agent": {
+        "phase_length": 10, "n_phases": 2}}))
+    assert simulate(config, tmp_path / "out") == 0
+    header, *rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert rows and all(",error," not in row for row in rows)
+
+
 # Run 0 of this sweep diverges (FloatingPointError in train_minibatch).
 DIVERGING_DQL = {
     "learner": "dql",

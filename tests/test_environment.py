@@ -131,14 +131,15 @@ def test_phase_change_probe_rejects_bad_input():
 
 
 def test_reward_zero_iff_s1(one_ap_one_cr):
-    # the rewards of one row: agent 0 in S0, agent 1 in S1
-    local, global_ = _rewards(np.array([STATE_S0, STATE_S1]),
-                              np.array([1.0, 0.5]))
-    assert local[1] == 0.0
-    assert global_[1] == 0.0
-    assert local[0] == pytest.approx(10.0)
+    # the rewards of one row: agent 0 in S0, agent 1 in S1, on AMC
+    # modes 3 and 2 with throughputs 1.0 and 0.5 Mbps
+    local, global_ = _rewards(np.array([[STATE_S0, STATE_S1]]),
+                              np.array([[3, 2]]), np.array([[1.0, 0.5]]))
+    assert local[0, 1] == 0.0
+    assert global_[0, 1] == 0.0
+    assert local[0, 0] == pytest.approx(10.0)
     # global: 10^(1.0 + 0.5)
-    assert global_[0] == pytest.approx(31.6227766, rel=1e-8)
+    assert global_[0, 0] == pytest.approx(31.6227766, rel=1e-8)
     with pytest.raises(ValueError):
         one_ap_one_cr.outcomes.rewards("other")
 
@@ -238,26 +239,30 @@ def test_scenario_rejects_pn_powers_out_of_range():
 
 def test_outcome_tensor_matches_row_evaluation():
     rng = np.random.default_rng(8)
-    for mode in ("local", "global"):
-        for reference in ("noise", "signal"):
-            sc = build_scenario(GridSpec(), EnvConfig(reward_mode=mode,
-                                                      tpc_reference=reference),
-                                AmcTable.default(), rng)
-            out = sc.outcomes
-            assert out is sc.outcomes                  # built once per scenario
-            assert out.states.shape == (196, 2)
-            for k in range(196):
-                joint = (k // 14, k % 14)              # lexicographic order
-                assert tuple(out.joint_actions[k]) == joint
-                row = _evaluate(sc, [joint])
-                np.testing.assert_array_equal(out.states[k], row.states[0])
-                np.testing.assert_array_equal(out.sn_throughputs_mbps[k],
-                                              row.sn_throughputs_mbps[0])
-                np.testing.assert_array_equal(out.tpc_magnitudes[k],
-                                              row.tpc_magnitudes[0])
-                for i in range(2):
-                    for m in ("local", "global"):
-                        assert out.rewards(m)[k, i] == row.rewards(m)[0, i]
+    for n_cr in (2, 3):
+        rows = 14 ** n_cr
+        for mode in ("local", "global"):
+            for reference in ("noise", "signal"):
+                sc = build_scenario(GridSpec(),
+                                    EnvConfig(n_cr=n_cr, reward_mode=mode,
+                                              tpc_reference=reference),
+                                    AmcTable.default(), rng)
+                out = sc.outcomes
+                assert out is sc.outcomes              # built once per scenario
+                assert out.states.shape == (rows, n_cr)
+                # lexicographic order
+                joints = np.array(np.unravel_index(np.arange(rows),
+                                                   (14,) * n_cr)).T
+                np.testing.assert_array_equal(out.joint_actions, joints)
+                # each row evaluated alone (every fifth at N = 3)
+                picked = range(0, rows, 1 if n_cr == 2 else 5)
+                alone = [_evaluate(sc, joints[k:k + 1]) for k in picked]
+                for name in ("states", "sn_throughputs_mbps",
+                             "tpc_magnitudes", "local_rewards",
+                             "global_rewards"):
+                    np.testing.assert_array_equal(
+                        getattr(out, name)[picked],
+                        np.concatenate([getattr(row, name) for row in alone]))
     with pytest.raises(ValueError):
         out.rewards("other")
 
@@ -266,16 +271,54 @@ def test_rewards_use_scalar_pow():
     # the learners' rewards are 10.0 ** np.float64 exactly, not the
     # vectorised pow, which may differ in the last bit
     rng = np.random.default_rng(10)
-    sc = build_scenario(GridSpec(), EnvConfig(tpc_reference="signal"),
-                        AmcTable.default(), rng)
-    out = sc.outcomes
-    for k in range(0, 196, 5):
-        tputs = out.sn_throughputs_mbps[k]
-        for i in range(2):
-            s0 = out.states[k, i] == STATE_S0
-            assert out.local_rewards[k, i] == (10.0 ** tputs[i] if s0 else 0.0)
-            assert out.global_rewards[k, i] == (10.0 ** np.sum(tputs)
-                                                if s0 else 0.0)
+    for n_cr in (2, 3):
+        for mode in ("local", "global"):
+            for reference in ("noise", "signal"):
+                sc = build_scenario(GridSpec(),
+                                    EnvConfig(n_cr=n_cr, reward_mode=mode,
+                                              tpc_reference=reference),
+                                    AmcTable.default(), rng)
+                out = sc.outcomes
+                for k in range(0, 14 ** n_cr, 5):
+                    tputs = out.sn_throughputs_mbps[k]
+                    for i in range(n_cr):
+                        s0 = out.states[k, i] == STATE_S0
+                        assert out.local_rewards[k, i] == (
+                            10.0 ** tputs[i] if s0 else 0.0)
+                        assert out.global_rewards[k, i] == (
+                            10.0 ** np.sum(tputs) if s0 else 0.0)
+
+
+def test_equal_sums_of_different_modes_get_equal_global_rewards():
+    # modes (1, 4), (2, 3) and (4, 1) at 0.25, 0.5, 0.75 and 1.0 Mbps all
+    # sum to 1.25 exactly: three mode keys, one reward
+    levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    modes = np.array([[1, 4], [2, 3], [4, 1], [2, 2]])
+    states = np.array([[STATE_S0, STATE_S0]] * 3 + [[STATE_S0, STATE_S1]])
+    local, global_ = _rewards(states, modes, levels[modes])
+    np.testing.assert_array_equal(global_[:3], 10.0 ** np.float64(1.25))
+    assert global_[3, 0] == 10.0 ** np.float64(1.0) and global_[3, 1] == 0.0
+    np.testing.assert_array_equal(
+        local[:3], [[10.0 ** levels[a] for a in row] for row in modes[:3]])
+    assert local[3, 0] == 10.0 ** levels[2] and local[3, 1] == 0.0
+
+
+def test_rewards_do_not_depend_on_the_mode_key_table(monkeypatch):
+    # past REWARD_KEY_SLOTS_MAX (large AMC tables) every row's global
+    # reward is taken on its own; the values are the same
+    from crpower import environment
+    rng = np.random.default_rng(13)
+    for n_cr in (2, 3):
+        sc = build_scenario(GridSpec(), EnvConfig(n_cr=n_cr,
+                                                  tpc_reference="signal"),
+                            AmcTable.default(), rng)
+        keyed = outcome_tensor(sc)
+        monkeypatch.setattr(environment, "REWARD_KEY_SLOTS_MAX", 1)
+        per_row = outcome_tensor(sc)
+        monkeypatch.undo()
+        for name in ("local_rewards", "global_rewards"):
+            np.testing.assert_array_equal(getattr(per_row, name),
+                                          getattr(keyed, name))
 
 
 def test_outcome_tensor_memory_budget(monkeypatch):
