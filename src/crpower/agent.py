@@ -34,17 +34,19 @@ window ring at once, in lockstep. The table learners apply, per agent,
 the updates whose snapshots cannot reach the phase boundary's ring in
 one in-place temporal-difference pass, which takes each run of equal
 consecutive updates as one entry and its length (``table_update``'s
-``counts``); each of the last ``std_window`` steps then updates every
-table and pushes. The phase's mean rewards add each agent's rewards left
-to right, one addition per step. The
-networks form one stacked block. The agents share the phase length,
-mini-batch size, step size and target-refresh period, so the phase is
-set up once for all of them and each update is one gradient step of the
-block, the step ``train_minibatch`` takes, in which every network steps
-on its own next mini-batch, bit for bit as it would alone. A step sums
-each network's errors per (state, action) and backpropagates the two
-state rows of the sums, which equals the per-sample gradient to
-rounding (see ``qfunc``). Unlike the tables, a DQL phase is a whole
+``counts``). A second pass per agent applies the last ``std_window``
+steps (every step, when updates are recorded) one entry each and
+collects the value each wrote; the tables after each of those steps
+are then rebuilt at once from those values and pushed in step order.
+The phase's mean rewards add each agent's rewards left to right, one
+addition per step. The networks form one stacked block. The agents
+share the phase length, mini-batch size, step size and target-refresh
+period, so the phase is set up once for all of them and each update is
+one gradient step of the block, the step ``train_minibatch`` takes, in
+which every network steps on its own next mini-batch, bit for bit as it
+would alone. A step sums each network's errors per (state, action) and
+backpropagates the two state rows of the sums, which equals the
+per-sample gradient to rounding (see ``qfunc``). Unlike the tables, a DQL phase is a whole
 number of mini-batches and every update pushes, so each gradient step
 learns from its own phase's columns, under one joint policy and one
 step size. The first update at which any network diverges ends the run
@@ -163,9 +165,9 @@ class QValueWindows:
     def skip(self, n: int):
         """Count n pushes without storing them. At least ``window`` pushes
         must follow before the next snapshots call, so that none of the
-        skipped slots is read. The table learner counts a phase's updates
-        before its last ``window`` this way unless every update is
-        recorded."""
+        skipped slots is read. The table learner counts the steps of a
+        phase's run-length pass this way, all but the last ``window``,
+        unless every update is recorded."""
         self._count += n
 
     @property
@@ -382,18 +384,27 @@ class TableAgents(_AgentBase):
         return np.array(self.tables)
 
     def learn_phase(self, columns):
-        """Update every table in place, one update per step, in step
-        order."""
+        """Update every table in place, in step order, and push the
+        tables after each of the phase's last ``std_window`` steps, or
+        after every step when updates are recorded.
+
+        Each agent learns in two table_update calls. The steps whose
+        snapshots cannot reach the phase boundary's ring (the bulk) are
+        applied first, each run of equal consecutive updates (rewards
+        compared by their bits) as one entry and its length, and counted
+        as skipped pushes. The remaining steps (the tail) are applied one
+        entry each, collecting the value each step wrote. Snapshot t of
+        the tail then holds, per table cell, the value of the cell's last
+        write at or before step t, or the cell's pre-tail value, which is
+        the table as it stood after step t. A ValueError from either call
+        leaves the tables as table_update leaves them and pushes none of
+        the tail.
+        """
         hp = self.hp
-        n = columns[3].shape[1]
-        # Only the last std_window snapshots can still be in the window
-        # ring at the phase boundary; the earlier updates are applied in one
-        # pass per agent and counted, not pushed, unless every update is
-        # recorded. The pass takes each run of equal consecutive updates
-        # (rewards compared by their bits) as one entry and its length.
+        n_agents, n = columns[3].shape
         bulk = max(n - hp.std_window, 0) if self.update_records is None else 0
         if bulk:
-            starts = np.zeros((len(self.tables), bulk), dtype=bool)
+            starts = np.zeros((n_agents, bulk), dtype=bool)
             starts[:, 0] = True
             for c in (*columns[:3], columns[3].view(np.int64)):
                 starts[:, 1:] |= c[:, 1:bulk] != c[:, :bulk - 1]
@@ -403,13 +414,27 @@ class TableAgents(_AgentBase):
                              self.alpha, hp.gamma,
                              counts=np.diff(heads, append=bulk).tolist())
         self.windows.skip(bulk)
-        tail = [c[:, bulk:].tolist() for c in columns]    # tail[j][i]: agent i's
-        for t in range(n - bulk):
-            for i, table in enumerate(self.tables):
-                table_update(table, *(c[i][t:t + 1] for c in tail),
-                             self.alpha, hp.gamma)
-            self._push(self.tables, self.phase * hp.phase_length + bulk + t + 1,
-                       [actions[t] for actions in tail[2]])
+        tail = [c[:, bulk:] for c in columns]
+        n_actions = len(self.tables[0][0])
+        # values[i]: agent i's cells (cell s * n_actions + a) before the
+        # tail, then the value each tail step wrote
+        values = [[v for row in table for v in row] for table in self.tables]
+        width = len(values[0])
+        for i, table in enumerate(self.tables):
+            table_update(table, *(c[i].tolist() for c in tail), self.alpha,
+                         hp.gamma, written=values[i])
+        # source[t, i, cell]: the index in values[i] of the cell's value
+        # after tail step t; a running maximum over t keeps its last write
+        steps = np.arange(n - bulk)
+        source = np.tile(np.arange(width), (len(steps), n_agents, 1))
+        source[steps[:, None], np.arange(n_agents),
+               (tail[0] * n_actions + tail[2]).T] = width + steps[:, None]
+        np.maximum.accumulate(source, axis=0, out=source)
+        snapshots = np.array(values)[np.arange(n_agents)[:, None], source]
+        snapshots = snapshots.reshape(len(steps), n_agents, N_STATES, n_actions)
+        first = self.phase * hp.phase_length + bulk + 1
+        for t, (q, actions) in enumerate(zip(snapshots, tail[2].T.tolist())):
+            self._push(q, first + t, actions)
 
 
 def make_agents(kind: str, hp: AgentHyperparams, n_actions: int, rngs,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -77,8 +77,13 @@ class ActionSpace:
                 "transmit levels must be finite and strictly increasing")
 
     @staticmethod
+    @cache
     def default() -> "ActionSpace":
-        """Off plus 13 levels from -10 to 20 dBm in 2.5 dBm steps (14 total)."""
+        """Off plus 13 levels from -10 to 20 dBm in 2.5 dBm steps (14 total).
+
+        Every call returns one shared instance, built on the first, so its
+        levels and their linear powers are computed once per process.
+        """
         space = ActionSpace(tuple(np.arange(-10.0, 20.0 + 1e-9, 2.5)))
         if len(space) != 14:
             raise ConfigurationError(
@@ -92,7 +97,9 @@ class ActionSpace:
     def powers_mw(self) -> np.ndarray:
         """Linear power of each action ("off" is 0.0), by the scalar pow
         per level, which numpy's array pow can miss in the last bit."""
-        return np.array([0.0] + [float(dbm_to_mw(p)) for p in self.powers_dbm])
+        powers = np.array([0.0] + [float(dbm_to_mw(p)) for p in self.powers_dbm])
+        powers.flags.writeable = False          # the default space is shared
+        return powers
 
 
 @dataclass(frozen=True)

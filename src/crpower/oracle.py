@@ -75,8 +75,7 @@ def exhaustive_search(scenario: Scenario,
         best_joint_action=tuple(outcomes.joint_actions[best_idx].tolist()),
         best_reward=best,
         reward_table=table,
-        near_optimal=tuple(tuple(ja) for ja in
-                           outcomes.joint_actions[near].tolist()),
+        near_optimal=tuple(map(tuple, outcomes.joint_actions[near].tolist())),
         tau=tau,
         n_actions=len(scenario.actions),
     )

@@ -89,7 +89,7 @@ _clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 
 def table_update(q: list[list[float]], states, next_states, actions, rewards,
-                 alpha: float, gamma: float, counts=None) -> None:
+                 alpha: float, gamma: float, counts=None, written=None) -> None:
     """Temporal-difference updates of q, in place, one per column entry.
 
     Q(s,a) <- Q(s,a) + alpha * [r + gamma * max_a' Q(s',a') - Q(s,a)]
@@ -99,10 +99,12 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
     optional fifth column ``counts`` run-length encodes them: entry k is
     applied counts[k] times in a row; without it every entry is applied
     once. q holds one list of floats per state; only the updated entries
-    change. Raises ValueError on rates out of range, columns of unequal
-    length or a count below 1, leaving q unchanged, and on a negative
-    reward or a non-finite result, leaving that update's entry at the
-    last finite value it was given.
+    change. Given a list ``written``, each entry appends the value it
+    wrote, so written[k] is q[states[k]][actions[k]] right after entry k.
+    Raises ValueError on rates out of range, columns of unequal length or
+    a count below 1, leaving q unchanged, and on a negative reward or a
+    non-finite result, leaving that entry at the last finite value it was
+    given; the entries before it stay applied.
 
     The row maxima are taken once per call and kept current after each
     entry: a value above its row's maximum becomes the maximum, and the
@@ -118,8 +120,11 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
     computed once; when s' == s the maximum is max(v, m), v the entry's
     current value and m the maximum of the row's other entries, which is
     fixed for the run. Each repeat then evaluates the update in the
-    order above and is checked for finiteness, bit for bit as one update
-    per repeat.
+    order above, bit for bit as one update per repeat. A value that
+    turns non-finite stays non-finite under further repeats (inf - inf
+    and every operation on NaN give NaN), so only the run's final value
+    is checked; when it is not finite, the run is replayed repeat by
+    repeat up to its last finite value.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError("alpha in [0,1] and gamma in (0,1] required")
@@ -141,35 +146,50 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
         old = value = row[action]
         if next_state != state or count == 1:
             target = reward + gamma * best[next_state]
-            for _ in range(count):
-                new = value + alpha * (target - value)
-                if not isfinite(new):
-                    row[action] = value
-                    raise ValueError("table entries must be finite")
-                value = new
+            if count == 1:
+                value = value + alpha * (target - value)
+            else:
+                for _ in range(count):
+                    value = value + alpha * (target - value)
+            if not isfinite(value):
+                row[action] = _last_finite(
+                    old, count, lambda v: v + alpha * (target - v))
+                raise ValueError("table entries must be finite")
             row[action] = value
             if value > best[state]:
                 best[state] = value
             elif old == best[state]:
                 # the written entry held the maximum and may have fallen
                 best[state] = max(row)
-            continue
-        # the maximum of the row's other entries, fixed for the run; the
-        # entry is left out of a scan by -inf, which the run overwrites
-        if old < best[state]:
-            others = best[state]
         else:
-            row[action] = -math.inf
-            others = max(row)
-        for _ in range(count):
-            new = value + alpha * (
-                reward + gamma * (value if value > others else others) - value)
-            if not isfinite(new):
-                row[action] = value
+            # the maximum of the row's other entries, fixed for the run; the
+            # entry is left out of a scan by -inf, which the run overwrites
+            if old < best[state]:
+                others = best[state]
+            else:
+                row[action] = -math.inf
+                others = max(row)
+            for _ in range(count):
+                value = value + alpha * (
+                    reward + gamma * (value if value > others else others) - value)
+            if not isfinite(value):
+                row[action] = _last_finite(old, count, lambda v: v + alpha * (
+                    reward + gamma * (v if v > others else others) - v))
                 raise ValueError("table entries must be finite")
-            value = new
-        row[action] = value
-        best[state] = value if value > others else others
+            row[action] = value
+            best[state] = value if value > others else others
+        if written is not None:
+            written.append(value)
+
+
+def _last_finite(value: float, count: int, update) -> float:
+    """The last finite value of up to count repeats of update from value."""
+    for _ in range(count):
+        new = update(value)
+        if not math.isfinite(new):
+            break
+        value = new
+    return value
 
 
 def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):

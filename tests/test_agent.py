@@ -30,7 +30,13 @@ from crpower.harness import (
     learn_for_run,
     scenario_for_run,
 )
-from crpower.qfunc import MlpParams, init_mlp, q_matrix, train_minibatch
+from crpower.qfunc import (
+    MlpParams,
+    init_mlp,
+    q_matrix,
+    table_update,
+    train_minibatch,
+)
 from crpower.topology import ConfigurationError
 
 
@@ -236,13 +242,9 @@ def test_table_one_update_per_step(two_cr_scenario):
                for b, after in zip(before, agents.q_values()))
 
 
-def test_table_runs_of_steps_match_single_steps():
-    # A phase's bulk pass takes each run of equal consecutive updates as
-    # one entry and its length. On columns whose run heads each change one
-    # of the four columns, it must leave the tables that one update per
-    # step leaves: a recorded phase updates step by step throughout.
-    rng = np.random.default_rng(11)
-    n, length = 3, 3000
+def _run_columns(rng, n, length):
+    """Four (n, length) phase columns in runs of 1 to 9 equal updates,
+    each run head changing one of the four columns."""
     columns = [np.zeros((n, length), dtype=np.int64) for _ in range(3)]
     columns.append(np.zeros((n, length)))
     for i in range(n):
@@ -255,6 +257,17 @@ def test_table_runs_of_steps_match_single_steps():
             for column, value in zip(columns, values):
                 column[i, t:t + count] = value
             t += count
+    return columns
+
+
+def test_table_runs_of_steps_match_single_steps():
+    # A phase's bulk pass takes each run of equal consecutive updates as
+    # one entry and its length. On columns whose run heads each change one
+    # of the four columns, it must leave the tables that one update per
+    # step leaves: a recorded phase updates step by step throughout.
+    rng = np.random.default_rng(11)
+    n, length = 3, 3000
+    columns = _run_columns(rng, n, length)
     start = rng.uniform(0, 100, size=(n, 2, 14)).tolist()
     hp = small_hp(phase_length=length, std_window=30)
     rngs = [np.random.default_rng(0)] * n
@@ -265,6 +278,60 @@ def test_table_runs_of_steps_match_single_steps():
     assert bulk.tables == single.tables != start
     np.testing.assert_array_equal(bulk.windows.snapshots(),
                                   single.windows.snapshots())
+
+
+def _per_step_learn_phase(agents, columns):
+    """TableAgents.learn_phase restated one step at a time: each step
+    updates every table with one table_update call, then pushes them all."""
+    hp = agents.hp
+    for t in range(columns[3].shape[1]):
+        for i, table in enumerate(agents.tables):
+            table_update(table, *(c[i, t:t + 1].tolist() for c in columns),
+                         agents.alpha, hp.gamma)
+        agents._push(np.array(agents.tables), agents.phase * hp.phase_length + t + 1,
+                     columns[2][:, t].tolist())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("record_updates", [False, True])
+@pytest.mark.parametrize("phase_length", [17, 30, 95])
+def test_table_phase_matches_per_step_updates(n, record_updates, phase_length):
+    # Phases shorter than, as long as and longer than the 30-snapshot
+    # window, so the ring carries snapshots over phase boundaries and
+    # wraps within a phase. learn_phase applies the bulk in runs and
+    # rebuilds the tail's snapshots from the values it wrote; the tables,
+    # the ring and the update records must be those of one table_update
+    # and one push per step.
+    hp = small_hp(phase_length=phase_length, std_window=30, zeta=1.5)
+    rng = np.random.default_rng(phase_length * 10 + n)
+    start = rng.uniform(0, 100, size=(n, 2, 14)).tolist()
+    fast, slow = (TableAgents(hp, 14, [np.random.default_rng(0)] * n, record_updates)
+                  for _ in range(2))
+    for agents in (fast, slow):
+        agents.tables = [[row[:] for row in table] for table in start]
+    for _ in range(4):
+        columns = _run_columns(rng, n, phase_length)
+        fast.learn_phase(columns)
+        _per_step_learn_phase(slow, columns)
+        assert fast.tables == slow.tables
+        assert fast.windows.filled == slow.windows.filled
+        assert (fast.windows.snapshots().tobytes()
+                == slow.windows.snapshots().tobytes())
+        means = [0.0] * n
+        fast_records = fast.update_policy([np.random.default_rng(7)] * n, means)
+        slow_records = slow.update_policy([np.random.default_rng(7)] * n, means)
+        assert ([r.to_jsonable() for r in fast_records]
+                == [r.to_jsonable() for r in slow_records])
+    assert fast.tables != start
+    if not record_updates:
+        assert fast.update_records is slow.update_records is None
+        return
+    for records, slow_records in zip(fast.update_records, slow.update_records):
+        assert len(records) == len(slow_records) == 4 * phase_length
+        for rec, ref in zip(records, slow_records):
+            assert (rec.step, rec.action, rec.delta) == (ref.step, ref.action,
+                                                        ref.delta)
+            assert rec.q_s0.tobytes() == ref.q_s0.tobytes()
 
 
 def test_phase_mean_adds_rewards_left_to_right(two_cr_scenario, monkeypatch):

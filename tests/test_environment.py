@@ -40,10 +40,29 @@ def test_action_space_default():
 
 def test_action_space_default_pins_14_actions(monkeypatch):
     # the count is a contract that raises, not an assert that -O strips
+    # (the shared instance is dropped so that the call builds one; a build
+    # that raises is not cached)
     arange = np.arange
     monkeypatch.setattr(np, "arange", lambda *a, **k: arange(*a, **k)[:-1])
+    ActionSpace.default.cache_clear()
     with pytest.raises(ConfigurationError, match="13 actions, expected 14"):
         ActionSpace.default()
+    monkeypatch.undo()
+    assert len(ActionSpace.default()) == 14
+
+
+def test_action_space_default_is_shared():
+    # every scenario and config reads one instance, built once, whose
+    # linear powers are the scalar pows bit for bit and cannot be written
+    space = ActionSpace.default()
+    assert ActionSpace.default() is space
+    scalar = [0.0] + [10.0 ** (p / 10.0) for p in space.powers_dbm]
+    assert space.powers_mw.tobytes() == np.array(scalar).tobytes()
+    with pytest.raises(ValueError):
+        space.powers_mw[1] = 0.0
+    rng = np.random.default_rng(0)
+    assert build_scenario(GridSpec(), EnvConfig(), AmcTable.default(),
+                          rng).actions is space
 
 
 def test_action_space_rejects_unordered_levels():

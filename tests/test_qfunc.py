@@ -183,6 +183,16 @@ def test_table_update_run_lengths():
         table_update(q, *columns, alpha, 0.9, counts=counts)
         assert q == _restated(start, _expand(columns, counts), alpha, 0.9)
 
+    # written collects the value each entry left in its cell
+    q, written = [row[:] for row in start], []
+    table_update(q, *columns, 0.7, 0.9, counts=counts, written=written)
+    expected, values = [row[:] for row in start], []
+    for k, count in enumerate(counts):
+        expected = _restated(expected, _expand([c[k:k + 1] for c in columns],
+                                               [count]), 0.7, 0.9)
+        values.append(expected[columns[0][k]][columns[2][k]])
+    assert written == values and q == expected
+
     # a negative reward at a run's head fails there: the earlier runs stay
     # applied and the entry is not written
     q = [row[:] for row in start]
@@ -201,6 +211,34 @@ def test_table_update_run_lengths():
                        ([1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1],
                         [1.0, 1.0, 1.0, 1e308]), 1.0, 0.9)
     assert q == finite and q[0][1] == 1e308
+
+    # An s' != s run that turns non-finite: the run before it in the same
+    # call lifts row 1's maximum to 1e308, so the target 1e308 + 0.9 *
+    # 1e308 overflows. (With a fixed target each repeat moves the entry
+    # toward it, so such a run fails on its first repeat.) The entry
+    # keeps its value from before the run, and the run before it stays.
+    q = [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="finite"):
+        table_update(q, [1, 0], [0, 1], [0, 1], [1e308, 1e308],
+                     1.0, 0.9, counts=[2, 3])
+    assert q == [[0.0, 0.0], [1e308, 0.0]]
+
+    # A NaN reward in a run of several repeats, with s' != s and with
+    # s' == s: NaN passes the sign check and fails the finiteness check,
+    # leaving the entry at its value from before the run; the earlier
+    # runs stay applied.
+    for next_state in (1, 0):
+        q = [row[:] for row in start]
+        columns = ([1, 0, 0], [0, 1, next_state], [2, 1, 0],
+                   [2.0, 1.0, float("nan")])
+        written = []
+        with pytest.raises(ValueError, match="finite"):
+            table_update(q, *columns, 0.7, 0.9, counts=[4, 2, 6],
+                         written=written)
+        expected = _restated(start, _expand([c[:2] for c in columns], [4, 2]),
+                             0.7, 0.9)
+        assert q == expected and q[0][0] == start[0][0] == 10.0
+        assert written == [expected[1][2], expected[0][1]]
 
     # a counts column of the wrong length, or with an entry below 1, fails
     # before any update
