@@ -15,7 +15,7 @@ from .agent import (
     TableAgents,
     run_learning,
 )
-from .channel import ChannelGains, all_sinrs, path_gain
+from .channel import ChannelGains, path_gain, sn_sinrs
 from .environment import (
     ActionSpace,
     EnvConfig,
@@ -27,7 +27,7 @@ from .environment import (
     pn_power_control,
 )
 from .harness import ExperimentConfig, RunMetrics, run_experiment, sweep_p_vs_rho
-from .link_adaptation import AmcTable, relative_throughput_change, throughput
+from .link_adaptation import AmcTable, relative_throughput_change
 from .oracle import OracleResult, exhaustive_search, score_policy
 from .qfunc import MlpParams, table_update, train_minibatch
 from .topology import GridSpec, NodePlacement, sample_placement

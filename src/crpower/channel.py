@@ -2,9 +2,11 @@
 
 Gains follow a log-distance loss model with fixed penetration loss and
 lognormal shadowing; every internal power is linear mW and conversions to
-dB happen only at the boundaries, so all_sinrs takes both networks'
-powers in mW. The loss model and the SINRs are vectorised, so one call
-covers a whole gain matrix or every joint action of a scenario at once.
+dB happen only at the boundaries, so sn_sinrs takes the primary and the
+CR powers in mW. It gives the secondary links' SINRs alone: no state or
+reward reads a primary link's SINR under CR transmission. The loss model
+and the SINRs are vectorised, so one call covers a whole gain matrix or
+every joint action of a scenario at once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ __all__ = [
     "ChannelGains",
     "path_gain",
     "build_gains",
-    "all_sinrs",
+    "sn_sinrs",
     "received_power_mw",
     "dbm_to_mw",
     "mw_to_dbm",
@@ -164,26 +166,20 @@ def received_power_mw(tx_mw, g: np.ndarray) -> np.ndarray:
     return total.T
 
 
-def all_sinrs(gains: ChannelGains, pn_mw, cr_mw) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (pn_sinrs, sn_sinrs) of one or many CR power assignments.
+def sn_sinrs(gains: ChannelGains, pn_mw, cr_mw) -> np.ndarray:
+    """Vectorized SINRs of the CR links under one or many CR power
+    assignments.
 
     pn_mw holds the M primary powers and cr_mw the CR powers (0.0 is off),
     both in mW; cr_mw may be (N,) or (K, N), and the SINRs then come back
-    as (M,), (N,) or (K, M), (K, N). Each link's SINR is its own received
-    power over every other transmitter's received power plus noise.
+    as (N,) or (K, N). Each link's SINR is its own received power over
+    every other transmitter's received power plus noise.
     """
     pn_mw = np.asarray(pn_mw, dtype=float)
     cr_mw = np.asarray(cr_mw, dtype=float)
     if pn_mw.shape != (gains.n_pn,) or cr_mw.shape[-1] != gains.n_cr:
         raise ValueError("powers do not match gain matrices")
-
-    pn_signal = np.diag(gains.g_pp) * pn_mw
-    pn_total = gains.g_pp.T @ pn_mw
-    sn_at_pn = received_power_mw(cr_mw, gains.g_ps)
-    pn = pn_signal / (pn_total - pn_signal + sn_at_pn + gains.noise_power_mw)
-
-    sn_signal = np.diag(gains.g_ss) * cr_mw
-    sn_total = received_power_mw(cr_mw, gains.g_ss)
+    signal = np.diag(gains.g_ss) * cr_mw
+    total = received_power_mw(cr_mw, gains.g_ss)
     pn_at_sn = gains.g_sp.T @ pn_mw
-    sn = sn_signal / (sn_total - sn_signal + pn_at_sn + gains.noise_power_mw)
-    return pn, sn
+    return signal / (total - signal + pn_at_sn + gains.noise_power_mw)

@@ -25,7 +25,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import channel
-from .channel import ChannelGains, all_sinrs, dbm_to_mw, received_power_mw
+from .channel import ChannelGains, dbm_to_mw, received_power_mw, sn_sinrs
 from .link_adaptation import AmcTable, amc_mode, relative_throughput_change
 from .qfunc import _clip
 from .topology import ConfigurationError, GridSpec, NodePlacement, sample_placement
@@ -155,10 +155,6 @@ class Scenario:
     def n_cr(self) -> int:
         return self.gains.n_cr
 
-    @property
-    def n_pn(self) -> int:
-        return self.gains.n_pn
-
     def monitored_links(self) -> np.ndarray:
         """Per CR, the primary link received with the largest power."""
         received = self.gains.g_sp * dbm_to_mw(self.pn_powers_dbm)[:, None]
@@ -272,9 +268,7 @@ class Outcomes:
     joint_actions: np.ndarray        # (K, N) action indices
     states: np.ndarray               # (K, N) STATE_S0 or STATE_S1
     tpc_magnitudes: np.ndarray       # (K, N) |T%| at each CR's monitored link
-    sn_throughputs_mbps: np.ndarray  # (K, N)
-    sn_sinrs: np.ndarray             # (K, N)
-    pn_sinrs: np.ndarray             # (K, M)
+    sn_throughputs_mbps: np.ndarray  # (K, N) each CR link's AMC throughput
     local_rewards: np.ndarray        # (K, N) reward of each agent, local mode
     global_rewards: np.ndarray       # (K, N) reward of each agent, global mode
 
@@ -332,7 +326,6 @@ def _evaluate(scenario: Scenario, joint_actions) -> Outcomes:
     gains = scenario.gains
     pn_mw = dbm_to_mw(scenario.pn_powers_dbm)
     cr_mw = scenario.actions.powers_mw[joint]
-    pn, sn = all_sinrs(gains, pn_mw, cr_mw)
 
     monitored = scenario.monitored_links()
     # total SN interference arriving at each CR's monitored PN receiver
@@ -345,7 +338,7 @@ def _evaluate(scenario: Scenario, joint_actions) -> Outcomes:
         i_db = 10.0 * np.log10(interference_mw / reference_mw[monitored])
     tpc = np.abs(relative_throughput_change(i_db, scenario.amc))
     states = np.where(tpc <= scenario.config.epsilon, STATE_S0, STATE_S1)
-    modes = amc_mode(sn, scenario.amc)
+    modes = amc_mode(sn_sinrs(gains, pn_mw, cr_mw), scenario.amc)
     tputs = scenario.amc.mode_throughputs_mbps[modes]
     local, global_ = _rewards(states, modes, tputs)
     return Outcomes(
@@ -353,21 +346,19 @@ def _evaluate(scenario: Scenario, joint_actions) -> Outcomes:
         states=states,
         tpc_magnitudes=tpc,
         sn_throughputs_mbps=tputs,
-        sn_sinrs=sn,
-        pn_sinrs=pn,
         local_rewards=local,
         global_rewards=global_,
     )
 
 
-def check_outcome_budget(n_actions: int, n_cr: int, n_pn: int) -> None:
+def check_outcome_budget(n_actions: int, n_cr: int) -> None:
     """Raise ConfigurationError when the outcome tensor of n_cr CRs with
-    n_actions actions each, beside n_pn primary links, would exceed
-    OUTCOME_MEMORY_BUDGET."""
+    n_actions actions each would exceed OUTCOME_MEMORY_BUDGET."""
     rows = n_actions ** n_cr
-    # peak working set: about six float64 values per row and column of
-    # the (K, N) and (K, M) arrays (5.4 measured at N=4, M=7)
-    peak_bytes = rows * (n_cr + n_pn) * 8 * 6
+    # peak working set: about 16 float64 values per row and CR, whatever
+    # the number of primary links, since no array is wider than (K, N)
+    # (10.6 to 14.6 measured with tracemalloc at N = 2..5, M = 7 and 40)
+    peak_bytes = rows * n_cr * 8 * 16
     if peak_bytes > OUTCOME_MEMORY_BUDGET:
         raise ConfigurationError(
             f"{rows} joint actions need about {peak_bytes} bytes, over the "
@@ -381,7 +372,7 @@ def outcome_tensor(scenario: Scenario) -> Outcomes:
     OUTCOME_MEMORY_BUDGET.
     """
     n_actions, n = len(scenario.actions), scenario.n_cr
-    check_outcome_budget(n_actions, n, scenario.n_pn)
+    check_outcome_budget(n_actions, n)
     grid = np.indices((n_actions,) * n).reshape(n, n_actions ** n).T
     return _evaluate(scenario, grid)
 

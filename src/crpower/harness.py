@@ -133,8 +133,7 @@ class ExperimentConfig:
             raise ConfigurationError("master_seed must be >= 0")
         if not 0.0 <= self.tau < 1.0:
             raise ConfigurationError("tau must lie in [0, 1)")
-        check_outcome_budget(len(ActionSpace.default()), self.env.n_cr,
-                             self.grid.active_ap_count)
+        check_outcome_budget(len(ActionSpace.default()), self.env.n_cr)
         # parsed once per config, so a table that cannot load fails here
         kwargs = dict(xi=self.amc_xi, snr_gap=self.amc_snr_gap,
                       bandwidth_hz=self.amc_bandwidth_hz)

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "AmcTable",
     "amc_mode",
-    "throughput",
     "relative_throughput_change",
     "shannon_reference_table",
 ]
@@ -102,16 +101,6 @@ def amc_mode(sinr, table: AmcTable):
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(sinr)          # -inf for a silent link
     return np.searchsorted(table.snr_thresholds_db, sinr_db, side="right")
-
-
-def throughput(sinr, table: AmcTable):
-    """Throughput in Mbps of the best AMC mode each SINR supports.
-
-    table.mode_throughputs_mbps indexed by amc_mode, so zero below the
-    lowest threshold; sinr must be a nonnegative linear ratio.
-    Elementwise over arrays; a scalar gives a scalar.
-    """
-    return table.mode_throughputs_mbps[amc_mode(sinr, table)]
 
 
 def relative_throughput_change(interference_over_noise_db, table: AmcTable):

@@ -91,6 +91,6 @@ def score_policy(joint_policy, oracle: OracleResult) -> str:
     joint = tuple(int(a) for a in joint_policy)
     if joint == oracle.best_joint_action:
         return "optimal"
-    if joint in oracle.near_optimal:
+    if oracle.reward_of(joint) >= oracle.best_reward * (1.0 - oracle.tau):
         return "near_optimal"
     return "suboptimal"

@@ -4,11 +4,11 @@ import pytest
 from crpower.channel import (
     ChannelGains,
     SHADOWING_STD_DB,
-    all_sinrs,
     build_gains,
     dbm_to_mw,
     mw_to_dbm,
     path_gain,
+    sn_sinrs,
 )
 from crpower.topology import GridSpec, sample_placement
 
@@ -80,47 +80,15 @@ def _single_link_gains(g: float, noise: float = 1e-13) -> ChannelGains:
     )
 
 
-def test_pn_sinr_hand_value():
-    # received power -100 dBm over -130 dBm noise and no interference: 30 dB
-    g = 1e-10  # 0 dBm transmit * 1e-10 = -100 dBm received
-    gains = _single_link_gains(g)
-    pn, _ = all_sinrs(gains, dbm_to_mw(np.array([0.0])), np.array([0.0]))
-    assert pn[0] == pytest.approx(1e3, rel=1e-9)
-
-
-def test_pn_sinr_unity_when_signal_equals_interference_plus_noise():
-    gains = ChannelGains(
-        g_pp=np.array([[1e-10]]),
-        g_ps=np.array([[1e-10]]),
-        g_ss=np.array([[1e-12]]),
-        g_sp=np.array([[1e-12]]),
-        noise_power_mw=1e-13,
-    )
-    # signal = 1e-10 mW; CR interference 0.999e-10 + noise 1e-13 = 1e-10
-    pn, _ = all_sinrs(gains, dbm_to_mw(np.array([0.0])), np.array([0.999]))
-    assert pn[0] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_cr_transmission_strictly_decreases_pn_sinr():
-    rng = np.random.default_rng(4)
-    placement = sample_placement(GridSpec(), 2, rng)
-    gains = build_gains(placement, rng)
-    pn_mw = dbm_to_mw(np.full(gains.n_pn, 30.0))
-    base, _ = all_sinrs(gains, pn_mw, np.zeros(2))
-    with_cr, _ = all_sinrs(gains, pn_mw, np.array([1.0, 0.0]))
-    assert base.shape == with_cr.shape == (gains.n_pn,)
-    assert np.all(with_cr < base)
-
-
 def test_sn_sinr_zero_when_off_and_degenerate_case():
     gains = _single_link_gains(1e-9)
     gains = ChannelGains(gains.g_pp, gains.g_ps, np.array([[1e-9]]),
                          gains.g_sp, gains.noise_power_mw)
     pn_mw = dbm_to_mw(np.array([-20.0]))
-    assert all_sinrs(gains, pn_mw, np.array([0.0]))[1][0] == 0.0
+    assert sn_sinrs(gains, pn_mw, np.array([0.0]))[0] == 0.0
     # lone CR, negligible PN interference: gamma = G*P/noise
     expected = 1e-9 * 1.0 / (1e-30 * dbm_to_mw(-20.0) + 1e-13)
-    assert all_sinrs(gains, pn_mw, np.array([1.0]))[1][0] == pytest.approx(
+    assert sn_sinrs(gains, pn_mw, np.array([1.0]))[0] == pytest.approx(
         expected, rel=1e-9)
 
 
@@ -132,7 +100,7 @@ def test_symmetric_cr_links_have_identical_sinr():
         g_ss=np.array([[own, cross], [cross, own]]),
         g_sp=np.array([[pn_leak, pn_leak]]),
     )
-    _, sn = all_sinrs(gains, dbm_to_mw(np.array([10.0])), np.array([0.5, 0.5]))
+    sn = sn_sinrs(gains, dbm_to_mw(np.array([10.0])), np.array([0.5, 0.5]))
     assert sn[0] == pytest.approx(sn[1], rel=1e-12)
 
 
@@ -143,52 +111,44 @@ def test_sinr_monotonicity_in_powers():
     pn_mw = dbm_to_mw(np.full(gains.n_pn, 20.0))
     # one batched call: rows are (base, more own power, more interference)
     cr_mw = np.array([[0.1, 0.2], [0.2, 0.2], [0.1, 0.4]])
-    _, sn = all_sinrs(gains, pn_mw, cr_mw)
+    sn = sn_sinrs(gains, pn_mw, cr_mw)
     low, high, more_interf = sn[:, 0]
     assert high > low
     assert more_interf < low
 
 
 def _scalar_sinrs(gains, pn_mw, cr_mw):
-    """Reference: each link's SINR from scalar sums over transmitters."""
-    pn, sn = [], []
-    for k in range(gains.n_pn):
-        other = sum(gains.g_pp[m, k] * pn_mw[m]
-                    for m in range(gains.n_pn) if m != k)
-        sn_interf = sum(gains.g_ps[j, k] * cr_mw[j] for j in range(gains.n_cr))
-        pn.append(gains.g_pp[k, k] * pn_mw[k]
-                  / (other + sn_interf + gains.noise_power_mw))
+    """Reference: each CR link's SINR from scalar sums over transmitters."""
+    sn = []
     for i in range(gains.n_cr):
         other = sum(gains.g_ss[j, i] * cr_mw[j]
                     for j in range(gains.n_cr) if j != i)
         pn_interf = sum(gains.g_sp[m, i] * pn_mw[m] for m in range(gains.n_pn))
         sn.append(gains.g_ss[i, i] * cr_mw[i]
                   / (other + pn_interf + gains.noise_power_mw))
-    return np.array(pn), np.array(sn)
+    return np.array(sn)
 
 
 def test_all_sinrs_matches_scalar_ops():
+    """sn_sinrs gives every CR link's SINR as scalar sums do."""
     rng = np.random.default_rng(21)
     placement = sample_placement(GridSpec(), 2, rng)
     gains = build_gains(placement, rng)
     pn_mw = dbm_to_mw(rng.uniform(-20, 40, gains.n_pn))
     cr_mw = np.array([0.0, 3.0])
-    pn, sn = all_sinrs(gains, pn_mw, cr_mw)
-    ref_pn, ref_sn = _scalar_sinrs(gains, pn_mw, cr_mw)
-    np.testing.assert_allclose(pn, ref_pn, rtol=1e-12)
-    np.testing.assert_allclose(sn, ref_sn, rtol=1e-12)
+    np.testing.assert_allclose(sn_sinrs(gains, pn_mw, cr_mw),
+                               _scalar_sinrs(gains, pn_mw, cr_mw), rtol=1e-12)
     # a (K, N) block of CR powers gives one row per assignment
     block = np.array([[0.0, 3.0], [1.0, 0.0], [0.5, 2.0]])
-    pn_k, sn_k = all_sinrs(gains, pn_mw, block)
-    assert pn_k.shape == (3, gains.n_pn) and sn_k.shape == (3, 2)
-    for row, p, s in zip(block, pn_k, sn_k):
-        ref_pn, ref_sn = _scalar_sinrs(gains, pn_mw, row)
-        np.testing.assert_allclose(p, ref_pn, rtol=1e-12)
-        np.testing.assert_allclose(s, ref_sn, rtol=1e-12)
+    sn_k = sn_sinrs(gains, pn_mw, block)
+    assert sn_k.shape == (3, 2)
+    for row, s in zip(block, sn_k):
+        np.testing.assert_allclose(s, _scalar_sinrs(gains, pn_mw, row),
+                                   rtol=1e-12)
     with pytest.raises(ValueError):
-        all_sinrs(gains, pn_mw, np.zeros(3))
+        sn_sinrs(gains, pn_mw, np.zeros(3))
     with pytest.raises(ValueError):
-        all_sinrs(gains, pn_mw[:-1], cr_mw)
+        sn_sinrs(gains, pn_mw[:-1], cr_mw)
 
 
 def test_gain_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import TINY, make_scenario
 
-from crpower.channel import all_sinrs, dbm_to_mw, mw_to_dbm
+from crpower.channel import dbm_to_mw, mw_to_dbm
 from crpower.environment import (
     ActionSpace,
     EnvConfig,
@@ -132,7 +132,7 @@ def test_row_evaluation_is_pure():
     b = _evaluate(sc, [(5, 7)])
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.sn_throughputs_mbps, b.sn_throughputs_mbps)
-    np.testing.assert_array_equal(a.pn_sinrs, b.pn_sinrs)
+    np.testing.assert_array_equal(a.global_rewards, b.global_rewards)
 
 
 def test_phase_change_probe_rejects_bad_input():
@@ -188,8 +188,8 @@ def test_pn_power_control_single_link_hits_target():
     pn_dbm, converged = pn_power_control(sc.gains, target_sinr_db=15.0)
     assert converged
     assert pn_dbm[0] == pytest.approx(-15.0, abs=0.1)
-    gamma_db = 10 * np.log10(all_sinrs(sc.gains, dbm_to_mw(pn_dbm),
-                                       np.zeros(1))[0][0])
+    # one primary link, CR silent: own received power over noise
+    gamma_db = 10 * np.log10(1e-10 * dbm_to_mw(pn_dbm[0]) / 1e-13)
     assert gamma_db == pytest.approx(15.0, abs=0.1)
 
 
@@ -211,13 +211,16 @@ def test_pn_power_control_seven_links_bounded():
 
 
 def _reference_pn_power_control(gains, target_sinr_db):
-    """The loop pn_power_control replaced: the full all_sinrs, CR
-    interference term included, with every CR silent."""
+    """The loop pn_power_control replaced, on numpy's wrappers: each
+    primary link's SINR with every CR silent is its own received power
+    over the other APs' plus noise."""
     target = 10.0 ** (target_sinr_db / 10.0)
-    silent = np.zeros(gains.n_cr)
+    signal_gain = np.diag(gains.g_pp)
     p_dbm = np.zeros(gains.n_pn)
     for _ in range(100):
-        pn, _ = all_sinrs(gains, dbm_to_mw(p_dbm), silent)
+        p_mw = dbm_to_mw(p_dbm)
+        signal = signal_gain * p_mw
+        pn = signal / (gains.g_pp.T @ p_mw - signal + gains.noise_power_mw)
         new_dbm = np.clip(mw_to_dbm(dbm_to_mw(p_dbm) * (target / pn)), -20.0, 40.0)
         if np.max(np.abs(new_dbm - p_dbm)) < 0.01:
             return new_dbm, True
@@ -349,6 +352,18 @@ def test_outcome_tensor_memory_budget(monkeypatch):
         outcome_tensor(sc)
 
 
+def test_outcome_budget_does_not_grow_with_the_primary_network():
+    """The tensor holds no per-primary-link array, so five CRs load beside
+    40 active APs as beside the default 7; a sixth CR is over budget."""
+    from crpower.harness import ExperimentConfig
+    wide = {"learner": "table", "env": {"n_cr": 5},
+            "grid": {"rows": 7, "cols": 7, "active_ap_count": 40}}
+    assert ExperimentConfig.from_dict(wide).grid.active_ap_count == 40
+    ExperimentConfig.from_dict({"learner": "table", "env": {"n_cr": 5}})
+    with pytest.raises(ConfigurationError, match="outcome tensor budget"):
+        ExperimentConfig.from_dict({"learner": "table", "env": {"n_cr": 6}})
+
+
 def sampled_phase_change(scenario, policy, rho, steps, rng) -> int:
     """Reference for phase_change_probability: how many of ``steps``
     sampled steps put agent 0 in S1. Each step, agent 0 plays its policy
@@ -467,8 +482,7 @@ def test_scenario_json_roundtrip():
                                       sc.amc.spectral_efficiencies)
         assert (back.amc.xi, back.amc.snr_gap) == (3.0, 1.5)
         for name in ("joint_actions", "states", "tpc_magnitudes",
-                     "sn_throughputs_mbps", "sn_sinrs", "pn_sinrs",
-                     "local_rewards", "global_rewards"):
+                     "sn_throughputs_mbps", "local_rewards", "global_rewards"):
             np.testing.assert_array_equal(getattr(back.outcomes, name),
                                           getattr(sc.outcomes, name))
         a, b = exhaustive_search(sc), exhaustive_search(back)
