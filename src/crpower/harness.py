@@ -184,7 +184,9 @@ class ExperimentConfig:
 
 @dataclass
 class RunMetrics:
-    """Score card of one Monte Carlo run."""
+    """Score card of one Monte Carlo run. ``degenerate`` is the oracle's
+    kind of degenerate scenario ("tied", "all_off" or None; None for a
+    run that raised)."""
 
     run: int
     phases: int
@@ -195,6 +197,7 @@ class RunMetrics:
     best_reward: float
     wall_ms: float
     error: str | None = None
+    degenerate: str | None = None
 
 
 def child_seed(master_seed: int, point: int, run: int) -> np.random.SeedSequence:
@@ -240,6 +243,7 @@ def execute_run(config: ExperimentConfig, point: int, run: int):
         best_joint_action=oracle.best_joint_action,
         best_reward=oracle.best_reward,
         wall_ms=(time.perf_counter() - start) * 1e3,
+        degenerate=oracle.degenerate,
     )
     return metrics, oracle, trace
 
@@ -293,8 +297,11 @@ class ExperimentReport:
         for point, rows in enumerate(self.metrics):
             n = len(rows)
             counts = {"optimal": 0, "near_optimal": 0, "suboptimal": 0, "error": 0}
+            degenerate = {"all_off": 0, "tied": 0}
             for m in rows:
                 counts[m.outcome] += 1
+                if m.degenerate is not None:
+                    degenerate[m.degenerate] += 1
             lo, hi = wilson_interval(counts["optimal"], n)
             points.append({
                 "phases": self.config.agent[point].n_phases,
@@ -303,6 +310,7 @@ class ExperimentReport:
                 "percent_near_optimal": 100.0 * counts["near_optimal"] / n,
                 "ci95_percent_optimal": [100.0 * lo, 100.0 * hi],
                 "outcomes": counts,
+                "degenerate": degenerate,
             })
         return points
 

@@ -33,13 +33,33 @@ class OracleResult:
     n_actions: int
 
     def flat_index(self, joint_action) -> int:
+        """Row of joint_action in reward_table. Raises ValueError unless it
+        holds one action in [0, n_actions) per agent."""
+        if len(joint_action) != len(self.best_joint_action):
+            raise ValueError(f"joint action {tuple(joint_action)} does not hold "
+                             f"{len(self.best_joint_action)} actions")
         idx = 0
         for a in joint_action:
+            if not 0 <= int(a) < self.n_actions:
+                raise ValueError(f"joint action {tuple(joint_action)} has an "
+                                 f"action outside [0, {self.n_actions})")
             idx = idx * self.n_actions + int(a)
         return idx
 
     def reward_of(self, joint_action) -> float:
         return float(self.reward_table[self.flat_index(joint_action)])
+
+    @property
+    def degenerate(self) -> str | None:
+        """The kind of degenerate scenario, or None: "tied" when every
+        joint action scores the best reward, "all_off" when otherwise no
+        joint action scores above all-off (flat index 0; 1 under the
+        global reward, N under the local one)."""
+        if self.reward_table.min() == self.best_reward:
+            return "tied"
+        if self.best_reward <= self.reward_table[0]:
+            return "all_off"
+        return None
 
     def to_json(self) -> str:
         return json.dumps({

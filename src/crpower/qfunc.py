@@ -7,13 +7,15 @@ Bellman error against frozen target values. Both learn from the same
 four columns (states, next states, actions, rewards) in arrival order:
 the table takes any run of them in one call, one in-place update per
 entry on two lists of plain floats (or, given run lengths, a run of
-repeats per entry), and keeps each state's row maximum through the
-call, so that an update reads the next state's maximum instead of
-scanning its row; the network takes one mini-batch of them
-per gradient step and discards it afterwards. There is deliberately
-no replay memory. In place of a second network, training reads the
-per-state maximum of frozen target Q-values, which the learner refreshes
-from the live parameters every ``c`` updates.
+repeats per entry). Through the call it keeps each state's row maximum,
+and the maximum of the row's entries but one kept action, so that an
+update reads the maxima it needs instead of scanning a row; it checks
+the table's finiteness once, after the call's last update. The network
+takes one mini-batch of them per gradient step and discards it
+afterwards. There is deliberately no replay memory. In place of a
+second network, training reads the per-state maximum of frozen target
+Q-values, which the learner refreshes from the live parameters every
+``c`` updates.
 
 The networks of one learning run are trained together, as N stacked
 networks of one shape: ``init_mlp`` builds the stack, and the layer
@@ -104,27 +106,30 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
     Raises ValueError on rates out of range, columns of unequal length or
     a count below 1, leaving q unchanged, and on a negative reward or a
     non-finite result, leaving that entry at the last finite value it was
-    given; the entries before it stay applied.
-
-    The row maxima are taken once per call and kept current after each
-    entry: a value above its row's maximum becomes the maximum, and the
-    row is scanned again only when the entry it overwrote held the
-    maximum. The maximum of finite floats is exact, and every entry
-    written is finite, so each kept maximum equals max(q[s]) and every
-    entry is bit-identical to scanning the row on each update. (Where
-    0.0 and -0.0 tie, the kept maximum may differ from the scan in its
-    sign, which no update's value depends on.)
+    given; the entries before it stay applied, and ``written`` holds
+    their values.
 
     A run of repeats changes entry (s, a) alone. So when s' != s the
     target r + gamma * max Q(s') is the same for every repeat and is
     computed once; when s' == s the maximum is max(v, m), v the entry's
     current value and m the maximum of the row's other entries, which is
     fixed for the run. Each repeat then evaluates the update in the
-    order above, bit for bit as one update per repeat. A value that
-    turns non-finite stays non-finite under further repeats (inf - inf
-    and every operation on NaN give NaN), so only the run's final value
-    is checked; when it is not finite, the run is replayed repeat by
-    repeat up to its last finite value.
+    order above, bit for bit as one update per repeat.
+
+    The pass keeps, per state, the row maximum and one kept action with
+    the maximum of the row's other entries, so that no update scans a
+    row (see _td_pass). The maximum of finite floats is exact, so every
+    entry is bit-identical to scanning the row on each update. (Where
+    0.0 and -0.0 tie, a kept maximum may differ from the scan in its
+    sign, which no update's value depends on.)
+
+    Finiteness is checked once, on the table after the pass: a value
+    that turns non-finite stays non-finite under every later update of
+    its entry (inf - inf and every operation on NaN give NaN). Only when
+    the check fails, or a reward is negative, are the rows and
+    ``written`` restored and the columns replayed entry by entry through
+    the same pass, with the failing run one repeat at a time, up to its
+    last finite value.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError("alpha in [0,1] and gamma in (0,1] required")
@@ -137,11 +142,59 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
     elif len(counts) and not min(counts) >= 1:
         raise ValueError("run lengths must be at least 1")
     isfinite = math.isfinite
-    best = [max(row) for row in q]     # best[s] == max(q[s]) after each run
+    # min() may return a NaN reward and miss a negative one; the NaN makes
+    # its entry non-finite, so the replay still meets both in order
+    if not (len(rewards) and min(rewards) < 0.0):
+        saved = [row[:] for row in q]
+        mark = None if written is None else len(written)
+        _td_pass(q, states, next_states, actions, rewards, counts, alpha, gamma,
+                 written)
+        if all(isfinite(v) for row in q for v in row):
+            return
+        for row, start in zip(q, saved):
+            row[:] = start
+        if written is not None:
+            del written[mark:]
     for state, next_state, action, reward, count in zip(
             states, next_states, actions, rewards, counts):
         if reward < 0.0:
             raise ValueError("rewards are nonnegative by construction")
+        entry = [state], [next_state], [action], [reward]
+        row = q[state]
+        old = row[action]
+        _td_pass(q, *entry, [count], alpha, gamma)
+        if not isfinite(row[action]):
+            row[action] = old
+            for _ in range(count):
+                _td_pass(q, *entry, [1], alpha, gamma)
+                if not isfinite(row[action]):
+                    row[action] = old
+                    raise ValueError("table entries must be finite")
+                old = row[action]
+        if written is not None:
+            written.append(row[action])
+
+
+def _td_pass(q, states, next_states, actions, rewards, counts, alpha, gamma,
+             written=None) -> None:
+    """table_update's updates without its checks.
+
+    Per state s the pass keeps best[s] == max(q[s]) and a kept action
+    top[s] with rest[s], the maximum of the row's other entries. A write
+    to the kept action sets best[s] = max(value, rest[s]); a write to
+    another entry raises rest[s] to its value or leaves it, both in O(1),
+    except when the entry that held rest[s] falls below it. Only then is
+    the row scanned, and the written action becomes the kept one. An
+    s' == s run on the kept action, or on an entry below the row
+    maximum, knows the maximum of the row's other entries without a
+    scan; after the run its action is the kept one.
+    """
+    inf = math.inf
+    best = [max(row) for row in q]
+    top = [row.index(m) for row, m in zip(q, best)]
+    rest = [max(row[:a] + row[a + 1:], default=-inf) for row, a in zip(q, top)]
+    for state, next_state, action, reward, count in zip(
+            states, next_states, actions, rewards, counts):
         row = q[state]
         old = value = row[action]
         if next_state != state or count == 1:
@@ -151,45 +204,42 @@ def table_update(q: list[list[float]], states, next_states, actions, rewards,
             else:
                 for _ in range(count):
                     value = value + alpha * (target - value)
-            if not isfinite(value):
-                row[action] = _last_finite(
-                    old, count, lambda v: v + alpha * (target - v))
-                raise ValueError("table entries must be finite")
             row[action] = value
-            if value > best[state]:
-                best[state] = value
-            elif old == best[state]:
-                # the written entry held the maximum and may have fallen
-                best[state] = max(row)
+            others = rest[state]
+            if action == top[state]:
+                best[state] = value if value > others else others
+            elif value >= others:
+                rest[state] = value
+                if value > best[state]:
+                    best[state] = value
+            elif old == others:
+                # the entry that held rest[s] fell: scan the row's other
+                # entries (-inf leaves the written one out) and keep it
+                row[action] = -inf
+                others = max(row)
+                row[action] = value
+                top[state] = action
+                rest[state] = others
+                best[state] = value if value > others else others
         else:
-            # the maximum of the row's other entries, fixed for the run; the
-            # entry is left out of a scan by -inf, which the run overwrites
-            if old < best[state]:
+            # the maximum of the row's other entries, fixed for the run; a
+            # scan leaves the entry out by -inf, which the run overwrites
+            if action == top[state]:
+                others = rest[state]
+            elif old < best[state]:
                 others = best[state]
             else:
-                row[action] = -math.inf
+                row[action] = -inf
                 others = max(row)
             for _ in range(count):
                 value = value + alpha * (
                     reward + gamma * (value if value > others else others) - value)
-            if not isfinite(value):
-                row[action] = _last_finite(old, count, lambda v: v + alpha * (
-                    reward + gamma * (v if v > others else others) - v))
-                raise ValueError("table entries must be finite")
             row[action] = value
+            top[state] = action
+            rest[state] = others
             best[state] = value if value > others else others
         if written is not None:
             written.append(value)
-
-
-def _last_finite(value: float, count: int, update) -> float:
-    """The last finite value of up to count repeats of update from value."""
-    for _ in range(count):
-        new = update(value)
-        if not math.isfinite(new):
-            break
-        value = new
-    return value
 
 
 def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):

@@ -68,6 +68,34 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path):
                 assert (one / sub / file).read_bytes() == (two / sub / file).read_bytes()
 
 
+def test_report_counts_degenerate_scenarios(tmp_path):
+    # local reward, so all-off scores N = 2 and not 10^0: of runs 0-7, run
+    # 0 ties everywhere and run 3 has no joint action above all-off
+    doc = dict(CONFIG, n_runs=8, master_seed=1,
+               env=dict(CONFIG["env"], reward_mode="local"),
+               agent=dict(CONFIG["agent"], n_phases=1))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert simulate(config_path, out) == 0
+    kinds = []
+    for run in range(doc["n_runs"]):
+        oracle = json.loads((out / "oracle" / f"point0_run{run:04d}.json").read_text())
+        table, best = oracle["reward_table"], oracle["best_reward"]
+        assert table[0] == 2.0
+        kinds.append("tied" if min(table) == best
+                     else "all_off" if best <= table[0] else None)
+    assert kinds == ["tied", None, None, "all_off", None, None, None, None]
+    report = json.loads((out / "report.json").read_text())
+    assert report["points"][0]["degenerate"] == {"all_off": 1, "tied": 1}
+    # the outcome counts keep their four keys
+    assert sorted(report["points"][0]["outcomes"]) == [
+        "error", "near_optimal", "optimal", "suboptimal"]
+    config = harness.ExperimentConfig.from_dict(doc)
+    metrics = [harness.execute_run(config, 0, run)[0] for run in (0, 1, 3)]
+    assert [m.degenerate for m in metrics] == ["tied", None, "all_off"]
+
+
 def test_pool_is_sized_by_the_job_count(monkeypatch):
     sizes = []
 

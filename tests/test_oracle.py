@@ -89,6 +89,26 @@ def test_196_evaluations_for_default_space():
         res.best_reward
 
 
+def test_flat_index_rejects_joint_actions_outside_the_table():
+    sc = build_scenario(GridSpec(), EnvConfig(reward_mode="global",
+                                              tpc_reference="signal"),
+                        AmcTable.default(), np.random.default_rng(3))
+    res = exhaustive_search(sc)
+    # the corners of the table, numpy integers too
+    assert res.flat_index((0, 0)) == 0
+    assert res.flat_index(np.array([13, 13])) == 14 ** 2 - 1
+    assert res.reward_of((0, 13)) == res.reward_table[13]
+    # (0, 14) would read (1, 0)'s row and (-1, 5) row 14 * -1 + 5, wrapped
+    # around to (13, 5); a single action or three would read some row too
+    for bad in ((0, 14), (-1, 5), (14, 0), (3,), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match="joint action"):
+            res.flat_index(bad)
+        with pytest.raises(ValueError, match="joint action"):
+            res.reward_of(bad)
+        with pytest.raises(ValueError, match="joint action"):
+            score_policy(bad, res)
+
+
 def reference_objective(scenario, joint_action, mode):
     """Scalar objective of one joint action, from a one-row evaluation."""
     row = _evaluate(scenario, [joint_action])
@@ -170,6 +190,31 @@ def test_local_mode_sums_individual_rewards():
     # (off, 1 mW): 10^0 + 10^t1
     assert res.reward_of((0, 1)) == pytest.approx(1.0 + 10.0 ** t1, rel=1e-12)
     assert res.reward_of((1, 0)) == pytest.approx(10.0 ** t0 + 1.0, rel=1e-12)
+
+
+def test_degenerate_kinds():
+    def scenario(g_ps, g_ss, mode):
+        return make_scenario(g_pp=[[1e-10]], g_ps=g_ps, g_ss=g_ss,
+                             g_sp=[[TINY, TINY]], pn_dbm=[0.0],
+                             actions=ActionSpace((0.0, 10.0)),
+                             config=EnvConfig(n_cr=2, reward_mode=mode))
+
+    # each CR alone pushes the PN link out of S0: only all-off scores;
+    # silent CR links: every joint action scores all-off's reward
+    loud = [[1e-8], [1e-8]], [[1e-12, TINY], [TINY, 2e-12]]
+    silent = [[TINY], [TINY]], [[TINY, TINY], [TINY, TINY]]
+    for mode, all_off in (("global", 1.0), ("local", 2.0)):
+        res = exhaustive_search(scenario(*loud, mode), mode)
+        assert res.best_joint_action == (0, 0) and res.best_reward == all_off
+        assert res.reward_table.min() == 0.0
+        assert res.degenerate == "all_off"
+        res = exhaustive_search(scenario(*silent, mode), mode)
+        assert res.reward_table.tolist() == [all_off] * 9
+        assert res.degenerate == "tied"
+        # the tiny scenario's best, (off, 1 mW), beats all-off
+        res = exhaustive_search(tiny_scenario(), mode)
+        assert res.best_reward > all_off == res.reward_table[0]
+        assert res.degenerate is None
 
 
 def test_enumeration_guard():

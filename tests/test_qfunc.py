@@ -1,10 +1,12 @@
 import copy
+import math
 import pickle
 import warnings
 
 import numpy as np
 import pytest
 
+from crpower import qfunc
 from crpower.environment import ActionSpace
 from crpower.qfunc import (
     MlpParams,
@@ -248,6 +250,178 @@ def test_table_update_run_lengths():
             table_update(q, [0, 1, 0], [0, 1, 1], [0, 1, 2], [1.0, 1.0, 1.0],
                          0.7, 0.9, counts=bad)
         assert q == start
+
+
+# ---------------------------------------------------------- kept maximum
+
+def _bits(q):
+    """q as the hex strings of its floats, so that 0.0 and -0.0 differ."""
+    return [[v.hex() for v in row] for row in q]
+
+
+def _check_pass(start, columns, counts, alpha, gamma):
+    """table_update of the run-length columns on a copy of start, bit for
+    bit against _restated of the repeats written out one by one; returns
+    the table."""
+    q = [row[:] for row in start]
+    table_update(q, *columns, alpha, gamma, counts=counts)
+    assert _bits(q) == _bits(_restated(start, _expand(columns, counts),
+                                       alpha, gamma))
+    return q
+
+
+@pytest.fixture
+def rescans(monkeypatch):
+    """The row scans table_update falls back to: max() over a row whose
+    written entry is parked at -inf, appended to the returned list."""
+    calls = []
+
+    def counting_max(*args, **kwargs):
+        if len(args) == 1 and isinstance(args[0], list) and -math.inf in args[0]:
+            calls.append(args[0][:])
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(qfunc, "max", counting_max, raising=False)
+    return calls
+
+
+def test_kept_maximum_rescans_when_the_runner_up_falls(rescans):
+    # Row 0 keeps action 0 (its maximum, 5.0) and 4.0, action 1's value, as
+    # the maximum of the others. Entry 1 lowers action 1 below 4.0, so that
+    # maximum is unknown: the row is scanned once and action 1 is kept,
+    # with 5.0. Entry 3 lowers action 0, which held that 5.0: a second
+    # scan. Entries 2 and 4 read row 0's maximum after each scan. In the
+    # tied row the lowered action 1 shares 4.0 with action 2, and the row
+    # is scanned all the same; there action 2 ends as row 0's maximum.
+    for row0, top in (([5.0, 4.0, 3.0, 1.0], 3.5125), ([5.0, 4.0, 4.0, 1.0], 4.0)):
+        start = [row0, [2.0, 0.0, 0.0, 0.0]]
+        columns = ([0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 0, 2], [0.0] * 4)
+        rescans.clear()
+        q = _check_pass(start, columns, [1] * 4, 0.5, 0.9)
+        assert [scan[:2] for scan in rescans] == [[5.0, -math.inf],
+                                                  [-math.inf, 2.9]]
+        assert q[0][:2] == [3.5125, 2.9] and q[1][1:3] == [2.25, 0.45 * top]
+    # as runs of repeats, s' != s and s' == s
+    rescans.clear()
+    _check_pass(start, ([0, 1, 0, 0], [1, 0, 0, 1], [1, 1, 0, 2], [0.0] * 4),
+                [3, 2, 4, 5], 0.5, 0.9)
+    assert rescans
+
+
+def test_kept_maximum_overtaken_by_another_entry(rescans):
+    # Row 0 keeps action 0. A write to action 2 lifts it above the row's
+    # maximum: it becomes the maximum of the others and the row's maximum
+    # in O(1), and entry 2 reads it as row 0's maximum. The s' == s runs on
+    # the kept action read the others' maximum without a scan; the second
+    # one takes the maximum back.
+    start = [[5.0, 4.0, 3.0], [0.0, 0.0, 0.0]]
+    columns = ([0, 1, 0, 0, 1], [1, 0, 0, 0, 0], [2, 0, 0, 0, 1],
+               [20.0, 0.0, 1.0, 4.0, 0.5])
+    for counts in ([1, 1, 4, 6, 1], [1, 1, 1, 1, 1], [3, 2, 4, 6, 2]):
+        q = _check_pass(start, columns, counts, 0.5, 0.9)
+    assert rescans == []
+    assert q[0][0] > q[0][2] > 5.0
+
+
+def test_kept_maximum_ties_and_signed_zeros():
+    # Rows of tied maxima, signed zeros among them, under zero and -0.0
+    # rewards and all three kinds of entry
+    columns = ([0, 0, 1, 0, 1, 1, 0, 0, 1],
+               [0, 1, 0, 0, 1, 1, 1, 0, 0],
+               [1, 3, 0, 2, 1, 0, 1, 0, 3],
+               [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0])
+    for start in ([[-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0]],
+                  [[-0.0, -0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, -0.0]],
+                  [[3.0, 3.0, 1.0, 3.0], [3.0, 2.0, 3.0, 0.0]]):
+        for alpha in (0.0, 0.5, 1.0):
+            for counts in ([1] * 9, [2, 1, 3, 4, 1, 2, 1, 5, 3]):
+                _check_pass(start, columns, counts, alpha, 0.9)
+
+
+def test_kept_maximum_runs_alternate_between_two_actions():
+    # s' == s runs on two near-top actions of row 0 in turn: rewards first
+    # let each fall below the other, then lift each above the other
+    start = [[2.0, 1.9, 0.5, 1.95], [1.0, 0.0, 0.0, 0.0]]
+    n = 10
+    columns = ([0] * n, [0] * n, [0, 1] * (n // 2),
+               [0.0, 0.1, 0.0, 0.3, 2.0, 0.0, 0.0, 3.0, 0.2, 0.2])
+    for counts in ([5, 5, 6, 4, 3, 7, 2, 2, 9, 9], [2] * n):
+        for alpha in (0.3, 1.0):
+            _check_pass(start, columns, counts, alpha, 0.9)
+
+
+def test_kept_maximum_random_columns_over_three_actions():
+    # Large values against small rewards make the maxima fall; s' == s
+    # half of the time, a tenth of the rewards zero, runs of 1 to 5, and
+    # the same columns as several calls, each starting from the last
+    rng = np.random.default_rng(26)
+    n = 6000
+    states = rng.integers(2, size=n)
+    same = rng.random(n) < 0.5
+    next_states = np.where(same, states, rng.integers(2, size=n))
+    rewards = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0, 2, size=n))
+    columns = (states.tolist(), next_states.tolist(),
+               rng.integers(3, size=n).tolist(), rewards.tolist())
+    counts = rng.integers(1, 6, size=n).tolist()
+    start = rng.choice([8.0, 9.0, 10.0], size=(2, 3)).tolist()
+    for alpha, gamma in ((0.5, 0.9), (0.05, 0.99), (1.0, 0.5)):
+        q = _check_pass(start, columns, counts, alpha, gamma)
+        step = [row[:] for row in start]
+        for lo in range(0, n, 700):
+            table_update(step, *(c[lo:lo + 700] for c in columns), alpha,
+                         gamma, counts=counts[lo:lo + 700])
+        assert _bits(step) == _bits(q)
+
+
+def test_kept_maximum_failure_mid_pass():
+    # Before the failing entry: action 0, the row's kept maximum, is
+    # lowered to below its runner-up; action 2 overtakes; the runner-up is
+    # lowered. The failing s' == s run on action 2 overflows on its 4th
+    # repeat (5e307 per repeat on top of 1.1e307): the entry keeps its 3rd
+    # repeat's value, the entries before it stay applied and written holds
+    # their values alone.
+    start = [[1e307, 9e306, 0.0], [0.0, 0.0, 0.0]]
+    columns = ([0, 0, 0, 1, 0, 0, 1],
+               [1, 1, 1, 0, 0, 1, 1],
+               [0, 2, 1, 0, 2, 0, 1],
+               [0.0, 1.1e307, 0.0, 1.0, 5e307, 1.0, 1.0])
+    counts = [1, 1, 2, 3, 6, 1, 1]
+    q, written = [row[:] for row in start], [7.0]
+    with pytest.raises(ValueError, match="finite"):
+        table_update(q, *columns, 1.0, 1.0, counts=counts, written=written)
+    before = [c[:4] for c in columns]
+    expected = _restated(start, _expand(before, counts[:4]), 1.0, 1.0)
+    values = [7.0]
+    for k in range(4):
+        values.append(_restated(start, _expand([c[:k + 1] for c in columns],
+                                               counts[:k + 1]), 1.0, 1.0)
+                      [columns[0][k]][columns[2][k]])
+    assert written == values
+    # the failing entry's last finite value, its 3rd repeat
+    assert expected[0][2] == 1.1e307
+    expected = _restated(expected, ([0] * 3, [0] * 3, [2] * 3, [5e307] * 3),
+                         1.0, 1.0)
+    assert _bits(q) == _bits(expected) and q[0][2] == 1.1e307 + 3 * 5e307
+
+    # A NaN reward ahead of a negative one: min() of the rewards may return
+    # the NaN, yet the replay meets the NaN first; the other way round the
+    # negative reward fails first. Either way the entries before it stay.
+    for bad, match in (((float("nan"), -1.0), "finite"),
+                       ((-1.0, float("nan")), "nonnegative")):
+        q = [row[:] for row in start]
+        with pytest.raises(ValueError, match=match):
+            table_update(q, [1, 0, 1, 1], [1, 0, 1, 0], [0, 1, 2, 1],
+                         [1.0, 2.0, *bad], 0.5, 0.9, counts=[2, 2, 3, 1])
+        assert _bits(q) == _bits(_restated(start, _expand(
+            ([1, 0], [1, 0], [0, 1], [1.0, 2.0]), [2, 2]), 0.5, 0.9))
+
+    # a table that ends the pass non-finite without a failing update (an
+    # entry no update writes) is replayed and left as the pass leaves it
+    start = [[math.inf, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    q = [row[:] for row in start]
+    table_update(q, [1, 0], [1, 1], [1, 2], [1.0, 1.0], 0.5, 0.9)
+    assert _bits(q) == _bits(_restated(start, ([1, 0], [1, 1], [1, 2],
+                                                [1.0, 1.0]), 0.5, 0.9))
 
 
 def test_table_update_validates_rates():
