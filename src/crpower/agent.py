@@ -447,16 +447,19 @@ def make_agents(kind: str, hp: AgentHyperparams, n_actions: int, rngs,
 
 
 def _walk_phase(policies: np.ndarray, states, draws: np.ndarray,
-                outcome_states: np.ndarray, rewards: np.ndarray,
+                joint_states: np.ndarray, rewards: np.ndarray,
                 n_actions: int):
     """The phase's joint trajectory under the frozen policies.
 
     policies is (N, 2), states the N agents' states at the phase start,
-    and row i of the (N, L) draws agent i's phase_draws result. Returns
-    four (N, L) columns, row i agent i's: states, next states, actions
-    and rewards. The walk follows the joint state (agent i's state in bit
-    N-1-i). On a step where no agent explores, it moves by f0, the frozen
-    policies' map over the 2^N joint states, so only the exploring steps
+    and row i of the (N, L) draws agent i's phase_draws result.
+    joint_states and rewards are the outcome tensor's (K,) joint-state
+    column and (K, N) rewards, row k the joint action with flat index k.
+    Returns four (N, L) columns, row i agent i's: states, next states,
+    actions and rewards. The walk follows the joint state (agent i's state
+    in bit N-1-i), which joint_states maps each joint action to. On a step
+    where no agent explores, it moves by f0, the frozen policies' map over
+    the 2^N joint states, so only the exploring steps
     (a share 1 - (1 - rho)^N of them) are walked one by one. For each of
     them and each joint state, the joint action and the joint state at
     the next exploring step are found at once, which leaves one lookup
@@ -466,17 +469,16 @@ def _walk_phase(policies: np.ndarray, states, draws: np.ndarray,
     f0 is on its cycle after 2^N steps, so a longer stretch is reduced
     modulo that cycle's length, and the iterates are tabulated once per
     phase up to 2 * 2^N steps, however long a stretch is (with rho = 0
-    one stretch spans the whole phase). The actions, next states and
-    rewards follow from the joint states in one gather each.
+    one stretch spans the whole phase). The actions follow from the joint
+    states, and the next states and rewards from the joint actions' flat
+    indices in one gather each.
     """
     n, length = draws.shape
     width = 2 ** n
     shifts = np.arange(n - 1, -1, -1)
     place = n_actions ** shifts                    # joint index = actions @ place
     bits = (np.arange(width)[:, None] >> shifts) & 1          # (2^n, n)
-    # the joint state after the joint action at each flat index
-    next_joint = (outcome_states << shifts).sum(axis=1)
-    f0 = next_joint[(policies[np.arange(n), bits] * place).sum(axis=1)]
+    f0 = joint_states[(policies[np.arange(n), bits] * place).sum(axis=1)]
     # iterates[k, j] = f0^k(j) for k <= 2 * 2^n. From any j, f0 enters its
     # cycle within 2^n steps, so f0^k(j) = f0^k'(j) for k' =
     # 2^n + (k - 2^n) mod cycle[j], the cycle's length, once k >= 2^n.
@@ -500,7 +502,7 @@ def _walk_phase(policies: np.ndarray, states, draws: np.ndarray,
     joint_index = np.zeros((len(steps), width), dtype=np.int64)
     for i in range(n):
         joint_index = joint_index * n_actions + explore_actions[i][:, bits[:, i]]
-    after = next_joint[joint_index]
+    after = joint_states[joint_index]
     # Exploring step e's joint state j is at position e * 2^n + j of one
     # flat list; the entry there is the position of exploring step e+1's.
     jumps = (follow((np.diff(steps) - 1)[:, None], after[:-1])
@@ -519,8 +521,8 @@ def _walk_phase(policies: np.ndarray, states, draws: np.ndarray,
     own = (joint >> shifts[:, None]) & 1
     actions = np.where(draws >= 0, draws, policies[np.arange(n)[:, None], own])
     k = place @ actions
-    # take() gathers rows faster than fancy indexing on these arrays
-    return (own, outcome_states.take(k, axis=0).T, actions,
+    # take() gathers faster than fancy indexing on these arrays
+    return (own, (joint_states.take(k) >> shifts[:, None]) & 1, actions,
             rewards.take(k, axis=0).T)
 
 
@@ -530,15 +532,17 @@ def run_exploration_phase(agents: _AgentBase, scenario: Scenario,
     step, policy updates at the boundary. Returns agent i's record at
     index i.
 
-    Each step's states and rewards are the row of the scenario's outcome
-    tensor at the joint action's flat index (see _walk_phase). Agent i's
-    record keeps the mean of its phase's rewards, added left to right.
+    Each step's next states (the bits of the joint state) and rewards are
+    the outcome tensor's at the joint action's flat index (see
+    _walk_phase). Agent i's record keeps the mean of its phase's rewards,
+    added left to right.
     """
     hp, outcomes = agents.hp, scenario.outcomes
     n_actions = len(scenario.actions)
     draws = np.stack([phase_draws(rng, hp.phase_length, hp.rho, n_actions)
                       for rng in rngs])
-    columns = _walk_phase(agents.policies, agents.states, draws, outcomes.states,
+    columns = _walk_phase(agents.policies, agents.states, draws,
+                          outcomes.joint_states,
                           outcomes.rewards(scenario.config.reward_mode), n_actions)
     agents.learn_phase(columns)
     agents.states = columns[1][:, -1].tolist()
@@ -593,8 +597,10 @@ def run_learning(scenario: Scenario,
         agents = make_agents(learner, hp, len(scenario.actions), rngs,
                              record_updates)
         # every agent starts in its state under the all-off joint action
-        # (flat index 0)
-        agents.states = scenario.outcomes.states[0].tolist()
+        # (flat index 0), agent i's in bit N-1-i
+        start = int(scenario.outcomes.joint_states[0])
+        agents.states = [start >> (scenario.n_cr - 1 - i) & 1
+                         for i in range(scenario.n_cr)]
         records = [run_exploration_phase(agents, scenario, rngs)
                    for _ in range(probe_phases)]
         probes.append((agents, records))

@@ -25,7 +25,6 @@ __all__ = [
     "sn_sinrs",
     "received_power_mw",
     "dbm_to_mw",
-    "mw_to_dbm",
 ]
 
 # Loss model constants: fixed offset + distance slope (d in km) + penetration.
@@ -39,10 +38,6 @@ NOISE_POWER_MW = 1e-13          # -130 dBm AWGN on every link
 
 def dbm_to_mw(dbm):
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
-
-
-def mw_to_dbm(mw):
-    return 10.0 * np.log10(np.asarray(mw, dtype=float))
 
 
 def path_gain(distance_m, shadowing_db=0.0):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -67,14 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_json_file(args.config)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    if getattr(args, "runs", None) is not None:
-        config = replace(config, n_runs=args.runs)
-    return config
+    """The config file's document with the --seed, --out and --runs
+    overrides applied, built once (and its AMC table parsed once)."""
+    with open(args.config) as fh:
+        doc = json.load(fh)
+    overrides = {"master_seed": args.seed, "out_dir": args.out,
+                 "n_runs": getattr(args, "runs", None)}
+    if isinstance(doc, dict):       # anything else fails in from_dict
+        doc.update((key, value) for key, value in overrides.items()
+                   if value is not None)
+    return ExperimentConfig.from_dict(doc)
 
 
 def _outdir(config: ExperimentConfig) -> Path:

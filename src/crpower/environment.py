@@ -10,10 +10,13 @@ per link or summed over links (global mode).
 
 The joint action space is small (|A|^N), so a scenario evaluates all of it
 at once into one outcome tensor; the oracle, the learning loop and the
-phase-change probability all read from that tensor. A throughput takes
-one of a few AMC levels, so the tensor's rewards are scalar pows taken
-once per AMC mode (local) and once per distinct combination of the
-links' modes (global), not once per row.
+phase-change probability all read from that tensor: per joint action,
+the joint state (every agent's state as one bit) and each agent's reward
+under both reward modes. The states, |T%| values and throughputs behind
+them are temporaries of the evaluation. A throughput takes one of a few
+AMC levels, so the tensor's rewards are scalar pows taken once per AMC
+mode (local) and once per distinct combination of the links' modes
+(global), not once per row.
 """
 
 from __future__ import annotations
@@ -257,18 +260,19 @@ def build_scenario(grid: GridSpec,
 class Outcomes:
     """A block of joint actions of one scenario, evaluated at once.
 
-    Row k of every array belongs to joint_actions[k]. In the full tensor
-    of outcome_tensor() the rows are all |A|^N joint actions in
-    lexicographic order, so row k is the joint action with flat index k.
-    A reward in S0 is the scalar pow 10.0 ** v of the link's AMC level
-    (local) or of the row's float throughput sum (global), bit for bit
-    whether the row is evaluated alone or in a block.
+    Row k of every array belongs to the block's k-th joint action. In the
+    full tensor of outcome_tensor() the rows are all |A|^N joint actions
+    in lexicographic order, so row k is the joint action with flat index
+    k. joint_states[k] is the joint state after it, agent i's state
+    (STATE_S0 or STATE_S1) in bit N-1-i, so 0 means every agent is in S0.
+    The reward arrays are row-major, a row's N entries side by side, as a
+    walk gathers them. A reward in S0 is the scalar pow 10.0 ** v of the
+    link's AMC level (local) or of the row's float throughput sum
+    (global), bit for bit whether the row is evaluated alone or in a
+    block.
     """
 
-    joint_actions: np.ndarray        # (K, N) action indices
-    states: np.ndarray               # (K, N) STATE_S0 or STATE_S1
-    tpc_magnitudes: np.ndarray       # (K, N) |T%| at each CR's monitored link
-    sn_throughputs_mbps: np.ndarray  # (K, N) each CR link's AMC throughput
+    joint_states: np.ndarray         # (K,) joint state, agent i in bit N-1-i
     local_rewards: np.ndarray        # (K, N) reward of each agent, local mode
     global_rewards: np.ndarray       # (K, N) reward of each agent, global mode
 
@@ -315,7 +319,8 @@ def _rewards(states: np.ndarray, modes: np.ndarray, tputs: np.ndarray):
     links = _representatives(rep_modes, base)
     mode_pow = np.empty(base)
     mode_pow[rep_modes[links]] = [10.0 ** v for v in rep_tputs[links]]
-    s0 = states == STATE_S0
+    # row-major like the modes, so the rewards come out row-major too
+    s0 = np.ascontiguousarray(states == STATE_S0)
     return (np.where(s0, mode_pow[modes], 0.0),
             np.where(s0, row_pow[row_keys][:, None], 0.0))
 
@@ -339,16 +344,13 @@ def _evaluate(scenario: Scenario, joint_actions) -> Outcomes:
     tpc = np.abs(relative_throughput_change(i_db, scenario.amc))
     states = np.where(tpc <= scenario.config.epsilon, STATE_S0, STATE_S1)
     modes = amc_mode(sn_sinrs(gains, pn_mw, cr_mw), scenario.amc)
-    tputs = scenario.amc.mode_throughputs_mbps[modes]
-    local, global_ = _rewards(states, modes, tputs)
-    return Outcomes(
-        joint_actions=joint,
-        states=states,
-        tpc_magnitudes=tpc,
-        sn_throughputs_mbps=tputs,
-        local_rewards=local,
-        global_rewards=global_,
-    )
+    local, global_ = _rewards(states, modes,
+                              scenario.amc.mode_throughputs_mbps[modes])
+    joint_states = states[:, 0]
+    for column in states.T[1:]:
+        joint_states = joint_states << 1 | column
+    return Outcomes(joint_states=joint_states, local_rewards=local,
+                    global_rewards=global_)
 
 
 def check_outcome_budget(n_actions: int, n_cr: int) -> None:
@@ -357,7 +359,8 @@ def check_outcome_budget(n_actions: int, n_cr: int) -> None:
     rows = n_actions ** n_cr
     # peak working set: about 16 float64 values per row and CR, whatever
     # the number of primary links, since no array is wider than (K, N)
-    # (10.6 to 14.6 measured with tracemalloc at N = 2..5, M = 7 and 40)
+    # (10.5 to 14.6 measured with tracemalloc at N = 2..5, M = 7 and 40);
+    # the tensor kept afterwards is 2N + 1 values per row
     peak_bytes = rows * n_cr * 8 * 16
     if peak_bytes > OUTCOME_MEMORY_BUDGET:
         raise ConfigurationError(
@@ -399,11 +402,12 @@ def phase_change_probability(scenario: Scenario, policy, rho: float) -> float:
         raise ValueError(f"expected {n} actions, got {len(policy)}")
     if not all(0 <= a < n_actions for a in policy):
         raise ValueError(f"policy {policy} leaves the action space")
-    states = scenario.outcomes.states
-    if np.any(states[np.ravel_multi_index(policy, (n_actions,) * n)] != STATE_S0):
+    joint_states = scenario.outcomes.joint_states
+    if joint_states[np.ravel_multi_index(policy, (n_actions,) * n)] != 0:
         raise ValueError("policy must keep every agent in S0 absent experimentation")
 
-    p = (states[:, 0] == STATE_S1).astype(float).reshape((n_actions,) * n)
+    # agent 0's state is the joint state's top bit
+    p = ((joint_states >> (n - 1)) & 1).astype(float).reshape((n_actions,) * n)
     for j in reversed(range(n)):            # contract the last axis: agent j
         explore = 0.0 if j == 0 else rho    # agent 0 never experiments
         weights = np.full(n_actions, explore / n_actions)

@@ -176,17 +176,14 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc
 
-    @staticmethod
-    def from_json_file(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
-
 
 @dataclass
 class RunMetrics:
     """Score card of one Monte Carlo run. ``degenerate`` is the oracle's
     kind of degenerate scenario ("tied", "all_off" or None; None for a
-    run that raised)."""
+    run that raised). ``at_best`` holds, per phase, whether the S0 joint
+    policy after that phase scores the oracle's best reward, ties
+    included (empty for a run that raised)."""
 
     run: int
     phases: int
@@ -198,6 +195,7 @@ class RunMetrics:
     wall_ms: float
     error: str | None = None
     degenerate: str | None = None
+    at_best: tuple[bool, ...] = ()
 
 
 def child_seed(master_seed: int, point: int, run: int) -> np.random.SeedSequence:
@@ -245,6 +243,10 @@ def execute_run(config: ExperimentConfig, point: int, run: int):
         wall_ms=(time.perf_counter() - start) * 1e3,
         degenerate=oracle.degenerate,
     )
+    # scored after wall_ms is taken: the curve is not part of the run
+    metrics.at_best = tuple(
+        oracle.reward_of([record.policy_after[0] for record in records])
+        == oracle.best_reward for records in trace.phase_records)
     return metrics, oracle, trace
 
 
@@ -293,6 +295,10 @@ class ExperimentReport:
     metrics: list[list[RunMetrics]]       # [point][run]
 
     def aggregate(self) -> list[dict]:
+        """Per phase budget, the outcome and degenerate counts with the
+        percent optimal, and ``at_best_by_phase``: for each phase, the
+        percent of runs whose S0 joint policy after it scores the best
+        reward, with its Wilson interval (a run that raised is a miss)."""
         points = []
         for point, rows in enumerate(self.metrics):
             n = len(rows)
@@ -303,6 +309,13 @@ class ExperimentReport:
                 if m.degenerate is not None:
                     degenerate[m.degenerate] += 1
             lo, hi = wilson_interval(counts["optimal"], n)
+            at_best = []
+            for phase in range(self.config.agent[point].n_phases):
+                hits = sum(m.at_best[phase] for m in rows if m.at_best)
+                at_best.append({"phase": phase + 1,
+                                "percent_at_best": 100.0 * hits / n,
+                                "ci95_percent_at_best": [
+                                    100.0 * p for p in wilson_interval(hits, n)]})
             points.append({
                 "phases": self.config.agent[point].n_phases,
                 "runs": n,
@@ -311,6 +324,7 @@ class ExperimentReport:
                 "ci95_percent_optimal": [100.0 * lo, 100.0 * hi],
                 "outcomes": counts,
                 "degenerate": degenerate,
+                "at_best_by_phase": at_best,
             })
         return points
 

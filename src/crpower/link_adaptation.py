@@ -23,7 +23,6 @@ __all__ = [
     "AmcTable",
     "amc_mode",
     "relative_throughput_change",
-    "shannon_reference_table",
 ]
 
 
@@ -111,25 +110,3 @@ def relative_throughput_change(interference_over_noise_db, table: AmcTable):
     """
     ratio = 10.0 ** (np.asarray(interference_over_noise_db, dtype=float) / 10.0)
     return -np.log2(1.0 + table.snr_gap * ratio) / table.xi
-
-
-def shannon_reference_table(snr_gap: float = 1.0,
-                            snr_min_db: float = -10.0,
-                            snr_max_db: float = 40.0,
-                            n_rows: int = 2000,
-                            bandwidth_hz: float = 180_000.0,
-                            xi: float = 4.0,
-                            max_efficiency: float | None = None) -> AmcTable:
-    """Dense table tracking the gap-adjusted Shannon curve log2(1 + snr/gap).
-
-    Useful as an idealized AMC reference: by default every row from
-    snr_min_db to snr_max_db lies on the curve, so with enough rows the
-    step map approaches it. max_efficiency is an opt-in cap on the top
-    mode that mimics a saturating modulation set; AmcTable.default() is
-    the packaged saturating table.
-    """
-    thr = np.linspace(snr_min_db, snr_max_db, n_rows)
-    eff = np.log2(1.0 + (10.0 ** (thr / 10.0)) / snr_gap)
-    if max_efficiency is not None:
-        eff = np.minimum(eff, max_efficiency)
-    return AmcTable(thr, eff, bandwidth_hz=bandwidth_hz, snr_gap=snr_gap, xi=xi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import STATE_S0, Scenario
+from .environment import Scenario
 
 __all__ = ["OracleResult", "exhaustive_search", "score_policy"]
 
@@ -86,18 +86,20 @@ def exhaustive_search(scenario: Scenario,
     rewards = outcomes.rewards(mode)
     # with every agent in S0 the global reward is the same for all agents
     score = rewards[:, 0] if mode == "global" else rewards.sum(axis=1)
-    table = np.where(np.all(outcomes.states == STATE_S0, axis=1), score, 0.0)
+    # joint state 0: every agent in S0
+    table = np.where(outcomes.joint_states == 0, score, 0.0)
 
     best_idx = int(np.argmax(table))      # first max = lowest joint index
     best = float(table[best_idx])
     near = np.flatnonzero(table >= best * (1.0 - tau))
+    shape = (len(scenario.actions),) * scenario.n_cr
     return OracleResult(
-        best_joint_action=tuple(outcomes.joint_actions[best_idx].tolist()),
+        best_joint_action=tuple(map(int, np.unravel_index(best_idx, shape))),
         best_reward=best,
         reward_table=table,
-        near_optimal=tuple(map(tuple, outcomes.joint_actions[near].tolist())),
+        near_optimal=tuple(zip(*(a.tolist() for a in np.unravel_index(near, shape)))),
         tau=tau,
-        n_actions=len(scenario.actions),
+        n_actions=shape[0],
     )
 
 

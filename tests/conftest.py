@@ -2,15 +2,18 @@
 
 Building Scenario objects directly from gain matrices keeps the expected
 numbers computable by hand; the helpers below fabricate the placement
-geometry only to satisfy the dataclass shape.
+geometry only to satisfy the dataclass shape. The outcome tensor stores a
+joint state per joint action; decode_states gives back the per-agent
+states, and restated_tpc and restated_throughputs recompute the |T%| and
+throughput values behind the states and rewards from the scenario.
 """
 
 import numpy as np
 import pytest
 
-from crpower.channel import ChannelGains
+from crpower.channel import ChannelGains, dbm_to_mw, received_power_mw, sn_sinrs
 from crpower.environment import ActionSpace, EnvConfig, Scenario
-from crpower.link_adaptation import AmcTable
+from crpower.link_adaptation import AmcTable, amc_mode, relative_throughput_change
 from crpower.topology import GridSpec, NodePlacement
 
 TINY = 1e-30
@@ -85,3 +88,46 @@ def bernoulli_probe_scenario():
         pn_dbm=[0.0],
         config=EnvConfig(n_cr=2, reward_mode="local"),
     )
+
+
+def decode_states(joint_states, n_cr):
+    """(K, N) per-agent states of a (K,) joint-state column, agent i's
+    state in bit N-1-i."""
+    return (np.asarray(joint_states)[:, None] >> np.arange(n_cr - 1, -1, -1)) & 1
+
+
+def pack_states(states):
+    """The joint state of each row of a (K, N) block of per-agent states."""
+    states = np.asarray(states)
+    return (states << np.arange(states.shape[1] - 1, -1, -1)).sum(axis=1)
+
+
+def restated_tpc(scenario, joint_actions):
+    """(K, N) |T%| at each CR's monitored primary link: the CRs' summed
+    interference there, in dB over the scenario's reference power,
+    through relative_throughput_change."""
+    gains = scenario.gains
+    cr_mw = scenario.actions.powers_mw[np.asarray(joint_actions)]
+    monitored = scenario.monitored_links()
+    interference = received_power_mw(cr_mw, gains.g_ps[:, monitored])
+    if scenario.config.tpc_reference == "signal":
+        reference = np.diag(gains.g_pp) * dbm_to_mw(scenario.pn_powers_dbm)
+    else:
+        reference = np.full(gains.n_pn, gains.noise_power_mw)
+    with np.errstate(divide="ignore"):
+        i_db = 10.0 * np.log10(interference / reference[monitored])
+    return np.abs(relative_throughput_change(i_db, scenario.amc))
+
+
+def restated_throughputs(scenario, joint_actions):
+    """(K, N) AMC throughput in Mbps of each CR link under each joint
+    action."""
+    cr_mw = scenario.actions.powers_mw[np.asarray(joint_actions)]
+    sinrs = sn_sinrs(scenario.gains, dbm_to_mw(scenario.pn_powers_dbm), cr_mw)
+    return scenario.amc.mode_throughputs_mbps[amc_mode(sinrs, scenario.amc)]
+
+
+def joint_action_grid(n_actions, n_cr):
+    """Every joint action, (n_actions^N, N), in lexicographic order."""
+    return np.array(np.unravel_index(np.arange(n_actions ** n_cr),
+                                     (n_actions,) * n_cr)).T

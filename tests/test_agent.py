@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import TINY, make_scenario
+from conftest import TINY, decode_states, make_scenario, pack_states
 
 from crpower import agent as agent_module
 from crpower.agent import (
@@ -600,10 +600,11 @@ def test_state_after_a_later_divergence(two_cr_scenario, monkeypatch):
     np.testing.assert_array_equal(agents.windows.snapshots(), snapshots)
 
 
-def _plain_walk(policies, states, draws, outcome_states, rewards, n_actions):
+def _plain_walk(policies, states, draws, joint_states, rewards, n_actions):
     """_walk_phase restated one step at a time: every agent's action, the
     joint action's flat index and the outcome tensor's row at it."""
     n, length = draws.shape
+    outcome_states = decode_states(joint_states, n)
     columns = [np.zeros((n, length), dtype=dt)
                for dt in (np.int64, np.int64, np.int64, float)]
     states = list(states)
@@ -619,20 +620,20 @@ def _plain_walk(policies, states, draws, outcome_states, rewards, n_actions):
     return columns
 
 
-def _check_walk(policies, states, draws, outcome_states, rewards, n_actions):
-    args = (policies, states, draws, outcome_states, rewards, n_actions)
+def _check_walk(policies, states, draws, joint_states, rewards, n_actions):
+    args = (policies, states, draws, joint_states, rewards, n_actions)
     columns = _walk_phase(*args)
     for column, expected in zip(columns, _plain_walk(*args)):
         assert column.shape == draws.shape
         np.testing.assert_array_equal(column, expected)
 
 
-@pytest.mark.parametrize("n_cr", [1, 2, 3])
+@pytest.mark.parametrize("n_cr", [1, 2, 3, 4])
 def test_walk_phase_matches_a_plain_walk(n_cr):
     config = ExperimentConfig(
         env=EnvConfig(n_cr=n_cr, reward_mode="global", tpc_reference="signal"))
     scenario = scenario_for_run(config, 0, 3)
-    outcome_states = scenario.outcomes.states
+    joint_states = scenario.outcomes.joint_states
     rewards = scenario.outcomes.rewards("global")
     n_actions = len(scenario.actions)
     rng = np.random.default_rng(n_cr)
@@ -643,7 +644,7 @@ def test_walk_phase_matches_a_plain_walk(n_cr):
                 policies = rng.integers(n_actions, size=(n_cr, 2))
                 draws = np.stack([phase_draws(rng, length, rho, n_actions)
                                   for _ in range(n_cr)])
-                _check_walk(policies, states, draws, outcome_states, rewards,
+                _check_walk(policies, states, draws, joint_states, rewards,
                             n_actions)
     # paper-length phases whose stretches without an exploring step are far
     # longer than 2^N: with rho = 0 one stretch spans the phase
@@ -651,7 +652,7 @@ def test_walk_phase_matches_a_plain_walk(n_cr):
         policies = rng.integers(n_actions, size=(n_cr, 2))
         draws = np.stack([phase_draws(rng, 6250, rho, n_actions)
                           for _ in range(n_cr)])
-        _check_walk(policies, [1] * n_cr, draws, outcome_states, rewards,
+        _check_walk(policies, [1] * n_cr, draws, joint_states, rewards,
                     n_actions)
 
 
@@ -663,6 +664,7 @@ def test_walk_phase_follows_a_transient_into_a_cycle():
     rng = np.random.default_rng(7)
     outcome_states = rng.integers(2, size=(9, 2))
     outcome_states[[0, 2, 3, 5]] = [[0, 1], [1, 0], [1, 1], [1, 0]]
+    joint_states = pack_states(outcome_states)
     rewards = rng.uniform(0, 5, size=(9, 2))
     policies = np.array([[0, 1], [0, 2]])
     for rho in (0.0, 0.01, 0.2):
@@ -670,9 +672,9 @@ def test_walk_phase_follows_a_transient_into_a_cycle():
             for start in ([0, 0], [0, 1], [1, 1]):
                 draws = np.stack([phase_draws(rng, length, rho, 3)
                                   for _ in range(2)])
-                _check_walk(policies, start, draws, outcome_states, rewards, 3)
+                _check_walk(policies, start, draws, joint_states, rewards, 3)
     columns = _walk_phase(policies, [0, 0], np.full((2, 7), -1),
-                          outcome_states, rewards, 3)
+                          joint_states, rewards, 3)
     joint = 2 * columns[0][0] + columns[0][1]
     assert joint.tolist() == [0, 1, 2, 3, 2, 3, 2]
 
@@ -782,7 +784,7 @@ def reference_run(scenario, hp, seed_seq, learner, n_restarts=None,
     """run_learning restated from the published rules, with restarts when
     n_restarts is given."""
     n, n_actions = scenario.n_cr, len(scenario.actions)
-    states = scenario.outcomes.states
+    states = decode_states(scenario.outcomes.joint_states, n)
     rewards = scenario.outcomes.rewards(scenario.config.reward_mode)
     rngs = [np.random.default_rng(s) for s in seed_seq.spawn(n)]
 

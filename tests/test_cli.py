@@ -3,13 +3,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+
+from conftest import TINY, make_scenario
 
 import crpower
 from crpower import cli, harness
-from crpower.agent import TUNED_DQL_HYPERPARAMS
-from crpower.environment import Scenario
+from crpower.agent import TUNED_DQL_HYPERPARAMS, PhaseRecord, RunTrace
+from crpower.environment import ActionSpace, EnvConfig, Scenario
 from crpower.link_adaptation import AmcTable
 from crpower.oracle import exhaustive_search
 
@@ -96,6 +100,78 @@ def test_report_counts_degenerate_scenarios(tmp_path):
     assert [m.degenerate for m in metrics] == ["tied", None, "all_off"]
 
 
+def test_at_best_curve_of_hand_built_rows():
+    # three runs of three phases: hits 0, 1 and 2 of 3 after phases 1-3;
+    # the run that raised has no curve and is a miss at every phase
+    def row(run, at_best, outcome="suboptimal"):
+        return harness.RunMetrics(
+            run=run, phases=3, outcome=outcome, reward=1.0, joint_policy=(0, 0),
+            best_joint_action=(0, 1), best_reward=2.0, wall_ms=1.0,
+            at_best=at_best)
+
+    config = harness.ExperimentConfig.from_dict(
+        dict(CONFIG, agent=dict(CONFIG["agent"], n_phases=3)))
+    report = harness.ExperimentReport(config=config, metrics=[[
+        row(0, (False, True, True)), row(1, (False, False, True)),
+        row(2, (), outcome="error")]])
+    curve = report.aggregate()[0]["at_best_by_phase"]
+    assert [entry["phase"] for entry in curve] == [1, 2, 3]
+    for entry, hits in zip(curve, (0, 1, 2)):
+        lo, hi = harness.wilson_interval(hits, 3)
+        assert entry["percent_at_best"] == 100.0 * hits / 3
+        assert entry["ci95_percent_at_best"] == [100.0 * lo, 100.0 * hi]
+
+
+def test_at_best_counts_a_tie_at_the_best_reward(monkeypatch):
+    # identical links: (1, 0) ties the best joint action (0, 1), so a run
+    # ending there is at the best reward while its outcome, scored by
+    # joint-action equality, stays "near_optimal"
+    scenario = make_scenario(
+        g_pp=[[1e-10]], g_ps=[[1e-14], [1e-14]],
+        g_ss=[[1e-12, TINY], [TINY, 1e-12]], g_sp=[[TINY, TINY]],
+        pn_dbm=[0.0], actions=ActionSpace((0.0, 10.0)),
+        config=EnvConfig(n_cr=2, reward_mode="global"))
+
+    def record(policy):
+        return PhaseRecord(phase=0, policy_before=policy, policy_after=policy,
+                           delta=0.0, mean_reward=0.0, changed=False,
+                           q_values=np.zeros((2, 3)), candidates=((0,), (0,)))
+
+    # S0 joint policies (0, 0), (0, 1) and (1, 0) after phases 1, 2 and 3
+    records = [[record((0, 1)), record((0, 1))], [record((0, 1)), record((1, 1))],
+               [record((1, 0)), record((0, 0))]]
+    trace = RunTrace(agents=SimpleNamespace(policies=np.array([[1, 0], [0, 0]])),
+                     phase_records=records)
+    monkeypatch.setattr(harness, "scenario_for_run", lambda *args: scenario)
+    monkeypatch.setattr(harness, "learn_for_run", lambda *args, **kwargs: trace)
+    config = harness.ExperimentConfig.from_dict(
+        dict(CONFIG, agent=dict(CONFIG["agent"], n_phases=3)))
+    metrics, oracle, _ = harness.execute_run(config, 0, 0)
+    assert oracle.best_joint_action == (0, 1)
+    assert oracle.reward_of((1, 0)) == oracle.best_reward > oracle.reward_of((0, 0))
+    assert metrics.outcome == "near_optimal"
+    assert metrics.at_best == (False, True, True)
+
+
+def test_at_best_ends_at_the_runs_reward(tmp_path):
+    # each run's curve has one entry per phase, and its last says whether
+    # the run's final reward is the best; report.json carries the curve
+    doc = dict(CONFIG, n_runs=8, master_seed=1,
+               agent=dict(CONFIG["agent"], n_phases=3))
+    config = harness.ExperimentConfig.from_dict(doc)
+    rows = harness.run_experiment(config).metrics[0]
+    assert all(len(m.at_best) == 3 for m in rows)
+    assert [m.at_best[-1] for m in rows] == [m.reward == m.best_reward for m in rows]
+    assert any(m.at_best[-1] for m in rows)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    assert simulate(config_path, tmp_path / "out", "--no-artifacts") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    curve = report["points"][0]["at_best_by_phase"]
+    assert [entry["percent_at_best"] for entry in curve] == [
+        100.0 * sum(m.at_best[phase] for m in rows) / 8 for phase in range(3)]
+
+
 def test_pool_is_sized_by_the_job_count(monkeypatch):
     sizes = []
 
@@ -123,7 +199,7 @@ def test_pool_is_sized_by_the_job_count(monkeypatch):
     assert sizes == [3, 3, 2]
 
 
-def test_amc_table_is_parsed_once_per_config(monkeypatch):
+def test_amc_table_is_parsed_once_per_config(monkeypatch, config_path, tmp_path):
     from_csv = AmcTable.from_csv
     calls = []
 
@@ -136,6 +212,14 @@ def test_amc_table_is_parsed_once_per_config(monkeypatch):
     scenarios = [harness.scenario_for_run(config, 0, 1) for _ in range(2)]
     assert len(calls) == 1
     assert scenarios[0].to_json() == scenarios[1].to_json()
+    # the command's overrides go into the document, which is built once
+    calls.clear()
+    out = tmp_path / "out"
+    assert simulate(config_path, out, "--seed", "7", "--runs", "2",
+                    "--no-artifacts") == 0
+    assert len(calls) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert (report["master_seed"], report["n_runs"]) == (7, 2)
 
 
 def test_each_run_executes_once(config_path, tmp_path, monkeypatch):

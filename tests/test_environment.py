@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import TINY, make_scenario
+from conftest import (
+    TINY,
+    decode_states,
+    joint_action_grid,
+    make_scenario,
+    pack_states,
+    restated_throughputs,
+    restated_tpc,
+)
 
-from crpower.channel import dbm_to_mw, mw_to_dbm
+from crpower.channel import dbm_to_mw
 from crpower.environment import (
     ActionSpace,
     EnvConfig,
@@ -88,41 +96,48 @@ def test_all_off_gives_s0_everywhere():
     rng = np.random.default_rng(2)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
     out = sc.outcomes                       # flat index 0 is all-off
-    assert np.all(out.states[0] == STATE_S0)
-    assert np.all(out.tpc_magnitudes[0] == 0.0)
-    assert np.all(sc.config.epsilon - out.tpc_magnitudes[0] == sc.config.epsilon)
+    assert out.joint_states[0] == 0         # every agent in S0
+    tpc = restated_tpc(sc, [(0, 0)])[0]
+    assert np.all(tpc == 0.0)
+    assert np.all(sc.config.epsilon - tpc == sc.config.epsilon)
 
 
 def test_power_sweep_nondecreasing_tpc():
     rng = np.random.default_rng(3)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
-    tpc = sc.outcomes.tpc_magnitudes[::14, 0].tolist()   # joint actions (a, 0)
+    joints = [(a, 0) for a in range(14)]
+    tpc = restated_tpc(sc, joints)[:, 0].tolist()
     assert all(b >= a for a, b in zip(tpc, tpc[1:]))
     assert tpc[0] == 0.0
+    # agent 0 leaves S0 exactly where its |T%| passes the limit
+    states = decode_states(sc.outcomes.joint_states[::14], 2)[:, 0]
+    assert states.tolist() == [int(t > sc.config.epsilon) for t in tpc]
 
 
 def test_handbuilt_crossing(one_ap_one_cr):
     sc = one_ap_one_cr
     out = sc.outcomes
-    assert out.states[12, 0] == STATE_S0
-    assert out.tpc_magnitudes[12, 0] == pytest.approx(0.047153, abs=1e-5)
-    assert out.states[13, 0] == STATE_S1
-    assert out.tpc_magnitudes[13, 0] == pytest.approx(0.08, abs=1e-12)
-    margin = sc.config.epsilon - out.tpc_magnitudes[13, 0]
+    tpc = restated_tpc(sc, [(12,), (13,)])[:, 0]
+    assert out.joint_states[12] == STATE_S0
+    assert tpc[0] == pytest.approx(0.047153, abs=1e-5)
+    assert out.joint_states[13] == STATE_S1
+    assert tpc[1] == pytest.approx(0.08, abs=1e-12)
+    margin = sc.config.epsilon - tpc[1]
     assert margin == pytest.approx(-0.03, abs=1e-12)
 
 
 def test_state_label_matches_margin_sign():
     rng = np.random.default_rng(4)
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
-    out = sc.outcomes
+    states = decode_states(sc.outcomes.joint_states, 2)
     for a0 in range(0, 14, 3):
         for a1 in range(0, 14, 3):
             k = a0 * 14 + a1
+            tpc = restated_tpc(sc, [(a0, a1)])[0]
             for i in range(2):
-                s0 = out.tpc_magnitudes[k, i] <= sc.config.epsilon
-                assert (out.states[k, i] == STATE_S0) == s0
-                assert (sc.config.epsilon - out.tpc_magnitudes[k, i] >= 0.0) == s0
+                s0 = tpc[i] <= sc.config.epsilon
+                assert (states[k, i] == STATE_S0) == s0
+                assert (sc.config.epsilon - tpc[i] >= 0.0) == s0
 
 
 def test_row_evaluation_is_pure():
@@ -130,8 +145,8 @@ def test_row_evaluation_is_pure():
     sc = build_scenario(GridSpec(), EnvConfig(), AmcTable.default(), rng)
     a = _evaluate(sc, [(5, 7)])
     b = _evaluate(sc, [(5, 7)])
-    np.testing.assert_array_equal(a.states, b.states)
-    np.testing.assert_array_equal(a.sn_throughputs_mbps, b.sn_throughputs_mbps)
+    np.testing.assert_array_equal(a.joint_states, b.joint_states)
+    np.testing.assert_array_equal(a.local_rewards, b.local_rewards)
     np.testing.assert_array_equal(a.global_rewards, b.global_rewards)
 
 
@@ -165,7 +180,7 @@ def test_reward_zero_iff_s1(one_ap_one_cr):
 
 def test_reward_one_when_own_link_off(one_ap_one_cr):
     out = one_ap_one_cr.outcomes
-    assert out.sn_throughputs_mbps[0, 0] == 0.0
+    assert restated_throughputs(one_ap_one_cr, [(0,)])[0, 0] == 0.0
     assert out.local_rewards[0, 0] == 1.0
 
 
@@ -173,7 +188,7 @@ def test_local_reward_shape_in_own_action(one_ap_one_cr):
     """Nondecreasing up to the first S1-causing action, then zero."""
     out = one_ap_one_cr.outcomes
     rewards = out.rewards("local")[:, 0].tolist()
-    first_s1 = next(a for a in range(14) if out.states[a, 0] == STATE_S1)
+    first_s1 = next(a for a in range(14) if out.joint_states[a] == STATE_S1)
     ramp = rewards[1:first_s1]
     assert all(b >= a for a, b in zip(ramp, ramp[1:]))
     assert all(r == 0.0 for r in rewards[first_s1:])
@@ -221,7 +236,8 @@ def _reference_pn_power_control(gains, target_sinr_db):
         p_mw = dbm_to_mw(p_dbm)
         signal = signal_gain * p_mw
         pn = signal / (gains.g_pp.T @ p_mw - signal + gains.noise_power_mw)
-        new_dbm = np.clip(mw_to_dbm(dbm_to_mw(p_dbm) * (target / pn)), -20.0, 40.0)
+        new_dbm = np.clip(10.0 * np.log10(dbm_to_mw(p_dbm) * (target / pn)),
+                          -20.0, 40.0)
         if np.max(np.abs(new_dbm - p_dbm)) < 0.01:
             return new_dbm, True
         p_dbm = new_dbm
@@ -271,22 +287,49 @@ def test_outcome_tensor_matches_row_evaluation():
                                     AmcTable.default(), rng)
                 out = sc.outcomes
                 assert out is sc.outcomes              # built once per scenario
-                assert out.states.shape == (rows, n_cr)
-                # lexicographic order
-                joints = np.array(np.unravel_index(np.arange(rows),
-                                                   (14,) * n_cr)).T
-                np.testing.assert_array_equal(out.joint_actions, joints)
-                # each row evaluated alone (every fifth at N = 3)
+                assert out.joint_states.shape == (rows,)
+                assert out.global_rewards.shape == (rows, n_cr)
+                # lexicographic order: row k is flat index k, evaluated
+                # alone (every fifth at N = 3)
+                joints = joint_action_grid(14, n_cr)
                 picked = range(0, rows, 1 if n_cr == 2 else 5)
                 alone = [_evaluate(sc, joints[k:k + 1]) for k in picked]
-                for name in ("states", "sn_throughputs_mbps",
-                             "tpc_magnitudes", "local_rewards",
-                             "global_rewards"):
+                for name in ("joint_states", "local_rewards", "global_rewards"):
                     np.testing.assert_array_equal(
                         getattr(out, name)[picked],
                         np.concatenate([getattr(row, name) for row in alone]))
     with pytest.raises(ValueError):
         out.rewards("other")
+
+
+def test_joint_states_pack_each_rows_states():
+    """A block of joint actions in any row order stores, per row, its
+    agents' states as bits (agent i in bit N-1-i; S1 where the restated
+    |T%| passes the limit), and the full tensor's joint state and rewards
+    at that row's flat index. Both store their rewards row-major."""
+    rng = np.random.default_rng(14)
+    bits = []
+    for n_cr, reference in ((1, "noise"), (2, "signal"), (3, "noise"),
+                            (4, "noise"), (4, "signal")):
+        sc = build_scenario(GridSpec(), EnvConfig(n_cr=n_cr,
+                                                  tpc_reference=reference),
+                            AmcTable.default(), rng)
+        out = sc.outcomes
+        rows = rng.permutation(14 ** n_cr)[:500]
+        joints = joint_action_grid(14, n_cr)[rows]
+        block = _evaluate(sc, joints)
+        states = np.where(restated_tpc(sc, joints) <= sc.config.epsilon,
+                          STATE_S0, STATE_S1)
+        bits.append(states.ravel())
+        np.testing.assert_array_equal(block.joint_states, pack_states(states))
+        np.testing.assert_array_equal(block.joint_states, out.joint_states[rows])
+        for name in ("local_rewards", "global_rewards"):
+            np.testing.assert_array_equal(getattr(block, name),
+                                          getattr(out, name)[rows])
+            for outcomes in (out, block):
+                assert getattr(outcomes, name).flags.c_contiguous
+    bits = np.concatenate(bits)
+    assert 0 < bits.sum() < bits.size          # both states occur
 
 
 def test_rewards_use_scalar_pow():
@@ -301,10 +344,13 @@ def test_rewards_use_scalar_pow():
                                               tpc_reference=reference),
                                     AmcTable.default(), rng)
                 out = sc.outcomes
-                for k in range(0, 14 ** n_cr, 5):
-                    tputs = out.sn_throughputs_mbps[k]
+                picked = range(0, 14 ** n_cr, 5)
+                joints = joint_action_grid(14, n_cr)[picked]
+                states = decode_states(out.joint_states[picked], n_cr)
+                for row, k in enumerate(picked):
+                    tputs = restated_throughputs(sc, joints[row:row + 1])[0]
                     for i in range(n_cr):
-                        s0 = out.states[k, i] == STATE_S0
+                        s0 = states[row, i] == STATE_S0
                         assert out.local_rewards[k, i] == (
                             10.0 ** tputs[i] if s0 else 0.0)
                         assert out.global_rewards[k, i] == (
@@ -370,7 +416,8 @@ def sampled_phase_change(scenario, policy, rho, steps, rng) -> int:
     action and every other agent draws uniformly from the action space
     with probability rho, else plays its policy action."""
     n_actions = len(scenario.actions)
-    states = scenario.outcomes.states[:, 0].tolist()
+    states = decode_states(scenario.outcomes.joint_states,
+                           scenario.n_cr)[:, 0].tolist()
     flips = 0
     for _ in range(steps):
         k = 0
@@ -481,8 +528,7 @@ def test_scenario_json_roundtrip():
         np.testing.assert_array_equal(back.amc.spectral_efficiencies,
                                       sc.amc.spectral_efficiencies)
         assert (back.amc.xi, back.amc.snr_gap) == (3.0, 1.5)
-        for name in ("joint_actions", "states", "tpc_magnitudes",
-                     "sn_throughputs_mbps", "local_rewards", "global_rewards"):
+        for name in ("joint_states", "local_rewards", "global_rewards"):
             np.testing.assert_array_equal(getattr(back.outcomes, name),
                                           getattr(sc.outcomes, name))
         a, b = exhaustive_search(sc), exhaustive_search(back)

@@ -5,8 +5,18 @@ from crpower.link_adaptation import (
     AmcTable,
     amc_mode,
     relative_throughput_change,
-    shannon_reference_table,
 )
+
+
+def shannon_reference_table(snr_gap=1.0, snr_min_db=-10.0, snr_max_db=40.0,
+                            n_rows=2000, max_efficiency=None) -> AmcTable:
+    """Dense table on the gap-adjusted Shannon curve log2(1 + snr/gap), an
+    idealized AMC reference; max_efficiency caps the top mode."""
+    thr = np.linspace(snr_min_db, snr_max_db, n_rows)
+    eff = np.log2(1.0 + (10.0 ** (thr / 10.0)) / snr_gap)
+    if max_efficiency is not None:
+        eff = np.minimum(eff, max_efficiency)
+    return AmcTable(thr, eff, snr_gap=snr_gap)
 
 
 def throughput(sinr, table):

@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import TINY, make_scenario
+from conftest import TINY, make_scenario, restated_throughputs
 
 from crpower.environment import (
-    STATE_S0,
     ActionSpace,
     EnvConfig,
     _evaluate,
@@ -110,13 +109,15 @@ def test_flat_index_rejects_joint_actions_outside_the_table():
 
 
 def reference_objective(scenario, joint_action, mode):
-    """Scalar objective of one joint action, from a one-row evaluation."""
-    row = _evaluate(scenario, [joint_action])
-    if np.any(row.states[0] != STATE_S0):
+    """Scalar objective of one joint action: zero unless a one-row
+    evaluation leaves every agent in S0 (joint state 0), else from the
+    links' restated throughputs."""
+    if _evaluate(scenario, [joint_action]).joint_states[0] != 0:
         return 0.0
+    tputs = restated_throughputs(scenario, [joint_action])[0]
     if mode == "global":
-        return float(10.0 ** np.sum(row.sn_throughputs_mbps[0]))
-    return float(np.sum(10.0 ** row.sn_throughputs_mbps[0]))
+        return float(10.0 ** np.sum(tputs))
+    return float(np.sum(10.0 ** tputs))
 
 
 def test_agreement_with_reversed_enumeration():
