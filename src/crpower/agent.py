@@ -46,10 +46,14 @@ one gradient step of the block, the step ``train_minibatch`` takes, in
 which every network steps on its own next mini-batch, bit for bit as it
 would alone. A step sums each network's errors per (state, action) and
 backpropagates the two state rows of the sums, which equals the
-per-sample gradient to rounding (see ``qfunc``). Unlike the tables, a DQL phase is a whole
-number of mini-batches and every update pushes, so each gradient step
+per-sample gradient to rounding (see ``qfunc``). Unlike the tables, a
+DQL phase is a whole number of mini-batches, so each gradient step
 learns from its own phase's columns, under one joint policy and one
-step size. The first update at which any network diverges ends the run
+step size. The updates between two target refreshes run unchecked and
+are checked once, and every update's Q matrices are kept; the phase
+then pushes the last ``std_window`` of them (every one, when updates
+are recorded) and counts the others as skipped pushes, as the tables
+do. The first update at which any network diverges ends the run
 with that update's error, the one of its lowest-index diverging network,
 as agents stepping together through the phase would.
 """
@@ -162,12 +166,18 @@ class QValueWindows:
         self._buf[self._count % self._window] = q
         self._count += 1
 
+    def extend(self, qs):
+        """Store each of the stacked Q matrices qs, at most ``window`` of
+        them, in order, as push does."""
+        self._buf[(self._count + np.arange(len(qs))) % self._window] = qs
+        self._count += len(qs)
+
     def skip(self, n: int):
         """Count n pushes without storing them. At least ``window`` pushes
         must follow before the next snapshots call, so that none of the
-        skipped slots is read. The table learner counts the steps of a
-        phase's run-length pass this way, all but the last ``window``,
-        unless every update is recorded."""
+        skipped slots is read. Both learners count a phase's updates this
+        way, all but the last ``window``, unless every update is
+        recorded."""
         self._count += n
 
     @property
@@ -194,7 +204,11 @@ class QValueWindows:
 
 @dataclass
 class PhaseRecord:
-    """What one agent did at one phase boundary."""
+    """What one agent did at one phase boundary. A network-backed agent
+    also records ``live_units``, its hidden units whose pre-activation lies
+    inside (0, cap) for either state, and ``state_blind``, whether its Q
+    matrix has equal rows for the two states; they are None for a table
+    and then absent from to_jsonable."""
 
     phase: int
     policy_before: tuple[int, ...]
@@ -204,9 +218,11 @@ class PhaseRecord:
     changed: bool
     q_values: np.ndarray                        # (n_states, n_actions)
     candidates: tuple[tuple[int, ...], ...]
+    live_units: int | None = None
+    state_blind: bool | None = None
 
     def to_jsonable(self) -> dict:
-        return {
+        doc = {
             "phase": self.phase,
             "policy_before": list(self.policy_before),
             "policy_after": list(self.policy_after),
@@ -216,6 +232,9 @@ class PhaseRecord:
             "q_values": self.q_values.tolist(),
             "candidates": [list(c) for c in self.candidates],
         }
+        if self.live_units is not None:
+            doc.update(live_units=self.live_units, state_blind=self.state_blind)
+        return doc
 
 
 @dataclass
@@ -279,6 +298,20 @@ class _AgentBase:
                     step=step, action=action, q_s0=np.array(q_agent[0]),
                     delta=self.hp.tolerance_multiplier * spread))
 
+    def _push_all(self, snapshots, steps, actions):
+        """Push the Q matrices of consecutive updates in order, snapshots[t]
+        after the update at steps[t], at which agent i played actions[i, t],
+        as _push does. Unless updates are recorded, only the last
+        ``std_window`` are stored, at once, and the others counted as
+        skipped pushes: the ring holds no more."""
+        if self.update_records is None:
+            kept = snapshots[-self.hp.std_window:]
+            self.windows.skip(len(snapshots) - len(kept))
+            self.windows.extend(kept)
+            return
+        for step, q, played in zip(steps, snapshots, actions.T.tolist()):
+            self._push(q, step, played)
+
     def update_policy(self, rngs, mean_rewards) -> list[PhaseRecord]:
         """Best reply with inertia at a phase boundary, agent i drawing from
         rngs[i]; agent i's record keeps its phase's mean_rewards[i].
@@ -288,6 +321,7 @@ class _AgentBase:
         spread of the lowest-index such agent.
         """
         q = self.q_values()
+        fields = self._record_fields()
         spreads = self.windows.largest_std().tolist()
         for spread in spreads:
             if not math.isfinite(spread):
@@ -312,10 +346,16 @@ class _AgentBase:
                 changed=after != before,
                 q_values=q[i].copy(),
                 candidates=candidates,
+                **fields[i],
             ))
         self.phase += 1
         self.alpha /= self.hp.zeta
         return records
+
+    def _record_fields(self) -> list[dict]:
+        """Per agent, the learner's own PhaseRecord fields, read after
+        q_values()."""
+        return [{} for _ in self.policies]
 
 
 class DqlAgents(_AgentBase):
@@ -337,38 +377,56 @@ class DqlAgents(_AgentBase):
     def q_values(self) -> np.ndarray:
         return q_matrix(self.params)
 
+    def _record_fields(self) -> list[dict]:
+        """live_units and state_blind of each network, from the masks and
+        Q matrices of the two-state pass that q_values() read."""
+        activations, masks = self.params._two_state_pass()
+        live = sum(mask.any(axis=1).sum(axis=1) for mask in masks).tolist()
+        q = activations[-1]
+        blind = (q[:, 0] == q[:, 1]).all(axis=1).tolist()
+        return [dict(live_units=units, state_blind=same)
+                for units, same in zip(live, blind)]
+
     def learn_phase(self, columns):
         """Train the stacked networks in lockstep: update u trains every
-        network on its own u-th mini-batch of the phase, and every update
-        pushes. The phase's set-up is done once (qfunc._Descent), and the
-        targets once per target refresh; the first update whose step
-        diverges raises its error and leaves the networks, targets and
-        window ring as the update before it left them."""
+        network on its own u-th mini-batch of the phase. The phase's set-up
+        is done once (qfunc._Descent), and the targets once per target
+        refresh. The updates between refreshes run as one unchecked run,
+        and the networks are checked once after it (see _Descent.finite);
+        a run that fails is replayed one checked update at a time, so the
+        first update whose step diverges raises its error and leaves the
+        networks and target maxima as the update before it left them. The
+        updates that completed then push their snapshots, in order; unless
+        updates are recorded, only the last ``std_window`` of them are
+        stored and the others counted as skipped pushes."""
         hp = self.hp
         size = hp.minibatch
         n_updates = hp.phase_length // size
         descent = _Descent(self.params, *columns, n_updates, self.alpha, hp.gamma)
-        # an update is numbered by the step of its mini-batch's last entry
-        first_step = self.phase * hp.phase_length + size
-        actions = columns[2][:, size - 1::size].T.tolist()
-        stop = 0
-        # diverging networks overflow; their step raises
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                for u in range(n_updates):
-                    if u == stop:
-                        # the targets of the updates up to the next refresh
-                        start = u
-                        stop = min(u + hp.c - self.updates % hp.c, n_updates)
-                        targets = descent.targets(self.target_max, start, stop)
-                    descent.step(u, targets[u - start])
-                    self.updates += 1
-                    q = descent.q
-                    if self.updates % hp.c == 0:
-                        self.target_max = q.max(axis=2)
-                    self._push(q, first_step + u * size, actions[u])
-            finally:
-                self.params = descent.params()
+        first = self.updates
+        try:
+            # diverging networks overflow; a checked update raises
+            with np.errstate(over="ignore", invalid="ignore"):
+                while descent.done < n_updates:
+                    start = descent.done
+                    stop = min(start + hp.c - (first + start) % hp.c, n_updates)
+                    targets = descent.targets(self.target_max, start, stop)
+                    descent.run(targets)
+                    if not descent.finite():
+                        descent.rewind()
+                        for y in targets:
+                            descent.check(descent.run(y[None]))
+                    if (first + stop) % hp.c == 0:
+                        self.target_max = descent.q.max(axis=2)
+        finally:
+            done = descent.done
+            self.updates = first + done
+            self.params = descent.params()
+            # an update is numbered by the step of its mini-batch's last entry
+            step = self.phase * hp.phase_length + size
+            self._push_all(descent.snapshots[1:done + 1],
+                           range(step, step + done * size, size),
+                           columns[2][:, size - 1::size])
 
 
 class TableAgents(_AgentBase):
@@ -433,8 +491,7 @@ class TableAgents(_AgentBase):
         snapshots = np.array(values)[np.arange(n_agents)[:, None], source]
         snapshots = snapshots.reshape(len(steps), n_agents, N_STATES, n_actions)
         first = self.phase * hp.phase_length + bulk + 1
-        for t, (q, actions) in enumerate(zip(snapshots, tail[2].T.tolist())):
-            self._push(q, first + t, actions)
+        self._push_all(snapshots, range(first, first + len(steps)), tail[2])
 
 
 def make_agents(kind: str, hp: AgentHyperparams, n_actions: int, rngs,

@@ -183,7 +183,9 @@ class RunMetrics:
     kind of degenerate scenario ("tied", "all_off" or None; None for a
     run that raised). ``at_best`` holds, per phase, whether the S0 joint
     policy after that phase scores the oracle's best reward, ties
-    included (empty for a run that raised)."""
+    included (empty for a run that raised). ``pn_power_converged`` is the
+    scenario's flag: whether primary power control converged (None for a
+    run that raised)."""
 
     run: int
     phases: int
@@ -196,6 +198,7 @@ class RunMetrics:
     error: str | None = None
     degenerate: str | None = None
     at_best: tuple[bool, ...] = ()
+    pn_power_converged: bool | None = None
 
 
 def child_seed(master_seed: int, point: int, run: int) -> np.random.SeedSequence:
@@ -242,6 +245,7 @@ def execute_run(config: ExperimentConfig, point: int, run: int):
         best_reward=oracle.best_reward,
         wall_ms=(time.perf_counter() - start) * 1e3,
         degenerate=oracle.degenerate,
+        pn_power_converged=scenario.pn_power_converged,
     )
     # scored after wall_ms is taken: the curve is not part of the run
     metrics.at_best = tuple(
@@ -296,8 +300,10 @@ class ExperimentReport:
 
     def aggregate(self) -> list[dict]:
         """Per phase budget, the outcome and degenerate counts with the
-        percent optimal, and ``at_best_by_phase``: for each phase, the
-        percent of runs whose S0 joint policy after it scores the best
+        percent optimal, ``pn_power_unconverged``, the count of runs whose
+        scenario's primary power control did not converge (a run that
+        raised is not counted), and ``at_best_by_phase``: for each phase,
+        the percent of runs whose S0 joint policy after it scores the best
         reward, with its Wilson interval (a run that raised is a miss)."""
         points = []
         for point, rows in enumerate(self.metrics):
@@ -324,6 +330,8 @@ class ExperimentReport:
                 "ci95_percent_optimal": [100.0 * lo, 100.0 * hi],
                 "outcomes": counts,
                 "degenerate": degenerate,
+                "pn_power_unconverged": sum(m.pn_power_converged is False
+                                            for m in rows),
                 "at_best_by_phase": at_best,
             })
         return points

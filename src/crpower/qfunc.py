@@ -39,21 +39,39 @@ action) cells and backpropagates its two rows through the cached
 activations and masks: 2-row matrix products per layer.
 
 Gradient steps come in runs on consecutive mini-batches (``_Descent``).
-A run sets up once what its steps share: the columns are converted and
-checked, rewards and rates included; the cell of every sample is
-computed, which indexes both its Q-value in the Q matrices and its sum
-in D; and the gradient buffer, its layer views and two parameter sets
-are allocated. The targets r + gamma * target_max[s'] are computed once
-for all the steps that share the target maxima. Each step does only its
-own work: the error sums, the backward products into the gradient
-buffer, one subtraction into the parameter set the previous step did
-not write, one finiteness check on the block, and the two-state forward
-pass of the new block when its Q matrices are read. The loss is
-computed only where it is used: in ``train_minibatch``'s return value
-and in a divergence error's text. ``train_minibatch`` is a run of one
-step; a DQL phase (``agent.DqlAgents.learn_phase``) is a run of one step
-per mini-batch, under one ``np.errstate``, with new targets every ``c``
-steps.
+An update is a few dozen numpy calls on arrays of a few dozen floats,
+so its cost is the calls' cost, which their operands' layout decides. A
+descent trains a layer-major copy of the block, copied in at set-up and
+out by ``params``: one 1-D buffer holding, layer by layer, the weights
+of all N networks, (N, fan_in, fan_out), then their biases once per
+state, (N, 2, fan_out), so that every per-layer view is contiguous and
+the forward pass adds a bias without broadcasting. All else the updates
+share is set up once: the converted and checked columns, rewards and
+rates included; each sample's cell, which indexes both its Q-value in
+the Q matrices and its sum in D; two parameter blocks that the updates
+write in turn, with their pass buffers and the transposed views the
+backward pass reads; the gradient block and the delta buffers; and a
+row per update for its Q matrices, which the forward pass writes in
+place. An update allocates only its errors and their sums: the backward
+products go straight into the gradient block (the first layer's delta
+is its weight gradient; a bias gradient, a delta's two rows summed, is
+one product with a 2 x 2 matrix of ones), then one multiply and one
+subtraction into the other block, and that block's two-state pass. The
+targets r + gamma * target_max[s'] are computed once for all the
+updates that share the target maxima.
+
+A run of updates is checked once, after its last update. A non-finite
+parameter stays non-finite under every later update (x - alpha * g is
+inf or NaN when x is, and NaN when g is), so that one check tells
+whether every update of the run was finite. Only when it was not does
+the descent rewind to the block the run started from and replay the run
+one checked update at a time, which raises the first diverging update's
+error and leaves the block before it current: table_update's
+check-once, replay-on-failure scheme. The loss is computed only where
+it is used: in ``train_minibatch``'s return value and in a divergence
+error's text. ``train_minibatch`` is a run of one update; a DQL phase
+(``agent.DqlAgents.learn_phase``) is a run per target refresh, under
+one ``np.errstate``.
 
 A stacked step is bit-identical to a step of each network alone. A
 stacked matmul multiplies each network's slice with the same shapes and
@@ -65,7 +83,12 @@ the others or on N. The step agrees with the per-sample formulation
 backward pass, added up over the batch by the matrix products) to
 rounding, not bit for bit: both compute the same sums, grouped
 differently. tests/test_qfunc.py pins both, and a two-row step
-restated sum by sum bit for bit.
+restated sum by sum bit for bit. Each network's matrices in the
+layer-major block have the inner layout of its views of the (N, P)
+block, so the descent's updates are bit-identical to the same updates
+on the (N, P) block, which tests/test_agent.py restates; the product
+with ones adds a bias gradient's two rows as a sum does, up to the sign
+of a zero sum, which changes no parameter other than a -0.0.
 """
 
 from __future__ import annotations
@@ -255,6 +278,32 @@ def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):
     return tuple(weights), tuple(biases)
 
 
+def _layer_major(n: int, layer_sizes: tuple[int, ...]):
+    """A 1-D block for N networks in the layer-major layout, and its
+    per-layer views: (flat, weights, biases). Layer by layer, the block
+    holds the weights of all N networks, weights[k] of shape (N, fan_in,
+    fan_out), then their biases, biases[k] of shape (N, 2, fan_out), each
+    bias stored once per state so that the two-state pass adds it
+    without broadcasting. Every view is contiguous."""
+    shapes = [shape for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
+              for shape in ((n, fan_in, fan_out), (n, N_STATES, fan_out))]
+    flat = np.empty(sum(map(math.prod, shapes)))
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return flat, tuple(views[0::2]), tuple(views[1::2])
+
+
+def _hidden_buffers(n: int, layer_sizes: tuple[int, ...]):
+    """Empty (activations, masks) of the hidden layers of a two-state pass
+    of N networks."""
+    shapes = [(n, N_STATES, width) for width in layer_sizes[1:-1]]
+    return (tuple(np.empty(shape) for shape in shapes),
+            tuple(np.empty(shape, dtype=bool) for shape in shapes))
+
+
 class MlpParams:
     """Weights of N feed-forward approximators of one shape, stacked.
 
@@ -286,30 +335,34 @@ class MlpParams:
         """Cached forward pass on both states: (activations, masks); see
         _forward, also for the np.errstate to call it under."""
         if self._two_state is None:
-            self._two_state = _forward(self.weights, self.biases, self.cap)
+            n = len(self.flat)
+            hidden, masks = _hidden_buffers(n, self.layer_sizes)
+            q = np.empty((n, N_STATES, self.n_actions))
+            _forward(self.weights, self.biases, self.cap, hidden, masks, q)
+            q.flags.writeable = False       # q_matrix hands it out
+            self._two_state = hidden + (q,), masks
         return self._two_state
 
 
-def _forward(weights, biases, cap: float):
-    """Forward pass of stacked networks on the one-hot states 0 and 1:
-    (activations, masks), two tuples.
+def _forward(weights, biases, cap: float, hidden, masks, q) -> None:
+    """Forward pass of stacked networks on the one-hot states 0 and 1,
+    written into buffers of shape (N, 2, width).
 
-    activations[k], of shape (N, 2, width), is the output of layer k for
-    both states (so activations[-1] is the Q matrices); masks[k] is True
-    where hidden layer k's pre-activation lies inside (0, cap). The first
-    layer's pre-activation is its weights plus its bias: the one-hot rows
-    of eye(2) pick the weight rows. Diverging networks overflow here;
-    call it under np.errstate(over="ignore", invalid="ignore").
+    hidden[k] receives the output of hidden layer k for both states and
+    q the Q matrices; masks[k] is set True where hidden layer k's
+    pre-activation lies inside (0, cap). The activations, with q last, are
+    the pass's ``activations``. The first layer's pre-activation is its
+    weights plus its bias: the one-hot rows of eye(2) pick the weight
+    rows. Diverging networks overflow here; call it under
+    np.errstate(over="ignore", invalid="ignore").
     """
-    h = weights[0] + biases[0]
-    acts, masks = [], []
-    for w, b in zip(weights[1:], biases[1:]):
-        masks.append((h > 0.0) & (h < cap))
-        acts.append(_clip(h, 0.0, cap, out=h))
-        h = h @ w + b
-    h.flags.writeable = False       # q_matrix hands it out
-    acts.append(h)
-    return tuple(acts), tuple(masks)
+    h = np.add(weights[0], biases[0], out=hidden[0])
+    for w, b, mask, out in zip(weights[1:], biases[1:], masks, hidden[1:] + (q,)):
+        np.greater(h, 0.0, out=mask)
+        mask &= h < cap
+        _clip(h, 0.0, cap, out=h)
+        h = np.matmul(h, w, out=out)
+        np.add(h, b, out=h)
 
 
 def init_mlp(rngs, n_actions: int, cap: float) -> MlpParams:
@@ -355,7 +408,8 @@ def train_minibatch(params: MlpParams,
     descent = _Descent(params, states, next_states, actions, rewards, 1,
                        alpha, gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        err = descent.step(0, descent.targets(target_max, 0, 1)[0])
+        err = descent.run(descent.targets(target_max, 0, 1))
+        descent.check(err)
         return descent.params(), _loss(err)
 
 
@@ -364,17 +418,53 @@ def _loss(err: np.ndarray) -> np.ndarray:
     return 0.5 * (np.add.reduce(err ** 2, axis=1) / err.shape[1])  # np.mean, inlined
 
 
+def _finite_rows(views) -> np.ndarray:
+    """(N,) True where network i's entries of every (N, ...) view are finite."""
+    finite = True
+    for view in views:
+        finite = finite & np.isfinite(view).reshape(len(view), -1).all(axis=1)
+    return finite
+
+
+class _Block:
+    """One parameter set of N stacked networks in the layer-major layout,
+    with the buffers of the hidden layers of its two-state pass.
+
+    ``flat`` is the 1-D block; weights[k] and biases[k] are its contiguous
+    per-layer views (see _layer_major) and weights_t[k] the
+    transposed weight views the backward pass reads. hidden and masks
+    receive the hidden activations and masks of the block's pass, as
+    _forward writes them, and hidden_t holds the transposed views of the
+    hidden activations."""
+
+    def __init__(self, n: int, layer_sizes: tuple[int, ...]):
+        self.flat, self.weights, self.biases = _layer_major(n, layer_sizes)
+        self.weights_t = tuple(w.transpose(0, 2, 1) for w in self.weights)
+        self.hidden, self.masks = _hidden_buffers(n, layer_sizes)
+        self.hidden_t = tuple(a.transpose(0, 2, 1) for a in self.hidden)
+
+
 class _Descent:
-    """Gradient steps of one stacked block on consecutive mini-batches.
+    """Gradient steps of N stacked networks on consecutive mini-batches.
 
     The columns, as train_minibatch takes them, hold ``n_updates``
     mini-batches of equal size back to back, update u training every
     network on its own u-th one. What stays fixed across the updates is
     done once: the checks of the columns and rates, the cell of every
-    sample, the gradient buffer and its layer views, and two parameter
-    sets whose blocks the updates write in turn. ``step`` is the one copy
-    of the gradient maths: train_minibatch runs it once, a DQL phase once
-    per mini-batch. Call targets, step and q under
+    sample, and the buffers: two layer-major blocks (_Block) that the
+    updates write in turn, the gradient block in the same layout with its
+    per-layer views, the error and delta buffers, per block the operands
+    of its backward pass, and the Q matrices after every update
+    (``snapshots``), which the forward passes write in place. The caller's
+    parameters are copied into the first block at set-up, and the current
+    block out in ``params``.
+
+    ``run`` is the one copy of the gradient maths: train_minibatch runs
+    one update, a DQL phase its runs of updates between target refreshes.
+    It checks nothing. ``check`` checks the block one update wrote;
+    ``finite`` checks the current block after a run, and ``rewind`` goes
+    back to the block the run started from, to replay it update by
+    update. Call targets, run, check, finite and rewind under
     np.errstate(over="ignore", invalid="ignore"); diverging networks
     overflow there.
     """
@@ -410,20 +500,55 @@ class _Descent:
         # (network, state, action) cell of a sample indexes both its
         # Q_i(s, a) in the (N, 2, A) Q matrices and its error sum.
         offsets = np.arange(0, N_STATES * n, N_STATES)[:, None]
-        self._cells = per_update((states + offsets) * n_actions + actions)
+        cells = per_update((states + offsets) * n_actions + actions)
+        # per update, its (N, b) cells and the same cells flat
+        self._cells = list(cells)
+        self._flat_cells = list(cells.reshape(n_updates, -1))
         self._next_rows = per_update(next_states + offsets)
         self._rewards = per_update(rewards)
-        self._sums_shape = (n, N_STATES, n_actions)
-        self._n_cells = n * N_STATES * n_actions
+        self._scaled = np.empty((n, b))         # the errors over b
 
-        sizes, cap = params.layer_sizes, params.cap
-        self._grad = np.empty_like(params.flat)
-        self._grad_w, self._grad_b = _layer_views(self._grad, sizes)
-        # the parameter sets whose blocks the updates write in turn
-        self._buffers = [MlpParams(np.empty_like(params.flat), sizes, cap)
-                         for _ in range(min(n_updates, 2))]
-        self._params = params       # the current block: the caller's until
-        self._written = 0           # the first update
+        self._shape = params.flat.shape
+        sizes = self._sizes = params.layer_sizes
+        self._cap = params.cap
+        # row u: the Q matrices after u updates; the passes write the
+        # writeable base, and the rows handed out are read-only
+        self._snapshots = np.empty((n_updates + 1, n, N_STATES, n_actions))
+        self.snapshots = self._snapshots.view()
+        self.snapshots.flags.writeable = False
+        self._rows = list(self.snapshots)
+        self.done = 0           # the updates the current block has taken
+        self._blocks = (_Block(n, sizes), _Block(n, sizes))
+        self._current = 0
+        start = self._blocks[0]
+        for view, source in zip(start.weights + start.biases,
+                                params.weights + params.biases):
+            np.copyto(view, source)     # a bias to both of its rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._forward(start, 0)
+        # the block the last run started from, and its update count
+        self._run_start, self._run_flat = 0, start.flat.copy()
+        self._grad, self._grad_w, self._grad_b = _layer_major(n, sizes)
+        self._step = np.empty_like(start.flat)      # alpha times the gradient
+        # ones @ delta sums a delta's two state rows into both rows of a
+        # bias gradient
+        self._ones = np.ones((N_STATES, N_STATES))
+        # the delta of each layer below the output; the first layer's
+        # input is eye(2), so its delta is its weight gradient
+        deltas = (self._grad_w[0],) + tuple(
+            np.empty((n, N_STATES, width)) for width in sizes[2:-1])
+        # per current block, the operands of each layer's backward step,
+        # top layer first
+        self._backward = tuple(
+            tuple(zip(block.hidden_t, self._grad_w[1:], self._grad_b[1:],
+                      block.weights_t[1:], deltas, block.masks))[::-1]
+            for block in self._blocks)
+
+    def _forward(self, block: _Block, u: int) -> None:
+        """The two-state pass of block, whose parameters have taken u
+        updates."""
+        _forward(block.weights, block.biases, self._cap, block.hidden,
+                 block.masks, self._snapshots[u])
 
     def targets(self, target_max: np.ndarray, start: int, stop: int) -> np.ndarray:
         """The targets r + gamma * target_max[i, s'] of updates start to
@@ -431,50 +556,90 @@ class _Descent:
         return (self._rewards[start:stop]
                 + self.gamma * target_max.take(self._next_rows[start:stop]))
 
-    def step(self, u: int, y: np.ndarray) -> np.ndarray:
-        """Update u against the (N, b) targets y: the gradient of the
-        current block, written to a buffer of its own, which becomes the
-        current block. Returns the (N, b) errors Q_i(s, a) - y. Raises
-        FloatingPointError, keeping the current block, when a network's
-        gradient or updated parameters are not finite. The backward pass
-        runs on the two state rows of the error sums D (see the module
-        docstring)."""
-        activations, masks = self._params._two_state_pass()
-        cells = self._cells[u]
-        err = activations[-1].take(cells) - y
-        delta = np.bincount(cells.ravel(), (err / err.shape[1]).ravel(),
-                            self._n_cells).reshape(self._sums_shape)
-        weights = self._params.weights
-        for k in range(len(weights) - 1, 0, -1):
-            np.matmul(activations[k - 1].transpose(0, 2, 1), delta,
-                      out=self._grad_w[k])
-            np.add.reduce(delta, axis=1, keepdims=True, out=self._grad_b[k])
-            # saturated ReLU: zero subgradient outside (0, cap)
-            delta = (delta @ weights[k].transpose(0, 2, 1)) * masks[k - 1]
-        # the first layer's input is eye(2), so its weight gradient is delta
-        np.copyto(self._grad_w[0], delta)
-        np.add.reduce(delta, axis=1, keepdims=True, out=self._grad_b[0])
-        new = self._buffers[self._written % 2]
-        new._two_state = None
-        np.subtract(self._params.flat, self.alpha * self._grad, out=new.flat)
-        if not np.isfinite(new.flat).all():
-            i = int(np.flatnonzero(~np.isfinite(new.flat).all(axis=1))[0])
-            what = ("gradient" if not np.isfinite(self._grad[i]).all()
-                    else "parameter update")
-            raise FloatingPointError(
-                f"non-finite {what} (loss={float(_loss(err)[i])!r}, "
-                f"max|err|={float(np.max(np.abs(err[i])))!r}); "
-                "training has diverged")
-        self._params = new
-        self._written += 1
+    def run(self, targets: np.ndarray) -> np.ndarray:
+        """The next len(targets) updates, update u against its (N, b)
+        targets, row u - done of targets. An update computes the gradient
+        of the current block, subtracts it into the other block, which
+        becomes the current block, and runs that block's two-state pass
+        into the snapshots. Returns the (N, b) errors Q_i(s, a) - y of the
+        last update. Checks nothing (see check and finite). The backward
+        pass runs on the two state rows of the error sums D (see the
+        module docstring)."""
+        start, current = self.done, self._current
+        blocks, backwards = self._blocks, self._backward
+        self._run_start = start
+        np.copyto(self._run_flat, blocks[current].flat)
+        cells, flat_cells, rows = self._cells, self._flat_cells, self._rows
+        scaled = self._scaled
+        b, scaled_flat = scaled.shape[1], scaled.reshape(-1)
+        sums_shape, n_cells = rows[0].shape, rows[0].size
+        grad, step, grad_b0, alpha = self._grad, self._step, self._grad_b[0], self.alpha
+        matmul, multiply, ones = np.matmul, np.multiply, self._ones
+        for u, y in enumerate(targets, start):
+            block, new = blocks[current], blocks[current ^ 1]
+            err = rows[u].take(cells[u])
+            np.subtract(err, y, out=err)
+            np.divide(err, b, out=scaled)
+            delta = np.bincount(flat_cells[u], scaled_flat,
+                                n_cells).reshape(sums_shape)
+            for hidden_t, grad_w, grad_b, weight_t, out, mask in backwards[current]:
+                matmul(hidden_t, delta, out=grad_w)
+                matmul(ones, delta, out=grad_b)
+                # saturated ReLU: zero subgradient outside (0, cap)
+                delta = matmul(delta, weight_t, out=out)
+                multiply(delta, mask, out=delta)
+            matmul(ones, delta, out=grad_b0)
+            multiply(grad, alpha, out=step)
+            np.subtract(block.flat, step, out=new.flat)
+            self._forward(new, u + 1)
+            current ^= 1
+        self._current, self.done = current, start + len(targets)
         return err
+
+    def finite(self) -> bool:
+        """Whether the current block is finite: after a run, whether every
+        update of it was (see the module docstring)."""
+        return bool(np.isfinite(self._blocks[self._current].flat).all())
+
+    def check(self, err: np.ndarray) -> None:
+        """After a run of one update, which returned err: raises
+        FloatingPointError when a network's gradient or updated parameters
+        are not finite, and makes the block before the update the current
+        one again. The error reports the lowest-index such network."""
+        if self.finite():
+            return
+        new = self._blocks[self._current]
+        i = int(np.flatnonzero(~_finite_rows(new.weights + new.biases))[0])
+        what = ("gradient" if not _finite_rows(self._grad_w + self._grad_b)[i]
+                else "parameter update")
+        self._current ^= 1
+        self.done -= 1
+        raise FloatingPointError(
+            f"non-finite {what} (loss={float(_loss(err)[i])!r}, "
+            f"max|err|={float(np.max(np.abs(err[i])))!r}); "
+            "training has diverged")
+
+    def rewind(self) -> None:
+        """Back to the block the last run started from, with its pass."""
+        self.done = self._run_start
+        block = self._blocks[self._current]
+        np.copyto(block.flat, self._run_flat)
+        self._forward(block, self.done)
 
     @property
     def q(self) -> np.ndarray:
-        """(N, n_states, n_actions) Q matrices of the current block."""
-        return self._params._two_state_pass()[0][-1]
+        """(N, n_states, n_actions) Q matrices of the current block,
+        read-only."""
+        return self._rows[self.done]
 
     def params(self) -> MlpParams:
-        """The current block, with its two-state pass if computed. A later
-        update may overwrite it: take it after the last one."""
-        return self._params
+        """The current block, copied out to a new parameter set, which
+        takes over the block's two-state pass. A later update may
+        overwrite that pass: take the parameters after the last one."""
+        block = self._blocks[self._current]
+        params = MlpParams(np.empty(self._shape), self._sizes, self._cap)
+        for view, source in zip(params.weights + params.biases,
+                                block.weights + tuple(b[:, :1] for b in block.biases)):
+            np.copyto(view, source)
+        params._two_state = block.hidden + (self.q,), block.masks
+        return params

@@ -1,4 +1,6 @@
+import copy
 import functools
+import json
 import math
 import operator
 import warnings
@@ -13,6 +15,7 @@ from crpower.agent import (
     AgentHyperparams,
     DqlAgents,
     PhaseRecord,
+    RunTrace,
     TableAgents,
     TUNED_DQL_HYPERPARAMS,
     UpdateRecord,
@@ -28,6 +31,7 @@ from crpower.harness import (
     ExperimentConfig,
     child_seed,
     learn_for_run,
+    phase_trace_jsonl,
     scenario_for_run,
 )
 from crpower.qfunc import (
@@ -461,6 +465,45 @@ def test_update_records_schema(two_cr_scenario):
         assert rec.delta >= 0.0
 
 
+def test_phase_records_count_live_units_and_state_blindness():
+    # Network 0 is saturated: its first layer's pre-activations lie below
+    # 0 for both states (weights -1, biases 0) and its second layer's
+    # above cap (biases 30), so no hidden unit is live and both states
+    # give one Q row. Network 1 has normal weights, live units and two
+    # distinct rows. A table record carries neither field, in its JSON
+    # trace line either.
+    rng = np.random.default_rng(5)
+    hp = small_hp(activation_cap=20.0)
+    agents = DqlAgents(hp, 14, [np.random.default_rng(s) for s in (0, 1)])
+    sizes = agents.params.layer_sizes
+    saturated = ([-np.ones((2, 8)), rng.uniform(size=(8, 18)),
+                  rng.uniform(size=(18, 14))],
+                 [np.zeros(8), np.full(18, 30.0), rng.uniform(size=14)])
+    normal = ([rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:])],
+              [rng.normal(size=b) for b in sizes[1:]])
+    flat = np.stack([np.concatenate([a.ravel() for layer in zip(*network)
+                                     for a in layer])
+                     for network in (saturated, normal)])
+    agents.params = MlpParams(flat, sizes, hp.activation_cap)
+    agents.windows.push(agents.q_values())
+    records = agents.update_policy([np.random.default_rng(2)] * 2, [0.0, 0.0])
+    live = _live_units(MlpParams(flat[1:], sizes, hp.activation_cap))
+    assert 0 < live < 26
+    assert [(r.live_units, r.state_blind) for r in records] == [(0, True),
+                                                                (live, False)]
+    tables = TableAgents(hp, 14, [np.random.default_rng(s) for s in (0, 1)])
+    tables.windows.push(tables.q_values())
+    table_records = tables.update_policy([np.random.default_rng(2)] * 2, [0.0, 0.0])
+    lines = [[json.loads(line) for line in phase_trace_jsonl(
+        RunTrace(agents=a, phase_records=[recs])).splitlines()]
+        for a, recs in ((agents, records), (tables, table_records))]
+    assert [(doc["live_units"], doc["state_blind"]) for doc in lines[0]] == [
+        (0, True), (live, False)]
+    assert lines[1] == [{"agent": i, **r.to_jsonable()}
+                        for i, r in enumerate(table_records)]
+    assert not any("live_units" in doc or "state_blind" in doc for doc in lines[1])
+
+
 # ------------------------------------------------------------ restarts
 
 def test_single_restart_equals_plain_run(two_cr_scenario):
@@ -600,6 +643,170 @@ def test_state_after_a_later_divergence(two_cr_scenario, monkeypatch):
     np.testing.assert_array_equal(agents.windows.snapshots(), snapshots)
 
 
+def _dql_columns(rng, n, length):
+    """Four (n, length) phase columns drawn at random: states, next states,
+    actions and rewards in [0, 12)."""
+    return (rng.integers(2, size=(n, length)), rng.integers(2, size=(n, length)),
+            rng.integers(14, size=(n, length)), rng.uniform(0, 12, size=(n, length)))
+
+
+def _network_major_pass(params):
+    """The two-state pass restated on the (N, P) block's strided views:
+    (activations, masks), with the Q matrices last among the activations."""
+    h = params.weights[0] + params.biases[0]
+    activations, masks = [], []
+    for w, b in zip(params.weights[1:], params.biases[1:]):
+        masks.append((h > 0.0) & (h < params.cap))
+        activations.append(np.clip(h, 0.0, params.cap))
+        h = activations[-1] @ w + b
+    return activations + [h], masks
+
+
+def _network_major_step(params, cells, y, alpha):
+    """One gradient step restated on the network-major (N, P) block: the
+    per-layer gradient views cut from a fresh (N, P) gradient, the error
+    sums D of each network's (N, b) flat cells by np.bincount, the backward
+    pass through the transposed strided views, one subtraction, and a
+    finiteness check of the new block. Returns the new parameters; raises
+    the error of the lowest-index network whose gradient or new parameters
+    are not finite."""
+    activations, masks = _network_major_pass(params)
+    q = activations[-1]
+    b = y.shape[1]
+    err = q.take(cells) - y
+    delta = np.bincount(cells.ravel(), (err / b).ravel(), q.size).reshape(q.shape)
+    grad = MlpParams(np.empty_like(params.flat), params.layer_sizes, params.cap)
+    for k in range(len(params.weights) - 1, 0, -1):
+        grad.weights[k][...] = activations[k - 1].transpose(0, 2, 1) @ delta
+        grad.biases[k][...] = delta.sum(axis=1, keepdims=True)
+        delta = (delta @ params.weights[k].transpose(0, 2, 1)) * masks[k - 1]
+    grad.weights[0][...] = delta
+    grad.biases[0][...] = delta.sum(axis=1, keepdims=True)
+    new = params.flat - alpha * grad.flat
+    if not np.isfinite(new).all():
+        i = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
+        what = ("gradient" if not np.isfinite(grad.flat[i]).all()
+                else "parameter update")
+        loss = 0.5 * (np.add.reduce(err[i] ** 2) / b)
+        raise FloatingPointError(
+            f"non-finite {what} (loss={float(loss)!r}, "
+            f"max|err|={float(np.max(np.abs(err[i])))!r}); "
+            "training has diverged")
+    return MlpParams(new, params.layer_sizes, params.cap)
+
+
+def _network_major_learn_phase(agents, columns):
+    """DqlAgents.learn_phase restated one checked update at a time on the
+    network-major block: each update steps every network on its own next
+    mini-batch, refreshes the target maxima every c updates and pushes
+    every network's Q matrix."""
+    hp = agents.hp
+    size = hp.minibatch
+    n, n_actions = len(agents.params.flat), agents.params.n_actions
+    offsets = np.arange(0, 2 * n, 2)[:, None]
+    cells = (columns[0] + offsets) * n_actions + columns[2]
+    next_rows = columns[1] + offsets
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in range(hp.phase_length // size):
+            batch = slice(u * size, (u + 1) * size)
+            y = columns[3][:, batch] + hp.gamma * agents.target_max.take(
+                next_rows[:, batch])
+            agents.params = _network_major_step(agents.params, cells[:, batch], y,
+                                                agents.alpha)
+            agents.updates += 1
+            q = _network_major_pass(agents.params)[0][-1]
+            if agents.updates % hp.c == 0:
+                agents.target_max = q.max(axis=2)
+            agents._push(q, agents.phase * hp.phase_length + (u + 1) * size,
+                         columns[2][:, (u + 1) * size - 1].tolist())
+
+
+def _dql_state(agents):
+    """Everything a DQL phase leaves behind, as bytes and numbers."""
+    return (agents.params.flat.tobytes(), agents.q_values().tobytes(),
+            np.asarray(agents.target_max).tobytes(), agents.updates,
+            agents.windows._buf.tobytes(), agents.windows._count,
+            [[(r.step, r.action, r.delta, r.q_s0.tobytes()) for r in records]
+             for records in agents.update_records or ()])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("record_updates", [False, True])
+@pytest.mark.parametrize("phase_length, c, std_window", [
+    pytest.param(2000, 3, 30, id="80-updates-window-30"),
+    pytest.param(500, 7, 50, id="20-updates-window-50"),
+])
+def test_dql_phase_matches_the_network_major_step(n, record_updates, phase_length,
+                                                  c, std_window):
+    # Bit for bit: whole phases of the library's layer-major runs, checked
+    # once per run, against one checked network-major update at a time.
+    # The refresh period divides neither phase's update count, so target
+    # periods span phase boundaries; the window is shorter than the
+    # 80-update phase, whose pushes the library skips unless recorded, and
+    # longer than the 20-update one, so the ring carries snapshots over.
+    hp = small_hp(phase_length=phase_length, c=c, std_window=std_window,
+                  alpha0=0.02, zeta=1.2, gamma=0.9, activation_cap=20.0)
+    rng = np.random.default_rng(100 * n + phase_length + record_updates)
+    fast, slow = (DqlAgents(hp, 14, [np.random.default_rng(s) for s in range(n)],
+                            record_updates) for _ in range(2))
+    for phase in range(4):
+        columns = _dql_columns(rng, n, phase_length)
+        fast.learn_phase(columns)
+        _network_major_learn_phase(slow, columns)
+        assert _dql_state(fast) == _dql_state(slow)
+        means = [0.0] * n
+        fast_records = fast.update_policy([np.random.default_rng(phase)] * n, means)
+        slow_records = slow.update_policy([np.random.default_rng(phase)] * n, means)
+        assert ([r.to_jsonable() for r in fast_records]
+                == [r.to_jsonable() for r in slow_records])
+    assert fast.updates == 4 * phase_length // hp.minibatch
+
+
+def test_divergence_replays_the_failing_run_update_by_update():
+    # Network 1, scaled by 1e120 after a first phase, diverges at update
+    # 62 of the second phase's 80, in a run between two target refreshes
+    # (every 7 updates). The library runs it unchecked, finds it
+    # non-finite, and replays it one checked update at a time; with a
+    # 30-snapshot window the phase's first 31 pushes are skipped. Error,
+    # update count, networks, target maxima and ring are those of a chain
+    # of train_minibatch calls with the same refreshes and a push per
+    # update, and no numpy warning escapes.
+    hp = small_hp(phase_length=2000, c=7, std_window=30, alpha0=0.005, zeta=1.0,
+                  gamma=0.9, activation_cap=20.0)
+    rng = np.random.default_rng(3)
+    agents = DqlAgents(hp, 14, [np.random.default_rng(s) for s in (1, 2)])
+    agents.learn_phase(_dql_columns(rng, 2, hp.phase_length))
+    agents.update_policy([np.random.default_rng(0)] * 2, [0.0, 0.0])
+    flat = agents.params.flat.copy()
+    flat[1] *= 1e120
+    agents.params = chain = MlpParams(flat, agents.params.layer_sizes,
+                                      agents.params.cap)
+    target_max, updates = agents.target_max, agents.updates
+    ring = copy.deepcopy(agents.windows)
+    columns = _dql_columns(rng, 2, hp.phase_length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError) as library:
+            agents.learn_phase(columns)
+        with pytest.raises(FloatingPointError) as chained:
+            for u in range(hp.phase_length // hp.minibatch):
+                chain, _ = train_minibatch(
+                    chain, *(c[:, u * 25:(u + 1) * 25] for c in columns),
+                    target_max, hp.alpha0, hp.gamma)
+                updates += 1
+                q = q_matrix(chain)
+                if updates % hp.c == 0:
+                    target_max = q.max(axis=2)
+                ring.push(q)
+    assert str(library.value) == str(chained.value)
+    assert agents.updates == updates == 80 + 61
+    np.testing.assert_array_equal(agents.params.flat, chain.flat)
+    np.testing.assert_array_equal(agents.q_values(), q_matrix(chain))
+    np.testing.assert_array_equal(agents.target_max, target_max)
+    assert agents.windows._count == ring._count
+    assert agents.windows._buf.tobytes() == ring._buf.tobytes()
+
+
 def _plain_walk(policies, states, draws, joint_states, rewards, n_actions):
     """_walk_phase restated one step at a time: every agent's action, the
     joint action's flat index and the outcome tensor's row at it."""
@@ -687,6 +894,18 @@ def test_make_agents_rejects_unknown_kind():
 
 # ------------------------------------------------------------ reference loop
 
+def _live_units(params):
+    """The hidden units of a single network whose pre-activation lies
+    inside (0, cap) for state 0 or state 1, each state's one-hot row
+    through the layers."""
+    h, live = np.eye(2), 0
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = h @ w[0] + b[0]
+        live += int(((z > 0.0) & (z < params.cap)).any(axis=0).sum())
+        h = np.clip(z, 0.0, params.cap)
+    return live
+
+
 class _RefAgent:
     """One agent of the reference loop. Only the network maths (init_mlp,
     q_matrix, train_minibatch) and the record types come from the library."""
@@ -773,6 +992,9 @@ class _RefAgent:
             mean_reward=self.reward_sum / self.reward_count,
             changed=tuple(self.policy) != before, q_values=q.copy(),
             candidates=cands)
+        if self.learner == "dql":
+            record.live_units = _live_units(self.params)
+            record.state_blind = bool(np.array_equal(q[0], q[1]))
         self.phase += 1
         self.alpha /= self.hp.zeta
         self.reward_sum, self.reward_count = 0.0, 0

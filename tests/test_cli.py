@@ -11,7 +11,7 @@ import pytest
 from conftest import TINY, make_scenario
 
 import crpower
-from crpower import cli, harness
+from crpower import cli, environment, harness
 from crpower.agent import TUNED_DQL_HYPERPARAMS, PhaseRecord, RunTrace
 from crpower.environment import ActionSpace, EnvConfig, Scenario
 from crpower.link_adaptation import AmcTable
@@ -98,6 +98,34 @@ def test_report_counts_degenerate_scenarios(tmp_path):
     config = harness.ExperimentConfig.from_dict(doc)
     metrics = [harness.execute_run(config, 0, run)[0] for run in (0, 1, 3)]
     assert [m.degenerate for m in metrics] == ["tied", None, "all_off"]
+
+
+def test_report_counts_unconverged_pn_power_control(tmp_path, monkeypatch):
+    # The scenarios of CONFIG settle within the iteration cap; capped at
+    # one iteration, none does. report.json counts the runs per point, and
+    # summary.csv keeps its four columns.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CONFIG))
+    settled = harness.run_experiment(harness.ExperimentConfig.from_dict(CONFIG))
+    assert [m.pn_power_converged for m in settled.metrics[0]] == [True] * 3
+    assert settled.aggregate()[0]["pn_power_unconverged"] == 0
+    monkeypatch.setattr(environment, "PN_POWER_MAX_ITERS", 1)
+    capped = harness.run_experiment(harness.ExperimentConfig.from_dict(CONFIG))
+    assert [m.pn_power_converged for m in capped.metrics[0]] == [False] * 3
+    out = tmp_path / "out"
+    assert simulate(config_path, out, "--no-artifacts") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["points"][0]["pn_power_unconverged"] == 3
+    assert (out / "summary.csv").read_text().splitlines()[0] == "run,outcome,reward,phases"
+
+
+def test_an_error_row_has_no_pn_power_flag():
+    # run 0 of DIVERGING_DQL raises: its row has no flag and is not counted
+    report = harness.run_experiment(harness.ExperimentConfig.from_dict(DIVERGING_DQL))
+    rows = report.metrics[0]
+    assert [m.outcome == "error" for m in rows] == [True, False]
+    assert [m.pn_power_converged for m in rows] == [None, True]
+    assert report.aggregate()[0]["pn_power_unconverged"] == 0
 
 
 def test_at_best_curve_of_hand_built_rows():

@@ -896,7 +896,7 @@ def test_descent_hands_on_the_two_state_pass_it_computed():
     with np.errstate(over="ignore", invalid="ignore"):
         targets = descent.targets(q_matrix(params).max(axis=2), 0, n_updates)
         for u in range(n_updates):
-            descent.step(u, targets[u])
+            descent.run(targets[u:u + 1])
             q = descent.q
             fresh = MlpParams(descent.params().flat.copy(), params.layer_sizes,
                               params.cap)
