@@ -9,6 +9,9 @@ harness (seeded Monte Carlo sweeps, also exposed as the ``simulate``
 CLI).
 """
 
+# set before the submodules load: harness records it in report.json
+__version__ = "0.1.0"
+
 from .agent import (
     AgentHyperparams,
     DqlAgents,
@@ -31,5 +34,3 @@ from .link_adaptation import AmcTable, relative_throughput_change
 from .oracle import OracleResult, exhaustive_search, score_policy
 from .qfunc import MlpParams, table_update, train_minibatch
 from .topology import GridSpec, NodePlacement, sample_placement
-
-__version__ = "0.1.0"

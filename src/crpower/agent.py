@@ -623,47 +623,20 @@ class RunTrace:
         return tuple(self.agents.policies[:, 0].tolist())
 
 
-def _spawn_rngs(seed_seq: np.random.SeedSequence, n: int):
-    return [np.random.default_rng(s) for s in seed_seq.spawn(n)]
-
-
 def run_learning(scenario: Scenario,
                  hp: AgentHyperparams,
                  seed_seq: np.random.SeedSequence,
                  learner: str = "dql",
-                 n_restarts: int = 1,
-                 probe_phases: int | None = None,
                  record_updates: bool = False) -> RunTrace:
-    """Train all agents on one scenario for the configured phase count.
-
-    Multi-start: each of n_restarts probes trains fresh randomly
-    initialized agents for probe_phases phases (all of them by default);
-    the probe with the largest mean reward over its final phase is resumed
-    for the remaining phases. A single restart is a plain run. Only the
-    extra probes add learning steps, so the overhead is
-    (n_restarts - 1) * probe_phases phases.
-    """
-    probe_phases = hp.n_phases if probe_phases is None else probe_phases
-    if hp.n_phases < probe_phases:
-        raise ValueError("probe phases exceed the configured phase count")
-    if min(n_restarts, probe_phases) < 1:
-        raise ValueError("restarts need at least one probe of one phase")
-    rngs = _spawn_rngs(seed_seq, scenario.n_cr)
-    probes = []
-    for _ in range(n_restarts):
-        agents = make_agents(learner, hp, len(scenario.actions), rngs,
-                             record_updates)
-        # every agent starts in its state under the all-off joint action
-        # (flat index 0), agent i's in bit N-1-i
-        start = int(scenario.outcomes.joint_states[0])
-        agents.states = [start >> (scenario.n_cr - 1 - i) & 1
-                         for i in range(scenario.n_cr)]
-        records = [run_exploration_phase(agents, scenario, rngs)
-                   for _ in range(probe_phases)]
-        probes.append((agents, records))
-    probe_rewards = [float(np.mean([r.mean_reward for r in records[-1]]))
-                     for _, records in probes]
-    agents, records = probes[int(np.argmax(probe_rewards))]
-    for _ in range(hp.n_phases - probe_phases):
-        records.append(run_exploration_phase(agents, scenario, rngs))
+    """Train all agents on one scenario: one uncoordinated run of
+    ``hp.n_phases`` exploration phases from the state every agent is in
+    under the all-off joint action."""
+    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(scenario.n_cr)]
+    agents = make_agents(learner, hp, len(scenario.actions), rngs, record_updates)
+    # the all-off joint action is flat index 0; agent i's state is bit N-1-i
+    start = int(scenario.outcomes.joint_states[0])
+    agents.states = [start >> (scenario.n_cr - 1 - i) & 1
+                     for i in range(scenario.n_cr)]
+    records = [run_exploration_phase(agents, scenario, rngs)
+               for _ in range(hp.n_phases)]
     return RunTrace(agents=agents, phase_records=records)

@@ -12,9 +12,11 @@ also writes that run's oracle and phase-trace files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import platform
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .agent import AgentHyperparams, RunTrace, run_learning
 from .environment import (
     DEFAULT_PN_TARGET_SINR_DB,
@@ -94,8 +97,6 @@ class ExperimentConfig:
     learner: str = "dql"
     n_runs: int = 1
     master_seed: int = 0
-    n_restarts: int = 1
-    probe_phases: int | None = None     # None: every probe runs all phases
     amc_csv: str | None = None
     amc_xi: float = 4.0
     amc_snr_gap: float = 1.0
@@ -113,12 +114,6 @@ class ExperimentConfig:
         object.__setattr__(self, "agent", tuple(agent))
         if not self.agent:
             raise ConfigurationError("agent must hold at least one phase budget")
-        if self.n_restarts < 1:
-            raise ConfigurationError("n_restarts must be >= 1")
-        if self.probe_phases is not None and self.probe_phases < 1:
-            raise ConfigurationError("probe_phases must be >= 1")
-        if any((self.probe_phases or 0) > hp.n_phases for hp in self.agent):
-            raise ConfigurationError("probe_phases exceeds a point's n_phases")
         # a table entry moves toward its target by at most the whole gap;
         # the network's gradient step takes any positive rate
         if self.learner == "table" and any(hp.alpha0 > 1.0 for hp in self.agent):
@@ -154,7 +149,10 @@ class ExperimentConfig:
         and AgentHyperparams. The keys ``csv``, ``xi``, ``snr_gap`` and
         ``bandwidth_hz`` of ``amc`` set the ``amc_*`` fields. An unknown key
         at any level, or a value whose type differs from its field's
-        annotation, raises ConfigurationError naming the key."""
+        annotation, raises ConfigurationError naming the key. The
+        multi-start keys ``n_restarts`` and ``probe_phases`` are unknown
+        keys: a run is one learning run. ``to_dict`` gives the document
+        back."""
         types = _field_types(ExperimentConfig)
         amc_types = {name[len("amc_"):]: types.pop(name)
                      for name in list(types) if name.startswith("amc_")}
@@ -176,6 +174,16 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc
 
+    def to_dict(self) -> dict:
+        """The JSON document from_dict builds this config from: every
+        field, the ``amc_*`` ones under ``amc`` and ``agent`` as a list of
+        points."""
+        doc = dataclasses.asdict(self)
+        doc["agent"] = list(doc["agent"])
+        doc["amc"] = {name[len("amc_"):]: doc.pop(name)
+                      for name in list(doc) if name.startswith("amc_")}
+        return doc
+
 
 @dataclass
 class RunMetrics:
@@ -185,7 +193,10 @@ class RunMetrics:
     policy after that phase scores the oracle's best reward, ties
     included (empty for a run that raised). ``pn_power_converged`` is the
     scenario's flag: whether primary power control converged (None for a
-    run that raised)."""
+    run that raised). ``layer_ms`` splits the run's time by layer:
+    ``scenario`` (placement, gains, primary power control), ``oracle``
+    (the outcome tensor and the exhaustive search) and ``training``; it is
+    empty for a run that raised."""
 
     run: int
     phases: int
@@ -199,6 +210,7 @@ class RunMetrics:
     degenerate: str | None = None
     at_best: tuple[bool, ...] = ()
     pn_power_converged: bool | None = None
+    layer_ms: dict[str, float] = field(default_factory=dict)
 
 
 def child_seed(master_seed: int, point: int, run: int) -> np.random.SeedSequence:
@@ -215,12 +227,10 @@ def scenario_for_run(config: ExperimentConfig, point: int, run: int) -> Scenario
 
 def learn_for_run(config: ExperimentConfig, point: int, run: int,
                   scenario: Scenario, record_updates: bool = False) -> RunTrace:
-    """Train the run's agents on its scenario, with the config's restarts:
-    n_restarts probes of probe_phases phases each, a plain run for one."""
+    """Train the run's agents on its scenario: one learning run of the
+    point's phase budget, seeded by the run's child seed."""
     train_seq = child_seed(config.master_seed, point, run).spawn(2)[1]
     return run_learning(scenario, config.agent[point], train_seq, config.learner,
-                        n_restarts=config.n_restarts,
-                        probe_phases=config.probe_phases,
                         record_updates=record_updates)
 
 
@@ -229,10 +239,13 @@ def execute_run(config: ExperimentConfig, point: int, run: int):
 
     Returns the run's metrics, its oracle result and its training trace.
     """
-    start = time.perf_counter()
+    stamps = [time.perf_counter()]
     scenario = scenario_for_run(config, point, run)
+    stamps.append(time.perf_counter())
     oracle = exhaustive_search(scenario, config.env.reward_mode, tau=config.tau)
+    stamps.append(time.perf_counter())
     trace = learn_for_run(config, point, run, scenario)
+    stamps.append(time.perf_counter())
 
     joint = trace.joint_policy()
     metrics = RunMetrics(
@@ -243,9 +256,11 @@ def execute_run(config: ExperimentConfig, point: int, run: int):
         joint_policy=joint,
         best_joint_action=oracle.best_joint_action,
         best_reward=oracle.best_reward,
-        wall_ms=(time.perf_counter() - start) * 1e3,
+        wall_ms=(time.perf_counter() - stamps[0]) * 1e3,
         degenerate=oracle.degenerate,
         pn_power_converged=scenario.pn_power_converged,
+        layer_ms={layer: (stop - start) * 1e3 for layer, start, stop in zip(
+            ("scenario", "oracle", "training"), stamps, stamps[1:])},
     )
     # scored after wall_ms is taken: the curve is not part of the run
     metrics.at_best = tuple(
@@ -348,18 +363,21 @@ class ExperimentReport:
 
     def report_json(self) -> str:
         """Strict JSON: every value is finite (an error row's reward, which
-        is NaN, stays in summary_csv)."""
+        is NaN, stays in summary_csv). Beside the aggregate ``points`` it
+        holds ``config``, the document ExperimentConfig.from_dict rebuilds
+        the sweep's config from, the ``versions`` of crpower, numpy and
+        Python, and per point each run's ``wall_ms`` and ``layer_ms``."""
         doc = {
             "learner": self.config.learner,
             "n_runs": self.config.n_runs,
             "master_seed": self.config.master_seed,
-            "n_restarts": self.config.n_restarts,
-            "probe_phases": self.config.probe_phases,
+            "config": self.config.to_dict(),
+            "versions": {"crpower": __version__, "numpy": np.__version__,
+                         "python": platform.python_version()},
             "points": self.aggregate(),
-            "wall_ms": {
-                str(point): [m.wall_ms for m in rows]
-                for point, rows in enumerate(self.metrics)
-            },
+            **{key: {str(point): [getattr(m, key) for m in rows]
+                     for point, rows in enumerate(self.metrics)}
+               for key in ("wall_ms", "layer_ms")},
         }
         return json.dumps(doc, indent=2, allow_nan=False)
 

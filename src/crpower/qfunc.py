@@ -634,12 +634,16 @@ class _Descent:
 
     def params(self) -> MlpParams:
         """The current block, copied out to a new parameter set, which
-        takes over the block's two-state pass. A later update may
-        overwrite that pass: take the parameters after the last one."""
+        takes over the block's two-state pass with a read-only copy of its
+        Q matrices (a row of the snapshots would keep them all alive). A
+        later update may overwrite the pass's activations: take the
+        parameters after the last one."""
         block = self._blocks[self._current]
         params = MlpParams(np.empty(self._shape), self._sizes, self._cap)
         for view, source in zip(params.weights + params.biases,
                                 block.weights + tuple(b[:, :1] for b in block.biases)):
             np.copyto(view, source)
-        params._two_state = block.hidden + (self.q,), block.masks
+        q = self.q.copy()
+        q.flags.writeable = False
+        params._two_state = block.hidden + (q,), block.masks
         return params

@@ -504,42 +504,6 @@ def test_phase_records_count_live_units_and_state_blindness():
     assert not any("live_units" in doc or "state_blind" in doc for doc in lines[1])
 
 
-# ------------------------------------------------------------ restarts
-
-def test_single_restart_equals_plain_run(two_cr_scenario):
-    hp = small_hp(phase_length=75, n_phases=12)
-    plain = run_learning(two_cr_scenario, hp, np.random.SeedSequence(9), "table")
-    restarted = run_learning(two_cr_scenario, hp, np.random.SeedSequence(9),
-                             "table", n_restarts=1, probe_phases=10)
-    assert plain.joint_policy() == restarted.joint_policy()
-    a = [tuple(rec.policy_after for rec in recs) for recs in plain.phase_records]
-    b = [tuple(rec.policy_after for rec in recs)
-         for recs in restarted.phase_records]
-    assert a == b
-    np.testing.assert_array_equal(plain.agents.q_values(),
-                                  restarted.agents.q_values())
-
-
-def test_restart_overhead_and_selection(two_cr_scenario):
-    hp = small_hp(phase_length=75, n_phases=12)
-    trace = run_learning(two_cr_scenario, hp, np.random.SeedSequence(10),
-                         "table", n_restarts=4, probe_phases=10)
-    # the add-on trains 3 extra probes of 10 phases on top of the 12
-    assert len(trace.phase_records) == 12
-
-
-def test_restart_rejects_short_runs(two_cr_scenario):
-    hp = small_hp(phase_length=75, n_phases=5)
-    with pytest.raises(ValueError):
-        run_learning(two_cr_scenario, hp, np.random.SeedSequence(11),
-                     "table", n_restarts=2, probe_phases=10)
-    for n_restarts, probe_phases in ((0, 2), (2, 0)):
-        with pytest.raises(ValueError):
-            run_learning(two_cr_scenario, hp, np.random.SeedSequence(11),
-                         "table", n_restarts=n_restarts,
-                         probe_phases=probe_phases)
-
-
 def test_target_refreshed_every_c_updates(two_cr_scenario):
     # 4 updates per phase at c=3: the target maxima are those of the
     # initial network until update 3, then of the network after the last
@@ -1001,22 +965,18 @@ class _RefAgent:
         return record
 
 
-def reference_run(scenario, hp, seed_seq, learner, n_restarts=None,
-                  probe_phases=None):
-    """run_learning restated from the published rules, with restarts when
-    n_restarts is given."""
+def reference_run(scenario, hp, seed_seq, learner):
+    """run_learning restated from the published rules."""
     n, n_actions = scenario.n_cr, len(scenario.actions)
     states = decode_states(scenario.outcomes.joint_states, n)
     rewards = scenario.outcomes.rewards(scenario.config.reward_mode)
     rngs = [np.random.default_rng(s) for s in seed_seq.spawn(n)]
 
-    def fresh_agents():
-        agents = [_RefAgent(learner, hp, n_actions, rngs[i]) for i in range(n)]
-        for i, ag in enumerate(agents):
-            ag.state = int(states[0, i])
-        return agents
+    agents = [_RefAgent(learner, hp, n_actions, rng) for rng in rngs]
+    for i, ag in enumerate(agents):
+        ag.state = int(states[0, i])
 
-    def phase(agents):
+    def phase():
         draws = [_scalar_choose_actions(rng, hp.phase_length, hp.rho, n_actions)
                  for rng in rngs]
         for t in range(hp.phase_length):
@@ -1027,18 +987,7 @@ def reference_run(scenario, hp, seed_seq, learner, n_restarts=None,
                 ag.learn(joint[i], int(states[k, i]), float(rewards[k, i]))
         return [ag.boundary(rng) for ag, rng in zip(agents, rngs)]
 
-    if n_restarts is None:
-        agents = fresh_agents()
-        return agents, [phase(agents) for _ in range(hp.n_phases)]
-    probes = []
-    for _ in range(n_restarts):
-        agents = fresh_agents()
-        records = [phase(agents) for _ in range(probe_phases)]
-        probes.append((agents, records,
-                       float(np.mean([r.mean_reward for r in records[-1]]))))
-    agents, records, _ = max(probes, key=lambda p: p[2])
-    records += [phase(agents) for _ in range(hp.n_phases - probe_phases)]
-    return agents, records
+    return agents, [phase() for _ in range(hp.n_phases)]
 
 
 # case -> (small_hp overrides, record_updates): every update recorded; the
@@ -1057,25 +1006,27 @@ REFERENCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("learner, restarts, case, n_cr", [
-    *(pytest.param(learner, restarts, case, 2, id="-".join(
-        [str(restarts), learner] + ([case] if case != "recorded" else [])))
+# the ids keep the "False-" prefix of the multi-start flag the cases once
+# took, so each case keeps its name
+@pytest.mark.parametrize("learner, case, n_cr", [
+    *(pytest.param(learner, case, 2, id="-".join(
+        ["False", learner] + ([case] if case != "recorded" else [])))
       for case in REFERENCE_CASES if "long" not in case
-      for restarts in (False, True) for learner in ("table", "dql")
+      for learner in ("table", "dql")
       if case != "uneven" or learner == "table"),
-    pytest.param("table", False, "long", 2, id="False-table-long"),
-    pytest.param("dql", False, "dql-long", 2, id="False-dql-long"),
-    pytest.param("dql", False, "dql-long", 3, id="False-dql-long-n3"),
+    pytest.param("table", "long", 2, id="False-table-long"),
+    pytest.param("dql", "dql-long", 2, id="False-dql-long"),
+    pytest.param("dql", "dql-long", 3, id="False-dql-long-n3"),
     # three agents push one window ring, and their networks train in
     # lockstep in one stacked block
-    *(pytest.param(learner, False, case, 3, id="-".join(
+    *(pytest.param(learner, case, 3, id="-".join(
         [f"False-{learner}"] + ([case] if case != "recorded" else []) + ["n3"]))
       for learner, cases in (("table", ("recorded", "unrecorded")),
                              ("dql", ("recorded",)))
       for case in cases),
-    pytest.param("dql", False, "diverging", None, id="False-dql-diverging"),
+    pytest.param("dql", "diverging", None, id="False-dql-diverging"),
 ])
-def test_library_matches_reference_loop(learner, restarts, case, n_cr):
+def test_library_matches_reference_loop(learner, case, n_cr):
     if case == "diverging":
         # With the tuned 30-phase settings, run 0 of master seed 3 diverges
         # at N=2 (tests/test_cli.py DIVERGING_DQL); in run 1 of master seed
@@ -1104,12 +1055,10 @@ def test_library_matches_reference_loop(learner, restarts, case, n_cr):
     scenario = scenario_for_run(config, 0, 3)
     overrides, record_updates = REFERENCE_CASES[case]
     hp = small_hp(**{"n_phases": 3, "c": 2, "std_window": 30, **overrides})
-    kwargs = dict(n_restarts=3, probe_phases=2) if restarts else {}
-    seed = np.random.SeedSequence(12)
-    trace = run_learning(scenario, hp, seed, learner,
-                         record_updates=record_updates, **kwargs)
+    trace = run_learning(scenario, hp, np.random.SeedSequence(12), learner,
+                         record_updates=record_updates)
     ref_agents, ref_records = reference_run(
-        scenario, hp, np.random.SeedSequence(12), learner, **kwargs)
+        scenario, hp, np.random.SeedSequence(12), learner)
 
     assert len(trace.phase_records) == len(ref_records) == hp.n_phases
     for recs, ref_recs in zip(trace.phase_records, ref_records):

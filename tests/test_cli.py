@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,6 @@ def simulate(config_path, out, *extra):
                      *extra])
 
 
-RESTARTS = dict(CONFIG, n_restarts=2, probe_phases=1)
 DQL = dict(CONFIG, learner="dql",
            agent=dict(TUNED_DQL_HYPERPARAMS[30], phase_length=50, n_phases=2))
 DQL_N3 = dict(DQL, env=dict(CONFIG["env"], n_cr=3))
@@ -48,7 +48,7 @@ TABLE_N3 = dict(CONFIG, env=dict(CONFIG["env"], n_cr=3))
 def test_outputs_do_not_depend_on_worker_count(tmp_path):
     # name -> (config, the runs that diverge)
     for name, (doc, errored) in {
-            "plain": (CONFIG, []), "restarts": (RESTARTS, []), "dql": (DQL, []),
+            "plain": (CONFIG, []), "dql": (DQL, []),
             "dql-n3": (DQL_N3, []), "diverging-n3": (DIVERGING_DQL_N3, [1])}.items():
         config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(doc))
@@ -60,9 +60,11 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path):
         assert [i for i, row in enumerate(rows) if ",error," in row] == errored
 
         reports = [json.loads((d / "report.json").read_text()) for d in (one, two)]
+        # the timings and the output directory differ; all else is equal
         for report in reports:
             assert len(report["wall_ms"]["0"]) == doc["n_runs"]
-            del report["wall_ms"]
+            assert len(report["layer_ms"]["0"]) == doc["n_runs"]
+            del report["wall_ms"], report["layer_ms"], report["config"]["out_dir"]
         assert reports[0] == reports[1]
 
         for sub in ("oracle", "traces"):
@@ -301,20 +303,19 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert simulate(bad, tmp_path / "out") == 2
     assert "unknown learner" in capsys.readouterr().err
     assert simulate(tmp_path / "missing.json", tmp_path / "out") == 2
-    for restarts, message in ((dict(n_restarts=0), "n_restarts"),
-                              (dict(probe_phases=0), "probe_phases"),
-                              (dict(probe_phases=3), "exceeds")):
-        bad.write_text(json.dumps(dict(RESTARTS, **restarts)))
-        assert simulate(bad, tmp_path / "out") == 2
-        assert message in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "missing.json" in err[0]
     nan_amc = tmp_path / "nan_amc.csv"
     nan_amc.write_text("snr_db,spectral_efficiency\n-6,0.15\nnan,0.5\n")
-    # unknown keys at every level, restarts and fixed_alpha among them,
-    # values of the wrong type, no phase budget, and a document that is not
-    # an object: run and traces print one error line that names the key
+    # unknown keys at every level, the deleted multi-start keys
+    # (n_restarts, probe_phases) and fixed_alpha among them, values of the
+    # wrong type, no phase budget, and a document that is not an object:
+    # run and traces print one error line that names the key
     for doc, message in (
             (dict(CONFIG, n_run=3), "'n_run'"),
             (dict(CONFIG, restarts=True), "'restarts'"),
+            (dict(CONFIG, n_restarts=2), "'n_restarts'"),
+            (dict(CONFIG, probe_phases=1), "'probe_phases'"),
             (dict(CONFIG, env=dict(CONFIG["env"], n_crs=3)), "'n_crs'"),
             (dict(CONFIG, agent=dict(CONFIG["agent"], fixed_alpha=True)),
              "'fixed_alpha'"),
@@ -422,26 +423,6 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_single_restart_writes_the_plain_run(config_path, tmp_path):
-    single = tmp_path / "single.json"
-    single.write_text(json.dumps(dict(CONFIG, n_restarts=1, probe_phases=1)))
-    plain, restarted = tmp_path / "plain", tmp_path / "restarted"
-    assert simulate(config_path, plain) == 0
-    assert simulate(single, restarted) == 0
-    assert ((plain / "summary.csv").read_bytes()
-            == (restarted / "summary.csv").read_bytes())
-    for sub in ("oracle", "traces"):
-        files = sorted(p.name for p in (plain / sub).iterdir())
-        assert files == sorted(p.name for p in (restarted / sub).iterdir())
-        for file in files:
-            assert ((plain / sub / file).read_bytes()
-                    == (restarted / sub / file).read_bytes())
-    reports = [json.loads((d / "report.json").read_text())
-               for d in (plain, restarted)]
-    assert [(r["n_restarts"], r["probe_phases"]) for r in reports] == [
-        (1, None), (1, 1)]
-
-
 def test_oracle_matches_the_run_and_its_scenario(config_path, tmp_path):
     run_out, oracle_out = tmp_path / "run", tmp_path / "oracle"
     assert simulate(config_path, run_out) == 0
@@ -456,8 +437,7 @@ def test_oracle_matches_the_run_and_its_scenario(config_path, tmp_path):
 
 
 def test_traces_match_the_run_trace(tmp_path):
-    for name, doc in (("plain", CONFIG), ("restarts", RESTARTS),
-                      ("table-n3", TABLE_N3)):
+    for name, doc in (("plain", CONFIG), ("table-n3", TABLE_N3)):
         config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(doc))
         run_out, traces_out = tmp_path / name / "run", tmp_path / name / "traces"
@@ -575,3 +555,45 @@ def test_traces_of_a_diverging_run_exit_2(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: ") and err[0].endswith("training has diverged")
     assert not (tmp_path / "out").exists()
+
+
+def test_report_splits_each_run_time_by_layer(tmp_path):
+    """report.json lists per point each run's time in the scenario, oracle
+    and training layers, which add up to no more than its wall_ms; the
+    row of a run that raised has no split."""
+    config_path = tmp_path / "dql.json"
+    config_path.write_text(json.dumps(DIVERGING_DQL))
+    out = tmp_path / "out"
+    assert simulate(config_path, out, "--no-artifacts") == 0
+    report = json.loads((out / "report.json").read_text())
+    errored, layers = report["layer_ms"]["0"]
+    assert errored == {}
+    assert sorted(layers) == ["oracle", "scenario", "training"]
+    assert all(isinstance(t, float) and t >= 0 for t in layers.values())
+    assert sum(layers.values()) <= report["wall_ms"]["0"][1]
+
+
+def test_report_config_rebuilds_the_sweep_config(tmp_path):
+    """report.json's config is the resolved config, flag overrides
+    included, as a document from_dict rebuilds it from; versions names
+    the package, numpy and Python."""
+    amc = tmp_path / "amc.csv"
+    amc.write_text("snr_db,spectral_efficiency\n-6,0.15\n0,0.9\n10,2.5\n")
+    doc = dict(CONFIG, n_runs=1, amc={"csv": str(amc), "xi": 3.5},
+               agent=[CONFIG["agent"], dict(CONFIG["agent"], n_phases=1, rho=0.2)])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert simulate(config_path, out, "--seed", "9", "--no-artifacts") == 0
+    report = json.loads((out / "report.json").read_text())
+    config = harness.ExperimentConfig.from_dict(report["config"])
+    assert config == harness.ExperimentConfig.from_dict(
+        dict(doc, master_seed=9, out_dir=str(out)))
+    assert config.amc_csv == str(amc) and len(config.agent) == 2
+    assert report["config"]["amc"]["csv"] == str(amc)
+    table = config.amc_table()
+    assert table.xi == 3.5
+    np.testing.assert_array_equal(table.spectral_efficiencies, [0.15, 0.9, 2.5])
+    assert report["versions"] == {
+        "crpower": crpower.__version__, "numpy": np.__version__,
+        "python": platform.python_version()}

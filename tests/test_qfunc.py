@@ -881,9 +881,10 @@ def test_train_minibatch_is_the_two_row_step(n):
 def test_descent_hands_on_the_two_state_pass_it_computed():
     """A DQL phase reads each new block's Q matrices from the descent and
     takes its parameters after the last update. q_matrix of those
-    parameters is the pass the descent computed, not a second one; each
-    pass equals that of a fresh copy of its block; and the caller's block
-    is left as it was."""
+    parameters is the pass the descent computed, held in a read-only copy
+    that does not keep the descent's snapshots alive; each pass equals
+    that of a fresh copy of its block; and the caller's block is left as
+    it was."""
     rng = np.random.default_rng(61)
     n, b, n_updates = 3, 25, 5
     params = _init(rng, n)
@@ -901,7 +902,10 @@ def test_descent_hands_on_the_two_state_pass_it_computed():
             fresh = MlpParams(descent.params().flat.copy(), params.layer_sizes,
                               params.cap)
             assert np.array_equal(q, q_matrix(fresh))
-    assert q_matrix(descent.params()) is q
+    handed = q_matrix(descent.params())
+    assert np.array_equal(handed, q)
+    assert handed.base is None and not handed.flags.writeable
+    assert not np.shares_memory(handed, descent.snapshots)
     assert np.array_equal(params.flat, before)
 
 
