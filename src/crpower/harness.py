@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import platform
 import time
 import typing
@@ -129,6 +130,9 @@ class ExperimentConfig:
         if not 0.0 <= self.tau < 1.0:
             raise ConfigurationError("tau must lie in [0, 1)")
         check_outcome_budget(len(ActionSpace.default()), self.env.n_cr)
+        # an absolute path, so that a report's config rebuilds elsewhere
+        if self.amc_csv:
+            object.__setattr__(self, "amc_csv", os.path.abspath(self.amc_csv))
         # parsed once per config, so a table that cannot load fails here
         kwargs = dict(xi=self.amc_xi, snr_gap=self.amc_snr_gap,
                       bandwidth_hz=self.amc_bandwidth_hz)
@@ -147,9 +151,10 @@ class ExperimentConfig:
         ``env`` and ``agent`` (one object, or a list of one per phase
         budget) are objects keyed by the field names of GridSpec, EnvConfig
         and AgentHyperparams. The keys ``csv``, ``xi``, ``snr_gap`` and
-        ``bandwidth_hz`` of ``amc`` set the ``amc_*`` fields. An unknown key
-        at any level, or a value whose type differs from its field's
-        annotation, raises ConfigurationError naming the key. The
+        ``bandwidth_hz`` of ``amc`` set the ``amc_*`` fields; a relative
+        ``csv`` path is made absolute against the current directory. An
+        unknown key at any level, or a value whose type differs from its
+        field's annotation, raises ConfigurationError naming the key. The
         multi-start keys ``n_restarts`` and ``probe_phases`` are unknown
         keys: a run is one learning run. ``to_dict`` gives the document
         back."""

@@ -19,15 +19,16 @@ Q-values, which the learner refreshes from the live parameters every
 
 The networks of one learning run are trained together, as N stacked
 networks of one shape: ``init_mlp`` builds the stack, and the layer
-widths are stated there alone. Their weights and biases live in one
-(N, P) float64 block, network i's in row i, layer by layer (weights,
-then biases); ``MlpParams.weights`` and ``biases`` are reshaped views of
-it with a leading network axis. A single network is the case N = 1. A
-network only ever sees the two one-hot states, so each parameter set
-runs its forward pass once, for both states, and caches the activations
+widths are stated there alone. A single network is the case N = 1.
+``MlpParams`` holds their weights and biases in one layer-major 1-D
+block: layer by layer, the weights of all N networks, then their biases
+once per state, so that every per-layer view is contiguous and the
+forward pass adds a bias without broadcasting. A network only ever sees
+the two one-hot states, so each parameter set runs its forward pass
+once, for both states, into buffers it owns, keeping the activations
 and saturated-ReLU masks of both states of every network. The first
 layer's pre-activation is its weights plus its bias, since the one-hot
-rows pick the weight rows. ``q_matrix`` is a lookup in that cache.
+rows pick the weight rows. ``q_matrix`` is a lookup in that pass.
 
 For the same reason a gradient step never runs the forward or backward
 pass on a batch. The backward pass is linear in the output errors, and
@@ -41,32 +42,29 @@ activations and masks: 2-row matrix products per layer.
 Gradient steps come in runs on consecutive mini-batches (``_Descent``).
 An update is a few dozen numpy calls on arrays of a few dozen floats,
 so its cost is the calls' cost, which their operands' layout decides. A
-descent trains a layer-major copy of the block, copied in at set-up and
-out by ``params``: one 1-D buffer holding, layer by layer, the weights
-of all N networks, (N, fan_in, fan_out), then their biases once per
-state, (N, 2, fan_out), so that every per-layer view is contiguous and
-the forward pass adds a bias without broadcasting. All else the updates
-share is set up once: the converted and checked columns, rewards and
-rates included; each sample's cell, which indexes both its Q-value in
-the Q matrices and its sum in D; two parameter blocks that the updates
-write in turn, with their pass buffers and the transposed views the
-backward pass reads; the gradient block and the delta buffers; and a
-row per update for its Q matrices, which the forward pass writes in
-place. An update allocates only its errors and their sums: the backward
-products go straight into the gradient block (the first layer's delta
-is its weight gradient; a bias gradient, a delta's two rows summed, is
-one product with a 2 x 2 matrix of ones), then one multiply and one
-subtraction into the other block, and that block's two-state pass. The
-targets r + gamma * target_max[s'] are computed once for all the
-updates that share the target maxima.
+descent copies the caller's parameters into one new parameter set,
+updates it in place and hands it over in ``params``. All else the
+updates share is set up once: the converted and checked columns,
+rewards and rates included; each sample's cell, which indexes both its
+Q-value in the Q matrices and its sum in D; the gradient block, in the
+layout of the parameters, the delta buffers and the operands of each
+layer's backward step; and a row per update for its Q matrices, which
+the forward pass writes in place. An update allocates only its errors
+and their sums: the backward products go straight into the gradient
+block (the first layer's delta is its weight gradient; a bias gradient,
+a delta's two rows summed, is one product with a 2 x 2 matrix of ones,
+which writes both of its rows), then one multiply and one in-place
+subtraction from the parameters, and their two-state pass. The targets
+r + gamma * target_max[s'] are computed once for all the updates that
+share the target maxima.
 
 A run of updates is checked once, after its last update. A non-finite
 parameter stays non-finite under every later update (x - alpha * g is
 inf or NaN when x is, and NaN when g is), so that one check tells
 whether every update of the run was finite. Only when it was not does
-the descent rewind to the block the run started from and replay the run
-one checked update at a time, which raises the first diverging update's
-error and leaves the block before it current: table_update's
+the descent restore the parameters the run started from and replay the
+run one checked update at a time, which raises the first diverging
+update's error and leaves the parameters before it: table_update's
 check-once, replay-on-failure scheme. The loss is computed only where
 it is used: in ``train_minibatch``'s return value and in a divergence
 error's text. ``train_minibatch`` is a run of one update; a DQL phase
@@ -83,12 +81,10 @@ the others or on N. The step agrees with the per-sample formulation
 backward pass, added up over the batch by the matrix products) to
 rounding, not bit for bit: both compute the same sums, grouped
 differently. tests/test_qfunc.py pins both, and a two-row step
-restated sum by sum bit for bit. Each network's matrices in the
-layer-major block have the inner layout of its views of the (N, P)
-block, so the descent's updates are bit-identical to the same updates
-on the (N, P) block, which tests/test_agent.py restates; the product
-with ones adds a bias gradient's two rows as a sum does, up to the sign
-of a zero sum, which changes no parameter other than a -0.0.
+restated sum by sum bit for bit; tests/test_agent.py restates the
+step on network-major arrays. The product with ones adds a bias
+gradient's two rows as a sum does, up to the sign of a zero sum, which
+changes no parameter other than a -0.0.
 """
 
 from __future__ import annotations
@@ -265,26 +261,9 @@ def _td_pass(q, states, next_states, actions, rewards, counts, alpha, gamma,
             written.append(value)
 
 
-def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):
-    """(weights, biases) of the flat layout of the (N, P) block ``flat``, as
-    views: weights[k] is (N, fan_in, fan_out) and biases[k] (N, 1, fan_out)."""
-    n = len(flat)
-    weights, biases, start = [], [], 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        stop = start + fan_in * fan_out
-        weights.append(flat[:, start:stop].reshape(n, fan_in, fan_out))
-        biases.append(flat[:, None, stop:stop + fan_out])
-        start = stop + fan_out
-    return tuple(weights), tuple(biases)
-
-
 def _layer_major(n: int, layer_sizes: tuple[int, ...]):
-    """A 1-D block for N networks in the layer-major layout, and its
-    per-layer views: (flat, weights, biases). Layer by layer, the block
-    holds the weights of all N networks, weights[k] of shape (N, fan_in,
-    fan_out), then their biases, biases[k] of shape (N, 2, fan_out), each
-    bias stored once per state so that the two-state pass adds it
-    without broadcasting. Every view is contiguous."""
+    """A 1-D block for N networks in the layout of MlpParams, and its
+    per-layer views: (flat, weights, biases)."""
     shapes = [shape for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
               for shape in ((n, fan_in, fan_out), (n, N_STATES, fan_out))]
     flat = np.empty(sum(map(math.prod, shapes)))
@@ -296,85 +275,85 @@ def _layer_major(n: int, layer_sizes: tuple[int, ...]):
     return flat, tuple(views[0::2]), tuple(views[1::2])
 
 
-def _hidden_buffers(n: int, layer_sizes: tuple[int, ...]):
-    """Empty (activations, masks) of the hidden layers of a two-state pass
-    of N networks."""
-    shapes = [(n, N_STATES, width) for width in layer_sizes[1:-1]]
-    return (tuple(np.empty(shape) for shape in shapes),
-            tuple(np.empty(shape, dtype=bool) for shape in shapes))
-
-
 class MlpParams:
     """Weights of N feed-forward approximators of one shape, stacked.
 
     Hidden layers use a saturated ReLU clamped to [0, cap]; the output
-    layer is linear. Row i of the (N, P) array ``flat`` holds network i's
-    parameters in the layout of ``layer_sizes``; weights[k], of shape
-    (N, fan_in, fan_out), and biases[k], of shape (N, 1, fan_out), are
-    views of it. A single network is the case N = 1. The constructor
-    trusts its arguments. The two-state forward pass is computed on first
-    use and cached, so a parameter set must not be modified after that;
-    training returns a new one.
+    layer is linear. A single network is the case N = 1. The parameters
+    live in one 1-D float64 block, ``flat``, layer by layer: the weights
+    of all N networks, weights[k] of shape (N, fan_in, fan_out), then
+    their biases, biases[k] of shape (N, 2, fan_out). Every per-layer
+    view is contiguous, and weights_t[k] is weights[k] transposed. Each
+    bias is stored once per state, so that the two-state pass adds it
+    without broadcasting: the two rows of biases[k][i] are equal, and
+    whatever writes a bias writes both.
+
+    A parameter set owns the buffers of its two-state pass: hidden[k]
+    receives the activations of hidden layer k for both states and
+    masks[k] where its pre-activation lies inside (0, cap); hidden_t[k]
+    is hidden[k] transposed. MlpParams(n, layer_sizes, cap) leaves the
+    parameters uninitialised, for the caller to fill the views. The pass
+    is computed on first use and kept, so a parameter set must not be
+    modified after that; training returns a new one.
     """
 
-    def __init__(self, flat: np.ndarray, layer_sizes: tuple[int, ...], cap: float):
-        self.flat = flat
+    def __init__(self, n: int, layer_sizes: tuple[int, ...], cap: float):
         self.layer_sizes = layer_sizes
         self.cap = cap
-        self.weights, self.biases = _layer_views(flat, layer_sizes)
-        self._two_state = None
-
-    def __reduce__(self):
-        return MlpParams, (self.flat, self.layer_sizes, self.cap)
+        self.flat, self.weights, self.biases = _layer_major(n, layer_sizes)
+        self.weights_t = tuple(w.transpose(0, 2, 1) for w in self.weights)
+        shapes = [(n, N_STATES, width) for width in layer_sizes[1:-1]]
+        self.hidden = tuple(np.empty(shape) for shape in shapes)
+        self.masks = tuple(np.empty(shape, dtype=bool) for shape in shapes)
+        self.hidden_t = tuple(a.transpose(0, 2, 1) for a in self.hidden)
+        self._q = None
 
     @property
     def n_actions(self) -> int:
         return self.layer_sizes[-1]
 
     def _two_state_pass(self):
-        """Cached forward pass on both states: (activations, masks); see
+        """The kept forward pass on both states: (activations, masks); see
         _forward, also for the np.errstate to call it under."""
-        if self._two_state is None:
-            n = len(self.flat)
-            hidden, masks = _hidden_buffers(n, self.layer_sizes)
-            q = np.empty((n, N_STATES, self.n_actions))
-            _forward(self.weights, self.biases, self.cap, hidden, masks, q)
+        if self._q is None:
+            q = np.empty((len(self.weights[0]), N_STATES, self.n_actions))
+            self._forward(q)
             q.flags.writeable = False       # q_matrix hands it out
-            self._two_state = hidden + (q,), masks
-        return self._two_state
+            self._q = q
+        return self.hidden + (self._q,), self.masks
 
+    def _forward(self, q: np.ndarray) -> None:
+        """Forward pass of the stacked networks on the one-hot states 0
+        and 1, into hidden, masks and the (N, 2, n_actions) Q matrices q.
 
-def _forward(weights, biases, cap: float, hidden, masks, q) -> None:
-    """Forward pass of stacked networks on the one-hot states 0 and 1,
-    written into buffers of shape (N, 2, width).
-
-    hidden[k] receives the output of hidden layer k for both states and
-    q the Q matrices; masks[k] is set True where hidden layer k's
-    pre-activation lies inside (0, cap). The activations, with q last, are
-    the pass's ``activations``. The first layer's pre-activation is its
-    weights plus its bias: the one-hot rows of eye(2) pick the weight
-    rows. Diverging networks overflow here; call it under
-    np.errstate(over="ignore", invalid="ignore").
-    """
-    h = np.add(weights[0], biases[0], out=hidden[0])
-    for w, b, mask, out in zip(weights[1:], biases[1:], masks, hidden[1:] + (q,)):
-        np.greater(h, 0.0, out=mask)
-        mask &= h < cap
-        _clip(h, 0.0, cap, out=h)
-        h = np.matmul(h, w, out=out)
-        np.add(h, b, out=h)
+        The activations, with q last, are the pass's ``activations``. The
+        first layer's pre-activation is its weights plus its bias: the
+        one-hot rows of eye(2) pick the weight rows. Diverging networks
+        overflow here; call it under np.errstate(over="ignore",
+        invalid="ignore").
+        """
+        cap = self.cap
+        h = np.add(self.weights[0], self.biases[0], out=self.hidden[0])
+        for w, b, mask, out in zip(self.weights[1:], self.biases[1:], self.masks,
+                                   self.hidden[1:] + (q,)):
+            np.greater(h, 0.0, out=mask)
+            mask &= h < cap
+            _clip(h, 0.0, cap, out=h)
+            h = np.matmul(h, w, out=out)
+            np.add(h, b, out=h)
 
 
 def init_mlp(rngs, n_actions: int, cap: float) -> MlpParams:
     """Fresh stacked networks, network i drawn from the generator rngs[i]:
     one-hot state in, one Q-value per action out. Every weight and bias is
     uniform on [0, 1), drawn layer by layer, weights (row-major) then
-    biases, which is the order of the flat layout."""
-    sizes = (N_STATES, 8, 18, n_actions)
-    size = sum(fan_in * fan_out + fan_out
-               for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-    return MlpParams(np.stack([rng.uniform(0.0, 1.0, size) for rng in rngs]),
-                     sizes, cap)
+    biases."""
+    params = MlpParams(len(rngs), (N_STATES, 8, 18, n_actions), cap)
+    for i, rng in enumerate(rngs):
+        for w, b in zip(params.weights, params.biases):
+            w[i] = rng.uniform(0.0, 1.0, w.shape[1:])
+            b[i] = rng.uniform(0.0, 1.0, b.shape[2])     # to both state rows
+    return params
 
 
 def q_matrix(params: MlpParams) -> np.ndarray:
@@ -426,52 +405,33 @@ def _finite_rows(views) -> np.ndarray:
     return finite
 
 
-class _Block:
-    """One parameter set of N stacked networks in the layer-major layout,
-    with the buffers of the hidden layers of its two-state pass.
-
-    ``flat`` is the 1-D block; weights[k] and biases[k] are its contiguous
-    per-layer views (see _layer_major) and weights_t[k] the
-    transposed weight views the backward pass reads. hidden and masks
-    receive the hidden activations and masks of the block's pass, as
-    _forward writes them, and hidden_t holds the transposed views of the
-    hidden activations."""
-
-    def __init__(self, n: int, layer_sizes: tuple[int, ...]):
-        self.flat, self.weights, self.biases = _layer_major(n, layer_sizes)
-        self.weights_t = tuple(w.transpose(0, 2, 1) for w in self.weights)
-        self.hidden, self.masks = _hidden_buffers(n, layer_sizes)
-        self.hidden_t = tuple(a.transpose(0, 2, 1) for a in self.hidden)
-
-
 class _Descent:
     """Gradient steps of N stacked networks on consecutive mini-batches.
 
     The columns, as train_minibatch takes them, hold ``n_updates``
     mini-batches of equal size back to back, update u training every
-    network on its own u-th one. What stays fixed across the updates is
-    done once: the checks of the columns and rates, the cell of every
-    sample, and the buffers: two layer-major blocks (_Block) that the
-    updates write in turn, the gradient block in the same layout with its
-    per-layer views, the error and delta buffers, per block the operands
-    of its backward pass, and the Q matrices after every update
-    (``snapshots``), which the forward passes write in place. The caller's
-    parameters are copied into the first block at set-up, and the current
-    block out in ``params``.
+    network on its own u-th one. The caller's parameters are copied into
+    one new parameter set at set-up, which the updates write in place and
+    ``params`` hands over. What stays fixed across the updates is done
+    once: the checks of the columns and rates, the cell of every sample,
+    and the buffers: the gradient block in the layout of the parameters
+    with its per-layer views, the error and delta buffers, the operands
+    of the backward pass, and the Q matrices after every update
+    (``snapshots``), which the forward passes write in place.
 
     ``run`` is the one copy of the gradient maths: train_minibatch runs
     one update, a DQL phase its runs of updates between target refreshes.
-    It checks nothing. ``check`` checks the block one update wrote;
-    ``finite`` checks the current block after a run, and ``rewind`` goes
-    back to the block the run started from, to replay it update by
-    update. Call targets, run, check, finite and rewind under
+    It checks nothing. ``check`` checks the parameters one update wrote;
+    ``finite`` checks them after a run, and ``rewind`` restores the
+    parameters the run started from, to replay it update by update. Call
+    targets, run, check, finite and rewind under
     np.errstate(over="ignore", invalid="ignore"); diverging networks
     overflow there.
     """
 
     def __init__(self, params: MlpParams, states, next_states, actions, rewards,
                  n_updates: int, alpha: float, gamma: float):
-        n = len(params.flat)
+        n = len(params.weights[0])
         states = np.asarray(states, dtype=int).reshape(n, -1)
         next_states = np.asarray(next_states, dtype=int).reshape(n, -1)
         actions = np.asarray(actions, dtype=int).reshape(n, -1)
@@ -508,28 +468,22 @@ class _Descent:
         self._rewards = per_update(rewards)
         self._scaled = np.empty((n, b))         # the errors over b
 
-        self._shape = params.flat.shape
-        sizes = self._sizes = params.layer_sizes
-        self._cap = params.cap
+        sizes = params.layer_sizes
         # row u: the Q matrices after u updates; the passes write the
         # writeable base, and the rows handed out are read-only
         self._snapshots = np.empty((n_updates + 1, n, N_STATES, n_actions))
         self.snapshots = self._snapshots.view()
         self.snapshots.flags.writeable = False
         self._rows = list(self.snapshots)
-        self.done = 0           # the updates the current block has taken
-        self._blocks = (_Block(n, sizes), _Block(n, sizes))
-        self._current = 0
-        start = self._blocks[0]
-        for view, source in zip(start.weights + start.biases,
-                                params.weights + params.biases):
-            np.copyto(view, source)     # a bias to both of its rows
+        self.done = 0           # the updates the parameters have taken
+        block = self._block = MlpParams(n, sizes, params.cap)
+        np.copyto(block.flat, params.flat)
         with np.errstate(over="ignore", invalid="ignore"):
-            self._forward(start, 0)
-        # the block the last run started from, and its update count
-        self._run_start, self._run_flat = 0, start.flat.copy()
+            block._forward(self._snapshots[0])
+        # the parameters the last run started from, and its update count
+        self._run_start, self._run_flat = 0, block.flat.copy()
         self._grad, self._grad_w, self._grad_b = _layer_major(n, sizes)
-        self._step = np.empty_like(start.flat)      # alpha times the gradient
+        self._step = np.empty_like(block.flat)      # alpha times the gradient
         # ones @ delta sums a delta's two state rows into both rows of a
         # bias gradient
         self._ones = np.ones((N_STATES, N_STATES))
@@ -537,18 +491,10 @@ class _Descent:
         # input is eye(2), so its delta is its weight gradient
         deltas = (self._grad_w[0],) + tuple(
             np.empty((n, N_STATES, width)) for width in sizes[2:-1])
-        # per current block, the operands of each layer's backward step,
-        # top layer first
-        self._backward = tuple(
-            tuple(zip(block.hidden_t, self._grad_w[1:], self._grad_b[1:],
-                      block.weights_t[1:], deltas, block.masks))[::-1]
-            for block in self._blocks)
-
-    def _forward(self, block: _Block, u: int) -> None:
-        """The two-state pass of block, whose parameters have taken u
-        updates."""
-        _forward(block.weights, block.biases, self._cap, block.hidden,
-                 block.masks, self._snapshots[u])
+        # the operands of each layer's backward step, top layer first
+        self._backward = tuple(zip(
+            block.hidden_t, self._grad_w[1:], self._grad_b[1:],
+            block.weights_t[1:], deltas, block.masks))[::-1]
 
     def targets(self, target_max: np.ndarray, start: int, stop: int) -> np.ndarray:
         """The targets r + gamma * target_max[i, s'] of updates start to
@@ -559,30 +505,29 @@ class _Descent:
     def run(self, targets: np.ndarray) -> np.ndarray:
         """The next len(targets) updates, update u against its (N, b)
         targets, row u - done of targets. An update computes the gradient
-        of the current block, subtracts it into the other block, which
-        becomes the current block, and runs that block's two-state pass
-        into the snapshots. Returns the (N, b) errors Q_i(s, a) - y of the
-        last update. Checks nothing (see check and finite). The backward
-        pass runs on the two state rows of the error sums D (see the
-        module docstring)."""
-        start, current = self.done, self._current
-        blocks, backwards = self._blocks, self._backward
+        of the parameters, subtracts it from them in place once the
+        backward pass has read them, and runs their two-state pass into
+        the snapshots. Returns the (N, b) errors Q_i(s, a) - y of the last
+        update. Checks nothing (see check and finite). The backward pass
+        runs on the two state rows of the error sums D (see the module
+        docstring)."""
+        start, block, backward = self.done, self._block, self._backward
+        flat, forward = block.flat, block._forward
         self._run_start = start
-        np.copyto(self._run_flat, blocks[current].flat)
+        np.copyto(self._run_flat, flat)
         cells, flat_cells, rows = self._cells, self._flat_cells, self._rows
-        scaled = self._scaled
+        snapshots, scaled = self._snapshots, self._scaled
         b, scaled_flat = scaled.shape[1], scaled.reshape(-1)
         sums_shape, n_cells = rows[0].shape, rows[0].size
         grad, step, grad_b0, alpha = self._grad, self._step, self._grad_b[0], self.alpha
         matmul, multiply, ones = np.matmul, np.multiply, self._ones
         for u, y in enumerate(targets, start):
-            block, new = blocks[current], blocks[current ^ 1]
             err = rows[u].take(cells[u])
             np.subtract(err, y, out=err)
             np.divide(err, b, out=scaled)
             delta = np.bincount(flat_cells[u], scaled_flat,
                                 n_cells).reshape(sums_shape)
-            for hidden_t, grad_w, grad_b, weight_t, out, mask in backwards[current]:
+            for hidden_t, grad_w, grad_b, weight_t, out, mask in backward:
                 matmul(hidden_t, delta, out=grad_w)
                 matmul(ones, delta, out=grad_b)
                 # saturated ReLU: zero subgradient outside (0, cap)
@@ -590,60 +535,52 @@ class _Descent:
                 multiply(delta, mask, out=delta)
             matmul(ones, delta, out=grad_b0)
             multiply(grad, alpha, out=step)
-            np.subtract(block.flat, step, out=new.flat)
-            self._forward(new, u + 1)
-            current ^= 1
-        self._current, self.done = current, start + len(targets)
+            np.subtract(flat, step, out=flat)
+            forward(snapshots[u + 1])
+        self.done = start + len(targets)
         return err
 
     def finite(self) -> bool:
-        """Whether the current block is finite: after a run, whether every
+        """Whether the parameters are finite: after a run, whether every
         update of it was (see the module docstring)."""
-        return bool(np.isfinite(self._blocks[self._current].flat).all())
+        return bool(np.isfinite(self._block.flat).all())
 
     def check(self, err: np.ndarray) -> None:
         """After a run of one update, which returned err: raises
         FloatingPointError when a network's gradient or updated parameters
-        are not finite, and makes the block before the update the current
-        one again. The error reports the lowest-index such network."""
+        are not finite, and rewinds to the parameters before the update.
+        The error reports the lowest-index such network."""
         if self.finite():
             return
-        new = self._blocks[self._current]
-        i = int(np.flatnonzero(~_finite_rows(new.weights + new.biases))[0])
+        block = self._block
+        i = int(np.flatnonzero(~_finite_rows(block.weights + block.biases))[0])
         what = ("gradient" if not _finite_rows(self._grad_w + self._grad_b)[i]
                 else "parameter update")
-        self._current ^= 1
-        self.done -= 1
+        self.rewind()
         raise FloatingPointError(
             f"non-finite {what} (loss={float(_loss(err)[i])!r}, "
             f"max|err|={float(np.max(np.abs(err[i])))!r}); "
             "training has diverged")
 
     def rewind(self) -> None:
-        """Back to the block the last run started from, with its pass."""
+        """Back to the parameters the last run started from, with their
+        pass."""
         self.done = self._run_start
-        block = self._blocks[self._current]
-        np.copyto(block.flat, self._run_flat)
-        self._forward(block, self.done)
+        np.copyto(self._block.flat, self._run_flat)
+        self._block._forward(self._snapshots[self.done])
 
     @property
     def q(self) -> np.ndarray:
-        """(N, n_states, n_actions) Q matrices of the current block,
+        """(N, n_states, n_actions) Q matrices of the parameters,
         read-only."""
         return self._rows[self.done]
 
     def params(self) -> MlpParams:
-        """The current block, copied out to a new parameter set, which
-        takes over the block's two-state pass with a read-only copy of its
-        Q matrices (a row of the snapshots would keep them all alive). A
-        later update may overwrite the pass's activations: take the
-        parameters after the last one."""
-        block = self._blocks[self._current]
-        params = MlpParams(np.empty(self._shape), self._sizes, self._cap)
-        for view, source in zip(params.weights + params.biases,
-                                block.weights + tuple(b[:, :1] for b in block.biases)):
-            np.copyto(view, source)
+        """The parameters, handed over with their two-state pass and a
+        read-only copy of their Q matrices (a row of the snapshots would
+        keep them all alive). A later update would overwrite them and
+        their pass: take the parameters after the last one."""
         q = self.q.copy()
         q.flags.writeable = False
-        params._two_state = block.hidden + (q,), block.masks
-        return params
+        self._block._q = q
+        return self._block

@@ -6,6 +6,8 @@ geometry only to satisfy the dataclass shape. The outcome tensor stores a
 joint state per joint action; decode_states gives back the per-agent
 states, and restated_tpc and restated_throughputs recompute the |T%| and
 throughput values behind the states and rewards from the scenario.
+mlp_params, select_networks and scale_networks build new DQL parameter
+sets from per-layer arrays.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from crpower.channel import ChannelGains, dbm_to_mw, received_power_mw, sn_sinrs
 from crpower.environment import ActionSpace, EnvConfig, Scenario
 from crpower.link_adaptation import AmcTable, amc_mode, relative_throughput_change
+from crpower.qfunc import MlpParams
 from crpower.topology import GridSpec, NodePlacement
 
 TINY = 1e-30
@@ -131,3 +134,32 @@ def joint_action_grid(n_actions, n_cr):
     """Every joint action, (n_actions^N, N), in lexicographic order."""
     return np.array(np.unravel_index(np.arange(n_actions ** n_cr),
                                      (n_actions,) * n_cr)).T
+
+
+def mlp_params(weights, biases, cap):
+    """A new parameter set copied from per-layer arrays: (fan_in, fan_out)
+    weights and (fan_out,) biases of one network, or (N, fan_in, fan_out)
+    weights and (N, fan_out), (N, 1, fan_out) or (N, 2, fan_out) biases of
+    N stacked networks. Each bias goes to both of its state rows."""
+    n = int(np.prod(np.shape(weights[0])[:-2]))
+    sizes = (np.shape(weights[0])[-2],) + tuple(np.shape(w)[-1] for w in weights)
+    params = MlpParams(n, sizes, cap)
+    for view, w in zip(params.weights, weights):
+        view[...] = np.reshape(w, view.shape)
+    for view, b in zip(params.biases, biases):
+        view[...] = np.reshape(b, (n, -1, view.shape[2]))
+    return params
+
+
+def select_networks(params, networks):
+    """A new parameter set of the given networks of a stack, in order."""
+    return mlp_params(tuple(w[networks] for w in params.weights),
+                      tuple(b[networks] for b in params.biases), params.cap)
+
+
+def scale_networks(params, scales):
+    """A new parameter set whose network i is network i of params with
+    every weight and bias times scales[i]."""
+    scales = np.asarray(scales, dtype=float)[:, None, None]
+    return mlp_params(tuple(w * scales for w in params.weights),
+                      tuple(b * scales for b in params.biases), params.cap)

@@ -8,7 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import TINY, decode_states, make_scenario, pack_states
+from conftest import (
+    TINY,
+    decode_states,
+    make_scenario,
+    mlp_params,
+    pack_states,
+    scale_networks,
+    select_networks,
+)
 
 from crpower import agent as agent_module
 from crpower.agent import (
@@ -35,7 +43,7 @@ from crpower.harness import (
     scenario_for_run,
 )
 from crpower.qfunc import (
-    MlpParams,
+    _Descent,
     init_mlp,
     q_matrix,
     table_update,
@@ -198,8 +206,8 @@ def test_dql_updates_per_phase(two_cr_scenario):
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(2)]
     agents = make_agents("dql", hp, 14, rngs)
     run_exploration_phase(agents, two_cr_scenario, rngs)
-    # the agents' networks are the rows of one stacked block
-    assert len(agents.params.flat) == 2
+    # the agents' networks are stacked in one parameter set
+    assert len(agents.params.weights[0]) == 2
     assert agents.updates == 250
 
 
@@ -481,13 +489,13 @@ def test_phase_records_count_live_units_and_state_blindness():
                  [np.zeros(8), np.full(18, 30.0), rng.uniform(size=14)])
     normal = ([rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:])],
               [rng.normal(size=b) for b in sizes[1:]])
-    flat = np.stack([np.concatenate([a.ravel() for layer in zip(*network)
-                                     for a in layer])
-                     for network in (saturated, normal)])
-    agents.params = MlpParams(flat, sizes, hp.activation_cap)
+    agents.params = mlp_params(
+        [np.stack(layer) for layer in zip(saturated[0], normal[0])],
+        [np.stack(layer) for layer in zip(saturated[1], normal[1])],
+        hp.activation_cap)
     agents.windows.push(agents.q_values())
     records = agents.update_policy([np.random.default_rng(2)] * 2, [0.0, 0.0])
-    live = _live_units(MlpParams(flat[1:], sizes, hp.activation_cap))
+    live = _live_units(select_networks(agents.params, [1]))
     assert 0 < live < 26
     assert [(r.live_units, r.state_blind) for r in records] == [(0, True),
                                                                 (live, False)]
@@ -530,15 +538,13 @@ def test_target_refreshed_every_c_updates(two_cr_scenario):
 def _diverging_phase(scenario, monkeypatch, scales):
     """A first phase of 200 steps (8 updates, c=50, alpha 1.0) of two agents
     whose networks are scaled by scales[i], which must raise. Returns the
-    agents, their hyperparameters, the scaled (2, P) block, the initial
-    target maxima, the phase's four (2, 200) columns and the error."""
+    agents, their hyperparameters, the scaled networks, the initial target
+    maxima, the phase's four (2, 200) columns and the error."""
     hp = small_hp(phase_length=200, minibatch=25, c=50, alpha0=1.0)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(14).spawn(2)]
     agents = make_agents("dql", hp, 14, rngs)
     target_max = agents.target_max.copy()     # c=50: frozen for the phase
-    params = agents.params
-    flat = params.flat * np.array(scales)[:, None]
-    agents.params = MlpParams(flat, params.layer_sizes, params.cap)
+    agents.params = scaled = scale_networks(agents.params, scales)
     columns = []
     learn_phase = DqlAgents.learn_phase
 
@@ -549,7 +555,7 @@ def _diverging_phase(scenario, monkeypatch, scales):
     monkeypatch.setattr(DqlAgents, "learn_phase", recording)
     with pytest.raises(FloatingPointError) as excinfo:
         run_exploration_phase(agents, scenario, rngs)
-    return agents, hp, flat, target_max, columns, excinfo.value
+    return agents, hp, scaled, target_max, columns, excinfo.value
 
 
 def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
@@ -557,13 +563,12 @@ def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
     # update; agent 0's, scaled by 1e150, at its sixth. The phase raises
     # agent 1's error, the one agent 1's network gives on its own batches,
     # at the first update, so no update completes.
-    agents, hp, flat, target_max, columns, error = _diverging_phase(
+    agents, hp, scaled, target_max, columns, error = _diverging_phase(
         two_cr_scenario, monkeypatch, [1e150, 1e300])
-    sizes, cap = agents.params.layer_sizes, agents.params.cap
 
     def alone(i):
         """(update index, error text) of agent i's network on its own."""
-        single = MlpParams(flat[i:i + 1], sizes, cap)
+        single = select_networks(scaled, [i])
         for update in range(hp.phase_length // hp.minibatch):
             batch = (c[i, update * 25:(update + 1) * 25] for c in columns)
             try:
@@ -577,7 +582,7 @@ def test_first_divergence_is_raised(two_cr_scenario, monkeypatch):
     assert update1 == 0 < update0 == 5
     assert str(error) == text1
     assert agents.updates == 0
-    np.testing.assert_array_equal(agents.params.flat, flat)
+    np.testing.assert_array_equal(agents.params.flat, scaled.flat)
     assert agents.windows.filled == 0
 
 
@@ -586,9 +591,8 @@ def test_state_after_a_later_divergence(two_cr_scenario, monkeypatch):
     # its sixth update. The run object is left as the fifth left it: its
     # update count, networks, target maxima and window ring are those of a
     # chain of five train_minibatch calls on the stacked block.
-    agents, hp, flat, target_max, columns, error = _diverging_phase(
+    agents, hp, chain, target_max, columns, error = _diverging_phase(
         two_cr_scenario, monkeypatch, [1e150, 1.0])
-    chain = MlpParams(flat, agents.params.layer_sizes, agents.params.cap)
     snapshots = []
     for update in range(5):
         chain, _ = train_minibatch(
@@ -614,75 +618,108 @@ def _dql_columns(rng, n, length):
             rng.integers(14, size=(n, length)), rng.uniform(0, 12, size=(n, length)))
 
 
-def _network_major_pass(params):
+def _network_major_views(flat, sizes):
+    """Per-layer views of a network-major (N, P) block, network i's
+    parameters in row i, layer by layer (weights, then biases): (weights,
+    biases), weights[k] of shape (N, fan_in, fan_out) and biases[k] of
+    shape (N, 1, fan_out)."""
+    n = len(flat)
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        stop = start + fan_in * fan_out
+        weights.append(flat[:, start:stop].reshape(n, fan_in, fan_out))
+        biases.append(flat[:, None, stop:stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
+def _network_major(params):
+    """A parameter set copied to a network-major (N, P) block: row i holds
+    network i's weights and biases (one state row each), layer by layer."""
+    n = len(params.weights[0])
+    return np.concatenate([a.reshape(n, -1)
+                           for w, b in zip(params.weights, params.biases)
+                           for a in (w, b[:, 0])], axis=1)
+
+
+def _network_major_pass(flat, sizes, cap):
     """The two-state pass restated on the (N, P) block's strided views:
     (activations, masks), with the Q matrices last among the activations."""
-    h = params.weights[0] + params.biases[0]
+    weights, biases = _network_major_views(flat, sizes)
+    h = weights[0] + biases[0]
     activations, masks = [], []
-    for w, b in zip(params.weights[1:], params.biases[1:]):
-        masks.append((h > 0.0) & (h < params.cap))
-        activations.append(np.clip(h, 0.0, params.cap))
+    for w, b in zip(weights[1:], biases[1:]):
+        masks.append((h > 0.0) & (h < cap))
+        activations.append(np.clip(h, 0.0, cap))
         h = activations[-1] @ w + b
     return activations + [h], masks
 
 
-def _network_major_step(params, cells, y, alpha):
-    """One gradient step restated on the network-major (N, P) block: the
-    per-layer gradient views cut from a fresh (N, P) gradient, the error
-    sums D of each network's (N, b) flat cells by np.bincount, the backward
-    pass through the transposed strided views, one subtraction, and a
-    finiteness check of the new block. Returns the new parameters; raises
-    the error of the lowest-index network whose gradient or new parameters
-    are not finite."""
-    activations, masks = _network_major_pass(params)
+def _network_major_step(flat, sizes, cap, cells, y, alpha):
+    """One gradient step restated on the network-major (N, P) block flat:
+    the per-layer gradient views cut from a fresh (N, P) gradient, the
+    error sums D of each network's (N, b) flat cells by np.bincount, the
+    backward pass through the transposed strided views, one subtraction,
+    and a finiteness check of the new block. Returns the new block;
+    raises the error of the lowest-index network whose gradient or new
+    parameters are not finite."""
+    activations, masks = _network_major_pass(flat, sizes, cap)
+    weights, _ = _network_major_views(flat, sizes)
     q = activations[-1]
     b = y.shape[1]
     err = q.take(cells) - y
     delta = np.bincount(cells.ravel(), (err / b).ravel(), q.size).reshape(q.shape)
-    grad = MlpParams(np.empty_like(params.flat), params.layer_sizes, params.cap)
-    for k in range(len(params.weights) - 1, 0, -1):
-        grad.weights[k][...] = activations[k - 1].transpose(0, 2, 1) @ delta
-        grad.biases[k][...] = delta.sum(axis=1, keepdims=True)
-        delta = (delta @ params.weights[k].transpose(0, 2, 1)) * masks[k - 1]
-    grad.weights[0][...] = delta
-    grad.biases[0][...] = delta.sum(axis=1, keepdims=True)
-    new = params.flat - alpha * grad.flat
+    grad = np.empty_like(flat)
+    grad_w, grad_b = _network_major_views(grad, sizes)
+    for k in range(len(weights) - 1, 0, -1):
+        grad_w[k][...] = activations[k - 1].transpose(0, 2, 1) @ delta
+        grad_b[k][...] = delta.sum(axis=1, keepdims=True)
+        delta = (delta @ weights[k].transpose(0, 2, 1)) * masks[k - 1]
+    grad_w[0][...] = delta
+    grad_b[0][...] = delta.sum(axis=1, keepdims=True)
+    new = flat - alpha * grad
     if not np.isfinite(new).all():
         i = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
-        what = ("gradient" if not np.isfinite(grad.flat[i]).all()
+        what = ("gradient" if not np.isfinite(grad[i]).all()
                 else "parameter update")
         loss = 0.5 * (np.add.reduce(err[i] ** 2) / b)
         raise FloatingPointError(
             f"non-finite {what} (loss={float(loss)!r}, "
             f"max|err|={float(np.max(np.abs(err[i])))!r}); "
             "training has diverged")
-    return MlpParams(new, params.layer_sizes, params.cap)
+    return new
 
 
 def _network_major_learn_phase(agents, columns):
-    """DqlAgents.learn_phase restated one checked update at a time on the
-    network-major block: each update steps every network on its own next
-    mini-batch, refreshes the target maxima every c updates and pushes
-    every network's Q matrix."""
+    """DqlAgents.learn_phase restated one checked update at a time on a
+    network-major copy of the networks: each update steps every network
+    on its own next mini-batch, refreshes the target maxima every c
+    updates and pushes every network's Q matrix. The agents then take
+    the block's parameters."""
     hp = agents.hp
     size = hp.minibatch
-    n, n_actions = len(agents.params.flat), agents.params.n_actions
+    sizes, cap = agents.params.layer_sizes, agents.params.cap
+    flat = _network_major(agents.params)
+    n, n_actions = len(flat), agents.params.n_actions
     offsets = np.arange(0, 2 * n, 2)[:, None]
     cells = (columns[0] + offsets) * n_actions + columns[2]
     next_rows = columns[1] + offsets
-    with np.errstate(over="ignore", invalid="ignore"):
-        for u in range(hp.phase_length // size):
-            batch = slice(u * size, (u + 1) * size)
-            y = columns[3][:, batch] + hp.gamma * agents.target_max.take(
-                next_rows[:, batch])
-            agents.params = _network_major_step(agents.params, cells[:, batch], y,
-                                                agents.alpha)
-            agents.updates += 1
-            q = _network_major_pass(agents.params)[0][-1]
-            if agents.updates % hp.c == 0:
-                agents.target_max = q.max(axis=2)
-            agents._push(q, agents.phase * hp.phase_length + (u + 1) * size,
-                         columns[2][:, (u + 1) * size - 1].tolist())
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for u in range(hp.phase_length // size):
+                batch = slice(u * size, (u + 1) * size)
+                y = columns[3][:, batch] + hp.gamma * agents.target_max.take(
+                    next_rows[:, batch])
+                flat = _network_major_step(flat, sizes, cap, cells[:, batch], y,
+                                           agents.alpha)
+                agents.updates += 1
+                q = _network_major_pass(flat, sizes, cap)[0][-1]
+                if agents.updates % hp.c == 0:
+                    agents.target_max = q.max(axis=2)
+                agents._push(q, agents.phase * hp.phase_length + (u + 1) * size,
+                             columns[2][:, (u + 1) * size - 1].tolist())
+    finally:
+        agents.params = mlp_params(*_network_major_views(flat, sizes), cap)
 
 
 def _dql_state(agents):
@@ -741,10 +778,7 @@ def test_divergence_replays_the_failing_run_update_by_update():
     agents = DqlAgents(hp, 14, [np.random.default_rng(s) for s in (1, 2)])
     agents.learn_phase(_dql_columns(rng, 2, hp.phase_length))
     agents.update_policy([np.random.default_rng(0)] * 2, [0.0, 0.0])
-    flat = agents.params.flat.copy()
-    flat[1] *= 1e120
-    agents.params = chain = MlpParams(flat, agents.params.layer_sizes,
-                                      agents.params.cap)
+    agents.params = chain = scale_networks(agents.params, [1.0, 1e120])
     target_max, updates = agents.target_max, agents.updates
     ring = copy.deepcopy(agents.windows)
     columns = _dql_columns(rng, 2, hp.phase_length)
@@ -769,6 +803,70 @@ def test_divergence_replays_the_failing_run_update_by_update():
     np.testing.assert_array_equal(agents.target_max, target_max)
     assert agents.windows._count == ring._count
     assert agents.windows._buf.tobytes() == ring._buf.tobytes()
+
+
+def test_check_rewinds_a_diverging_update():
+    # Network 0 of two, scaled by 1e150, diverges at a later update of
+    # one-update runs at step size 1.0. check() raises the error the
+    # network-major step gives, and leaves the descent as the update
+    # before it left it: the parameters, their Q matrices and their pass's
+    # activations and masks, bit for bit. The caller's parameters stay as
+    # they were.
+    rng = np.random.default_rng(8)
+    params = scale_networks(
+        init_mlp([np.random.default_rng(s) for s in (1, 2)], 14, 20.0), [1e150, 1.0])
+    sizes, cap, before = params.layer_sizes, params.cap, params.flat.copy()
+    n_updates, b = 10, 25
+    columns = _dql_columns(rng, 2, n_updates * b)
+    cells = (columns[0] + [[0], [2]]) * 14 + columns[2]
+    flat = _network_major(params)
+
+    def state():
+        """The descent's parameters and pass, as bytes."""
+        current = descent.params()
+        activations, masks = current._two_state_pass()
+        return [a.tobytes() for a in (current.flat, descent.q) + activations + masks]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        target_max = q_matrix(params).max(axis=2)
+        descent = _Descent(params, *columns, n_updates, 1.0, 0.9)
+        targets = descent.targets(target_max, 0, n_updates)
+        for u in range(n_updates):
+            try:
+                flat = _network_major_step(flat, sizes, cap,
+                                           cells[:, u * b:(u + 1) * b], targets[u], 1.0)
+            except FloatingPointError as exc:
+                expected = str(exc)
+                break
+            descent.check(descent.run(targets[u:u + 1]))
+        assert 0 < u < n_updates - 1
+        previous = state()
+        with pytest.raises(FloatingPointError) as raised:
+            descent.check(descent.run(targets[u:u + 1]))
+    assert str(raised.value) == expected
+    assert descent.done == u
+    assert state() == previous
+    np.testing.assert_array_equal(params.flat, before)
+
+
+def test_bias_rows_stay_equal():
+    # A bias is stored once per state: its two rows hold one parameter,
+    # bit for bit, after init_mlp and after phases of several runs between
+    # target refreshes. Every per-layer view of the parameters is
+    # contiguous and a view of flat.
+    hp = small_hp(phase_length=500, c=7, alpha0=0.02, gamma=0.9,
+                  activation_cap=20.0)
+    agents = DqlAgents(hp, 14, [np.random.default_rng(s) for s in range(3)])
+    rng = np.random.default_rng(4)
+    for phase in range(3):
+        if phase:
+            agents.learn_phase(_dql_columns(rng, 3, hp.phase_length))
+        params = agents.params
+        for view in params.weights + params.biases:
+            assert view.flags.c_contiguous and np.shares_memory(view, params.flat)
+        for bias in params.biases:
+            assert bias[:, 0].tobytes() == bias[:, 1].tobytes()
+    assert agents.updates == 2 * 20
 
 
 def _plain_walk(policies, states, draws, joint_states, rewards, n_actions):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -597,3 +598,27 @@ def test_report_config_rebuilds_the_sweep_config(tmp_path):
     assert report["versions"] == {
         "crpower": crpower.__version__, "numpy": np.__version__,
         "python": platform.python_version()}
+
+
+def test_report_config_rebuilds_from_another_directory(tmp_path, monkeypatch):
+    """A config naming its AMC CSV by a relative path holds it absolute,
+    so report.json's config rebuilds the sweep's table from a sibling
+    directory."""
+    sweep, other = tmp_path / "sweep", tmp_path / "other"
+    sweep.mkdir()
+    other.mkdir()
+    (sweep / "amc.csv").write_text("snr_db,spectral_efficiency\n-6,0.15\n0,0.9\n")
+    (sweep / "config.json").write_text(json.dumps(dict(CONFIG, n_runs=1,
+                                                       amc={"csv": "amc.csv"})))
+    monkeypatch.chdir(sweep)
+    assert simulate("config.json", "out", "--no-artifacts") == 0
+    loaded = harness.ExperimentConfig.from_dict(dict(CONFIG, n_runs=1,
+                                                     amc={"csv": "amc.csv"}))
+    assert loaded.amc_csv == str(sweep / "amc.csv")
+    monkeypatch.chdir(other)
+    report = json.loads((sweep / "out" / "report.json").read_text())
+    assert report["config"]["amc"]["csv"] == str(sweep / "amc.csv")
+    config = harness.ExperimentConfig.from_dict(report["config"])
+    assert config == dataclasses.replace(loaded, out_dir="out")
+    np.testing.assert_array_equal(config.amc_table().spectral_efficiencies,
+                                  [0.15, 0.9])

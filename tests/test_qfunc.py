@@ -1,15 +1,13 @@
-import copy
 import math
-import pickle
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import mlp_params, select_networks
 from crpower import qfunc
 from crpower.environment import ActionSpace
 from crpower.qfunc import (
-    MlpParams,
     _Descent,
     init_mlp,
     q_matrix,
@@ -27,14 +25,8 @@ def _init(rng, n=1):
 
 
 def _params(weights, biases, cap=CAP):
-    """Parameters copied from per-layer arrays: (fan_in, fan_out) weights
-    and (fan_out,) biases of one network, or (N, fan_in, fan_out) and
-    (N, 1, fan_out) ones of N stacked networks."""
-    n = int(np.prod(np.shape(weights[0])[:-2]))
-    sizes = (np.shape(weights[0])[-2],) + tuple(np.shape(w)[-1] for w in weights)
-    flat = np.concatenate([np.reshape(a, (n, -1)) for layer in zip(weights, biases)
-                           for a in layer], axis=1)
-    return MlpParams(flat, sizes, cap)
+    """Parameters copied from per-layer arrays (see conftest.mlp_params)."""
+    return mlp_params(weights, biases, cap)
 
 
 # ---------------------------------------------------------------- table
@@ -489,7 +481,7 @@ def test_init_mlp_draws_network_i_from_generator_i():
     (fan_in, fan_out) uniform block of weights, then the biases."""
     seeds = np.random.SeedSequence(9).spawn(3)
     params = init_mlp([np.random.default_rng(s) for s in seeds], 5, 2.5)
-    assert params.flat.shape[0] == 3 and params.layer_sizes == (2, 8, 18, 5)
+    assert len(params.weights[0]) == 3 and params.layer_sizes == (2, 8, 18, 5)
     assert params.cap == 2.5
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -533,9 +525,10 @@ def _reference_forward(params, x, i=0):
 
 def _stack(networks):
     """One stacked parameter set of the given N=1 parameter sets."""
-    first = networks[0]
-    return MlpParams(np.concatenate([p.flat for p in networks]),
-                     first.layer_sizes, first.cap)
+    return _params(
+        tuple(np.concatenate(layer) for layer in zip(*(p.weights for p in networks))),
+        tuple(np.concatenate(layer) for layer in zip(*(p.biases for p in networks))),
+        cap=networks[0].cap)
 
 
 @pytest.mark.parametrize("weight_scale", [1.0, 8.0])
@@ -558,11 +551,13 @@ def test_params_are_views_of_one_flat_vector():
         networks = [_init(rng) for _ in range(n)]
         params = _stack(networks)
         sizes = params.layer_sizes
+        # layer by layer, the weights of all n networks, then their biases
+        # once per state
         assert params.flat.shape == (
-            n, sum(a * b + b for a, b in zip(sizes, sizes[1:])))
+            n * sum(a * b + 2 * b for a, b in zip(sizes, sizes[1:])),)
         for k, (w, b) in enumerate(zip(params.weights, params.biases)):
             assert w.shape == (n, sizes[k], sizes[k + 1])
-            assert b.shape == (n, 1, sizes[k + 1])
+            assert b.shape == (n, 2, sizes[k + 1])
             assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
             for i, network in enumerate(networks):
                 assert np.array_equal(w[i], network.weights[k][0])
@@ -570,12 +565,6 @@ def test_params_are_views_of_one_flat_vector():
         # network i of the stack is network i on its own
         for i, network in enumerate(networks):
             assert np.array_equal(q_matrix(params)[i], q_matrix(network)[0])
-        for clone in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
-            np.testing.assert_array_equal(clone.flat, params.flat)
-            assert not np.shares_memory(clone.flat, params.flat)
-            for w, b in zip(clone.weights, clone.biases):
-                assert np.shares_memory(w, clone.flat) and np.shares_memory(b, clone.flat)
-            np.testing.assert_array_equal(q_matrix(clone), q_matrix(params))
 
 
 # ---------------------------------------------------------------- training
@@ -604,25 +593,25 @@ def _random_batch(rng, n=25, reward_scale=12.0):
 
 def _max_fd_relative_error(params, batch, target_max, gamma, h=1e-5):
     """Central finite differences against the gradient recovered from one
-    unit-step update; checks every weight and bias."""
+    unit-step update; checks every weight and bias. A bias is perturbed in
+    both of its state rows, which hold one parameter."""
     new_params, _ = train_minibatch(params, *batch, target_max, alpha=1.0,
                                     gamma=gamma)
     worst = 0.0
     for li in range(len(params.weights)):
-        for arrays, new_arrays, attr in (
-                (params.weights, new_params.weights, "weights"),
-                (params.biases, new_params.biases, "biases")):
-            analytic = arrays[li] - new_arrays[li]
-            flat = arrays[li].ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
+        w, b = params.weights[li][0], params.biases[li][0]
+        # entry j of a view is one parameter: a weight, or a bias's two rows
+        for view, analytic in (
+                (w.reshape(-1, 1), (w - new_params.weights[li][0]).ravel()),
+                (b.T, b[0] - new_params.biases[li][0, 0])):
+            for j, ga in enumerate(analytic):
+                orig = view[j].copy()
+                view[j] = orig + h
                 up = _loss_only(params, batch, target_max, gamma)
-                flat[j] = orig - h
+                view[j] = orig - h
                 down = _loss_only(params, batch, target_max, gamma)
-                flat[j] = orig
+                view[j] = orig
                 numeric = (up - down) / (2.0 * h)
-                ga = analytic.ravel()[j]
                 denom = max(abs(ga), abs(numeric), 1e-8)
                 worst = max(worst, abs(ga - numeric) / denom)
     return worst
@@ -899,8 +888,7 @@ def test_descent_hands_on_the_two_state_pass_it_computed():
         for u in range(n_updates):
             descent.run(targets[u:u + 1])
             q = descent.q
-            fresh = MlpParams(descent.params().flat.copy(), params.layer_sizes,
-                              params.cap)
+            fresh = select_networks(descent.params(), list(range(n)))
             assert np.array_equal(q, q_matrix(fresh))
     handed = q_matrix(descent.params())
     assert np.array_equal(handed, q)
@@ -910,15 +898,15 @@ def test_descent_hands_on_the_two_state_pass_it_computed():
 
 
 def _single_step(params, i, batch, target_max, alpha, gamma):
-    """train_minibatch on network i of a stack alone: (flat row, loss) or
-    the FloatingPointError text."""
-    single = MlpParams(params.flat[i:i + 1], params.layer_sizes, params.cap)
+    """train_minibatch on network i of a stack alone: (its parameters,
+    loss) or the FloatingPointError text."""
+    single = select_networks(params, [i])
     try:
         new, loss = train_minibatch(single, *(c[i] for c in batch),
                                     target_max[i], alpha, gamma)
     except FloatingPointError as exc:
         return str(exc)
-    return new.flat[0], float(loss[0])
+    return new.flat, float(loss[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -937,15 +925,14 @@ def test_stacked_step_equals_single_network_steps(n):
                  rng.integers(14, size=(n, 25)), rng.uniform(0, 12, size=(n, 25)))
         alpha = 0.05
         diverging = sorted(set(rng.integers(n, size=trial % 3).tolist()))
-        flat = params.flat.copy()
         for i in diverging:
             if trial % 2:
-                flat[i] *= 1e300        # the gradient overflows
+                for view in params.weights + params.biases:
+                    view[i] *= 1e300    # the gradient overflows
             else:
                 # huge output biases: the update overflows
-                flat[i, -params.n_actions:] = 1e300
+                params.biases[-1][i] = 1e300
                 alpha = 1e10
-        params = MlpParams(flat, params.layer_sizes, params.cap)
         single = [_single_step(params, i, batch, target_max, alpha, 0.9)
                   for i in range(n)]
         assert [i for i in range(n) if isinstance(single[i], str)] == diverging
@@ -956,13 +943,13 @@ def test_stacked_step_equals_single_network_steps(n):
             keep = [i for i in range(n) if i not in diverging]
             if not keep:
                 continue
-            params = MlpParams(flat[keep], params.layer_sizes, params.cap)
+            params = select_networks(params, keep)
             batch = tuple(c[keep] for c in batch)
             target_max = target_max[keep]
             single = [single[i] for i in keep]
         new_params, loss = train_minibatch(params, *batch, target_max, alpha, 0.9)
         for row, want in enumerate(single):
-            assert np.array_equal(new_params.flat[row], want[0])
+            assert np.array_equal(select_networks(new_params, [row]).flat, want[0])
             assert loss[row] == want[1]
 
 
