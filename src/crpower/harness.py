@@ -7,6 +7,15 @@ against that oracle. Runs therefore execute in any order or in parallel
 and still aggregate to byte-identical outputs. Each run executes once:
 when the sweep is given an artifact directory, the job that ran a run
 also writes that run's oracle and phase-trace files.
+
+Two imports wait for the sweep that needs them. The process pool
+(``concurrent.futures.process``, which loads ``multiprocessing``,
+``socket``, ``subprocess`` and more, about 20 ms) is imported only by a
+sweep that forks one, so a process that never does, such as a config
+load, a one-worker sweep or the other ``simulate`` subcommands, does not
+pay for it. numpy 2 imports ``numpy.random`` on first use; each sweep
+imports it before its first run, so no run's ``layer_ms["scenario"]``
+carries that import, and forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ import os
 import platform
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -393,10 +401,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
 
     Jobs are independent; with workers > 1 they execute on a process pool
     of at most one worker per job and are re-sorted by index, so the
-    report does not depend on the schedule. Given ``artifact_dir``, each
-    job writes its run's ``oracle/point{p}_run{r:04d}.json`` and
+    report does not depend on the schedule. ``workers`` must be an int
+    >= 1. Given ``artifact_dir``, each job writes its run's
+    ``oracle/point{p}_run{r:04d}.json`` and
     ``traces/point{p}_run{r:04d}.jsonl``.
+
+    ``numpy.random`` is imported here, before the first run and before
+    any worker forks, so the first run's timings do not include it; the
+    pool is imported only when one is forked (see the module docstring).
     """
+    if type(workers) is not int or workers < 1:
+        raise ConfigurationError(f"workers must be an int >= 1, not {workers!r}")
+    import numpy.random  # noqa: F401  (numpy 2 loads it on first use)
     if artifact_dir is not None:
         for sub in ("oracle", "traces"):
             (artifact_dir / sub).mkdir(parents=True, exist_ok=True)
@@ -405,6 +421,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
             for run in range(config.n_runs)]
     workers = min(workers, len(jobs))
     if workers > 1:
+        # here, not at module level: only a forking sweep loads the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs))
     else:

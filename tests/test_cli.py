@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -18,6 +19,7 @@ from crpower.agent import TUNED_DQL_HYPERPARAMS, PhaseRecord, RunTrace
 from crpower.environment import ActionSpace, EnvConfig, Scenario
 from crpower.link_adaptation import AmcTable
 from crpower.oracle import exhaustive_search
+from crpower.topology import ConfigurationError
 
 CONFIG = {
     "learner": "table",
@@ -38,6 +40,16 @@ def config_path(tmp_path):
 def simulate(config_path, out, *extra):
     return cli.main(["run", "--config", str(config_path), "--out", str(out),
                      *extra])
+
+
+def fresh_python(*args):
+    """Run this interpreter on args as a fresh process that imports this
+    checkout's crpower, with the default warning filters."""
+    src = str(Path(crpower.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 DQL = dict(CONFIG, learner="dql",
@@ -222,12 +234,103 @@ def test_pool_is_sized_by_the_job_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     config = harness.ExperimentConfig.from_dict(CONFIG)         # 3 runs
     for workers in (64, 3, 2, 1):
         harness.run_experiment(config, workers)
     harness.run_experiment(harness.ExperimentConfig.from_dict(dict(CONFIG, n_runs=1)), 4)
     assert sizes == [3, 3, 2]
+
+
+def test_worker_count_must_be_a_positive_int(tmp_path):
+    config = harness.ExperimentConfig.from_dict(CONFIG)
+    for workers in (0, -1, 1.0, 2.5, "2", True, None, np.int64(2)):
+        with pytest.raises(ConfigurationError, match="workers must be an int >= 1"):
+            harness.run_experiment(config, workers, artifact_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+# In a fresh interpreter: the imports a sweep makes, and when it makes them.
+IMPORTS_PROBE = """
+import json, sys
+from crpower import cli, harness
+config_path, out = sys.argv[1:]
+with open(config_path) as fh:
+    config = harness.ExperimentConfig.from_dict(json.load(fh))
+serial = harness.run_experiment(config, 1)
+assert cli.main(["oracle", "--config", config_path, "--out", out]) == 0
+loaded = [name for name in ("concurrent.futures.process", "multiprocessing")
+          if name in sys.modules]
+pooled = harness.run_experiment(config, 2)
+reports = [json.loads(report.report_json()) for report in (serial, pooled)]
+for report in reports:
+    del report["wall_ms"], report["layer_ms"]
+print(json.dumps({"loaded": loaded,
+                  "pool_loaded": "concurrent.futures.process" in sys.modules,
+                  "same_summary": serial.summary_csv() == pooled.summary_csv(),
+                  "same_report": reports[0] == reports[1]}))
+"""
+
+
+def test_only_a_forking_sweep_imports_the_process_pool(config_path, tmp_path):
+    """A config load, a one-worker sweep and simulate oracle leave the
+    pool's modules unloaded; a two-worker sweep loads them and reports
+    what the serial sweep reported."""
+    proc = fresh_python("-c", IMPORTS_PROBE, str(config_path), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"loaded": [], "pool_loaded": True,
+                      "same_summary": True, "same_report": True}
+
+
+NUMPY_RANDOM_PROBE = """
+import concurrent.futures, json, sys
+from crpower import harness
+workers, config_path = int(sys.argv[1]), sys.argv[2]
+seen = {"at_import": "numpy.random" in sys.modules, "pool": [], "runs": []}
+execute_run = harness.execute_run
+
+
+def recording_run(*args):
+    seen["runs"].append("numpy.random" in sys.modules)
+    return execute_run(*args)
+
+
+class InProcessPool:
+    '''Stands in for ProcessPoolExecutor: notes whether numpy.random is
+    loaded when the pool is made, and maps the jobs in this process.'''
+
+    def __init__(self, max_workers):
+        seen["pool"].append("numpy.random" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+harness.execute_run = recording_run
+concurrent.futures.ProcessPoolExecutor = InProcessPool
+with open(config_path) as fh:
+    harness.run_experiment(harness.ExperimentConfig.from_dict(json.load(fh)), workers)
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_numpy_random_is_loaded_before_the_first_run(config_path, workers):
+    """numpy 2 imports numpy.random on first use: the sweep imports it
+    before its first run and before it makes a pool, so no run's scenario
+    time includes the import; crpower's own import leaves it unloaded."""
+    proc = fresh_python("-c", NUMPY_RANDOM_PROBE, str(workers), str(config_path))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"at_import": False, "pool": [True] if workers > 1 else [],
+                    "runs": [True] * CONFIG["n_runs"]}
 
 
 def test_amc_table_is_parsed_once_per_config(monkeypatch, config_path, tmp_path):
@@ -516,13 +619,8 @@ def test_diverged_run_prints_no_numpy_warnings(tmp_path, workers):
     filters, records the diverged run and writes no RuntimeWarning."""
     config_path = tmp_path / "dql.json"
     config_path.write_text(json.dumps(DIVERGING_DQL))
-    src = str(Path(crpower.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "crpower.cli", "run", "--config", str(config_path),
-         "--out", str(tmp_path / "out"), "--workers", workers],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = fresh_python("-m", "crpower.cli", "run", "--config", str(config_path),
+                        "--out", str(tmp_path / "out"), "--workers", workers)
     assert proc.returncode == 0, proc.stderr
     assert "over 2 runs, 1 errored" in proc.stdout
     assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].startswith("0,error,")
